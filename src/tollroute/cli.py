@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -33,6 +32,7 @@ import yaml
 
 from .audit import audit_run
 from .payment import audit_ledger
+from .proof import signature_budget
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from .simnet import format_report, run_scenario
 
@@ -74,12 +74,20 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     return scenario
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _load(args: argparse.Namespace) -> Scenario | None:
+    """The scenario the command line names, with its overrides applied;
+    None once every problem found has been reported."""
     try:
-        scenario = _apply_overrides(_resolve_scenario(args.scenario), args)
+        return _apply_overrides(_resolve_scenario(args.scenario), args)
     except ScenarioError as exc:
         for problem in exc.problems:
             _err("scenario", problem)
+        return None
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    scenario = _load(args)
+    if scenario is None:
         return 1
     result = run_scenario(scenario)
     if args.out:
@@ -98,11 +106,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        scenario = _resolve_scenario(args.scenario)
-    except ScenarioError as exc:
-        for problem in exc.problems:
-            _err("scenario", problem)
+    scenario = _load(args)
+    if scenario is None:
         return 1
     print(
         f"ok {scenario.source.rsplit('/', 1)[-1]} nodes={len(scenario.nodes)} "
@@ -112,11 +117,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_state(args: argparse.Namespace) -> int:
-    try:
-        scenario = _apply_overrides(_resolve_scenario(args.scenario), args)
-    except ScenarioError as exc:
-        for problem in exc.problems:
-            _err("scenario", problem)
+    scenario = _load(args)
+    if scenario is None:
         return 1
     from .simnet import Simulator
 
@@ -156,7 +158,7 @@ def _cmd_bench_pof(args: argparse.Namespace) -> int:
     if args.packet_bytes <= 0 or args.chunk_bytes <= 0 or args.hops <= 0:
         _err("usage", "packet-bytes, chunk-bytes and hops must be positive")
         return 1
-    packets = math.ceil(args.chunk_bytes / args.packet_bytes)
+    packets = signature_budget(args.chunk_bytes, args.packet_bytes, 1)
     groups = args.group if args.group else [1, packets]
     print(
         f"bench-pof packet_bytes={args.packet_bytes} "
@@ -167,7 +169,7 @@ def _cmd_bench_pof(args: argparse.Namespace) -> int:
         if group <= 0:
             _err("usage", f"group size {group} must be positive")
             return 1
-        ops_per_hop = math.ceil(packets / group)
+        ops_per_hop = signature_budget(args.chunk_bytes, args.packet_bytes, group)
         total = ops_per_hop * args.hops
         factor = baseline / total
         factor_text = str(int(factor)) if factor == int(factor) else f"{factor:.2f}"
@@ -178,14 +180,9 @@ def _cmd_bench_pof(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare_payment(args: argparse.Namespace) -> int:
-    try:
-        scenario = _resolve_scenario(args.scenario)
-    except ScenarioError as exc:
-        for problem in exc.problems:
-            _err("scenario", problem)
+    scenario = _load(args)
+    if scenario is None:
         return 1
-    if getattr(args, "seed", None) is not None:
-        scenario = replace(scenario, seed=args.seed)
     rows = []
     for mode in ("hopbyhop", "payall"):
         variant = replace(scenario, defaults=replace(scenario.defaults, payment_mode=mode))

@@ -28,8 +28,7 @@ broadcast.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Callable
 
 from .keys import KeyPair
@@ -41,10 +40,10 @@ from .proof import (
     SignedChunk,
     make_chunk,
     sign_chunk,
-    split_payload,
 )
 from .tables import NodeTables, PitResult
 from .wire import (
+    ChunkProof,
     Data,
     HopInfo,
     Interest,
@@ -53,14 +52,9 @@ from .wire import (
     Name,
     NodeAddr,
     Packet,
+    Payment,
     RouteStack,
 )
-
-
-class StrategyMode(Enum):
-    SOURCE_ROUTED = "source-routed"
-    MIN_COST = "min-cost"
-    REDISCOVERY = "rediscovery"
 
 
 @dataclass(frozen=True)
@@ -75,24 +69,6 @@ class Broadcast:
 
 
 Action = Send | Broadcast
-
-
-class OncePerNonce:
-    """Default broadcast budget: each nonce may be rebroadcast once."""
-
-    def __init__(self) -> None:
-        self._spent: set[bytes] = set()
-
-    def allow(self, nonce: bytes) -> bool:
-        if nonce in self._spent:
-            return False
-        self._spent.add(nonce)
-        return True
-
-
-BROADCAST_POLICIES: dict[str, Callable[[], OncePerNonce]] = {
-    "once-per-nonce": OncePerNonce,
-}
 
 
 class RediscoveryScheduler:
@@ -161,7 +137,6 @@ class NodeConfig:
     forwarding_cost: int = 0
     relay_mode: str = "cutthrough"  # or "storeforward"
     payment_mode: str = "hopbyhop"  # or "payall"
-    broadcast_policy: str = "once-per-nonce"
     interest_lifetime_ms: int = 4_000  # wire lifetimes are milliseconds
 
 
@@ -186,11 +161,14 @@ class ForwardingEngine:
         self.hooks = hooks or EngineHooks()
         self.sources: list[ContentSource] = []
         self.counters: defaultdict[str, int] = defaultdict(int)
-        self._policy = BROADCAST_POLICIES[config.broadcast_policy]()
+        # Discovery nonces already rebroadcast: each gets one rebroadcast.
+        self._rebroadcast: set[bytes] = set()
         self._rediscovery = RediscoveryScheduler()
         self._own_nonces: set[bytes] = set()
-        # Producer-side cache: one signed chunk per (prefix, group).
-        self._chunk_cache: dict[tuple[tuple[bytes, ...], int], SignedChunk] = {}
+        # Newest chain per chunk this node signed, as producer or relay,
+        # keyed by (prefix components, index of the chunk's final packet):
+        # the packet that carries the proof.
+        self._proofs: dict[tuple[tuple[bytes, ...], int], ChunkProof] = {}
         # Store-and-forward: content Data held back until the chunk's
         # proof packet arrives, keyed by prefix.
         self._sf_buffers: dict[tuple[bytes, ...], dict[int, Data]] = {}
@@ -291,7 +269,8 @@ class ForwardingEngine:
         # AGGREGATED with a fresh nonce is a retransmitted discovery: the
         # first broadcast may have died on a partitioned link, so it is
         # forwarded again like any retransmitted Interest.
-        if result in (PitResult.NEW, PitResult.AGGREGATED) and self._policy.allow(pkt.nonce):
+        if result in (PitResult.NEW, PitResult.AGGREGATED) and pkt.nonce not in self._rebroadcast:
+            self._rebroadcast.add(pkt.nonce)
             self.counters["rebroadcasts"] += 1
             out = Interest(
                 name=pkt.name,
@@ -345,7 +324,6 @@ class ForwardingEngine:
     def _on_routed_interest(self, pkt: Interest, now: int) -> list[Action]:
         sender = pkt.hop_info.local
         after_me = pkt.route.pop()
-        tag = (pkt.name, pkt.nonce)
         result = self.tables.pit.insert(
             pkt.name, sender, pkt.nonce, now, pkt.lifetime_ms * 1_000
         )
@@ -354,12 +332,13 @@ class ForwardingEngine:
             return []
 
         if self._can_serve(pkt.name):
-            return self._serve_content(pkt, sender, tag, now)
+            return self._serve_content(pkt, sender, now)
 
         if result is PitResult.AGGREGATED:
             # Already fetching this name for someone else; this payment is
             # margin for work already paid for upstream.
-            if not self._settle_incoming(pkt, sender, upstream=None, tag=tag, now=now):
+            accepted, _ = self._settle_incoming(pkt, None, now)
+            if not accepted:
                 return [self._nack(sender, pkt.name, pkt.nonce, NackReason.INSUFFICIENT_PAYMENT)]
             self.counters["aggregated"] += 1
             return []
@@ -368,45 +347,28 @@ class ForwardingEngine:
         named_hop = after_me.top if after_me is not None else None
         named_alive = named_hop is not None and self.tables.liveness.is_alive(named_hop, now)
         if named_alive:
-            mode, next_hop, out_route = StrategyMode.SOURCE_ROUTED, named_hop, after_me
+            mode, next_hop, out_route = "source-routed", named_hop, after_me
         else:
             exclude = (sender,) if named_hop is None else (sender, named_hop)
             fallback = self.tables.fib.lookup_min_cost(pkt.name, exclude=exclude)
             if fallback is not None:
                 hop, _price = fallback
-                mode, next_hop, out_route = StrategyMode.MIN_COST, hop, RouteStack((hop,))
+                mode, next_hop, out_route = "min-cost", hop, RouteStack((hop,))
             else:
                 return self._rediscover_or_refuse(pkt, sender, named_hop, now)
         self._trace(
             "decision",
             name=str(pkt.name),
-            mode=mode.value,
+            mode=mode,
             next_hop=str(next_hop),
             named_hop=None if named_hop is None else str(named_hop),
             named_hop_alive=named_alive,
         )
-        self.counters[f"mode_{mode.value.replace('-', '_')}"] += 1
+        self.counters[f"mode_{mode.replace('-', '_')}"] += 1
 
-        payment = None
-        if self.config.payment_mode == "hopbyhop":
-            try:
-                kept, payment = relay_process_payment(
-                    self.book,
-                    self.addr,
-                    sender,
-                    pkt.payment,
-                    self.config.forwarding_cost,
-                    next_hop,
-                    tag,
-                    now,
-                    pkt.lifetime_ms * 1_000,
-                )
-            except PaymentError as err:
-                self.counters["payment_rejects"] += 1
-                self._trace("payment_rejected", name=str(pkt.name), reason=err.reason)
-                return [self._nack(sender, pkt.name, pkt.nonce, NackReason.INSUFFICIENT_PAYMENT)]
-            self.counters["tokens_kept"] += kept
-
+        accepted, payment = self._settle_incoming(pkt, next_hop, now)
+        if not accepted:
+            return [self._nack(sender, pkt.name, pkt.nonce, NackReason.INSUFFICIENT_PAYMENT)]
         out = Interest(
             name=pkt.name,
             nonce=pkt.nonce,
@@ -423,7 +385,7 @@ class ForwardingEngine:
         self._trace(
             "decision",
             name=str(pkt.name),
-            mode=StrategyMode.REDISCOVERY.value,
+            mode="rediscovery",
             next_hop=None,
             named_hop=None if named_hop is None else str(named_hop),
             named_hop_alive=False,
@@ -442,43 +404,38 @@ class ForwardingEngine:
         return [self._nack(sender, pkt.name, pkt.nonce, NackReason.NO_ROUTE)]
 
     def _settle_incoming(
-        self,
-        pkt: Interest,
-        sender: NodeAddr,
-        upstream: NodeAddr | None,
-        tag: tuple[Name, bytes],
-        now: int,
-    ) -> bool:
-        """Commit the payment on an Interest we will answer or absorb
-        ourselves.  True on success (including payall mode, where
-        Interests carry no payment to settle)."""
+        self, pkt: Interest, upstream: NodeAddr | None, now: int
+    ) -> tuple[bool, Payment | None]:
+        """Commit the payment riding an Interest and, when forwarding to
+        `upstream`, sign the onward offer.  Returns (accepted, onward
+        offer); payall-mode Interests carry no payment and are always
+        accepted."""
         if self.config.payment_mode != "hopbyhop":
-            return True
+            return True, None
         try:
-            kept, _ = relay_process_payment(
+            kept, offer = relay_process_payment(
                 self.book,
                 self.addr,
-                sender,
+                pkt.hop_info.local,
                 pkt.payment,
                 self.config.forwarding_cost,
                 upstream,
-                tag,
+                (pkt.name, pkt.nonce),
                 now,
                 pkt.lifetime_ms * 1_000,
             )
         except PaymentError as err:
             self.counters["payment_rejects"] += 1
             self._trace("payment_rejected", name=str(pkt.name), reason=err.reason)
-            return False
+            return False, None
         self.counters["tokens_kept"] += kept
-        return True
+        return True, offer
 
-    def _serve_content(
-        self, pkt: Interest, sender: NodeAddr, tag: tuple[Name, bytes], now: int
-    ) -> list[Action]:
+    def _serve_content(self, pkt: Interest, sender: NodeAddr, now: int) -> list[Action]:
         # A cache or producer hit keeps the full remaining payment; no
         # upstream does any work for it.
-        if not self._settle_incoming(pkt, sender, upstream=None, tag=tag, now=now):
+        accepted, _ = self._settle_incoming(pkt, None, now)
+        if not accepted:
             return [self._nack(sender, pkt.name, pkt.nonce, NackReason.INSUFFICIENT_PAYMENT)]
         actions: list[Action] = []
         for downstream, _nonce in self.tables.pit.consume(pkt.name, now):
@@ -507,28 +464,22 @@ class ForwardingEngine:
             proof=proof,
         )
 
-    def _producer_proof(self, source: ContentSource, index: int):
+    def _producer_proof(self, source: ContentSource, index: int) -> ChunkProof | None:
         first, count = source.chunk_span(index)
         if index != first + count - 1:
             return None  # proof rides only the chunk's final packet
-        key = (source.prefix.components, first)
-        chunk = self._chunk_cache.get(key)
-        if chunk is None:
+        key = (source.prefix.components, index)
+        proof = self._proofs.get(key)
+        if proof is None:
             payload = b"".join(source.payload_fn(i) for i in range(first, first + count))
-            chunk = make_chunk(self.key, source.prefix, first, payload, source.packet_size)
-            self._chunk_cache[key] = chunk
+            proof = make_chunk(self.key, source.prefix, first, payload, source.packet_size).proof()
+            self._proofs[key] = proof
             self.counters["signatures_produced"] += 1
             self._trace("chunk_signed", prefix=str(source.prefix), first=first, count=count)
-        return chunk.proof()
+        return proof
 
-    def _cached_proof(self, name: Name):
-        for (prefix_comps, first), chunk in self._chunk_cache.items():
-            if (
-                prefix_comps == name.prefix.components
-                and name.chunk_index == first + chunk.descriptor.count - 1
-            ):
-                return chunk.proof()
-        return None
+    def _cached_proof(self, name: Name) -> ChunkProof | None:
+        return self._proofs.get((name.prefix.components, name.chunk_index))
 
     # -- Data handling -----------------------------------------------
 
@@ -606,7 +557,7 @@ class ForwardingEngine:
             return []
         outgoing = pkt
         if pkt.proof is not None:
-            outgoing = self._extend_proof(pkt, now)
+            outgoing = self._extend_proof(pkt)
         self.tables.cs.insert(pkt.name, pkt.payload)
         actions: list[Action] = []
         seen: set[NodeAddr] = set()
@@ -628,7 +579,7 @@ class ForwardingEngine:
             self.counters["data_forwarded"] += 1
         return actions
 
-    def _extend_proof(self, pkt: Data, now: int) -> Data:
+    def _extend_proof(self, pkt: Data) -> Data:
         """Cut-through signing: pull the chunk's earlier packets from the
         content store, reassemble, and append our signature.  If the
         chunk cannot be reassembled or fails validation the proof is
@@ -640,12 +591,12 @@ class ForwardingEngine:
             assembly = ChunkAssembly(descriptor)
             for index in descriptor.indices:
                 if index == pkt.name.chunk_index:
-                    assembly.add(index, pkt.payload, now)
+                    assembly.add(index, pkt.payload)
                     continue
                 cached = self.tables.cs.lookup(prefix.with_index(index))
                 if cached is None:
                     raise ProofError(f"packet {index} not in content store")
-                assembly.add(index, cached, now)
+                assembly.add(index, cached)
             chunk = SignedChunk(descriptor, assembly.payload(), proof.digest, proof.chain)
             signed = sign_chunk(self.key, chunk)
         except ProofError as err:
@@ -658,8 +609,9 @@ class ForwardingEngine:
         )
         # Remember the extended chain so a later cache hit on this chunk
         # can hand out the same proof.
-        self._chunk_cache[(prefix.components, proof.first)] = signed
-        return Data(name=pkt.name, hop_info=pkt.hop_info, payload=pkt.payload, proof=signed.proof())
+        extended = signed.proof()
+        self._proofs[(prefix.components, proof.first + proof.count - 1)] = extended
+        return Data(name=pkt.name, hop_info=pkt.hop_info, payload=pkt.payload, proof=extended)
 
     def _packet_size_of(self, pkt: Data) -> int:
         # The proof packet may be the chunk's short tail; any earlier

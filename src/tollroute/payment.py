@@ -82,6 +82,20 @@ def state_message(state: ChannelState) -> bytes:
     return update_message(state.channel_id, state.sequence, state.balance_a, state.balance_b)
 
 
+def offer_balances(state: ChannelState, payer: NodeAddr, amount: int) -> tuple[int, int]:
+    """(balance_a, balance_b) that an offer of `amount` from `payer` signs.
+
+    The wire Payment carries no balances, so the payee reconstructs them
+    from the committed state plus the amount.  The signature must
+    therefore cover exactly that pair: committed +/- amount.  A lost or
+    cancelled offer leaves only a sequence hole; it can never skew the
+    balances of the offers made after it.
+    """
+    if payer == state.party_a:
+        return state.balance_a - amount, state.balance_b + amount
+    return state.balance_a + amount, state.balance_b - amount
+
+
 def channel_id_for(a: NodeAddr, b: NodeAddr, kind: str = "ch") -> bytes:
     lo, hi = sorted((a, b))
     return f"{kind}:{lo}:{hi}".encode("ascii")
@@ -289,9 +303,6 @@ class ChannelBook:
         self.channels: dict[bytes, ChannelState] = {}
         self.pending: dict[bytes, list[PendingOffer]] = {}
         self._issued: dict[bytes, int] = {}
-        self.paid: dict[NodeAddr, int] = {}
-        self.earned: dict[NodeAddr, int] = {}
-        self.commit_count = 0
 
     def register_key(self, key: KeyPair) -> None:
         self.keys[key.owner] = key
@@ -357,18 +368,7 @@ class ChannelBook:
         if key is None:
             raise PaymentError("no-key", str(payer))
         seq = self._next_sequence(channel_id)
-        # The wire Payment carries no balances, so the payee reconstructs
-        # them from the committed state plus the amount.  The signature
-        # must therefore cover exactly that pair: committed +/- amount.
-        # A lost or cancelled offer leaves only a sequence hole; it can
-        # never skew the balances of the offers made after it.
-        bal_payer = state.balance_of(payer) - amount
-        bal_payee = state.balance_of(payee) + amount
-        if payer == state.party_a:
-            bal_a, bal_b = bal_payer, bal_payee
-        else:
-            bal_a, bal_b = bal_payee, bal_payer
-        sig = key.sign(update_message(channel_id, seq, bal_a, bal_b))
+        sig = key.sign(update_message(channel_id, seq, *offer_balances(state, payer, amount)))
         payment = Payment(channel_id=channel_id, amount=amount, sequence=seq, payer_sig=sig)
         self.pending.setdefault(channel_id, []).append(
             PendingOffer(channel_id, seq, payer, payee, amount, tag, now + lifetime_us, payment)
@@ -391,12 +391,7 @@ class ChannelBook:
             raise PaymentError(
                 "overdraw", f"{payer} holds {state.balance_of(payer)} < {payment.amount}"
             )
-        bal_payer = state.balance_of(payer) - payment.amount
-        bal_payee = state.balance_of(payee) + payment.amount
-        if payer == state.party_a:
-            bal_a, bal_b = bal_payer, bal_payee
-        else:
-            bal_a, bal_b = bal_payee, bal_payer
+        bal_a, bal_b = offer_balances(state, payer, payment.amount)
         msg = update_message(payment.channel_id, payment.sequence, bal_a, bal_b)
         pub = self.directory.get(payer)
         if pub is None or not verify(pub, msg, payment.payer_sig):
@@ -419,9 +414,6 @@ class ChannelBook:
         )
         queue = self.pending.get(payment.channel_id, [])
         self.pending[payment.channel_id] = [o for o in queue if o.sequence != payment.sequence]
-        self.paid[payer] = self.paid.get(payer, 0) + payment.amount
-        self.earned[payee] = self.earned.get(payee, 0) + payment.amount
-        self.commit_count += 1
         self.ledger.note_update(committed, payer, payment.amount)
         return committed
 
@@ -457,38 +449,6 @@ class ChannelBook:
         return settled
 
 
-@dataclass(frozen=True)
-class HopPaymentPlan:
-    """Amounts offered to each node along a (next hop first, producer
-    last) path; each node keeps its own cost and forwards the rest."""
-
-    path: tuple[NodeAddr, ...]
-    amounts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return self.amounts[0] if self.amounts else 0
-
-
-def plan_payment(path: tuple[NodeAddr, ...], cost_of: dict[NodeAddr, int]) -> HopPaymentPlan:
-    """Turn per-node forwarding costs into the cascade of offer amounts.
-
-    The amount offered to hop i covers everyone from i to the producer,
-    so the total equals the discovered path price.
-    """
-    if not path:
-        raise PaymentError("bad-path", "empty path")
-    missing = [str(n) for n in path if n not in cost_of]
-    if missing:
-        raise PaymentError("unknown-cost", ", ".join(missing))
-    amounts = []
-    running = 0
-    for node in reversed(path):
-        running += cost_of[node]
-        amounts.append(running)
-    return HopPaymentPlan(path=path, amounts=tuple(reversed(amounts)))
-
-
 def relay_process_payment(
     book: ChannelBook,
     me: NodeAddr,
@@ -506,11 +466,13 @@ def relay_process_payment(
     node's cost, or that leaves this node unable to fund the upstream
     offer, is rejected with the book untouched.  On success the incoming
     offer is committed and, when there is an upstream hop, a new offer of
-    (incoming - my_cost) is signed toward it.  Returns (tokens kept,
-    upstream offer or None).
+    (incoming - my_cost) is signed toward it.  A zero-cost hop accepts an
+    Interest that carries no payment (a zero-price route) and forwards it
+    without an onward offer.  Returns (tokens kept, upstream offer or
+    None).
     """
     if incoming is None:
-        if my_cost == 0 and upstream is None:
+        if my_cost == 0:
             return 0, None
         raise PaymentError("insufficient-payment", "no payment attached")
     if incoming.amount < my_cost:

@@ -183,7 +183,6 @@ def verify_chain(
 class AssemblyState(Enum):
     INCOMPLETE = "incomplete"
     COMPLETE = "complete"
-    EXPIRED = "expired"
 
 
 class ChunkAssembly:
@@ -194,14 +193,11 @@ class ChunkAssembly:
     exactly packet_size bytes.
     """
 
-    def __init__(self, descriptor: ChunkDescriptor, deadline_us: int | None = None) -> None:
+    def __init__(self, descriptor: ChunkDescriptor) -> None:
         self.descriptor = descriptor
-        self.deadline_us = deadline_us
         self._parts: dict[int, bytes] = {}
 
-    def add(self, index: int, payload: bytes, now: int = 0) -> AssemblyState:
-        if self.deadline_us is not None and now > self.deadline_us:
-            return AssemblyState.EXPIRED
+    def add(self, index: int, payload: bytes) -> AssemblyState:
         d = self.descriptor
         if index not in d.indices:
             raise ProofError(f"packet {index} is outside chunk [{d.first}, {d.first + d.count})")
@@ -218,9 +214,6 @@ class ChunkAssembly:
         if len(self._parts) == self.descriptor.count:
             return AssemblyState.COMPLETE
         return AssemblyState.INCOMPLETE
-
-    def missing(self) -> list[int]:
-        return [i for i in self.descriptor.indices if i not in self._parts]
 
     def payload(self) -> bytes:
         if self.state() is not AssemblyState.COMPLETE:

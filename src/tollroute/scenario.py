@@ -9,7 +9,7 @@ start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
@@ -104,12 +104,6 @@ class Scenario:
     nodes: tuple[NodeSpec, ...]
     links: tuple[LinkSpec, ...]
     schedule: tuple[FetchAction | LinkAction, ...]
-
-    def node(self, addr: NodeAddr) -> NodeSpec:
-        for spec in self.nodes:
-            if spec.addr == addr:
-                return spec
-        raise KeyError(str(addr))
 
     def cost_of(self) -> dict[NodeAddr, int]:
         return {spec.addr: spec.cost for spec in self.nodes}

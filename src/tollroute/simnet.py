@@ -486,17 +486,17 @@ class Simulator:
         hops = flow.active.hops
         payment = None
         try:
-            if self.defaults.payment_mode == "hopbyhop":
-                cid = channel_id_for(flow.node, hops[0])
-                payment = self.book.make_offer(
-                    flow.node, cid, flow.active.price, (name, nonce), self.now,
-                    lifetime_us=self.defaults.interest_lifetime_ms * MS,
-                )
-            else:
+            if self.defaults.payment_mode == "payall":
                 consumer_pay_all(
                     self.book, flow.node,
                     [(hop, self.cost_of[hop]) for hop in hops],
                     (name, nonce), self.now, self.defaults.channel_deposit,
+                )
+            elif flow.active.price > 0:  # a zero-price route carries no payment
+                cid = channel_id_for(flow.node, hops[0])
+                payment = self.book.make_offer(
+                    flow.node, cid, flow.active.price, (name, nonce), self.now,
+                    lifetime_us=self.defaults.interest_lifetime_ms * MS,
                 )
         except PaymentError as err:
             self.emit("sim", "flow_error", node=str(flow.node), name=str(name),

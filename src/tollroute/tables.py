@@ -136,9 +136,6 @@ class PriceWindow:
             return None
         return min(price for price, _ in self._samples)
 
-    def samples(self) -> list[tuple[int, int]]:
-        return list(self._samples)
-
 
 @dataclass
 class FibNextHop:

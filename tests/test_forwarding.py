@@ -9,7 +9,6 @@ from tollroute.forwarding import (
     EngineHooks,
     ForwardingEngine,
     NodeConfig,
-    OncePerNonce,
     RediscoveryScheduler,
     Send,
 )
@@ -166,6 +165,10 @@ class TestDiscovery:
         # Same nonce via another neighbor: aggregated, budget already spent.
         assert relay.on_interest(interest(PREFIX, NONCE, D), now=2) == []
         assert relay.counters["broadcast_suppressed"] == 1
+        # A fresh nonce for the same name has a budget of its own.
+        (again,) = relay.on_interest(interest(PREFIX, b"\x12" * 8, D), now=3)
+        assert isinstance(again, Broadcast) and again.packet.nonce == b"\x12" * 8
+        assert relay.counters["rebroadcasts"] == 2
 
     def test_producer_answers_every_aggregated_downstream(self):
         producer, _ = make_node(C, 12)
@@ -291,12 +294,6 @@ class TestScheduler:
         assert sched.request(f1)
         assert sched.request(f2)
         assert [sched.request(f2) for _ in range(4)] == [False, True, False, True]
-
-    def test_broadcast_budget_is_one_per_nonce(self):
-        policy = OncePerNonce()
-        assert policy.allow(b"n1")
-        assert not policy.allow(b"n1")
-        assert policy.allow(b"n2")
 
 
 class TestPaymentsOnPath:

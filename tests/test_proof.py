@@ -226,7 +226,6 @@ class TestAssembly:
         parts = {16: b"a" * 100, 17: b"b" * 100, 18: b"c" * 100, 19: b"d" * 37}
         for idx in (18, 16, 19):
             assert asm.add(idx, parts[idx]) is AssemblyState.INCOMPLETE
-        assert asm.missing() == [17]
         assert asm.add(17, parts[17]) is AssemblyState.COMPLETE
         assert asm.payload() == b"a" * 100 + b"b" * 100 + b"c" * 100 + b"d" * 37
 
@@ -251,11 +250,6 @@ class TestAssembly:
             asm.add(19, b"x" * 101)
         with pytest.raises(ProofError):
             asm.add(19, b"")
-
-    def test_deadline(self):
-        asm = ChunkAssembly(self.DESC, deadline_us=1_000)
-        assert asm.add(16, b"x" * 100, now=999) is AssemblyState.INCOMPLETE
-        assert asm.add(17, b"x" * 100, now=1_001) is AssemblyState.EXPIRED
 
     def test_split_then_assemble_round_trip(self):
         payload = bytes(range(256)) * 3

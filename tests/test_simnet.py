@@ -108,6 +108,18 @@ class TestFlows:
         assert not [ev for ev in result.trace if ev["event"] in ("tx", "rx")]
         assert all(v == 0 for v in result.report["ledger"]["incomes"].values())
 
+    def test_zero_price_route_completes_without_payment(self):
+        doc = line_doc()
+        for node in doc["nodes"]:
+            node["cost"] = 0
+        doc["schedule"][0]["packets"] = 16
+        scenario = parse_scenario(copy.deepcopy(doc), source="inline.scn")
+        result = run_scenario(scenario)
+        flow = flow_of(result)
+        assert (flow["status"], flow["received"], flow["price"]) == ("done", 16, 0)
+        assert not [rec for rec in result.ledger_records if rec["op"] == "update"]
+        assert audit_run(scenario, result.trace, result.ledger_records) == []
+
     def test_unserved_fetch_fails_with_no_route(self):
         doc = line_doc()
         doc["nodes"][2]["serves"] = []

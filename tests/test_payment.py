@@ -415,3 +415,95 @@ class TestAudit:
         report = audit_ledger(log)
         assert not report.ok
         assert any("break pool" in v for v in report.violations)
+
+
+def _mint(account, amount):
+    return {"op": "mint", "account": account, "amount": amount}
+
+
+def _open(cid, a, b, da, db):
+    return {"op": "open", "channel": cid, "party_a": a, "party_b": b,
+            "deposit_a": da, "deposit_b": db}
+
+
+def _update(cid, seq, ba, bb):
+    return {"op": "update", "channel": cid, "sequence": seq, "balance_a": ba,
+            "balance_b": bb, "payer": "a", "payee": "b", "amount": 1}
+
+
+def _settle(cid, seq, ba, bb):
+    return {"op": "settle", "channel": cid, "sequence": seq, "balance_a": ba, "balance_b": bb}
+
+
+_FUNDED = [_mint("a", 100), _mint("b", 100), _open("ch", "a", "b", 50, 50)]
+
+# Doctored ledger logs and the exact violations the replay reports, in
+# order.  A violation that skips the rest of its record also skips that
+# record's conservation check, so a settle that breaks the pool shows
+# its conservation breach on the next record.
+DOCTORED_LOGS = {
+    "clean": (
+        _FUNDED + [_update("ch", 1, 40, 60), _settle("ch", 1, 40, 60)],
+        [],
+    ),
+    "nonpositive-mint": (
+        [_mint("a", 100), _mint("b", 0), _mint("c", -5)],
+        ["record 1: nonpositive mint", "record 2: nonpositive mint"],
+    ),
+    "overdrawn-open": (
+        [_mint("a", 100), _mint("b", 100), _open("ch", "a", "b", 150, 120)],
+        ["record 2: a overdrew opening ch", "record 2: b overdrew opening ch"],
+    ),
+    "double-open": (
+        _FUNDED + [_open("ch", "a", "b", 10, 10), _update("ch", 1, 40, 60)],
+        ["record 3: channel ch opened twice"],
+    ),
+    "update-on-closed": (
+        _FUNDED + [_settle("ch", 0, 50, 50), _update("ch", 1, 40, 60),
+                   _update("zz", 1, 1, 1)],
+        ["record 4: update on non-open channel ch",
+         "record 5: update on non-open channel zz"],
+    ),
+    "non-increasing-sequence": (
+        _FUNDED + [_update("ch", 2, 40, 60), _update("ch", 2, 30, 70),
+                   _update("ch", 1, 20, 80), _update("ch", 3, 20, 81)],
+        ["record 4: sequence 2 not increasing on ch",
+         "record 5: sequence 1 not increasing on ch",
+         "record 6: update balances break pool on ch"],
+    ),
+    "settle-breaks-pool": (
+        _FUNDED + [_update("ch", 1, 40, 60), _settle("ch", 1, 40, 70), _mint("c", 10)],
+        ["record 4: settle balances break pool on ch",
+         "record 5: accounts+pools 110 != minted 210"],
+    ),
+    "stale-settle": (
+        _FUNDED + [_update("ch", 2, 40, 60), _settle("ch", 1, 45, 55)],
+        ["record 4: settle at stale sequence 1 on ch"],
+    ),
+    "settle-unopened": (
+        _FUNDED + [_settle("zz", 0, 0, 0)],
+        ["record 3: settle on non-open channel zz"],
+    ),
+    # The replay credits a settle to the parties of the channel's first
+    # open record, so after a reopen under other parties c is never paid
+    # back and overdraws its next open.
+    "reopen-after-settle": (
+        _FUNDED + [_settle("ch", 0, 50, 50), _mint("c", 100),
+                   _open("ch", "b", "c", 0, 100), _settle("ch", 0, 0, 100),
+                   _open("ch2", "c", "a", 100, 0)],
+        ["record 7: c overdrew opening ch2"],
+    ),
+    "unknown-op": (
+        _FUNDED + [{"op": "burn", "account": "a", "amount": 5}],
+        ["record 3: unknown op 'burn'"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOCTORED_LOGS))
+def test_audit_ledger_reports_exact_violations(case):
+    records, expected = DOCTORED_LOGS[case]
+    report = audit_ledger(records)
+    assert report.violations == expected
+    assert report.ok == (not expected)
+    assert report.records == len(records)

@@ -1,9 +1,9 @@
 """Byte-level pins on every bundled scenario's run artifacts.
 
 A refactor that claims to keep behaviour must keep these sha256 values:
-report, trace and ledger bytes for each bundled scenario under both
-payment modes.  A change that alters behaviour on purpose updates the
-table and says why.
+report, trace and ledger bytes for each bundled scenario, and for a few
+larger generated scenarios, under both payment modes.  A change that
+alters behaviour on purpose updates the table and says why.
 """
 
 import hashlib
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from tollroute.scenario import load_scenario
+from tollroute.scenario import load_scenario, parse_scenario
 from tollroute.simnet import run_scenario
 
 BUNDLED = Path(str(resources.files("tollroute") / "scenarios"))
@@ -73,18 +73,144 @@ PINNED = {
 }
 
 
+
+
+def _addr(hi: int, lo: int) -> str:
+    return f"02-00-00-00-{hi:02x}-{lo:02x}"
+
+
+# Every generated scenario uses a link latency equal to the send
+# interval: a shorter interval pipelines two offers on one channel,
+# which the relay rejects.
+def _doc(seed, duration_ms, defaults, nodes, links, fetches):
+    return {
+        "version": 1,
+        "seed": seed,
+        "duration_ms": duration_ms,
+        "defaults": {"link_latency_ms": 1, "send_interval_ms": 1, **defaults},
+        "nodes": nodes,
+        "links": links,
+        "schedule": [
+            {"at_ms": at, "action": "fetch", "node": node, "name": name, "packets": packets}
+            for at, node, name, packets in fetches
+        ],
+    }
+
+
+def _line(packets: int, drop_rate: float) -> dict:
+    """Consumer, relay and producer (costs 1/2/3); 100 B packets, 8 per
+    chunk.  A short Interest lifetime keeps a lossy run's retransmits
+    inside the run."""
+    consumer, relay, producer = _addr(1, 1), _addr(1, 2), _addr(1, 3)
+    deposit = 6 * packets
+    serve = {"prefix": "/line/bulk", "packet_size": 100, "packets_per_chunk": 8,
+             "chunks": packets // 8}
+    pairs = [[consumer, relay], [relay, producer]]
+    return _doc(
+        11, 3000,
+        {"interest_lifetime_ms": 200, "channel_deposit": deposit,
+         "account_balance": 2 * deposit},
+        [{"addr": consumer, "cost": 1}, {"addr": relay, "cost": 2},
+         {"addr": producer, "cost": 3, "serves": [serve]}],
+        [pair + [1, drop_rate] for pair in pairs] if drop_rate else pairs,
+        [(100, consumer, "/line/bulk", packets)],
+    )
+
+
+def _grid(n: int = 4) -> dict:
+    """n x n four-neighbour grid, producer in one corner; the two far
+    corners fetch one after the other, with content stores that hold two
+    of the object's four chunks."""
+    grid = [[_addr(0x10 + x, y) for y in range(n)] for x in range(n)]
+    serve = {"prefix": "/grid/obj", "packet_size": 500, "packets_per_chunk": 8, "chunks": 4}
+    nodes = []
+    for x in range(n):
+        for y in range(n):
+            node = {"addr": grid[x][y], "cost": 1 + (x * n + y) % 3}
+            if (x, y) == (0, 0):
+                node["serves"] = [serve]
+            nodes.append(node)
+    links = [[grid[x][y], grid[x + 1][y]] for x in range(n - 1) for y in range(n)]
+    links += [[grid[x][y], grid[x][y + 1]] for x in range(n) for y in range(n - 1)]
+    return _doc(
+        12, 2000,
+        {"channel_deposit": 1000, "account_balance": 8000, "cs_capacity_bytes": 2 * 8 * 500},
+        nodes, links,
+        [(100, grid[n - 1][n - 1], "/grid/obj", 32), (900, grid[n - 1][0], "/grid/obj", 32)],
+    )
+
+
+# line-256-lossy ends with its flow still fetching, all 256 packets
+# received: for two chunks the relay, missing a packet, passed the proof
+# through, the proof-carrying Data was then lost, and the retransmit was
+# answered from the relay's content store without a proof, so those
+# chunks never verify.
+GENERATED = {
+    "line-512": lambda: _line(512, 0.0),
+    "line-256-lossy": lambda: _line(256, 0.05),
+    "grid-4x4": _grid,
+}
+
+# (generated scenario, payment mode) -> sha256 of (report, trace, ledger).
+PINNED_GENERATED = {
+    ("line-512", "hopbyhop"): (
+        "5f926166e37115538f622866a5532a9e8f373cb2c986a04676ea398acd4257be",
+        "8fc9c65f6d9c634811007308326523742cc23579a688e0bd7036c2c89127fcf1",
+        "fb8084bc0f91dbce8642fafc781b23c91942c30fb55d7f8952c95343629d3ebc",
+    ),
+    ("line-512", "payall"): (
+        "66cd74dca7d26b40a66c7007bdfe39cdecaebdfb5490a54f188e63dca0a2c35c",
+        "43e67a80eb305da865a5413da25d9189ceb7ee16eb49614cd905b49293a9e55a",
+        "bedbbfa3d13bc0eb063f0e823a003884bf8f85f353d08346f9c25a9e17319520",
+    ),
+    ("line-256-lossy", "hopbyhop"): (
+        "e2c325cf2e7fd3520a39a4cb6916a1b525b0493552da9904ec3a658b4fd610b2",
+        "58fc3a117170de9b3d39584d6fba0edd24ab1699eff2d22d1d8e879c89d801da",
+        "eed78618068e872fa25846d9e03e5e8a0e7802afbef5baed0925673517b1d648",
+    ),
+    ("line-256-lossy", "payall"): (
+        "9beeaf52ab7b74fc2756594bbbf0c3b34c9b8092e21930453f0367fe7af2e885",
+        "f5e46aa9fbae7f2e1a371ddb7f7f43879cb9053e55b1f834abcb7c2d5d09f209",
+        "6199b06918b5f9a15b28f36a6091809ed9977db07304f48120cb6bf79edd9aca",
+    ),
+    ("grid-4x4", "hopbyhop"): (
+        "0e6d2509ee8edde7112542c6ee2d136059e76ef2069cec5f1562821c0c855208",
+        "c7056250fbf02597c26fca6d5edf4b2a856d36a61b144fcffd9106eec46e6d7f",
+        "d9451b428c768d64622e3c7fe0a6782769695189f75978d29a316c73eb40a2d1",
+    ),
+    ("grid-4x4", "payall"): (
+        "7a3fc328c4545f600ae61c6b40889e0c92f37bf947cfe280432c194cae794386",
+        "33d251292e560050f7b5d83abe56ccab380f52f41947688b0957503963049ecc",
+        "985d9a527600ca06b4817109917c3743268ad8786019ff4984a01a3ef25d7632",
+    ),
+}
+
+
+def _digests(result) -> tuple[str, str, str]:
+    return tuple(
+        hashlib.sha256(blob).hexdigest()
+        for blob in (result.report_bytes(), result.trace_bytes(), result.ledger_bytes())
+    )
+
+
 @pytest.mark.parametrize("name,mode", sorted(PINNED))
 def test_artifact_bytes_pinned(name, mode):
     scenario = load_scenario(str(BUNDLED / name))
     scenario = replace(scenario, defaults=replace(scenario.defaults, payment_mode=mode))
-    result = run_scenario(scenario)
-    digests = tuple(
-        hashlib.sha256(blob).hexdigest()
-        for blob in (result.report_bytes(), result.trace_bytes(), result.ledger_bytes())
-    )
-    assert digests == PINNED[(name, mode)]
+    assert _digests(run_scenario(scenario)) == PINNED[(name, mode)]
+
+
+@pytest.mark.parametrize("name,mode", sorted(PINNED_GENERATED))
+def test_generated_bytes_pinned(name, mode):
+    doc = GENERATED[name]()
+    doc["defaults"]["payment_mode"] = mode
+    scenario = parse_scenario(doc, source=f"{name}.scn")
+    assert _digests(run_scenario(scenario)) == PINNED_GENERATED[(name, mode)]
 
 
 def test_every_bundled_scenario_is_pinned():
     bundled = {p.name for p in BUNDLED.glob("*.scn")}
     assert {name for name, _mode in PINNED} == bundled
+    assert set(PINNED_GENERATED) == {
+        (name, mode) for name in GENERATED for mode in ("hopbyhop", "payall")
+    }

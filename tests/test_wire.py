@@ -291,6 +291,102 @@ class TestDecodeErrors:
             decode_packet(_mutate(buf, len(buf) - 1, 9))
 
 
+# Valid frames as (tag, value) field lists, so a test can drop one field.
+_NAME = _t(0x20, b"video") + _t(0x21, _u64(7))
+_NONCE = bytes.fromhex("0123456789abcdef")
+_HOP_SIG_FIELDS = [(0x2D, A3.octets), (0x2E, b"\x01" * 32), (0x2F, b"\x02" * 64)]
+_PROOF_FIELDS = [
+    (0x29, _u64(0)), (0x2A, _u64(1)), (0x2B, b"\x03" * 32),
+    (0x2C, b"".join(_t(t, v) for t, v in _HOP_SIG_FIELDS)),
+]
+_PAYMENT_FIELDS = [(0x25, b"chan-a"), (0x26, _u64(15)), (0x27, _u64(3)), (0x28, b"\x5a" * 64)]
+_HOP_INFO_FIELDS = [(0x22, A1.octets), (0x23, A2.octets)]
+_FRAMES = {
+    "Interest": (0x01, [
+        (0x10, _NAME), (0x11, _NONCE),
+        (0x12, b"".join(_t(t, v) for t, v in _HOP_INFO_FIELDS)),
+        (0x13, _t(0x24, A2.octets)),
+        (0x14, b"".join(_t(t, v) for t, v in _PAYMENT_FIELDS)),
+        (0x15, _u64(4000)),
+    ]),
+    "Data": (0x02, [
+        (0x10, _NAME), (0x12, _t(0x22, A1.octets)), (0x16, b"payload"),
+        (0x18, b"".join(_t(t, v) for t, v in _PROOF_FIELDS)),
+    ]),
+    "Nack": (0x03, [(0x10, _NAME), (0x11, _NONCE), (0x19, bytes([NackReason.DUPLICATE]))]),
+}
+
+
+def _fields_bytes(fields) -> bytes:
+    return b"".join(_t(t, v) for t, v in fields)
+
+
+def _value_offset(fields, tag: int, base: int) -> int:
+    """Absolute offset of `tag`'s value when `fields` start at `base`."""
+    pos = base
+    for t, v in fields:
+        if t == tag:
+            return pos + 3
+        pos += 3 + len(v)
+    raise KeyError(tag)
+
+
+def _drop(fields, tag: int):
+    return [(t, v) for t, v in fields if t != tag]
+
+
+def _replace(fields, tag: int, value: bytes):
+    return [(t, value if t == tag else v) for t, v in fields]
+
+
+def _missing_field_cases():
+    cases = []
+    for what, tag in (("Interest", 0x11), ("Interest", 0x15), ("Data", 0x16), ("Nack", 0x19)):
+        kind, fields = _FRAMES[what]
+        cases.append(pytest.param(
+            bytes([kind]) + _fields_bytes(_drop(fields, tag)), 1,
+            f"{what} missing required tag 0x{tag:02x}", id=f"{what}-0x{tag:02x}",
+        ))
+    kind, fields = _FRAMES["Interest"]
+    for outer, inner_fields, what, tag in (
+        (0x12, _HOP_INFO_FIELDS, "HopInfo", 0x22),
+        (0x14, _PAYMENT_FIELDS, "Payment", 0x28),
+    ):
+        doctored = _replace(fields, outer, _fields_bytes(_drop(inner_fields, tag)))
+        cases.append(pytest.param(
+            bytes([kind]) + _fields_bytes(doctored), _value_offset(doctored, outer, 1),
+            f"{what} missing required tag 0x{tag:02x}", id=f"{what}-0x{tag:02x}",
+        ))
+    kind, fields = _FRAMES["Data"]
+    doctored = _replace(fields, 0x18, _fields_bytes(_drop(_PROOF_FIELDS, 0x2B)))
+    cases.append(pytest.param(
+        bytes([kind]) + _fields_bytes(doctored), _value_offset(doctored, 0x18, 1),
+        "ChunkProof missing required tag 0x2b", id="ChunkProof-0x2b",
+    ))
+    proof = _replace(_PROOF_FIELDS, 0x2C, _fields_bytes(_drop(_HOP_SIG_FIELDS, 0x2F)))
+    doctored = _replace(fields, 0x18, _fields_bytes(proof))
+    cases.append(pytest.param(
+        bytes([kind]) + _fields_bytes(doctored),
+        _value_offset(proof, 0x2C, _value_offset(doctored, 0x18, 1)),
+        "HopSignature missing required tag 0x2f", id="HopSignature-0x2f",
+    ))
+    return cases
+
+
+class TestMissingRequiredField:
+    @pytest.mark.parametrize("what", sorted(_FRAMES))
+    def test_unmodified_frames_decode(self, what) -> None:
+        kind, fields = _FRAMES[what]
+        buf = bytes([kind]) + _fields_bytes(fields)
+        assert encode_packet(decode_packet(buf)) == buf
+
+    @pytest.mark.parametrize("buf,offset,reason", _missing_field_cases())
+    def test_dropped_field_names_container_offset(self, buf, offset, reason) -> None:
+        with pytest.raises(DecodeError) as err:
+            decode_packet(buf)
+        assert (err.value.offset, err.value.reason) == (offset, reason)
+
+
 # ---------------------------------------------------------------------------
 # randomized packets (shared with the acceptance suite)
 

@@ -557,18 +557,19 @@ class AuditResult:
 
 def audit_ledger(records: list[dict]) -> AuditResult:
     """Replay a ledger log and check token conservation after every
-    record, plus per-channel sequence and pool discipline."""
+    record, plus per-channel sequence and pool discipline.
+
+    The replay keeps `total`, the sum of all accounts and open pools, up
+    to date record by record, so each check costs O(1)."""
     accounts: dict[str, int] = {}
     pools: dict[str, int] = {}
     open_flags: dict[str, bool] = {}
     last_seq: dict[str, int] = {}
+    # Parties of each channel as named by its first open record.
+    parties: dict[str, tuple[str, str]] = {}
     minted = 0
+    total = 0
     violations: list[str] = []
-
-    def conserve(i: int) -> None:
-        total = sum(accounts.values()) + sum(p for c, p in pools.items() if open_flags.get(c))
-        if total != minted:
-            violations.append(f"record {i}: accounts+pools {total} != minted {minted}")
 
     for i, rec in enumerate(records):
         op = rec.get("op")
@@ -579,6 +580,7 @@ def audit_ledger(records: list[dict]) -> AuditResult:
                 continue
             accounts[rec["account"]] = accounts.get(rec["account"], 0) + amount
             minted += amount
+            total += amount
         elif op == "open":
             cid = rec["channel"]
             da, db = rec["deposit_a"], rec["deposit_b"]
@@ -588,11 +590,13 @@ def audit_ledger(records: list[dict]) -> AuditResult:
             for party, dep in ((rec["party_a"], da), (rec["party_b"], db)):
                 if accounts.get(party, 0) < dep:
                     violations.append(f"record {i}: {party} overdrew opening {cid}")
+            # The deposits move from the accounts into the pool: total holds.
             accounts[rec["party_a"]] = accounts.get(rec["party_a"], 0) - da
             accounts[rec["party_b"]] = accounts.get(rec["party_b"], 0) - db
             pools[cid] = da + db
             open_flags[cid] = True
             last_seq[cid] = 0
+            parties.setdefault(cid, (rec["party_a"], rec["party_b"]))
         elif op == "update":
             cid = rec["channel"]
             if not open_flags.get(cid):
@@ -614,23 +618,19 @@ def audit_ledger(records: list[dict]) -> AuditResult:
                 violations.append(
                     f"record {i}: settle at stale sequence {rec['sequence']} on {cid}"
                 )
-            if rec["balance_a"] + rec["balance_b"] != pools.get(cid):
-                violations.append(f"record {i}: settle balances break pool on {cid}")
-                open_flags[cid] = False
-                continue
             open_flags[cid] = False
-            # Parties are recoverable from the matching open record; the
-            # replay keys accounts by the open record's naming.
-            opener = next(
-                (r for r in records[: i + 1] if r.get("op") == "open" and r.get("channel") == cid),
-                None,
-            )
-            if opener is None:
-                violations.append(f"record {i}: settle without open for {cid}")
+            total -= pools[cid]
+            if rec["balance_a"] + rec["balance_b"] != pools[cid]:
+                violations.append(f"record {i}: settle balances break pool on {cid}")
                 continue
-            accounts[opener["party_a"]] = accounts.get(opener["party_a"], 0) + rec["balance_a"]
-            accounts[opener["party_b"]] = accounts.get(opener["party_b"], 0) + rec["balance_b"]
+            # Parties are recoverable from the channel's open record; the
+            # replay keys accounts by the open record's naming.
+            party_a, party_b = parties[cid]
+            accounts[party_a] = accounts.get(party_a, 0) + rec["balance_a"]
+            accounts[party_b] = accounts.get(party_b, 0) + rec["balance_b"]
+            total += rec["balance_a"] + rec["balance_b"]
         else:
             violations.append(f"record {i}: unknown op {op!r}")
-        conserve(i)
+        if total != minted:
+            violations.append(f"record {i}: accounts+pools {total} != minted {minted}")
     return AuditResult(ok=not violations, records=len(records), minted=minted, violations=violations)

@@ -47,7 +47,9 @@ from .scenario import FetchAction, LinkAction, Scenario, ScenarioError, ServeSpe
 from .tables import NodeTables, TableConfig
 from .wire import (
     BROADCAST,
+    ChunkProof,
     Data,
+    DecodeError,
     HopInfo,
     Interest,
     Nack,
@@ -121,7 +123,7 @@ class Flow:
     chain_armed: bool = False
     nonces: dict[bytes, tuple[int, int]] = field(default_factory=dict)
     sent_route: dict[int, tuple[NodeAddr, ...]] = field(default_factory=dict)
-    proofs: dict[int, tuple] = field(default_factory=dict)  # first -> (proof, route)
+    proofs: dict[int, tuple] = field(default_factory=dict)  # first -> (proof, route), unverified
     verified: dict[int, str] = field(default_factory=dict)  # first -> "strict"|"rerouted"
     chunk_attempts: dict[int, int] = field(default_factory=dict)
     done_us: int | None = None
@@ -149,7 +151,9 @@ class Flow:
         return [i for i in range(self.requested) if i not in self.received]
 
     def is_complete(self) -> bool:
-        return not self.missing() and all(
+        # received only ever holds indexes below requested, so a count
+        # stands in for missing().
+        return len(self.received) == self.requested and all(
             first in self.verified for first, _ in self.required_spans()
         )
 
@@ -331,7 +335,13 @@ class Simulator:
                 self.at(self.now + link.latency_us, self._arrive, action.to, src, frame)
 
     def _arrive(self, dst: NodeAddr, src: NodeAddr, frame: bytes) -> None:
-        pkt = decode_packet(frame)
+        try:
+            pkt = decode_packet(frame)
+        except DecodeError as err:
+            # An undecodable frame is lost like a dropped one.
+            self.nodes[dst].engine.counters["dropped_corrupt"] += 1
+            self.emit(dst, "rx_corrupt", src=str(src), offset=err.offset, reason=err.reason)
+            return
         self.emit(dst, "rx", src=str(src), **_frame_fields(pkt))
         for action in self.nodes[dst].engine.on_packet(pkt, self.now):
             self.transmit(dst, action)
@@ -585,12 +595,19 @@ class Simulator:
         if pkt.proof is not None:
             route = flow.sent_route.get(idx, flow.active.hops if flow.active else ())
             flow.proofs[pkt.proof.first] = (pkt.proof, tuple(route))
-        self._try_verify(flow)
+        self._try_verify(flow, idx, pkt.proof)
         self._check_complete(flow)
         return True
 
-    def _try_verify(self, flow: Flow) -> None:
-        for first in sorted(flow.proofs):
+    def _try_verify(self, flow: Flow, idx: int, arrived: ChunkProof | None) -> None:
+        # Every held proof was incomplete before this arrival, so only a
+        # proof whose span holds idx, or the proof that just arrived, can
+        # be complete now.  Verified proofs leave flow.proofs.
+        candidates = sorted(
+            first for first, (proof, _route) in flow.proofs.items()
+            if first <= idx < first + proof.count or proof is arrived
+        )
+        for first in candidates:
             if first in flow.verified:
                 continue
             proof, route = flow.proofs[first]
@@ -616,6 +633,7 @@ class Simulator:
                     flow.signatures_verified += len(proof.chain)
                     how = "rerouted"
             if result.valid:
+                del flow.proofs[first]
                 flow.verified[first] = how
                 self.emit("sim", "chunk_verified", node=str(flow.node),
                           name=str(flow.name), first=first, how=how)

@@ -16,6 +16,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
+from typing import NamedTuple
 
 ADDR_LEN = 6
 NONCE_LEN = 8
@@ -111,7 +113,11 @@ class NodeAddr:
             raise ValueError(f"bad address {text!r}: non-hex octet") from None
 
     def __str__(self) -> str:
-        return "-".join(f"{b:02x}" for b in self.octets)
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        return self.octets.hex("-")
 
     def __repr__(self) -> str:
         return f"NodeAddr({str(self)!r})"
@@ -158,6 +164,10 @@ class Name:
         return cls(tuple(p.encode() for p in parts), index)
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         base = "/" + "/".join(c.decode("utf-8", "backslashreplace") for c in self.components)
         if self.chunk_index is None:
             return base
@@ -476,8 +486,27 @@ def encode_packet(packet: Packet) -> bytes:
 # ---------------------------------------------------------------------------
 # decoding
 
-# Schema rows: (tag, required, repeatable).  Rows are in canonical order.
-_INTEREST_SCHEMA = (
+class _Schema(NamedTuple):
+    """One field schema, compiled once from its rows."""
+
+    what: str
+    rank_of: dict[int, int]  # tag -> position in canonical order
+    repeatable: frozenset[int]
+    required: tuple[int, ...]  # in canonical order
+
+
+def _schema(what: str, *rows: tuple[int, bool, bool]) -> _Schema:
+    """Rows are (tag, required, repeatable), in canonical order."""
+    return _Schema(
+        what,
+        {tag: i for i, (tag, _, _) in enumerate(rows)},
+        frozenset(tag for tag, _, rep in rows if rep),
+        tuple(tag for tag, req, _ in rows if req),
+    )
+
+
+_INTEREST_SCHEMA = _schema(
+    "Interest",
     (TAG_NAME, True, False),
     (TAG_NONCE, True, False),
     (TAG_HOP_INFO, True, False),
@@ -485,7 +514,8 @@ _INTEREST_SCHEMA = (
     (TAG_PAYMENT, False, False),
     (TAG_LIFETIME, True, False),
 )
-_DATA_SCHEMA = (
+_DATA_SCHEMA = _schema(
+    "Data",
     (TAG_NAME, True, False),
     (TAG_HOP_INFO, True, False),
     (TAG_ROUTE, False, False),
@@ -493,76 +523,75 @@ _DATA_SCHEMA = (
     (TAG_PRICE, False, False),
     (TAG_PROOF, False, False),
 )
-_NACK_SCHEMA = (
+_NACK_SCHEMA = _schema(
+    "Nack",
     (TAG_NAME, True, False),
     (TAG_NONCE, True, False),
     (TAG_REASON, True, False),
 )
-_NAME_SCHEMA = (
+_NAME_SCHEMA = _schema(
+    "Name",
     (TAG_COMPONENT, True, True),
     (TAG_CHUNK_INDEX, False, False),
 )
-_HOP_INFO_SCHEMA = (
+_HOP_INFO_SCHEMA = _schema(
+    "HopInfo",
     (TAG_LOCAL, True, False),
     (TAG_REMOTE, False, False),
 )
-_ROUTE_SCHEMA = ((TAG_HOP, True, True),)
-_PAYMENT_SCHEMA = (
+_ROUTE_SCHEMA = _schema("RouteStack", (TAG_HOP, True, True))
+_PAYMENT_SCHEMA = _schema(
+    "Payment",
     (TAG_CHANNEL_ID, True, False),
     (TAG_AMOUNT, True, False),
     (TAG_SEQUENCE, True, False),
     (TAG_PAYER_SIG, True, False),
 )
-_PROOF_SCHEMA = (
+_PROOF_SCHEMA = _schema(
+    "ChunkProof",
     (TAG_CHUNK_FIRST, True, False),
     (TAG_CHUNK_COUNT, True, False),
     (TAG_DIGEST, True, False),
     (TAG_HOP_SIGNATURE, True, True),
 )
-_HOP_SIGNATURE_SCHEMA = (
+_HOP_SIGNATURE_SCHEMA = _schema(
+    "HopSignature",
     (TAG_SIGNER, True, False),
     (TAG_SIGNER_PUB, True, False),
     (TAG_SIG, True, False),
 )
 
 
-def _walk(buf: bytes, start: int, end: int):
-    """Yield (tag, value_start, value_end, tag_offset) for each TLV in
-    buf[start:end]; offsets are absolute within buf."""
+def _collect(buf: bytes, start: int, end: int, schema: _Schema):
+    """Parse buf[start:end] as field TLVs against an ordered schema.
+
+    Returns {tag: [(value_start, value_end, tag_offset), ...]}; offsets
+    are absolute within buf.
+    """
+    what, rank_of, repeatable, required = schema
+    got: dict[int, list[tuple[int, int, int]]] = {}
+    last_rank = -1
     pos = start
     while pos < end:
         if end - pos < 3:
             raise DecodeError(pos, "truncated TLV header")
         tag = buf[pos]
-        length = (buf[pos + 1] << 8) | buf[pos + 2]
         vstart = pos + 3
-        if vstart + length > end:
+        vend = vstart + ((buf[pos + 1] << 8) | buf[pos + 2])
+        if vend > end:
             raise DecodeError(pos, f"field 0x{tag:02x} length overruns its container")
-        yield tag, vstart, vstart + length, pos
-        pos = vstart + length
-
-
-def _collect(buf: bytes, start: int, end: int, schema, what: str):
-    """Parse buf[start:end] as field TLVs against an ordered schema.
-
-    Returns {tag: [(value_start, value_end, tag_offset), ...]}.
-    """
-    rank_of = {tag: i for i, (tag, _, _) in enumerate(schema)}
-    repeatable = {tag for tag, _, rep in schema if rep}
-    got: dict[int, list[tuple[int, int, int]]] = {}
-    last_rank = -1
-    for tag, vstart, vend, off in _walk(buf, start, end):
-        if tag not in rank_of:
-            raise DecodeError(off, f"unknown tag 0x{tag:02x} in {what}")
+        rank = rank_of.get(tag)
+        if rank is None:
+            raise DecodeError(pos, f"unknown tag 0x{tag:02x} in {what}")
         if tag in got and tag not in repeatable:
-            raise DecodeError(off, f"duplicate tag 0x{tag:02x} in {what}")
-        rank = rank_of[tag]
+            raise DecodeError(pos, f"duplicate tag 0x{tag:02x} in {what}")
         if rank < last_rank:
-            raise DecodeError(off, f"tag 0x{tag:02x} out of canonical order in {what}")
+            raise DecodeError(pos, f"tag 0x{tag:02x} out of canonical order in {what}")
         last_rank = rank
-        got.setdefault(tag, []).append((vstart, vend, off))
-    for tag, required, _ in schema:
-        if required and tag not in got:
+        got.setdefault(tag, []).append((vstart, vend, pos))
+        pos = vend
+    for tag in required:
+        if tag not in got:
             raise DecodeError(start, f"{what} missing required tag 0x{tag:02x}")
     return got
 
@@ -592,7 +621,7 @@ def _checked(ctor, off: int, *args, **kwargs):
 
 
 def _decode_name(buf: bytes, vstart: int, vend: int, off: int) -> Name:
-    fields = _collect(buf, vstart, vend, _NAME_SCHEMA, "Name")
+    fields = _collect(buf, vstart, vend, _NAME_SCHEMA)
     components = []
     for s, e, o in fields[TAG_COMPONENT]:
         if s == e:
@@ -605,7 +634,7 @@ def _decode_name(buf: bytes, vstart: int, vend: int, off: int) -> Name:
 
 
 def _decode_hop_info(buf: bytes, vstart: int, vend: int, off: int) -> HopInfo:
-    fields = _collect(buf, vstart, vend, _HOP_INFO_SCHEMA, "HopInfo")
+    fields = _collect(buf, vstart, vend, _HOP_INFO_SCHEMA)
     local = _dec_addr(buf, *_one(fields, TAG_LOCAL))
     remote = None
     if TAG_REMOTE in fields:
@@ -614,13 +643,13 @@ def _decode_hop_info(buf: bytes, vstart: int, vend: int, off: int) -> HopInfo:
 
 
 def _decode_route(buf: bytes, vstart: int, vend: int, off: int) -> RouteStack:
-    fields = _collect(buf, vstart, vend, _ROUTE_SCHEMA, "RouteStack")
+    fields = _collect(buf, vstart, vend, _ROUTE_SCHEMA)
     hops = tuple(_dec_addr(buf, s, e, o) for s, e, o in fields[TAG_HOP])
     return _checked(RouteStack, off, hops)
 
 
 def _decode_payment(buf: bytes, vstart: int, vend: int, off: int) -> Payment:
-    fields = _collect(buf, vstart, vend, _PAYMENT_SCHEMA, "Payment")
+    fields = _collect(buf, vstart, vend, _PAYMENT_SCHEMA)
     cid_s, cid_e, _ = _one(fields, TAG_CHANNEL_ID)
     sig_s, sig_e, _ = _one(fields, TAG_PAYER_SIG)
     return _checked(
@@ -634,7 +663,7 @@ def _decode_payment(buf: bytes, vstart: int, vend: int, off: int) -> Payment:
 
 
 def _decode_hop_signature(buf: bytes, vstart: int, vend: int, off: int) -> HopSignature:
-    fields = _collect(buf, vstart, vend, _HOP_SIGNATURE_SCHEMA, "HopSignature")
+    fields = _collect(buf, vstart, vend, _HOP_SIGNATURE_SCHEMA)
     pub_s, pub_e, _ = _one(fields, TAG_SIGNER_PUB)
     sig_s, sig_e, _ = _one(fields, TAG_SIG)
     return _checked(
@@ -647,7 +676,7 @@ def _decode_hop_signature(buf: bytes, vstart: int, vend: int, off: int) -> HopSi
 
 
 def _decode_proof(buf: bytes, vstart: int, vend: int, off: int) -> ChunkProof:
-    fields = _collect(buf, vstart, vend, _PROOF_SCHEMA, "ChunkProof")
+    fields = _collect(buf, vstart, vend, _PROOF_SCHEMA)
     dig_s, dig_e, _ = _one(fields, TAG_DIGEST)
     chain = tuple(
         _decode_hop_signature(buf, s, e, o) for s, e, o in fields[TAG_HOP_SIGNATURE]
@@ -663,7 +692,7 @@ def _decode_proof(buf: bytes, vstart: int, vend: int, off: int) -> ChunkProof:
 
 
 def _decode_interest(buf: bytes) -> Interest:
-    fields = _collect(buf, 1, len(buf), _INTEREST_SCHEMA, "Interest")
+    fields = _collect(buf, 1, len(buf), _INTEREST_SCHEMA)
     nonce_s, nonce_e, nonce_off = _one(fields, TAG_NONCE)
     if nonce_e - nonce_s != NONCE_LEN:
         raise DecodeError(nonce_off, "nonce must be exactly 8 bytes")
@@ -686,7 +715,7 @@ def _decode_interest(buf: bytes) -> Interest:
 
 
 def _decode_data(buf: bytes) -> Data:
-    fields = _collect(buf, 1, len(buf), _DATA_SCHEMA, "Data")
+    fields = _collect(buf, 1, len(buf), _DATA_SCHEMA)
     pay_s, pay_e, _ = _one(fields, TAG_PAYLOAD)
     route = None
     if TAG_ROUTE in fields:
@@ -710,7 +739,7 @@ def _decode_data(buf: bytes) -> Data:
 
 
 def _decode_nack(buf: bytes) -> Nack:
-    fields = _collect(buf, 1, len(buf), _NACK_SCHEMA, "Nack")
+    fields = _collect(buf, 1, len(buf), _NACK_SCHEMA)
     nonce_s, nonce_e, nonce_off = _one(fields, TAG_NONCE)
     if nonce_e - nonce_s != NONCE_LEN:
         raise DecodeError(nonce_off, "nonce must be exactly 8 bytes")

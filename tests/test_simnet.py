@@ -15,6 +15,7 @@ from tollroute.audit import (
 )
 from tollroute.scenario import ScenarioError, parse_scenario
 from tollroute.simnet import Simulator, content_bytes, run_scenario
+from tollroute.wire import HopInfo, Interest, Name, NodeAddr, encode_packet
 
 A = "02-00-00-00-00-aa"
 R = "02-00-00-00-00-ab"
@@ -137,6 +138,30 @@ class TestLossAndChurn:
         flow = flow_of(result)
         assert flow["status"] == "done"
         assert flow["retransmits"] > 0
+
+    def test_undecodable_frame_counts_as_drop(self):
+        scenario = parse_scenario(line_doc(), source="inline.scn")
+        sim = Simulator(scenario)
+        frame = encode_packet(Interest(
+            name=Name.parse("/line/data/seg=0"),
+            nonce=b"\x01" * 8,
+            hop_info=HopInfo(NodeAddr.parse(A)),
+            lifetime_ms=1000,
+        ))
+        # Cutting 3 bytes off the last field (lifetime: 3-byte header and
+        # 8-byte value) makes it overrun the frame.
+        sim.at(400_000, sim._arrive, NodeAddr.parse(R), NodeAddr.parse(A), frame[:-3])
+        result = sim.run()
+        corrupt = [ev for ev in result.trace if ev["event"] == "rx_corrupt"]
+        assert corrupt == [{
+            "t": 400_000, "node": R, "event": "rx_corrupt", "src": A,
+            "offset": len(frame) - 11,
+            "reason": "field 0x15 length overruns its container",
+        }]
+        assert result.report["nodes"][R]["dropped_corrupt"] == 1
+        assert "dropped_corrupt" not in result.report["nodes"][A]
+        assert flow_of(result)["status"] == "done"
+        assert audit_run(scenario, result.trace, result.ledger_records) == []
 
     def test_downed_link_loses_frames_silently(self):
         # Cut the link mid-flow: Interests already committed to it are

@@ -118,9 +118,9 @@ def _line(packets: int, drop_rate: float) -> dict:
 
 
 def _grid(n: int = 4) -> dict:
-    """n x n four-neighbour grid, producer in one corner; the two far
-    corners fetch one after the other, with content stores that hold two
-    of the object's four chunks."""
+    """n x n four-neighbour grid, producer in one corner; two of the other
+    corners, the farthest first, fetch one after the other, with content
+    stores that hold two of the object's four chunks."""
     grid = [[_addr(0x10 + x, y) for y in range(n)] for x in range(n)]
     serve = {"prefix": "/grid/obj", "packet_size": 500, "packets_per_chunk": 8, "chunks": 4}
     nodes = []

@@ -387,6 +387,88 @@ class TestMissingRequiredField:
         assert (err.value.offset, err.value.reason) == (offset, reason)
 
 
+def _at(fields, i: int, base: int = 1) -> int:
+    """Absolute offset of the i-th TLV of `fields` when they start at `base`."""
+    return base + sum(3 + len(v) for _, v in fields[:i])
+
+
+def _single_defect_cases():
+    """Frames with exactly one defect, each with the (offset, reason) the
+    decoder reports.  Structural and per-value checks name the offending
+    TLV; a type invariant names its container's TLV (0 for a packet)."""
+    interest, data, nack = (_FRAMES[w][1] for w in ("Interest", "Data", "Nack"))
+
+    def frame(what, fields) -> bytes:
+        return bytes([_FRAMES[what][0]]) + _fields_bytes(fields)
+
+    swapped = [interest[1], interest[0]] + interest[2:]
+    return [
+        pytest.param(
+            frame("Interest", interest + [(0x71, b"")]), _at(interest, len(interest)),
+            "unknown tag 0x71 in Interest", id="unknown-tag",
+        ),
+        pytest.param(
+            frame("Nack", nack[:2] + nack[1:]), _at(nack, 2),
+            "duplicate tag 0x11 in Nack", id="duplicate-tag",
+        ),
+        pytest.param(
+            frame("Interest", swapped), _at(swapped, 1),
+            "tag 0x10 out of canonical order in Interest", id="out-of-order-tag",
+        ),
+        pytest.param(
+            frame("Interest", _replace(interest, 0x11, _NONCE[:7])), _at(interest, 1),
+            "nonce must be exactly 8 bytes", id="interest-nonce-7",
+        ),
+        pytest.param(
+            frame("Nack", _replace(nack, 0x11, _NONCE[:7])), _at(nack, 1),
+            "nonce must be exactly 8 bytes", id="nack-nonce-7",
+        ),
+        pytest.param(
+            frame("Interest", _replace(interest, 0x15, _u64(4000)[1:])), _at(interest, 5),
+            "integer field must be exactly 8 bytes", id="u64-7",
+        ),
+        pytest.param(
+            frame("Interest", _replace(
+                interest, 0x12, _t(0x22, A1.octets[:5]) + _t(0x23, A2.octets))),
+            _at(interest, 2) + 3, "address field must be exactly 6 bytes", id="hop-info-addr-5",
+        ),
+        pytest.param(
+            frame("Interest", _replace(interest, 0x13, _t(0x24, A2.octets[:5]))),
+            _at(interest, 3) + 3, "address field must be exactly 6 bytes", id="route-hop-addr-5",
+        ),
+        pytest.param(
+            frame("Interest", _replace(interest, 0x10, _t(0x20, b"") + _t(0x21, _u64(7)))),
+            _at(interest, 0) + 3, "empty name component", id="empty-component",
+        ),
+        pytest.param(
+            frame("Nack", _replace(nack, 0x19, b"\x02\x00")), _at(nack, 2),
+            "reason must be exactly 1 byte", id="reason-2-bytes",
+        ),
+        pytest.param(
+            frame("Nack", _replace(nack, 0x19, b"\x09")), _at(nack, 2),
+            "unknown nack reason 9", id="reason-code-9",
+        ),
+        pytest.param(
+            frame("Data", _replace(data, 0x18, _fields_bytes(
+                _replace(_PROOF_FIELDS, 0x2B, b"\x03" * 31)))),
+            _at(data, 3), "proof digest must be 32 bytes", id="proof-digest-31",
+        ),
+        pytest.param(
+            frame("Interest", _replace(
+                interest, 0x12, _t(0x22, A1.octets) + _t(0x23, A3.octets))),
+            0, "routed Interest must address the route top", id="remote-not-route-top",
+        ),
+    ]
+
+
+class TestSingleDefect:
+    @pytest.mark.parametrize("buf,offset,reason", _single_defect_cases())
+    def test_exact_offset_and_reason(self, buf, offset, reason) -> None:
+        with pytest.raises(DecodeError) as err:
+            decode_packet(buf)
+        assert (err.value.offset, err.value.reason) == (offset, reason)
+
+
 # ---------------------------------------------------------------------------
 # randomized packets (shared with the acceptance suite)
 

@@ -146,7 +146,6 @@ class LedgerChannel:
     pool: int
     status: ChannelStatus = ChannelStatus.OPEN
     latest_sequence: int = 0
-    settled_sequence: int | None = None
 
 
 class Ledger:
@@ -256,7 +255,6 @@ class Ledger:
         if not verify_state(state, directory):
             raise PaymentError("bad-signature", cid)
         chan.status = ChannelStatus.SETTLED
-        chan.settled_sequence = state.sequence
         self.accounts[state.party_a] = self.balance(state.party_a) + state.balance_a
         self.accounts[state.party_b] = self.balance(state.party_b) + state.balance_b
         self.log.append(
@@ -278,14 +276,11 @@ class Ledger:
 
 @dataclass
 class PendingOffer:
-    channel_id: bytes
     sequence: int
     payer: NodeAddr
-    payee: NodeAddr
     amount: int
     tag: OfferTag
     expires_us: int
-    payment: Payment
 
 
 class ChannelBook:
@@ -358,7 +353,6 @@ class ChannelBook:
         if amount <= 0:
             raise PaymentError("bad-amount", "offers must move at least one token")
         state = self.state(channel_id)
-        payee = state.peer_of(payer)
         if self.projected_balance(channel_id, payer) < amount:
             raise PaymentError(
                 "insufficient-funds",
@@ -371,7 +365,7 @@ class ChannelBook:
         sig = key.sign(update_message(channel_id, seq, *offer_balances(state, payer, amount)))
         payment = Payment(channel_id=channel_id, amount=amount, sequence=seq, payer_sig=sig)
         self.pending.setdefault(channel_id, []).append(
-            PendingOffer(channel_id, seq, payer, payee, amount, tag, now + lifetime_us, payment)
+            PendingOffer(seq, payer, amount, tag, now + lifetime_us)
         )
         return payment
 

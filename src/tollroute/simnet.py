@@ -474,7 +474,7 @@ class Simulator:
             flow.chain_armed = False
             return
         idx = flow.send_queue.pop(0)
-        self._send_packet(flow, idx, generation)
+        self._send_packet(flow, idx)
         if flow.send_queue and flow.state == "fetching" and generation == flow.generation:
             self.at(
                 self.now + self.defaults.send_interval_ms * MS,
@@ -483,13 +483,7 @@ class Simulator:
         else:
             flow.chain_armed = False
 
-    def _send_packet(self, flow: Flow, idx: int, generation: int) -> None:
-        if (
-            flow.state != "fetching"
-            or generation != flow.generation
-            or idx in flow.received
-        ):
-            return
+    def _send_packet(self, flow: Flow, idx: int) -> None:
         node = self.nodes[flow.node]
         name = flow.name.with_index(idx)
         nonce = node.fresh_nonce()

@@ -8,16 +8,19 @@ ascending tag order, and fixed-width values (addresses, nonces, integers,
 digests, signatures) have exact lengths.  Decoding enforces all of that, so
 any byte string the decoder accepts re-encodes to the identical bytes.
 
-docs/wire-format.md lists every tag value and field schema.
+Each wire type's layout is written once, as a schema of rows at the end
+of this module, and both directions walk it.  docs/wire-format.md lists
+every tag value and field schema.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from functools import cached_property
-from typing import NamedTuple
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple
 
 ADDR_LEN = 6
 NONCE_LEN = 8
@@ -384,182 +387,132 @@ Packet = Interest | Data | Nack
 
 
 # ---------------------------------------------------------------------------
-# encoding
+# codec: one schema per wire type drives both encoding and decoding
 
 
-def _tlv(tag: int, value: bytes) -> bytes:
-    if len(value) > MAX_FIELD_LEN:
-        raise EncodeError(f"field 0x{tag:02x} value of {len(value)} bytes exceeds 65535")
-    return struct.pack("!BH", tag, len(value)) + value
+_HEADER = struct.Struct("!BH")
+_U64_STRUCT = struct.Struct("!Q")
 
 
-def _u64(value: int) -> bytes:
-    return struct.pack("!Q", value)
+class _Kind(NamedTuple):
+    """How one field value becomes TLV value bytes and back.  `decode`
+    takes (buf, value_start, value_end, tag_offset) and reports a bad
+    value at its field's tag offset."""
+
+    encode: Callable[[Any], bytes]
+    decode: Callable[[bytes, int, int, int], Any]
 
 
-def _encode_name(name: Name) -> bytes:
-    out = bytearray()
-    for comp in name.components:
-        out += _tlv(TAG_COMPONENT, comp)
-    if name.chunk_index is not None:
-        out += _tlv(TAG_CHUNK_INDEX, _u64(name.chunk_index))
-    return bytes(out)
+def _raw(value: bytes) -> bytes:
+    return value
 
 
-def _encode_hop_info(info: HopInfo) -> bytes:
-    out = _tlv(TAG_LOCAL, info.local.octets)
-    if info.remote is not None:
-        out += _tlv(TAG_REMOTE, info.remote.octets)
-    return out
+def _dec_bytes(buf: bytes, vstart: int, vend: int, off: int) -> bytes:
+    return buf[vstart:vend]
 
 
-def _encode_route(route: RouteStack) -> bytes:
-    return b"".join(_tlv(TAG_HOP, hop.octets) for hop in route.hops)
+def _dec_u64(buf: bytes, vstart: int, vend: int, off: int) -> int:
+    if vend - vstart != 8:
+        raise DecodeError(off, "integer field must be exactly 8 bytes")
+    return _U64_STRUCT.unpack_from(buf, vstart)[0]
 
 
-def _encode_payment(payment: Payment) -> bytes:
-    return (
-        _tlv(TAG_CHANNEL_ID, payment.channel_id)
-        + _tlv(TAG_AMOUNT, _u64(payment.amount))
-        + _tlv(TAG_SEQUENCE, _u64(payment.sequence))
-        + _tlv(TAG_PAYER_SIG, payment.payer_sig)
-    )
+def _dec_addr(buf: bytes, vstart: int, vend: int, off: int) -> NodeAddr:
+    if vend - vstart != ADDR_LEN:
+        raise DecodeError(off, "address field must be exactly 6 bytes")
+    return NodeAddr(buf[vstart:vend])
 
 
-def encode_hop_signature(hop_sig: HopSignature) -> bytes:
-    """Canonical bytes for one chain link; the proof module signs over
-    concatenations of these."""
-    return (
-        _tlv(TAG_SIGNER, hop_sig.signer.octets)
-        + _tlv(TAG_SIGNER_PUB, hop_sig.signer_pub)
-        + _tlv(TAG_SIG, hop_sig.sig)
-    )
+def _dec_component(buf: bytes, vstart: int, vend: int, off: int) -> bytes:
+    if vstart == vend:
+        raise DecodeError(off, "empty name component")
+    return buf[vstart:vend]
 
 
-def _encode_proof(proof: ChunkProof) -> bytes:
-    out = bytearray()
-    out += _tlv(TAG_CHUNK_FIRST, _u64(proof.first))
-    out += _tlv(TAG_CHUNK_COUNT, _u64(proof.count))
-    out += _tlv(TAG_DIGEST, proof.digest)
-    for hop_sig in proof.chain:
-        out += _tlv(TAG_HOP_SIGNATURE, encode_hop_signature(hop_sig))
-    return bytes(out)
+def _dec_nonce(buf: bytes, vstart: int, vend: int, off: int) -> bytes:
+    if vend - vstart != NONCE_LEN:
+        raise DecodeError(off, "nonce must be exactly 8 bytes")
+    return buf[vstart:vend]
 
 
-def encode_packet(packet: Packet) -> bytes:
-    """Deterministic canonical byte string for a packet.
-
-    Raises EncodeError if any single field value exceeds 65,535 bytes.
-    """
-    if isinstance(packet, Interest):
-        out = bytearray([TAG_INTEREST])
-        out += _tlv(TAG_NAME, _encode_name(packet.name))
-        out += _tlv(TAG_NONCE, packet.nonce)
-        out += _tlv(TAG_HOP_INFO, _encode_hop_info(packet.hop_info))
-        if packet.route is not None:
-            out += _tlv(TAG_ROUTE, _encode_route(packet.route))
-        if packet.payment is not None:
-            out += _tlv(TAG_PAYMENT, _encode_payment(packet.payment))
-        out += _tlv(TAG_LIFETIME, _u64(packet.lifetime_ms))
-        return bytes(out)
-    if isinstance(packet, Data):
-        out = bytearray([TAG_DATA])
-        out += _tlv(TAG_NAME, _encode_name(packet.name))
-        out += _tlv(TAG_HOP_INFO, _encode_hop_info(packet.hop_info))
-        if packet.route is not None:
-            out += _tlv(TAG_ROUTE, _encode_route(packet.route))
-        out += _tlv(TAG_PAYLOAD, packet.payload)
-        if packet.price is not None:
-            out += _tlv(TAG_PRICE, _u64(packet.price))
-        if packet.proof is not None:
-            out += _tlv(TAG_PROOF, _encode_proof(packet.proof))
-        return bytes(out)
-    if isinstance(packet, Nack):
-        out = bytearray([TAG_NACK])
-        out += _tlv(TAG_NAME, _encode_name(packet.name))
-        out += _tlv(TAG_NONCE, packet.nonce)
-        out += _tlv(TAG_REASON, bytes([packet.reason]))
-        return bytes(out)
-    raise EncodeError(f"not a packet: {type(packet).__name__}")
+def _dec_reason(buf: bytes, vstart: int, vend: int, off: int) -> NackReason:
+    if vend - vstart != 1:
+        raise DecodeError(off, "reason must be exactly 1 byte")
+    try:
+        return NackReason(buf[vstart])
+    except ValueError:
+        raise DecodeError(off, f"unknown nack reason {buf[vstart]}") from None
 
 
-# ---------------------------------------------------------------------------
-# decoding
-
-class _Schema(NamedTuple):
-    """One field schema, compiled once from its rows."""
-
-    what: str
-    rank_of: dict[int, int]  # tag -> position in canonical order
-    repeatable: frozenset[int]
-    required: tuple[int, ...]  # in canonical order
+_U64 = _Kind(_U64_STRUCT.pack, _dec_u64)
+_ADDR = _Kind(attrgetter("octets"), _dec_addr)
+_BYTES = _Kind(_raw, _dec_bytes)
+_COMPONENT = _Kind(_raw, _dec_component)
+_NONCE = _Kind(_raw, _dec_nonce)
+_REASON = _Kind(struct.Struct("!B").pack, _dec_reason)
 
 
-def _schema(what: str, *rows: tuple[int, bool, bool]) -> _Schema:
-    """Rows are (tag, required, repeatable), in canonical order."""
-    return _Schema(
-        what,
-        {tag: i for i, (tag, _, _) in enumerate(rows)},
-        frozenset(tag for tag, _, rep in rows if rep),
-        tuple(tag for tag, req, _ in rows if req),
-    )
+class _Row(NamedTuple):
+    tag: int
+    attr: str
+    kind: Any  # a _Kind, or the _Schema of a nested structure
+    required: bool
+    repeatable: bool  # the attribute holds a tuple, one TLV per item
 
 
-_INTEREST_SCHEMA = _schema(
-    "Interest",
-    (TAG_NAME, True, False),
-    (TAG_NONCE, True, False),
-    (TAG_HOP_INFO, True, False),
-    (TAG_ROUTE, False, False),
-    (TAG_PAYMENT, False, False),
-    (TAG_LIFETIME, True, False),
-)
-_DATA_SCHEMA = _schema(
-    "Data",
-    (TAG_NAME, True, False),
-    (TAG_HOP_INFO, True, False),
-    (TAG_ROUTE, False, False),
-    (TAG_PAYLOAD, True, False),
-    (TAG_PRICE, False, False),
-    (TAG_PROOF, False, False),
-)
-_NACK_SCHEMA = _schema(
-    "Nack",
-    (TAG_NAME, True, False),
-    (TAG_NONCE, True, False),
-    (TAG_REASON, True, False),
-)
-_NAME_SCHEMA = _schema(
-    "Name",
-    (TAG_COMPONENT, True, True),
-    (TAG_CHUNK_INDEX, False, False),
-)
-_HOP_INFO_SCHEMA = _schema(
-    "HopInfo",
-    (TAG_LOCAL, True, False),
-    (TAG_REMOTE, False, False),
-)
-_ROUTE_SCHEMA = _schema("RouteStack", (TAG_HOP, True, True))
-_PAYMENT_SCHEMA = _schema(
-    "Payment",
-    (TAG_CHANNEL_ID, True, False),
-    (TAG_AMOUNT, True, False),
-    (TAG_SEQUENCE, True, False),
-    (TAG_PAYER_SIG, True, False),
-)
-_PROOF_SCHEMA = _schema(
-    "ChunkProof",
-    (TAG_CHUNK_FIRST, True, False),
-    (TAG_CHUNK_COUNT, True, False),
-    (TAG_DIGEST, True, False),
-    (TAG_HOP_SIGNATURE, True, True),
-)
-_HOP_SIGNATURE_SCHEMA = _schema(
-    "HopSignature",
-    (TAG_SIGNER, True, False),
-    (TAG_SIGNER_PUB, True, False),
-    (TAG_SIG, True, False),
-)
+class _Schema:
+    """One wire type's layout, compiled once from its rows, which are in
+    canonical order.  A schema is also the kind of a field nesting it."""
+
+    def __init__(self, cls: type, *rows: tuple) -> None:
+        self.cls = cls
+        self.what = cls.__name__
+        self.rows = tuple(_Row(*row) for row in rows)
+        self.rank_of = {row.tag: i for i, row in enumerate(self.rows)}
+        self.repeatable = frozenset(row.tag for row in self.rows if row.repeatable)
+        self.required = tuple(row.tag for row in self.rows if row.required)
+        self._encoders = tuple(
+            (row.tag, row.attr, row.kind.encode, row.repeatable) for row in self.rows
+        )
+        # Decoding passes every attribute positionally, in the constructor's order.
+        slot = [f.name for f in fields(cls)].index
+        self._decoders = tuple(
+            (row.tag, slot(row.attr), row.kind.decode, row.repeatable) for row in self.rows
+        )
+
+    def encode(self, value) -> bytes:
+        parts = []
+        for tag, attr, encode, repeatable in self._encoders:
+            field = getattr(value, attr)
+            if field is None:
+                continue
+            for item in field if repeatable else (field,):
+                item = encode(item)
+                if len(item) > MAX_FIELD_LEN:
+                    raise EncodeError(
+                        f"field 0x{tag:02x} value of {len(item)} bytes exceeds 65535"
+                    )
+                parts.append(_HEADER.pack(tag, len(item)))
+                parts.append(item)
+        return b"".join(parts)
+
+    def decode(self, buf: bytes, start: int, end: int, off: int):
+        """Build the value from buf[start:end]; a violated type invariant
+        is reported at `off`, the offset of the TLV holding the value."""
+        got = _collect(buf, start, end, self)
+        args = [None] * len(self._decoders)
+        for tag, slot, decode, repeatable in self._decoders:
+            entries = got.get(tag)
+            if entries is None:
+                continue
+            if repeatable:
+                args[slot] = tuple(decode(buf, *entry) for entry in entries)
+            else:
+                args[slot] = decode(buf, *entries[0])
+        try:
+            return self.cls(*args)
+        except ValueError as exc:
+            raise DecodeError(off, str(exc)) from None
 
 
 def _collect(buf: bytes, start: int, end: int, schema: _Schema):
@@ -568,7 +521,7 @@ def _collect(buf: bytes, start: int, end: int, schema: _Schema):
     Returns {tag: [(value_start, value_end, tag_offset), ...]}; offsets
     are absolute within buf.
     """
-    what, rank_of, repeatable, required = schema
+    what, rank_of, repeatable = schema.what, schema.rank_of, schema.repeatable
     got: dict[int, list[tuple[int, int, int]]] = {}
     last_rank = -1
     pos = start
@@ -590,174 +543,88 @@ def _collect(buf: bytes, start: int, end: int, schema: _Schema):
         last_rank = rank
         got.setdefault(tag, []).append((vstart, vend, pos))
         pos = vend
-    for tag in required:
+    for tag in schema.required:
         if tag not in got:
             raise DecodeError(start, f"{what} missing required tag 0x{tag:02x}")
     return got
 
 
-def _one(fields, tag: int) -> tuple[int, int, int]:
-    return fields[tag][0]
-
-
-def _dec_u64(buf: bytes, vstart: int, vend: int, off: int) -> int:
-    if vend - vstart != 8:
-        raise DecodeError(off, "integer field must be exactly 8 bytes")
-    return struct.unpack_from("!Q", buf, vstart)[0]
-
-
-def _dec_addr(buf: bytes, vstart: int, vend: int, off: int) -> NodeAddr:
-    if vend - vstart != ADDR_LEN:
-        raise DecodeError(off, "address field must be exactly 6 bytes")
-    return NodeAddr(buf[vstart:vend])
-
-
-def _checked(ctor, off: int, *args, **kwargs):
-    """Build a value type, converting its invariant errors to DecodeError."""
-    try:
-        return ctor(*args, **kwargs)
-    except ValueError as exc:
-        raise DecodeError(off, str(exc)) from None
-
-
-def _decode_name(buf: bytes, vstart: int, vend: int, off: int) -> Name:
-    fields = _collect(buf, vstart, vend, _NAME_SCHEMA)
-    components = []
-    for s, e, o in fields[TAG_COMPONENT]:
-        if s == e:
-            raise DecodeError(o, "empty name component")
-        components.append(buf[s:e])
-    index = None
-    if TAG_CHUNK_INDEX in fields:
-        index = _dec_u64(buf, *_one(fields, TAG_CHUNK_INDEX))
-    return _checked(Name, off, tuple(components), index)
-
-
-def _decode_hop_info(buf: bytes, vstart: int, vend: int, off: int) -> HopInfo:
-    fields = _collect(buf, vstart, vend, _HOP_INFO_SCHEMA)
-    local = _dec_addr(buf, *_one(fields, TAG_LOCAL))
-    remote = None
-    if TAG_REMOTE in fields:
-        remote = _dec_addr(buf, *_one(fields, TAG_REMOTE))
-    return _checked(HopInfo, off, local, remote)
-
-
-def _decode_route(buf: bytes, vstart: int, vend: int, off: int) -> RouteStack:
-    fields = _collect(buf, vstart, vend, _ROUTE_SCHEMA)
-    hops = tuple(_dec_addr(buf, s, e, o) for s, e, o in fields[TAG_HOP])
-    return _checked(RouteStack, off, hops)
-
-
-def _decode_payment(buf: bytes, vstart: int, vend: int, off: int) -> Payment:
-    fields = _collect(buf, vstart, vend, _PAYMENT_SCHEMA)
-    cid_s, cid_e, _ = _one(fields, TAG_CHANNEL_ID)
-    sig_s, sig_e, _ = _one(fields, TAG_PAYER_SIG)
-    return _checked(
-        Payment,
-        off,
-        buf[cid_s:cid_e],
-        _dec_u64(buf, *_one(fields, TAG_AMOUNT)),
-        _dec_u64(buf, *_one(fields, TAG_SEQUENCE)),
-        buf[sig_s:sig_e],
-    )
-
-
-def _decode_hop_signature(buf: bytes, vstart: int, vend: int, off: int) -> HopSignature:
-    fields = _collect(buf, vstart, vend, _HOP_SIGNATURE_SCHEMA)
-    pub_s, pub_e, _ = _one(fields, TAG_SIGNER_PUB)
-    sig_s, sig_e, _ = _one(fields, TAG_SIG)
-    return _checked(
-        HopSignature,
-        off,
-        _dec_addr(buf, *_one(fields, TAG_SIGNER)),
-        buf[pub_s:pub_e],
-        buf[sig_s:sig_e],
-    )
-
-
-def _decode_proof(buf: bytes, vstart: int, vend: int, off: int) -> ChunkProof:
-    fields = _collect(buf, vstart, vend, _PROOF_SCHEMA)
-    dig_s, dig_e, _ = _one(fields, TAG_DIGEST)
-    chain = tuple(
-        _decode_hop_signature(buf, s, e, o) for s, e, o in fields[TAG_HOP_SIGNATURE]
-    )
-    return _checked(
-        ChunkProof,
-        off,
-        _dec_u64(buf, *_one(fields, TAG_CHUNK_FIRST)),
-        _dec_u64(buf, *_one(fields, TAG_CHUNK_COUNT)),
-        buf[dig_s:dig_e],
-        chain,
-    )
-
-
-def _decode_interest(buf: bytes) -> Interest:
-    fields = _collect(buf, 1, len(buf), _INTEREST_SCHEMA)
-    nonce_s, nonce_e, nonce_off = _one(fields, TAG_NONCE)
-    if nonce_e - nonce_s != NONCE_LEN:
-        raise DecodeError(nonce_off, "nonce must be exactly 8 bytes")
-    route = None
-    if TAG_ROUTE in fields:
-        route = _decode_route(buf, *_one(fields, TAG_ROUTE))
-    payment = None
-    if TAG_PAYMENT in fields:
-        payment = _decode_payment(buf, *_one(fields, TAG_PAYMENT))
-    return _checked(
+# Rows are (tag, attribute, kind, required, repeatable).
+_NAME_SCHEMA = _Schema(
+    Name,
+    (TAG_COMPONENT, "components", _COMPONENT, True, True),
+    (TAG_CHUNK_INDEX, "chunk_index", _U64, False, False),
+)
+_HOP_INFO_SCHEMA = _Schema(
+    HopInfo,
+    (TAG_LOCAL, "local", _ADDR, True, False),
+    (TAG_REMOTE, "remote", _ADDR, False, False),
+)
+_ROUTE_SCHEMA = _Schema(RouteStack, (TAG_HOP, "hops", _ADDR, True, True))
+_PAYMENT_SCHEMA = _Schema(
+    Payment,
+    (TAG_CHANNEL_ID, "channel_id", _BYTES, True, False),
+    (TAG_AMOUNT, "amount", _U64, True, False),
+    (TAG_SEQUENCE, "sequence", _U64, True, False),
+    (TAG_PAYER_SIG, "payer_sig", _BYTES, True, False),
+)
+_HOP_SIGNATURE_SCHEMA = _Schema(
+    HopSignature,
+    (TAG_SIGNER, "signer", _ADDR, True, False),
+    (TAG_SIGNER_PUB, "signer_pub", _BYTES, True, False),
+    (TAG_SIG, "sig", _BYTES, True, False),
+)
+_PROOF_SCHEMA = _Schema(
+    ChunkProof,
+    (TAG_CHUNK_FIRST, "first", _U64, True, False),
+    (TAG_CHUNK_COUNT, "count", _U64, True, False),
+    (TAG_DIGEST, "digest", _BYTES, True, False),
+    (TAG_HOP_SIGNATURE, "chain", _HOP_SIGNATURE_SCHEMA, True, True),
+)
+_PACKET_SCHEMAS = {
+    TAG_INTEREST: _Schema(
         Interest,
-        0,
-        name=_decode_name(buf, *_one(fields, TAG_NAME)),
-        nonce=buf[nonce_s:nonce_e],
-        hop_info=_decode_hop_info(buf, *_one(fields, TAG_HOP_INFO)),
-        lifetime_ms=_dec_u64(buf, *_one(fields, TAG_LIFETIME)),
-        route=route,
-        payment=payment,
-    )
-
-
-def _decode_data(buf: bytes) -> Data:
-    fields = _collect(buf, 1, len(buf), _DATA_SCHEMA)
-    pay_s, pay_e, _ = _one(fields, TAG_PAYLOAD)
-    route = None
-    if TAG_ROUTE in fields:
-        route = _decode_route(buf, *_one(fields, TAG_ROUTE))
-    price = None
-    if TAG_PRICE in fields:
-        price = _dec_u64(buf, *_one(fields, TAG_PRICE))
-    proof = None
-    if TAG_PROOF in fields:
-        proof = _decode_proof(buf, *_one(fields, TAG_PROOF))
-    return _checked(
+        (TAG_NAME, "name", _NAME_SCHEMA, True, False),
+        (TAG_NONCE, "nonce", _NONCE, True, False),
+        (TAG_HOP_INFO, "hop_info", _HOP_INFO_SCHEMA, True, False),
+        (TAG_ROUTE, "route", _ROUTE_SCHEMA, False, False),
+        (TAG_PAYMENT, "payment", _PAYMENT_SCHEMA, False, False),
+        (TAG_LIFETIME, "lifetime_ms", _U64, True, False),
+    ),
+    TAG_DATA: _Schema(
         Data,
-        0,
-        name=_decode_name(buf, *_one(fields, TAG_NAME)),
-        payload=buf[pay_s:pay_e],
-        hop_info=_decode_hop_info(buf, *_one(fields, TAG_HOP_INFO)),
-        route=route,
-        price=price,
-        proof=proof,
-    )
-
-
-def _decode_nack(buf: bytes) -> Nack:
-    fields = _collect(buf, 1, len(buf), _NACK_SCHEMA)
-    nonce_s, nonce_e, nonce_off = _one(fields, TAG_NONCE)
-    if nonce_e - nonce_s != NONCE_LEN:
-        raise DecodeError(nonce_off, "nonce must be exactly 8 bytes")
-    reason_s, reason_e, reason_off = _one(fields, TAG_REASON)
-    if reason_e - reason_s != 1:
-        raise DecodeError(reason_off, "reason must be exactly 1 byte")
-    code = buf[reason_s]
-    try:
-        reason = NackReason(code)
-    except ValueError:
-        raise DecodeError(reason_off, f"unknown nack reason {code}") from None
-    return _checked(
+        (TAG_NAME, "name", _NAME_SCHEMA, True, False),
+        (TAG_HOP_INFO, "hop_info", _HOP_INFO_SCHEMA, True, False),
+        (TAG_ROUTE, "route", _ROUTE_SCHEMA, False, False),
+        (TAG_PAYLOAD, "payload", _BYTES, True, False),
+        (TAG_PRICE, "price", _U64, False, False),
+        (TAG_PROOF, "proof", _PROOF_SCHEMA, False, False),
+    ),
+    TAG_NACK: _Schema(
         Nack,
-        0,
-        name=_decode_name(buf, *_one(fields, TAG_NAME)),
-        nonce=buf[nonce_s:nonce_e],
-        reason=reason,
-    )
+        (TAG_NAME, "name", _NAME_SCHEMA, True, False),
+        (TAG_NONCE, "nonce", _NONCE, True, False),
+        (TAG_REASON, "reason", _REASON, True, False),
+    ),
+}
+_PACKET_TAGS = {schema.cls: tag for tag, schema in _PACKET_SCHEMAS.items()}
+
+
+def encode_hop_signature(hop_sig: HopSignature) -> bytes:
+    """Canonical bytes for one chain link; the proof module signs over
+    concatenations of these."""
+    return _HOP_SIGNATURE_SCHEMA.encode(hop_sig)
+
+
+def encode_packet(packet: Packet) -> bytes:
+    """Deterministic canonical byte string for a packet.
+
+    Raises EncodeError if any single field value exceeds 65,535 bytes.
+    """
+    tag = _PACKET_TAGS.get(type(packet))
+    if tag is None:
+        raise EncodeError(f"not a packet: {type(packet).__name__}")
+    return bytes((tag,)) + _PACKET_SCHEMAS[tag].encode(packet)
 
 
 def decode_packet(buf: bytes) -> Packet:
@@ -770,11 +637,7 @@ def decode_packet(buf: bytes) -> Packet:
     """
     if not buf:
         raise DecodeError(0, "empty buffer")
-    tag = buf[0]
-    if tag == TAG_INTEREST:
-        return _decode_interest(buf)
-    if tag == TAG_DATA:
-        return _decode_data(buf)
-    if tag == TAG_NACK:
-        return _decode_nack(buf)
-    raise DecodeError(0, f"unknown packet tag 0x{tag:02x}")
+    schema = _PACKET_SCHEMAS.get(buf[0])
+    if schema is None:
+        raise DecodeError(0, f"unknown packet tag 0x{buf[0]:02x}")
+    return schema.decode(buf, 1, len(buf), 0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tollroute import wire
 from tollroute.wire import (
     BROADCAST,
     ChunkProof,
@@ -30,6 +31,7 @@ from tollroute.wire import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+WIRE_DOC = Path(__file__).resolve().parents[1] / "docs" / "wire-format.md"
 
 A1 = NodeAddr.parse("00-14-00-00-00-01")
 A2 = NodeAddr.parse("00-40-00-00-00-02")
@@ -467,6 +469,67 @@ class TestSingleDefect:
         with pytest.raises(DecodeError) as err:
             decode_packet(buf)
         assert (err.value.offset, err.value.reason) == (offset, reason)
+
+
+# ---------------------------------------------------------------------------
+# docs/wire-format.md against the codec's schema rows
+
+
+def _doc_table(heading: str) -> list[list[str]]:
+    """Body cells of the first table after the line `heading`."""
+    lines = WIRE_DOC.read_text(encoding="utf-8").splitlines()
+    i = lines.index(heading) + 1
+    while not lines[i].startswith("|"):
+        i += 1
+    rows = []
+    while i < len(lines) and lines[i].startswith("|"):
+        rows.append([cell.strip() for cell in lines[i].strip().strip("|").split("|")])
+        i += 1
+    return rows[2:]
+
+
+def _schemas() -> list:
+    """Every schema the codec uses, packet schemas first, each once."""
+    found, todo = [], list(wire._PACKET_SCHEMAS.values())
+    while todo:
+        schema = todo.pop(0)
+        if schema not in found:
+            found.append(schema)
+            todo += [row.kind for row in schema.rows if isinstance(row.kind, wire._Schema)]
+    return found
+
+
+class TestDocMatchesSchema:
+    def test_packet_type_bytes(self) -> None:
+        doc = {int(byte, 16): what for byte, what in _doc_table("## Packet-type bytes")}
+        assert doc == {tag: s.what for tag, s in wire._PACKET_SCHEMAS.items()}
+
+    def test_tag_tables(self) -> None:
+        packets = list(wire._PACKET_SCHEMAS.values())
+        kinds = {"## Field tags": {}, "Nested-structure tags:": {}}
+        for schema in _schemas():
+            table = kinds["## Field tags" if schema in packets else "Nested-structure tags:"]
+            for row in schema.rows:
+                assert table.setdefault(row.tag, row.kind) is row.kind, hex(row.tag)
+        for heading, table in kinds.items():
+            doc = {int(tag, 16): (field, value) for tag, field, value in _doc_table(heading)}
+            assert sorted(doc) == sorted(table), heading
+            for tag, (field, value) in doc.items():
+                kind = table[tag]
+                assert getattr(wire, f"TAG_{field.upper()}") == tag, field
+                assert value.startswith("nested") == isinstance(kind, wire._Schema), field
+                assert value.startswith("u64") == (kind is wire._U64), field
+                assert value.startswith("6-byte") == (kind is wire._ADDR), field
+
+    @pytest.mark.parametrize("what", sorted(_FRAMES))
+    def test_packet_field_tables(self, what) -> None:
+        schema = wire._PACKET_SCHEMAS[_FRAMES[what][0]]
+        doc = _doc_table(f"## {what}")
+        for field, tag, _, _ in doc:
+            assert getattr(wire, f"TAG_{field.upper()}") == int(tag, 16), field
+        assert [(int(tag, 16), required == "yes") for _, tag, required, _ in doc] == [
+            (row.tag, row.required) for row in schema.rows
+        ]
 
 
 # ---------------------------------------------------------------------------

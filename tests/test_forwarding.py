@@ -17,8 +17,10 @@ from tollroute.payment import ChannelBook, Ledger, channel_id_for
 from tollroute.proof import ChunkAssembly, ChunkDescriptor, SignedChunk, verify_chain
 from tollroute.tables import NodeTables, TableConfig
 from tollroute.wire import (
+    ChunkProof,
     Data,
     HopInfo,
+    HopSignature,
     Interest,
     Nack,
     NackReason,
@@ -473,6 +475,115 @@ class TestContentPlane:
         # Each downstream gets its own nonce back.
         assert {o.packet.nonce for o in outs} == {b"\x01" * 8, b"\x02" * 8}
         assert name not in relay.tables.pit
+
+
+class TestRelayProofPassThrough:
+    """A relay that cannot rebuild or validate a chunk forwards its proof
+    unchanged, counts it and traces the exact reason."""
+
+    def _relay(self, total, ppc):
+        producer, _ = make_node(C, 12, payment_mode="payall")
+        relay, cap = make_node(B, 3, payment_mode="payall")
+        producer.register_source(content_source(total=total, size=100, ppc=ppc))
+        relay.tables.keepalive_heard(C, 0)
+        return producer, relay, cap
+
+    def _from_producer(self, producer, relay, index):
+        name = PREFIX.with_index(index)
+        pkt = interest(name, bytes([index + 1]) * 8, A, remote=B, route=RouteStack((B, C)))
+        (fwd,) = relay.on_interest(pkt, now=index * 10)
+        (data,) = producer.on_interest(fwd.packet, now=index * 10 + 1)
+        return data.packet
+
+    def _pass_through(self, relay, cap, final):
+        (out,) = relay.on_data(final, now=1_000)
+        assert out.packet.proof == final.proof
+        assert out.packet.payload == final.payload
+        assert relay.counters["proof_forwarded_unsigned"] == 1
+        assert relay.counters["signatures_produced"] == 0
+        (record,) = [e for e in cap.events if e["event"] == "proof_pass_through"]
+        assert record["name"] == str(final.name)
+        return record["reason"]
+
+    def _relay_all_but_final(self, producer, relay, total):
+        for i in range(total - 1):
+            relay.on_data(self._from_producer(producer, relay, i), now=i * 10 + 2)
+        return self._from_producer(producer, relay, total - 1)
+
+    def test_non_final_cached_packet_of_wrong_size(self):
+        producer, relay, cap = self._relay(total=4, ppc=4)
+        final = self._relay_all_but_final(producer, relay, 4)
+        relay.tables.cs.insert(PREFIX.with_index(1), b"\x01" * 99)
+        reason = self._pass_through(relay, cap, final)
+        assert reason == "non-final packet must be exactly packet_size"
+
+    def test_first_cached_packet_sets_the_size_the_rest_must_match(self):
+        producer, relay, cap = self._relay(total=4, ppc=4)
+        final = self._relay_all_but_final(producer, relay, 4)
+        relay.tables.cs.insert(PREFIX.with_index(0), b"\x00" * 120)
+        reason = self._pass_through(relay, cap, final)
+        assert reason == "non-final packet must be exactly packet_size"
+
+    def test_final_packet_longer_than_cached_first_packet(self):
+        producer, relay, cap = self._relay(total=2, ppc=2)
+        final = self._relay_all_but_final(producer, relay, 2)
+        assert len(final.payload) == 50
+        relay.tables.cs.insert(PREFIX.with_index(0), b"\x00" * 40)
+        reason = self._pass_through(relay, cap, final)
+        assert reason == "final packet payload out of range"
+
+    def test_arriving_final_packet_longer_than_packet_size(self):
+        producer, relay, cap = self._relay(total=4, ppc=4)
+        final = self._relay_all_but_final(producer, relay, 4)
+        long_final = Data(
+            name=final.name, hop_info=final.hop_info, payload=b"\x03" * 101, proof=final.proof
+        )
+        reason = self._pass_through(relay, cap, long_final)
+        assert reason == "final packet payload out of range"
+
+    def test_missing_cached_packet(self):
+        producer, relay, cap = self._relay(total=4, ppc=4)
+        final = self._from_producer(producer, relay, 3)
+        reason = self._pass_through(relay, cap, final)
+        assert reason == "packet 0 not in content store"
+
+    def test_cached_packet_of_right_size_but_wrong_bytes(self):
+        producer, relay, cap = self._relay(total=4, ppc=4)
+        final = self._relay_all_but_final(producer, relay, 4)
+        relay.tables.cs.insert(PREFIX.with_index(2), b"\xee" * 100)
+        reason = self._pass_through(relay, cap, final)
+        assert reason == "digest does not match payload"
+
+    def test_broken_producer_signature(self):
+        producer, relay, cap = self._relay(total=4, ppc=4)
+        final = self._relay_all_but_final(producer, relay, 4)
+        (hop,) = final.proof.chain
+        bad = HopSignature(hop.signer, hop.signer_pub, bytes([hop.sig[0] ^ 1]) + hop.sig[1:])
+        forged = Data(
+            name=final.name,
+            hop_info=final.hop_info,
+            payload=final.payload,
+            proof=ChunkProof(final.proof.first, final.proof.count, final.proof.digest, (bad,)),
+        )
+        reason = self._pass_through(relay, cap, forged)
+        assert reason == f"existing signature 0 by {C} does not verify"
+
+    def test_chain_already_signed_by_this_relay(self):
+        producer, relay, cap = self._relay(total=4, ppc=4)
+        final = self._relay_all_but_final(producer, relay, 4)
+        (signed,) = relay.on_data(final, now=500)
+        assert [h.signer for h in signed.packet.proof.chain] == [C, B]
+        relay.tables.pit.insert(final.name, A, b"\x55" * 8, 600)
+        again = Data(
+            name=final.name, hop_info=final.hop_info, payload=final.payload,
+            proof=signed.packet.proof,
+        )
+        (out,) = relay.on_data(again, now=1_000)
+        assert out.packet.proof == signed.packet.proof
+        assert relay.counters["proof_forwarded_unsigned"] == 1
+        assert relay.counters["signatures_produced"] == 1
+        (record,) = [e for e in cap.events if e["event"] == "proof_pass_through"]
+        assert record["reason"] == "refusing to sign the same chunk twice"
 
 
 class TestPriceAdditivity:

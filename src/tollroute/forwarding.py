@@ -33,14 +33,7 @@ from typing import Callable
 
 from .keys import KeyPair
 from .payment import ChannelBook, PaymentError, relay_process_payment
-from .proof import (
-    ChunkAssembly,
-    ChunkDescriptor,
-    ProofError,
-    SignedChunk,
-    make_chunk,
-    sign_chunk,
-)
+from .proof import ProofError, make_chunk, sign_chunk
 from .tables import NodeTables, PitResult
 from .wire import (
     ChunkProof,
@@ -257,7 +250,7 @@ class ForwardingEngine:
         if result is PitResult.DUPLICATE_NONCE:
             self.counters["dropped_duplicate"] += 1
             return []
-        if self._serves_prefix(pkt.name) or self._source_for(pkt.name) is not None:
+        if self._serves_prefix(pkt.name):
             # Authoritative: nothing upstream can outbid the origin.
             return self._answer_discovery(pkt.name, now)
         actions: list[Action] = []
@@ -472,7 +465,7 @@ class ForwardingEngine:
         proof = self._proofs.get(key)
         if proof is None:
             payload = b"".join(source.payload_fn(i) for i in range(first, first + count))
-            proof = make_chunk(self.key, source.prefix, first, payload, source.packet_size).proof()
+            proof = make_chunk(self.key, first, payload, source.packet_size)
             self._proofs[key] = proof
             self.counters["signatures_produced"] += 1
             self._trace("chunk_signed", prefix=str(source.prefix), first=first, count=count)
@@ -586,19 +579,24 @@ class ForwardingEngine:
         forwarded untouched (the consumer will notice the gap)."""
         proof = pkt.proof
         prefix = pkt.name.prefix
-        descriptor = ChunkDescriptor(prefix, proof.first, proof.count, self._packet_size_of(pkt))
+        packet_size = self._packet_size_of(pkt)
+        last = proof.first + proof.count - 1
+        parts: list[bytes] = []
         try:
-            assembly = ChunkAssembly(descriptor)
-            for index in descriptor.indices:
+            for index in range(proof.first, last + 1):
                 if index == pkt.name.chunk_index:
-                    assembly.add(index, pkt.payload)
-                    continue
-                cached = self.tables.cs.lookup(prefix.with_index(index))
-                if cached is None:
-                    raise ProofError(f"packet {index} not in content store")
-                assembly.add(index, cached)
-            chunk = SignedChunk(descriptor, assembly.payload(), proof.digest, proof.chain)
-            signed = sign_chunk(self.key, chunk)
+                    part = pkt.payload
+                else:
+                    part = self.tables.cs.lookup(prefix.with_index(index))
+                    if part is None:
+                        raise ProofError(f"packet {index} not in content store")
+                if index == last:
+                    if not 0 < len(part) <= packet_size:
+                        raise ProofError("final packet payload out of range")
+                elif len(part) != packet_size:
+                    raise ProofError("non-final packet must be exactly packet_size")
+                parts.append(part)
+            extended = sign_chunk(self.key, proof, b"".join(parts))
         except ProofError as err:
             self.counters["proof_forwarded_unsigned"] += 1
             self._trace("proof_pass_through", name=str(pkt.name), reason=str(err))
@@ -609,8 +607,7 @@ class ForwardingEngine:
         )
         # Remember the extended chain so a later cache hit on this chunk
         # can hand out the same proof.
-        extended = signed.proof()
-        self._proofs[(prefix.components, proof.first + proof.count - 1)] = extended
+        self._proofs[(prefix.components, last)] = extended
         return Data(name=pkt.name, hop_info=pkt.hop_info, payload=pkt.payload, proof=extended)
 
     def _packet_size_of(self, pkt: Data) -> int:

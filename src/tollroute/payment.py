@@ -429,9 +429,6 @@ class ChannelBook:
             self.pending[cid] = keep
         return dropped
 
-    def pending_count(self) -> int:
-        return sum(len(q) for q in self.pending.values())
-
     def settle_all(self) -> int:
         """Settle every still-open channel at its committed state."""
         settled = 0

@@ -42,7 +42,7 @@ from .payment import (
     channel_id_for,
     consumer_pay_all,
 )
-from .proof import ChunkDescriptor, SignedChunk, verify_chain
+from .proof import verify_chain
 from .scenario import FetchAction, LinkAction, Scenario, ScenarioError, ServeSpec
 from .tables import NodeTables, TableConfig
 from .wire import (
@@ -212,8 +212,6 @@ class Simulator:
             tables = NodeTables(
                 TableConfig(
                     window_capacity=self.defaults.window_capacity,
-                    pit_lifetime_us=self.defaults.interest_lifetime_ms * MS,
-                    keepalive_period_us=self.defaults.keepalive_period_ms * MS,
                     keepalive_timeout_us=self.defaults.keepalive_timeout_ms * MS,
                     cs_capacity_bytes=self.defaults.cs_capacity_bytes,
                 )
@@ -609,12 +607,8 @@ class Simulator:
             if any(i not in flow.received for i in span):
                 continue
             payload = b"".join(flow.received[i] for i in span)
-            descriptor = ChunkDescriptor(
-                flow.name, first, proof.count, flow.serve.packet_size
-            )
-            chunk = SignedChunk(descriptor, payload, proof.digest, proof.chain)
             expected = tuple(reversed(route))
-            result = verify_chain(chunk, expected, self.directory)
+            result = verify_chain(proof, payload, expected, self.directory)
             flow.signatures_verified += len(proof.chain)
             how = "strict"
             if not result.valid:
@@ -623,7 +617,7 @@ class Simulator:
                 # producer and every signature checks out.
                 observed = tuple(h.signer for h in proof.chain)
                 if observed and expected and observed[0] == expected[0]:
-                    result = verify_chain(chunk, observed, self.directory)
+                    result = verify_chain(proof, payload, observed, self.directory)
                     flow.signatures_verified += len(proof.chain)
                     how = "rerouted"
             if result.valid:

@@ -15,8 +15,7 @@ from .wire import Name, NodeAddr
 
 DEFAULT_WINDOW_CAPACITY = 8
 DEFAULT_PIT_LIFETIME_US = 4_000_000
-DEFAULT_KEEPALIVE_PERIOD_US = 100_000
-# Three missed keep-alive periods kill a neighbor.
+# Three missed keep-alive periods of 100 ms kill a neighbor.
 DEFAULT_KEEPALIVE_TIMEOUT_US = 300_000
 DEFAULT_CS_CAPACITY = 1 << 20
 
@@ -249,12 +248,7 @@ class NeighborLiveness:
     stays under the timeout; a neighbor never heard from is treated as
     alive (there is nothing to expire yet)."""
 
-    def __init__(
-        self,
-        period_us: int = DEFAULT_KEEPALIVE_PERIOD_US,
-        timeout_us: int = DEFAULT_KEEPALIVE_TIMEOUT_US,
-    ) -> None:
-        self.period_us = period_us
+    def __init__(self, timeout_us: int = DEFAULT_KEEPALIVE_TIMEOUT_US) -> None:
         self.timeout_us = timeout_us
         self._last_seen: dict[NodeAddr, int] = {}
         self._marked_dead: set[NodeAddr] = set()
@@ -343,8 +337,6 @@ class ContentStore:
 @dataclass
 class TableConfig:
     window_capacity: int = DEFAULT_WINDOW_CAPACITY
-    pit_lifetime_us: int = DEFAULT_PIT_LIFETIME_US
-    keepalive_period_us: int = DEFAULT_KEEPALIVE_PERIOD_US
     keepalive_timeout_us: int = DEFAULT_KEEPALIVE_TIMEOUT_US
     cs_capacity_bytes: int = DEFAULT_CS_CAPACITY
 
@@ -355,12 +347,10 @@ class NodeTables:
 
     def __init__(self, config: TableConfig | None = None) -> None:
         self.config = config or TableConfig()
-        self.pit = Pit(self.config.pit_lifetime_us)
+        self.pit = Pit()
         self.fib = Fib(self.config.window_capacity)
         self.cs = ContentStore(self.config.cs_capacity_bytes)
-        self.liveness = NeighborLiveness(
-            self.config.keepalive_period_us, self.config.keepalive_timeout_us
-        )
+        self.liveness = NeighborLiveness(self.config.keepalive_timeout_us)
 
     def keepalive_heard(self, neighbor: NodeAddr, now: int) -> bool:
         """Refresh a neighbor; re-enables its FIB next hops.  Returns True

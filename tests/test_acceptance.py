@@ -159,28 +159,28 @@ class TestAcceptance:
 
         rng = random.Random(4)
         payload = rng.randbytes(4 * 1500)
-        chunk = make_chunk(keys[path[0]], Name.parse("/cam/clip"), 0, payload, 1500)
+        proof = make_chunk(keys[path[0]], 0, payload, 1500)
         for relay in path[1:]:
-            chunk = sign_chunk(keys[relay], chunk)
-        honest_ok = bool(verify_chain(chunk, path, directory))
+            proof = sign_chunk(keys[relay], proof, payload)
+        honest_ok = bool(verify_chain(proof, payload, path, directory))
 
         mutations = 0
         false_valids = 0
 
-        def check(mutated) -> None:
+        def check(mutated, mutated_payload=payload) -> None:
             nonlocal mutations, false_valids
             mutations += 1
-            if verify_chain(mutated, path, directory):
+            if verify_chain(mutated, mutated_payload, path, directory):
                 false_valids += 1
 
         def flip(blob: bytes, i: int) -> bytes:
             return blob[:i] + bytes([blob[i] ^ 0x01]) + blob[i + 1 :]
 
         for i in range(len(payload)):
-            check(replace(chunk, payload=flip(payload, i)))
-        for i in range(len(chunk.digest)):
-            check(replace(chunk, digest=flip(chunk.digest, i)))
-        for h, hop in enumerate(chunk.chain):
+            check(proof, flip(payload, i))
+        for i in range(len(proof.digest)):
+            check(replace(proof, digest=flip(proof.digest, i)))
+        for h, hop in enumerate(proof.chain):
             fields = (
                 ("signer", hop.signer.octets),
                 ("signer_pub", hop.signer_pub),
@@ -191,8 +191,8 @@ class TestAcceptance:
                     raw = flip(blob, i)
                     value = NodeAddr(raw) if field == "signer" else raw
                     bad_hop = replace(hop, **{field: value})
-                    bad_chain = chunk.chain[:h] + (bad_hop,) + chunk.chain[h + 1 :]
-                    check(replace(chunk, chain=bad_chain))
+                    bad_chain = proof.chain[:h] + (bad_hop,) + proof.chain[h + 1 :]
+                    check(replace(proof, chain=bad_chain))
         elapsed = time.perf_counter() - t0
 
         ok = honest_ok and mutations >= 6000 and false_valids == 0 and elapsed < 60.0

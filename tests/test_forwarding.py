@@ -14,7 +14,7 @@ from tollroute.forwarding import (
 )
 from tollroute.keys import KeyPair
 from tollroute.payment import ChannelBook, Ledger, channel_id_for
-from tollroute.proof import ChunkAssembly, ChunkDescriptor, SignedChunk, verify_chain
+from tollroute.proof import verify_chain
 from tollroute.tables import NodeTables, TableConfig
 from tollroute.wire import (
     ChunkProof,
@@ -367,9 +367,9 @@ class TestPaymentsOnPath:
         book.open(A, B, 200, 200)
         name = PREFIX.with_index(0)
         book.make_offer(A, channel_id_for(A, B), 15, (name, NONCE), now=0)
-        assert book.pending_count() == 1
+        assert len(book.pending[channel_id_for(A, B)]) == 1
         consumer.on_nack(Nack(name=name, nonce=NONCE, reason=NackReason.NO_ROUTE), now=5)
-        assert book.pending_count() == 0
+        assert book.pending[channel_id_for(A, B)] == []
         assert cap.nacks and cap.nacks[0].reason is NackReason.NO_ROUTE
 
 
@@ -405,12 +405,9 @@ class TestContentPlane:
         assert [h.signer for h in final.proof.chain] == [C, B]
         # Consumer-side verification over its own received payloads.
         directory = {C: producer.key.public, B: relay.key.public}
-        descriptor = ChunkDescriptor(PREFIX, 0, 4, 100)
-        assembly = ChunkAssembly(descriptor)
-        for pkt in cap.data:
-            assembly.add(pkt.name.chunk_index, pkt.payload)
-        chunk = SignedChunk(descriptor, assembly.payload(), final.proof.digest, final.proof.chain)
-        assert verify_chain(chunk, (C, B), directory).valid
+        assert [pkt.name.chunk_index for pkt in cap.data] == [0, 1, 2, 3]
+        payload = b"".join(pkt.payload for pkt in cap.data)
+        assert verify_chain(final.proof, payload, (C, B), directory).valid
 
     def test_relay_missing_packet_forwards_proof_untouched(self):
         producer, relay, consumer, cap = self._chain()
@@ -539,6 +536,13 @@ class TestRelayProofPassThrough:
             name=final.name, hop_info=final.hop_info, payload=b"\x03" * 101, proof=final.proof
         )
         reason = self._pass_through(relay, cap, long_final)
+        assert reason == "final packet payload out of range"
+
+    def test_arriving_final_packet_empty(self):
+        producer, relay, cap = self._relay(total=4, ppc=4)
+        final = self._relay_all_but_final(producer, relay, 4)
+        empty_final = Data(name=final.name, hop_info=final.hop_info, payload=b"", proof=final.proof)
+        reason = self._pass_through(relay, cap, empty_final)
         assert reason == "final packet payload out of range"
 
     def test_missing_cached_packet(self):

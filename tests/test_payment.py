@@ -157,7 +157,7 @@ class TestChannelBook:
         state = book.commit_offer(RELAY_A, CONSUMER, offer)
         assert state.balance_of(CONSUMER) == 85 and state.balance_of(RELAY_A) == 115
         assert verify_state(state, book.directory)
-        assert book.pending_count() == 0
+        assert book.pending[cid] == []
 
     def test_pending_offers_reserve_balance(self):
         _, book, _ = fresh_book()

@@ -214,7 +214,7 @@ class TestFib:
 
 class TestNeighborLiveness:
     def test_timeout_walk(self):
-        live = NeighborLiveness(period_us=100_000, timeout_us=300_000)
+        live = NeighborLiveness(timeout_us=300_000)
         live.heard(A1, 0)
         assert live.is_alive(A1, 250_000)
         assert not live.is_alive(A1, 310_000)

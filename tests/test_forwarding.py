@@ -545,6 +545,13 @@ class TestRelayProofPassThrough:
         reason = self._pass_through(relay, cap, empty_final)
         assert reason == "final packet payload out of range"
 
+    def test_single_packet_chunk_with_empty_payload(self):
+        producer, relay, cap = self._relay(total=1, ppc=1)
+        final = self._from_producer(producer, relay, 0)
+        empty = Data(name=final.name, hop_info=final.hop_info, payload=b"", proof=final.proof)
+        reason = self._pass_through(relay, cap, empty)
+        assert reason == "final packet payload out of range"
+
     def test_missing_cached_packet(self):
         producer, relay, cap = self._relay(total=4, ppc=4)
         final = self._from_producer(producer, relay, 3)

@@ -305,7 +305,100 @@ class TestPaymentModes:
         )
 
 
+_LINK_DOWN = {"at_ms": 200, "action": "link", "a": A, "b": R, "up": False}
+
+# One defect per document, applied to line_doc() plus a link action at
+# schedule[1], and the exact problem list the loader reports for it.
+SINGLE_DEFECTS = {
+    "top-unknown-key": (
+        lambda d: d.update(bogus=1),
+        ["top: unknown key 'bogus'"],
+    ),
+    "defaults-unknown-key": (
+        lambda d: d["defaults"].update(bogus=1),
+        ["defaults: unknown key 'bogus'"],
+    ),
+    "node-unknown-key": (
+        lambda d: d["nodes"][1].update(bogus=1),
+        ["nodes[1]: unknown key 'bogus'"],
+    ),
+    "serve-unknown-key": (
+        lambda d: d["nodes"][2]["serves"][0].update(bogus=1),
+        ["nodes[2].serves[0]: unknown key 'bogus'"],
+    ),
+    "fetch-unknown-key": (
+        lambda d: d["schedule"][0].update(bogus=1),
+        ["schedule[0]: unknown key 'bogus'"],
+    ),
+    "link-action-unknown-key": (
+        lambda d: d["schedule"][1].update(bogus=1),
+        ["schedule[1]: unknown key 'bogus'"],
+    ),
+    "default-not-positive": (
+        lambda d: d["defaults"].update(retries=0),
+        ["defaults.retries must be >= 1, got 0"],
+    ),
+    "default-not-int": (
+        lambda d: d["defaults"].update(send_interval_ms="x"),
+        ["defaults.send_interval_ms must be an integer, got 'x'"],
+    ),
+    "default-bad-payment-mode": (
+        lambda d: d["defaults"].update(payment_mode="barter"),
+        ["defaults.payment_mode must be one of ('hopbyhop', 'payall')"],
+    ),
+    "default-bad-relay-mode": (
+        lambda d: d["defaults"].update(relay_mode="teleport"),
+        ["defaults.relay_mode must be one of ('cutthrough', 'storeforward')"],
+    ),
+    "node-bad-relay-mode": (
+        lambda d: d["nodes"][1].update(relay_mode="teleport"),
+        ["nodes[1].relay_mode must be one of ('cutthrough', 'storeforward')"],
+    ),
+    "serve-prefix-with-seg": (
+        # The fetch goes too: with the serve refused it would fail as well.
+        lambda d: (d["nodes"][2]["serves"][0].update(prefix="/line/data/seg=3"),
+                   d.update(schedule=[])),
+        ["nodes[2].serves[0].prefix must not carry a seg= index"],
+    ),
+    "fetch-unserved-name": (
+        lambda d: d["schedule"][0].update(name="/other/data"),
+        ["schedule[0]: nobody serves /other/data"],
+    ),
+    "fetch-name-not-string": (
+        lambda d: d["schedule"][0].update(name=7),
+        ["schedule[0].name must be a string name, got 7"],
+    ),
+    "fetch-name-unparsable": (
+        lambda d: d["schedule"][0].update(name="line data"),
+        ["schedule[0].name: name 'line data' must start with '/'"],
+    ),
+    "fetch-node-not-string": (
+        lambda d: d["schedule"][0].update(node=["x"]),
+        ["schedule[0].node must be a string address, got ['x']"],
+    ),
+    "link-action-bad-address": (
+        lambda d: d["schedule"][1].update(a="zz-00"),
+        ["schedule[1].a: bad address 'zz-00': want six dash-separated octets"],
+    ),
+    "link-bad-address": (
+        lambda d: d["links"].append([R, "02-00-00-00-00"]),
+        ["links[2][1]: bad address '02-00-00-00-00': want six dash-separated octets"],
+    ),
+}
+
+
 class TestValidation:
+    @pytest.mark.parametrize("case", sorted(SINGLE_DEFECTS))
+    def test_single_defect_problems_are_exact(self, case):
+        edit, problems = SINGLE_DEFECTS[case]
+        doc = line_doc()
+        doc["schedule"].append(dict(_LINK_DOWN))
+        parse_scenario(copy.deepcopy(doc))  # the base document is clean
+        edit(doc)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(doc, source="defect.scn")
+        assert err.value.problems == problems
+
     def test_all_problems_reported_at_once(self):
         doc = line_doc()
         doc["version"] = 3

@@ -33,7 +33,7 @@ import yaml
 from .audit import audit_run
 from .payment import audit_ledger
 from .proof import signature_budget
-from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
+from .scenario import PAYMENT_MODES, Scenario, ScenarioError, load_scenario, parse_scenario
 from .simnet import format_report, run_scenario
 
 SCENARIO_DIR_ENV = "TOLLROUTE_SCENARIO_DIR"
@@ -184,7 +184,7 @@ def _cmd_compare_payment(args: argparse.Namespace) -> int:
     if scenario is None:
         return 1
     rows = []
-    for mode in ("hopbyhop", "payall"):
+    for mode in PAYMENT_MODES:
         variant = replace(scenario, defaults=replace(scenario.defaults, payment_mode=mode))
         result = run_scenario(variant)
         violations = audit_run(variant, result.trace, result.ledger_records)
@@ -220,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("scenario")
     run_p.add_argument("--out", help="directory for report.json/trace.jsonl/ledger.jsonl")
     run_p.add_argument("--seed", type=int, help="override the scenario seed")
-    run_p.add_argument("--payment", choices=["hopbyhop", "payall"])
+    run_p.add_argument("--payment", choices=PAYMENT_MODES)
     run_p.set_defaults(fn=_cmd_run)
 
     val_p = sub.add_parser("validate", help="check a scenario file")
@@ -230,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dump_p = sub.add_parser("dump-state", help="run a scenario and dump node tables")
     dump_p.add_argument("scenario")
     dump_p.add_argument("--seed", type=int)
-    dump_p.add_argument("--payment", choices=["hopbyhop", "payall"])
+    dump_p.add_argument("--payment", choices=PAYMENT_MODES)
     dump_p.set_defaults(fn=_cmd_dump_state)
 
     led_p = sub.add_parser("audit-ledger", help="replay a ledger log")

@@ -29,11 +29,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .keys import KeyPair
 from .payment import ChannelBook, PaymentError, relay_process_payment
 from .proof import ProofError, make_chunk, sign_chunk
+from .scenario import Defaults, NodeSpec, content_bytes
 from .tables import NodeTables, PitResult
 from .wire import (
     ChunkProof,
@@ -113,46 +115,48 @@ class ContentSource:
 class EngineHooks:
     """Callbacks into the surrounding application / simulator."""
 
-    trace: Callable[[dict], None] = lambda event: None
+    trace: Callable[[dict], None]
     # Consumer-side: the discovery route ended here.  Return True when
     # this node was indeed waiting for it.
-    path_discovered: Callable[[Name, RouteStack, int], bool] = lambda n, r, p: False
+    path_discovered: Callable[[Name, RouteStack, int], bool]
     # Consumer-side: content Data with no PIT downstream.  Return True to
     # accept (and cache) it.
-    deliver_data: Callable[[Data], bool] = lambda pkt: False
+    deliver_data: Callable[[Data], bool]
     # Consumer-side Nack with no PIT downstream.
-    deliver_nack: Callable[[Nack], bool] = lambda pkt: False
-
-
-@dataclass
-class NodeConfig:
-    addr: NodeAddr
-    forwarding_cost: int = 0
-    relay_mode: str = "cutthrough"  # or "storeforward"
-    payment_mode: str = "hopbyhop"  # or "payall"
-    interest_lifetime_ms: int = 4_000  # wire lifetimes are milliseconds
+    deliver_nack: Callable[[Nack], bool]
 
 
 class ForwardingEngine:
+    """One node, built from its scenario entry and the scenario-wide
+    defaults; the scenario has already checked both."""
+
     def __init__(
         self,
-        config: NodeConfig,
-        tables: NodeTables,
+        spec: NodeSpec,
+        defaults: Defaults,
         key: KeyPair,
-        book: ChannelBook | None,
-        hooks: EngineHooks | None = None,
+        book: ChannelBook,
+        hooks: EngineHooks,
     ) -> None:
-        if config.relay_mode not in ("cutthrough", "storeforward"):
-            raise ValueError(f"unknown relay mode {config.relay_mode!r}")
-        if config.payment_mode not in ("hopbyhop", "payall"):
-            raise ValueError(f"unknown payment mode {config.payment_mode!r}")
-        self.config = config
-        self.addr = config.addr
-        self.tables = tables
+        self.addr = spec.addr
+        self.cost = spec.cost
+        self.relay_mode = spec.relay_mode or defaults.relay_mode
+        self.payment_mode = defaults.payment_mode
+        self.interest_lifetime_ms = defaults.interest_lifetime_ms  # wire lifetimes are ms
+        self.tables = NodeTables(defaults)
         self.key = key
         self.book = book
-        self.hooks = hooks or EngineHooks()
-        self.sources: list[ContentSource] = []
+        self.hooks = hooks
+        self.sources = [
+            ContentSource(
+                prefix=serve.prefix,
+                packet_size=serve.packet_size,
+                packets_per_chunk=serve.packets_per_chunk,
+                total_packets=serve.total_packets,
+                payload_fn=partial(content_bytes, serve.prefix, size=serve.packet_size),
+            )
+            for serve in spec.serves
+        ]
         self.counters: defaultdict[str, int] = defaultdict(int)
         # Discovery nonces already rebroadcast: each gets one rebroadcast.
         self._rebroadcast: set[bytes] = set()
@@ -180,9 +184,6 @@ class ForwardingEngine:
     def _serves_prefix(self, name: Name) -> bool:
         return any(name.prefix.has_prefix(s.prefix) for s in self.sources)
 
-    def register_source(self, source: ContentSource) -> None:
-        self.sources.append(source)
-
     def _nack(self, to: NodeAddr, name: Name, nonce: bytes, reason: NackReason) -> Send:
         self.counters["nacks_sent"] += 1
         self._trace("nack_sent", name=str(name), to=str(to), reason=reason.name)
@@ -203,8 +204,7 @@ class ForwardingEngine:
                 last_seen_us=self.tables.liveness.last_seen(neighbor),
                 detected_us=now,
             )
-        if self.book is not None:
-            self.book.purge_expired(now)
+        self.book.purge_expired(now)
         return newly_dead
 
     # -- origination (consumer side) ---------------------------------
@@ -215,7 +215,7 @@ class ForwardingEngine:
             name=name,
             nonce=nonce,
             hop_info=HopInfo(self.addr, None),
-            lifetime_ms=self.config.interest_lifetime_ms,
+            lifetime_ms=self.interest_lifetime_ms,
         )
         self._trace("discovery_originated", name=str(name), nonce=nonce.hex())
         return [Broadcast(pkt)]
@@ -291,14 +291,14 @@ class ForwardingEngine:
                 hop_info=HopInfo(self.addr, downstream),
                 route=RouteStack((downstream, self.addr)),
                 payload=b"",
-                price=self.config.forwarding_cost,
+                price=self.cost,
             )
             self.counters["discovery_answers"] += 1
             self._trace(
                 "discovery_answered",
                 name=str(name),
                 to=str(downstream),
-                price=self.config.forwarding_cost,
+                price=self.cost,
             )
             actions.append(Send(downstream, data))
         return actions
@@ -403,7 +403,7 @@ class ForwardingEngine:
         `upstream`, sign the onward offer.  Returns (accepted, onward
         offer); payall-mode Interests carry no payment and are always
         accepted."""
-        if self.config.payment_mode != "hopbyhop":
+        if self.payment_mode != "hopbyhop":
             return True, None
         try:
             kept, offer = relay_process_payment(
@@ -411,7 +411,7 @@ class ForwardingEngine:
                 self.addr,
                 pkt.hop_info.local,
                 pkt.payment,
-                self.config.forwarding_cost,
+                self.cost,
                 upstream,
                 (pkt.name, pkt.nonce),
                 now,
@@ -523,7 +523,7 @@ class ForwardingEngine:
                 hop_info=HopInfo(self.addr, downstream),
                 route=pkt.route.push(downstream),
                 payload=b"",
-                price=pkt.price + self.config.forwarding_cost,
+                price=pkt.price + self.cost,
             )
             self.counters["discovery_forwarded"] += 1
             actions.append(Send(downstream, out))
@@ -533,7 +533,7 @@ class ForwardingEngine:
 
     def _on_content_data(self, pkt: Data, now: int) -> list[Action]:
         if (
-            self.config.relay_mode == "storeforward"
+            self.relay_mode == "storeforward"
             and pkt.name.chunk_index is not None
             and pkt.name in self.tables.pit
         ):
@@ -648,12 +648,11 @@ class ForwardingEngine:
         # Nacks carry no hop header; link-level delivery already
         # guaranteed this node is the addressee.
         self.counters["nacks_in"] += 1
-        if self.book is not None:
-            cancelled = self.book.cancel_tag((pkt.name, pkt.nonce))
-            if cancelled:
-                self._trace(
-                    "offer_cancelled", name=str(pkt.name), nonce=pkt.nonce.hex(), count=cancelled
-                )
+        cancelled = self.book.cancel_tag((pkt.name, pkt.nonce))
+        if cancelled:
+            self._trace(
+                "offer_cancelled", name=str(pkt.name), nonce=pkt.nonce.hex(), count=cancelled
+            )
         downstreams = self.tables.pit.consume(pkt.name, now)
         if not downstreams:
             if not self.hooks.deliver_nack(pkt):

@@ -22,9 +22,10 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .keys import KeyDirectory, KeyPair, verify
+from .scenario import Defaults
 from .wire import Name, NodeAddr, Payment
 
-DEFAULT_OFFER_LIFETIME_US = 4_000_000
+DEFAULT_OFFER_LIFETIME_US = Defaults.interest_lifetime_ms * 1_000
 
 # Tag identifying the flow a pending offer belongs to: (name, nonce).
 OfferTag = tuple[Name, bytes]

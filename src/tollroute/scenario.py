@@ -9,7 +9,8 @@ start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from dataclasses import dataclass, fields
 
 import yaml
 
@@ -19,6 +20,19 @@ SCHEMA_VERSION = 1
 
 RELAY_MODES = ("cutthrough", "storeforward")
 PAYMENT_MODES = ("hopbyhop", "payall")
+_MODES = {"relay_mode": RELAY_MODES, "payment_mode": PAYMENT_MODES}
+
+
+def content_bytes(prefix: Name, index: int, size: int) -> bytes:
+    """Deterministic payload for one content packet, reproducible on any
+    platform from the name alone."""
+    out = bytearray()
+    counter = 0
+    while len(out) < size:
+        block = hashlib.sha256(f"{prefix}|{index}|{counter}".encode()).digest()
+        out.extend(block)
+        counter += 1
+    return bytes(out[:size])
 
 
 class ScenarioError(Exception):
@@ -31,6 +45,9 @@ class ScenarioError(Exception):
 
 @dataclass(frozen=True)
 class Defaults:
+    """Every run-wide tunable with its default: the only place one is
+    stated.  Tables, engine and payments read theirs from here."""
+
     keepalive_period_ms: int = 100
     keepalive_timeout_ms: int = 300
     interest_lifetime_ms: int = 4_000
@@ -109,26 +126,6 @@ class Scenario:
         return {spec.addr: spec.cost for spec in self.nodes}
 
 
-_DEFAULT_KEYS = {
-    "keepalive_period_ms",
-    "keepalive_timeout_ms",
-    "interest_lifetime_ms",
-    "discovery_wait_ms",
-    "send_interval_ms",
-    "retries",
-    "link_latency_ms",
-    "relay_mode",
-    "payment_mode",
-    "account_balance",
-    "channel_deposit",
-    "cs_capacity_bytes",
-    "window_capacity",
-    "candidate_paths",
-}
-
-_POSITIVE_DEFAULTS = _DEFAULT_KEYS - {"relay_mode", "payment_mode"}
-
-
 class _Check:
     """Accumulates problems instead of failing fast."""
 
@@ -153,23 +150,19 @@ class _Check:
                 self.fail(f"{where}: unknown key {key!r}")
 
 
-def _parse_addr(check: _Check, text, what: str) -> NodeAddr | None:
-    if not isinstance(text, str):
-        check.fail(f"{what} must be a string address, got {text!r}")
-        return None
-    try:
-        return NodeAddr.parse(text)
-    except ValueError as exc:
-        check.fail(f"{what}: {exc}")
-        return None
+def _keys(section) -> set[str]:
+    """The keys a section may carry: its dataclass's fields."""
+    return {f.name for f in fields(section)}
 
 
-def _parse_name(check: _Check, text, what: str) -> Name | None:
+def _parse_text(check: _Check, kind: type[NodeAddr] | type[Name], text, what: str):
+    """A NodeAddr or Name parsed from its text form; None after a problem."""
     if not isinstance(text, str):
-        check.fail(f"{what} must be a string name, got {text!r}")
+        noun = "address" if kind is NodeAddr else "name"
+        check.fail(f"{what} must be a string {noun}, got {text!r}")
         return None
     try:
-        return Name.parse(text)
+        return kind.parse(text)
     except ValueError as exc:
         check.fail(f"{what}: {exc}")
         return None
@@ -181,22 +174,19 @@ def _parse_defaults(check: _Check, raw) -> Defaults:
     if not isinstance(raw, dict):
         check.fail("defaults must be a mapping")
         return Defaults()
-    check.expect_keys(raw, _DEFAULT_KEYS, "defaults")
+    check.expect_keys(raw, _keys(Defaults), "defaults")
     kwargs = {}
-    for key in _POSITIVE_DEFAULTS & set(raw):
-        value = check.expect_int(raw[key], f"defaults.{key}", minimum=1)
+    # Field order, so problems come out in the same order on every run.
+    for key in (f.name for f in fields(Defaults) if f.name in raw):
+        value = raw[key]
+        modes = _MODES.get(key)
+        if modes is None:
+            value = check.expect_int(value, f"defaults.{key}", minimum=1)
+        elif value not in modes:
+            check.fail(f"defaults.{key} must be one of {modes}")
+            value = None
         if value is not None:
             kwargs[key] = value
-    if "relay_mode" in raw:
-        if raw["relay_mode"] in RELAY_MODES:
-            kwargs["relay_mode"] = raw["relay_mode"]
-        else:
-            check.fail(f"defaults.relay_mode must be one of {RELAY_MODES}")
-    if "payment_mode" in raw:
-        if raw["payment_mode"] in PAYMENT_MODES:
-            kwargs["payment_mode"] = raw["payment_mode"]
-        else:
-            check.fail(f"defaults.payment_mode must be one of {PAYMENT_MODES}")
     defaults = Defaults(**kwargs)
     if defaults.keepalive_timeout_ms < defaults.keepalive_period_ms:
         check.fail("defaults: keepalive_timeout_ms must be >= keepalive_period_ms")
@@ -207,8 +197,8 @@ def _parse_serve(check: _Check, raw, where: str) -> ServeSpec | None:
     if not isinstance(raw, dict):
         check.fail(f"{where} must be a mapping")
         return None
-    check.expect_keys(raw, {"prefix", "packet_size", "packets_per_chunk", "chunks"}, where)
-    prefix = _parse_name(check, raw.get("prefix"), f"{where}.prefix")
+    check.expect_keys(raw, _keys(ServeSpec), where)
+    prefix = _parse_text(check, Name, raw.get("prefix"), f"{where}.prefix")
     size = check.expect_int(raw.get("packet_size"), f"{where}.packet_size", minimum=1)
     per_chunk = check.expect_int(raw.get("packets_per_chunk"), f"{where}.packets_per_chunk", 1)
     chunks = check.expect_int(raw.get("chunks"), f"{where}.chunks", minimum=1)
@@ -234,8 +224,8 @@ def _parse_nodes(check: _Check, raw) -> list[NodeSpec]:
         if not isinstance(entry, dict):
             check.fail(f"{where} must be a mapping")
             continue
-        check.expect_keys(entry, {"addr", "cost", "relay_mode", "serves"}, where)
-        addr = _parse_addr(check, entry.get("addr"), f"{where}.addr")
+        check.expect_keys(entry, _keys(NodeSpec), where)
+        addr = _parse_text(check, NodeAddr, entry.get("addr"), f"{where}.addr")
         if addr is None:
             continue
         if addr.is_broadcast:
@@ -276,8 +266,8 @@ def _parse_links(check: _Check, raw, known: set[NodeAddr], defaults: Defaults) -
         if not isinstance(entry, list) or not 2 <= len(entry) <= 4:
             check.fail(f"{where} must be [a, b], [a, b, latency_ms] or [a, b, latency_ms, drop]")
             continue
-        a = _parse_addr(check, entry[0], f"{where}[0]")
-        b = _parse_addr(check, entry[1], f"{where}[1]")
+        a = _parse_text(check, NodeAddr, entry[0], f"{where}[0]")
+        b = _parse_text(check, NodeAddr, entry[1], f"{where}[1]")
         if a is None or b is None:
             continue
         if a == b:
@@ -337,9 +327,9 @@ def _parse_schedule(
             continue
         action = entry.get("action")
         if action == "fetch":
-            check.expect_keys(entry, {"at_ms", "action", "node", "name", "packets"}, where)
-            node = _parse_addr(check, entry.get("node"), f"{where}.node")
-            name = _parse_name(check, entry.get("name"), f"{where}.name")
+            check.expect_keys(entry, _keys(FetchAction) | {"action"}, where)
+            node = _parse_text(check, NodeAddr, entry.get("node"), f"{where}.node")
+            name = _parse_text(check, Name, entry.get("name"), f"{where}.name")
             packets = check.expect_int(entry.get("packets"), f"{where}.packets", minimum=1)
             if node is None or name is None or packets is None:
                 continue
@@ -364,9 +354,9 @@ def _parse_schedule(
             fetch_keys.add((node, name.components))
             actions.append(FetchAction(at_ms, node, name, packets))
         elif action == "link":
-            check.expect_keys(entry, {"at_ms", "action", "a", "b", "up"}, where)
-            a = _parse_addr(check, entry.get("a"), f"{where}.a")
-            b = _parse_addr(check, entry.get("b"), f"{where}.b")
+            check.expect_keys(entry, _keys(LinkAction) | {"action"}, where)
+            a = _parse_text(check, NodeAddr, entry.get("a"), f"{where}.a")
+            b = _parse_text(check, NodeAddr, entry.get("b"), f"{where}.b")
             up = entry.get("up")
             if a is None or b is None:
                 continue

@@ -26,14 +26,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .forwarding import (
-    Broadcast,
-    ContentSource,
-    EngineHooks,
-    ForwardingEngine,
-    NodeConfig,
-    Send,
-)
+from .forwarding import Broadcast, EngineHooks, ForwardingEngine, Send
 from .keys import KeyPair
 from .payment import (
     ChannelBook,
@@ -44,7 +37,6 @@ from .payment import (
 )
 from .proof import verify_chain
 from .scenario import FetchAction, LinkAction, Scenario, ScenarioError, ServeSpec
-from .tables import NodeTables, TableConfig
 from .wire import (
     BROADCAST,
     ChunkProof,
@@ -61,18 +53,6 @@ from .wire import (
 )
 
 MS = 1_000  # microseconds per millisecond
-
-
-def content_bytes(prefix: Name, index: int, size: int) -> bytes:
-    """Deterministic payload for one content packet, reproducible on any
-    platform from the name alone."""
-    out = bytearray()
-    counter = 0
-    while len(out) < size:
-        block = hashlib.sha256(f"{prefix}|{index}|{counter}".encode()).digest()
-        out.extend(block)
-        counter += 1
-    return bytes(out[:size])
 
 
 def derive_rng(seed: int, *parts: str) -> random.Random:
@@ -115,7 +95,6 @@ class Flow:
     discovery_attempts: int = 1  # consecutive fruitless rounds; resets on selection
     discoveries: int = 0  # lifetime total, for the report
     candidates: list[Candidate] = field(default_factory=list)
-    failed_routes: set[tuple[NodeAddr, ...]] = field(default_factory=set)
     active: Candidate | None = None
     received: dict[int, bytes] = field(default_factory=dict)
     attempts: dict[int, int] = field(default_factory=dict)
@@ -197,7 +176,6 @@ class Simulator:
         self._seq = 0
         self._heap: list = []
         self.trace: list[dict] = []
-        self.cost_of = scenario.cost_of()
         self.serves: dict[tuple[bytes, ...], ServeSpec] = {
             s.prefix.components: s for n in scenario.nodes for s in n.serves
         }
@@ -209,32 +187,8 @@ class Simulator:
         self.nodes: dict[NodeAddr, _Node] = {}
         for spec in scenario.nodes:
             self.ledger.mint(spec.addr, self.defaults.account_balance)
-            tables = NodeTables(
-                TableConfig(
-                    window_capacity=self.defaults.window_capacity,
-                    keepalive_timeout_us=self.defaults.keepalive_timeout_ms * MS,
-                    cs_capacity_bytes=self.defaults.cs_capacity_bytes,
-                )
-            )
-            config = NodeConfig(
-                addr=spec.addr,
-                forwarding_cost=spec.cost,
-                relay_mode=spec.relay_mode or self.defaults.relay_mode,
-                payment_mode=self.defaults.payment_mode,
-                interest_lifetime_ms=self.defaults.interest_lifetime_ms,
-            )
             key = KeyPair.from_seed(spec.addr, str(scenario.seed).encode())
-            engine = ForwardingEngine(config, tables, key, self.book, self._hooks(spec.addr))
-            for serve in spec.serves:
-                engine.register_source(
-                    ContentSource(
-                        prefix=serve.prefix,
-                        packet_size=serve.packet_size,
-                        packets_per_chunk=serve.packets_per_chunk,
-                        total_packets=serve.total_packets,
-                        payload_fn=_payload_fn(serve),
-                    )
-                )
+            engine = ForwardingEngine(spec, self.defaults, key, self.book, self._hooks(spec.addr))
             self.book.register_key(key)
             self.nodes[spec.addr] = _Node(engine, derive_rng(scenario.seed, "node", str(spec.addr)))
 
@@ -424,7 +378,7 @@ class Simulator:
         if flow is None or flow.state in ("done", "failed"):
             return False
         hops = route.hops
-        if hops in flow.failed_routes or any(c.hops == hops for c in flow.candidates):
+        if any(c.hops == hops for c in flow.candidates):
             return True
         if len(flow.candidates) < self.defaults.candidate_paths:
             flow.candidates.append(Candidate(hops=hops, price=price))
@@ -491,7 +445,7 @@ class Simulator:
             if self.defaults.payment_mode == "payall":
                 consumer_pay_all(
                     self.book, flow.node,
-                    [(hop, self.cost_of[hop]) for hop in hops],
+                    [(hop, self.nodes[hop].engine.cost) for hop in hops],
                     (name, nonce), self.now, self.defaults.channel_deposit,
                 )
             elif flow.active.price > 0:  # a zero-price route carries no payment
@@ -545,7 +499,6 @@ class Simulator:
     def _demote_active(self, flow: Flow) -> None:
         if flow.active is not None:
             flow.active.failed = True
-            flow.failed_routes.add(flow.active.hops)
         self._cancel_outstanding_offers(flow)
         flow.generation += 1
         flow.attempts.clear()
@@ -564,7 +517,6 @@ class Simulator:
         # Fresh epoch: the topology has visibly changed, so previously
         # failed routes get another chance.
         flow.candidates.clear()
-        flow.failed_routes.clear()
         self._start_discovery(flow)
 
     def _fail_flow(self, flow: Flow, reason: str) -> None:
@@ -780,10 +732,6 @@ class Simulator:
             for line in self.nodes[addr].engine.tables.dump(self.now):
                 lines.append(f"  {line}")
         return lines
-
-
-def _payload_fn(serve: ServeSpec):
-    return lambda i: content_bytes(serve.prefix, i, serve.packet_size)
 
 
 def _frame_fields(pkt) -> dict:

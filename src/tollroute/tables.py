@@ -11,13 +11,8 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .scenario import Defaults
 from .wire import Name, NodeAddr
-
-DEFAULT_WINDOW_CAPACITY = 8
-DEFAULT_PIT_LIFETIME_US = 4_000_000
-# Three missed keep-alive periods of 100 ms kill a neighbor.
-DEFAULT_KEEPALIVE_TIMEOUT_US = 300_000
-DEFAULT_CS_CAPACITY = 1 << 20
 
 
 class PitResult(Enum):
@@ -41,7 +36,7 @@ class Pit:
     sees one.
     """
 
-    def __init__(self, lifetime_us: int = DEFAULT_PIT_LIFETIME_US) -> None:
+    def __init__(self, lifetime_us: int = Defaults.interest_lifetime_ms * 1_000) -> None:
         self.lifetime_us = lifetime_us
         self._entries: dict[Name, list[PitDownstream]] = {}
 
@@ -116,7 +111,7 @@ class Pit:
 class PriceWindow:
     """Bounded FIFO of observed prices; the FIB quotes its minimum."""
 
-    def __init__(self, capacity: int = DEFAULT_WINDOW_CAPACITY) -> None:
+    def __init__(self, capacity: int = Defaults.window_capacity) -> None:
         if capacity < 1:
             raise ValueError("window capacity must be positive")
         self.capacity = capacity
@@ -152,7 +147,7 @@ class Fib:
     """Forwarding information base keyed by content prefix (names with
     any packet index stripped)."""
 
-    def __init__(self, window_capacity: int = DEFAULT_WINDOW_CAPACITY) -> None:
+    def __init__(self, window_capacity: int = Defaults.window_capacity) -> None:
         self.window_capacity = window_capacity
         self._entries: dict[tuple[bytes, ...], FibEntry] = {}
 
@@ -248,7 +243,7 @@ class NeighborLiveness:
     stays under the timeout; a neighbor never heard from is treated as
     alive (there is nothing to expire yet)."""
 
-    def __init__(self, timeout_us: int = DEFAULT_KEEPALIVE_TIMEOUT_US) -> None:
+    def __init__(self, timeout_us: int = Defaults.keepalive_timeout_ms * 1_000) -> None:
         self.timeout_us = timeout_us
         self._last_seen: dict[NodeAddr, int] = {}
         self._marked_dead: set[NodeAddr] = set()
@@ -294,7 +289,7 @@ class NeighborLiveness:
 class ContentStore:
     """Byte-capacity LRU cache of content packets."""
 
-    def __init__(self, capacity_bytes: int = DEFAULT_CS_CAPACITY) -> None:
+    def __init__(self, capacity_bytes: int = Defaults.cs_capacity_bytes) -> None:
         self.capacity_bytes = capacity_bytes
         self._entries: OrderedDict[Name, bytes] = OrderedDict()
         self._used = 0
@@ -334,23 +329,15 @@ class ContentStore:
         ]
 
 
-@dataclass
-class TableConfig:
-    window_capacity: int = DEFAULT_WINDOW_CAPACITY
-    keepalive_timeout_us: int = DEFAULT_KEEPALIVE_TIMEOUT_US
-    cs_capacity_bytes: int = DEFAULT_CS_CAPACITY
-
-
 class NodeTables:
     """The full table set for one node, with the keep-alive operations
     that couple liveness to FIB enable bits."""
 
-    def __init__(self, config: TableConfig | None = None) -> None:
-        self.config = config or TableConfig()
-        self.pit = Pit()
-        self.fib = Fib(self.config.window_capacity)
-        self.cs = ContentStore(self.config.cs_capacity_bytes)
-        self.liveness = NeighborLiveness(self.config.keepalive_timeout_us)
+    def __init__(self, defaults: Defaults = Defaults()) -> None:
+        self.pit = Pit(defaults.interest_lifetime_ms * 1_000)
+        self.fib = Fib(defaults.window_capacity)
+        self.cs = ContentStore(defaults.cs_capacity_bytes)
+        self.liveness = NeighborLiveness(defaults.keepalive_timeout_ms * 1_000)
 
     def keepalive_heard(self, neighbor: NodeAddr, now: int) -> bool:
         """Refresh a neighbor; re-enables its FIB next hops.  Returns True

@@ -8,14 +8,13 @@ from tollroute.forwarding import (
     ContentSource,
     EngineHooks,
     ForwardingEngine,
-    NodeConfig,
     RediscoveryScheduler,
     Send,
 )
 from tollroute.keys import KeyPair
 from tollroute.payment import ChannelBook, Ledger, channel_id_for
 from tollroute.proof import verify_chain
-from tollroute.tables import NodeTables, TableConfig
+from tollroute.scenario import Defaults, NodeSpec
 from tollroute.wire import (
     ChunkProof,
     Data,
@@ -84,15 +83,17 @@ class Capture:
         return True
 
 
-def make_node(addr, cost=0, book=None, **cfg):
-    tables = NodeTables(TableConfig())
+def make_node(addr, cost=0, book=None, relay_mode=None, payment_mode="hopbyhop"):
+    """An engine for one node; without a shared book it gets a private one."""
+    if book is None:
+        book = ChannelBook(Ledger(), {})
     key = KeyPair.from_seed(addr, b"fwd-tests")
     cap = Capture()
     engine = ForwardingEngine(
-        NodeConfig(addr=addr, forwarding_cost=cost, **cfg), tables, key, book, cap.hooks()
+        NodeSpec(addr, cost, relay_mode), Defaults(payment_mode=payment_mode), key, book,
+        cap.hooks(),
     )
-    if book is not None:
-        book.register_key(key)
+    book.register_key(key)
     return engine, cap
 
 
@@ -125,7 +126,7 @@ class TestDiscovery:
         consumer, cap_a = make_node(A, 0, book)
         relay, _ = make_node(B, 3, book)
         producer, _ = make_node(C, 12, book)
-        producer.register_source(content_source())
+        producer.sources.append(content_source())
         cap_a.expect_paths = True
 
         (bcast,) = consumer.originate_discovery(PREFIX, NONCE, now=0)
@@ -174,7 +175,7 @@ class TestDiscovery:
 
     def test_producer_answers_every_aggregated_downstream(self):
         producer, _ = make_node(C, 12)
-        producer.register_source(content_source())
+        producer.sources.append(content_source())
         producer.on_interest(interest(PREFIX, b"\x01" * 8, A), 0)
         # First arrival answered immediately; a later copy from another
         # neighbor gets its own answer.
@@ -304,7 +305,7 @@ class TestPaymentsOnPath:
         make_node(A, 0, book)
         relay, _ = make_node(B, 3, book)
         producer, _ = make_node(C, 12, book)
-        producer.register_source(content_source())
+        producer.sources.append(content_source())
         book.open(A, B, 200, 200)
         book.open(B, C, 200, 200)
         relay.tables.keepalive_heard(C, 0)
@@ -379,7 +380,7 @@ class TestContentPlane:
         relay, _ = make_node(B, 3, payment_mode="payall", relay_mode=relay_mode)
         consumer, cap = make_node(A, 0, payment_mode="payall")
         cap.expect_data = True
-        producer.register_source(content_source(total=4, size=100, ppc=4))
+        producer.sources.append(content_source(total=4, size=100, ppc=4))
         relay.tables.keepalive_heard(C, 0)
         return producer, relay, consumer, cap
 
@@ -481,7 +482,7 @@ class TestRelayProofPassThrough:
     def _relay(self, total, ppc):
         producer, _ = make_node(C, 12, payment_mode="payall")
         relay, cap = make_node(B, 3, payment_mode="payall")
-        producer.register_source(content_source(total=total, size=100, ppc=ppc))
+        producer.sources.append(content_source(total=total, size=100, ppc=ppc))
         relay.tables.keepalive_heard(C, 0)
         return producer, relay, cap
 
@@ -610,7 +611,7 @@ class TestPriceAdditivity:
                 eng, _ = make_node(addr, cost, payment_mode="payall")
                 engines.append(eng)
             producer = engines[-1]
-            producer.register_source(
+            producer.sources.append(
                 ContentSource(PREFIX, 100, 4, 4, lambda i: bytes([i]) * 100)
             )
             # Flood consumer -> chain -> producer.

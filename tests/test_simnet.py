@@ -13,8 +13,8 @@ from tollroute.audit import (
     check_simple_routes,
     check_unicast_data,
 )
-from tollroute.scenario import ScenarioError, parse_scenario
-from tollroute.simnet import Simulator, content_bytes, run_scenario
+from tollroute.scenario import ScenarioError, content_bytes, parse_scenario
+from tollroute.simnet import Simulator, run_scenario
 from tollroute.wire import HopInfo, Interest, Name, NodeAddr, encode_packet
 
 A = "02-00-00-00-00-aa"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tollroute.scenario import Defaults
 from tollroute.tables import (
     ContentStore,
     Fib,
@@ -15,7 +16,6 @@ from tollroute.tables import (
     Pit,
     PitResult,
     PriceWindow,
-    TableConfig,
 )
 from tollroute.wire import Name, NodeAddr
 
@@ -304,7 +304,7 @@ class TestContentStore:
 
 class TestNodeTables:
     def test_sweep_disables_and_heard_reenables_fib(self):
-        tables = NodeTables(TableConfig(keepalive_timeout_us=300_000))
+        tables = NodeTables(Defaults(keepalive_timeout_ms=300))
         tables.fib.update(PREFIX, A1, 5, 0)
         tables.keepalive_heard(A1, 0)
         assert tables.keepalive_sweep(299_999) == []

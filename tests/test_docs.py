@@ -1,0 +1,59 @@
+"""The scenario and run-artifact docs must match the code: every key the
+loader accepts and every key a report carries is documented, with the
+defaults the code uses."""
+
+from dataclasses import fields
+from pathlib import Path
+
+from tollroute.cli import _resolve_scenario
+from tollroute.scenario import Defaults, NodeSpec, ServeSpec
+from tollroute.simnet import run_scenario
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+
+def _doc_table(doc: str, marker: str) -> list[list[str]]:
+    """Body rows of the first table after the line `marker`."""
+    lines = (DOCS / doc).read_text(encoding="utf-8").splitlines()
+    i = lines.index(marker) + 1
+    while not lines[i].startswith("|"):
+        i += 1
+    rows = []
+    while i < len(lines) and lines[i].startswith("|"):
+        rows.append([cell.strip() for cell in lines[i].strip().strip("|").split("|")])
+        i += 1
+    return rows[2:]
+
+
+def _names(section) -> list[str]:
+    return [f.name for f in fields(section)]
+
+
+class TestScenarioDoc:
+    def test_defaults_table_lists_every_default_in_order(self):
+        doc = [(key, default) for key, default, _ in _doc_table("scenario-format.md", "## defaults")]
+        assert doc == [(f.name, str(f.default)) for f in fields(Defaults)]
+
+    def test_node_keys(self):
+        doc = [row[0] for row in _doc_table("scenario-format.md", "## nodes")]
+        assert doc == _names(NodeSpec)
+
+    def test_serve_keys(self):
+        doc = [row[0] for row in _doc_table("scenario-format.md", "Each `serves` entry:")]
+        assert doc == _names(ServeSpec)
+
+
+class TestRunArtifactsDoc:
+    @classmethod
+    def setup_class(cls):
+        cls.report = run_scenario(_resolve_scenario("fig1.scn")).report
+
+    def test_top_level_report_keys(self):
+        doc = [row[0] for row in _doc_table("run-artifacts.md", "## report.json")]
+        assert sorted(doc) == sorted(self.report)
+
+    def test_flow_entry_keys(self):
+        doc = [row[0] for row in _doc_table("run-artifacts.md", "Each flow entry:")]
+        assert self.report["flows"]
+        for flow in self.report["flows"]:
+            assert sorted(doc) == sorted(flow)

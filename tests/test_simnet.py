@@ -129,6 +129,43 @@ class TestFlows:
             run_doc(doc)
 
 
+class TestContentPath:
+    """Fetches of whole and partial chunks from 4 chunks of 4 x 100 B:
+    only whole chunks inside the request are verified, and every held
+    payload is the served content."""
+
+    def fetch(self, packets, payment_mode, at):
+        doc = line_doc()
+        doc["defaults"]["payment_mode"] = payment_mode
+        doc["nodes"][2]["serves"][0]["packet_size"] = 100
+        doc["schedule"][0].update(node=at, packets=packets)
+        sim = Simulator(parse_scenario(doc, source="inline.scn"))
+        result = sim.run()
+        (flow,) = sim.flows.values()
+        return flow_of(result), flow
+
+    @pytest.mark.parametrize("payment_mode", ["hopbyhop", "payall"])
+    @pytest.mark.parametrize("packets", [3, 6, 16])
+    def test_fetch_verifies_whole_chunks_only(self, packets, payment_mode):
+        report, flow = self.fetch(packets, payment_mode, A)
+        assert (report["status"], report["received"]) == ("done", packets)
+        assert report["verified_spans"] == report["required_spans"] == packets // 4
+        assert flow.received == {
+            i: content_bytes(Name.parse("/line/data"), i, 100) for i in range(packets)
+        }
+
+    @pytest.mark.parametrize("payment_mode", ["hopbyhop", "payall"])
+    @pytest.mark.parametrize("packets", [3, 6, 16])
+    def test_producer_local_fetch_marks_whole_chunks_local(self, packets, payment_mode):
+        report, flow = self.fetch(packets, payment_mode, P)
+        assert (report["status"], report["received"]) == ("done", packets)
+        assert report["verified_spans"] == report["required_spans"] == packets // 4
+        assert flow.verified == {4 * k: "local" for k in range(packets // 4)}
+        assert flow.received == {
+            i: content_bytes(Name.parse("/line/data"), i, 100) for i in range(packets)
+        }
+
+
 class TestLossAndChurn:
     def test_lossy_link_recovered_by_retransmission(self):
         doc = line_doc(duration_ms=10000)

@@ -29,13 +29,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 from .keys import KeyPair
 from .payment import ChannelBook, PaymentError, relay_process_payment
 from .proof import ProofError, make_chunk, sign_chunk
-from .scenario import Defaults, NodeSpec, content_bytes
+from .scenario import Defaults, NodeSpec, ServeSpec
 from .tables import NodeTables, PitResult
 from .wire import (
     ChunkProof,
@@ -88,29 +87,6 @@ class RediscoveryScheduler:
         return True
 
 
-@dataclass(frozen=True)
-class ContentSource:
-    """Producer-side description of one served prefix."""
-
-    prefix: Name
-    packet_size: int
-    packets_per_chunk: int
-    total_packets: int
-    payload_fn: Callable[[int], bytes]
-
-    def covers(self, name: Name) -> bool:
-        return (
-            name.has_prefix(self.prefix)
-            and name.chunk_index is not None
-            and 0 <= name.chunk_index < self.total_packets
-        )
-
-    def chunk_span(self, index: int) -> tuple[int, int]:
-        first = (index // self.packets_per_chunk) * self.packets_per_chunk
-        count = min(self.packets_per_chunk, self.total_packets - first)
-        return first, count
-
-
 @dataclass
 class EngineHooks:
     """Callbacks into the surrounding application / simulator."""
@@ -147,16 +123,7 @@ class ForwardingEngine:
         self.key = key
         self.book = book
         self.hooks = hooks
-        self.sources = [
-            ContentSource(
-                prefix=serve.prefix,
-                packet_size=serve.packet_size,
-                packets_per_chunk=serve.packets_per_chunk,
-                total_packets=serve.total_packets,
-                payload_fn=partial(content_bytes, serve.prefix, size=serve.packet_size),
-            )
-            for serve in spec.serves
-        ]
+        self.serves = spec.serves
         self.counters: defaultdict[str, int] = defaultdict(int)
         # Discovery nonces already rebroadcast: each gets one rebroadcast.
         self._rebroadcast: set[bytes] = set()
@@ -175,14 +142,14 @@ class ForwardingEngine:
     def _trace(self, kind: str, **fields) -> None:
         self.hooks.trace({"event": kind, **fields})
 
-    def _source_for(self, name: Name) -> ContentSource | None:
-        for source in self.sources:
-            if source.covers(name):
-                return source
+    def _source_for(self, name: Name) -> ServeSpec | None:
+        for serve in self.serves:
+            if serve.covers(name):
+                return serve
         return None
 
     def _serves_prefix(self, name: Name) -> bool:
-        return any(name.prefix.has_prefix(s.prefix) for s in self.sources)
+        return any(name.prefix.has_prefix(s.prefix) for s in self.serves)
 
     def _nack(self, to: NodeAddr, name: Name, nonce: bytes, reason: NackReason) -> Send:
         self.counters["nacks_sent"] += 1
@@ -441,10 +408,10 @@ class ForwardingEngine:
         return actions
 
     def _build_content(self, name: Name, downstream: NodeAddr) -> Data | None:
-        source = self._source_for(name)
-        if source is not None:
-            payload = source.payload_fn(name.chunk_index)
-            proof = self._producer_proof(source, name.chunk_index)
+        serve = self._source_for(name)
+        if serve is not None:
+            payload = serve.payload(name.chunk_index)
+            proof = self._producer_proof(serve, name.chunk_index)
         else:
             payload = self.tables.cs.lookup(name)
             if payload is None:
@@ -457,18 +424,19 @@ class ForwardingEngine:
             proof=proof,
         )
 
-    def _producer_proof(self, source: ContentSource, index: int) -> ChunkProof | None:
-        first, count = source.chunk_span(index)
+    def _producer_proof(self, serve: ServeSpec, index: int) -> ChunkProof | None:
+        count = serve.packets_per_chunk
+        first = serve.chunk_first(index)
         if index != first + count - 1:
             return None  # proof rides only the chunk's final packet
-        key = (source.prefix.components, index)
+        key = (serve.prefix.components, index)
         proof = self._proofs.get(key)
         if proof is None:
-            payload = b"".join(source.payload_fn(i) for i in range(first, first + count))
-            proof = make_chunk(self.key, first, payload, source.packet_size)
+            payload = b"".join(serve.payload(i) for i in range(first, first + count))
+            proof = make_chunk(self.key, first, payload, serve.packet_size)
             self._proofs[key] = proof
             self.counters["signatures_produced"] += 1
-            self._trace("chunk_signed", prefix=str(source.prefix), first=first, count=count)
+            self._trace("chunk_signed", prefix=str(serve.prefix), first=first, count=count)
         return proof
 
     def _cached_proof(self, name: Name) -> ChunkProof | None:
@@ -579,7 +547,6 @@ class ForwardingEngine:
         forwarded untouched (the consumer will notice the gap)."""
         proof = pkt.proof
         prefix = pkt.name.prefix
-        packet_size = self._packet_size_of(pkt)
         last = proof.first + proof.count - 1
         parts: list[bytes] = []
         try:
@@ -590,6 +557,8 @@ class ForwardingEngine:
                     part = self.tables.cs.lookup(prefix.with_index(index))
                     if part is None:
                         raise ProofError(f"packet {index} not in content store")
+                if index == proof.first:
+                    packet_size = len(part)  # the chunk's first packet sets the size
                 if index == last:
                     if not 0 < len(part) <= packet_size:
                         raise ProofError("final packet payload out of range")
@@ -609,16 +578,6 @@ class ForwardingEngine:
         # can hand out the same proof.
         self._proofs[(prefix.components, last)] = extended
         return Data(name=pkt.name, hop_info=pkt.hop_info, payload=pkt.payload, proof=extended)
-
-    def _packet_size_of(self, pkt: Data) -> int:
-        # The proof packet may be the chunk's short tail; any earlier
-        # cached packet of the chunk tells the true size.
-        if pkt.proof.count == 1:
-            return len(pkt.payload)
-        cached = self.tables.cs.lookup(pkt.name.prefix.with_index(pkt.proof.first))
-        if cached is not None:
-            return len(cached)
-        return len(pkt.payload)
 
     def _store_and_forward(self, pkt: Data, now: int) -> list[Action]:
         """Hold content packets until their chunk's proof packet arrives,

@@ -66,6 +66,10 @@ class Defaults:
 
 @dataclass(frozen=True)
 class ServeSpec:
+    """Content one producer serves: `chunks` full chunks of
+    `packets_per_chunk` packets, every packet exactly `packet_size`
+    bytes.  The only place that says which packets form a chunk."""
+
     prefix: Name
     packet_size: int
     packets_per_chunk: int
@@ -74,6 +78,20 @@ class ServeSpec:
     @property
     def total_packets(self) -> int:
         return self.packets_per_chunk * self.chunks
+
+    def covers(self, name: Name) -> bool:
+        return (
+            name.has_prefix(self.prefix)
+            and name.chunk_index is not None
+            and 0 <= name.chunk_index < self.total_packets
+        )
+
+    def chunk_first(self, index: int) -> int:
+        """The first packet of the chunk that holds packet `index`."""
+        return index - index % self.packets_per_chunk
+
+    def payload(self, index: int) -> bytes:
+        return content_bytes(self.prefix, index, self.packet_size)
 
 
 @dataclass(frozen=True)

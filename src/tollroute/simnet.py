@@ -69,9 +69,6 @@ class Link:
     up: bool
     rng: random.Random
 
-    def other(self, addr: NodeAddr) -> NodeAddr:
-        return self.b if addr == self.a else self.a
-
     def drops(self) -> bool:
         return self.drop_rate > 0.0 and self.rng.random() < self.drop_rate
 
@@ -116,15 +113,11 @@ class Flow:
     def key(self) -> tuple[NodeAddr, tuple[bytes, ...]]:
         return (self.node, self.name.components)
 
-    def required_spans(self) -> list[tuple[int, int]]:
-        """Chunk spans that lie fully inside the requested range; only
-        these ever see a proof packet, so only these can be verified."""
-        spans = []
-        for first in range(0, self.requested, self.serve.packets_per_chunk):
-            count = min(self.serve.packets_per_chunk, self.serve.total_packets - first)
-            if first + count <= self.requested:
-                spans.append((first, count))
-        return spans
+    def required_spans(self) -> range:
+        """First packets of the whole chunks inside the requested range;
+        only these ever see a proof packet, so only these can be verified.
+        A trailing partial chunk starts at chunk_first(requested)."""
+        return range(0, self.serve.chunk_first(self.requested), self.serve.packets_per_chunk)
 
     def missing(self) -> list[int]:
         return [i for i in range(self.requested) if i not in self.received]
@@ -133,17 +126,8 @@ class Flow:
         # received only ever holds indexes below requested, so a count
         # stands in for missing().
         return len(self.received) == self.requested and all(
-            first in self.verified for first, _ in self.required_spans()
+            first in self.verified for first in self.required_spans()
         )
-
-
-class _Node:
-    def __init__(self, engine: ForwardingEngine, rng: random.Random) -> None:
-        self.engine = engine
-        self.rng = rng
-
-    def fresh_nonce(self) -> bytes:
-        return self.rng.getrandbits(64).to_bytes(8, "big")
 
 
 @dataclass
@@ -184,13 +168,15 @@ class Simulator:
         self.directory: dict[NodeAddr, bytes] = {}
         self.book = ChannelBook(self.ledger, self.directory)
 
-        self.nodes: dict[NodeAddr, _Node] = {}
+        self.nodes: dict[NodeAddr, ForwardingEngine] = {}
+        self._rngs: dict[NodeAddr, random.Random] = {}
         for spec in scenario.nodes:
             self.ledger.mint(spec.addr, self.defaults.account_balance)
             key = KeyPair.from_seed(spec.addr, str(scenario.seed).encode())
             engine = ForwardingEngine(spec, self.defaults, key, self.book, self._hooks(spec.addr))
             self.book.register_key(key)
-            self.nodes[spec.addr] = _Node(engine, derive_rng(scenario.seed, "node", str(spec.addr)))
+            self.nodes[spec.addr] = engine
+            self._rngs[spec.addr] = derive_rng(scenario.seed, "node", str(spec.addr))
 
         self.links: dict[tuple[NodeAddr, NodeAddr], Link] = {}
         self.neighbors: dict[NodeAddr, list[tuple[NodeAddr, Link]]] = {
@@ -267,6 +253,9 @@ class Simulator:
     def link_between(self, a: NodeAddr, b: NodeAddr) -> Link | None:
         return self.links.get((a, b) if a < b else (b, a))
 
+    def fresh_nonce(self, addr: NodeAddr) -> bytes:
+        return self._rngs[addr].getrandbits(64).to_bytes(8, "big")
+
     # -- the medium ----------------------------------------------------
 
     def transmit(self, src: NodeAddr, action) -> None:
@@ -291,18 +280,18 @@ class Simulator:
             pkt = decode_packet(frame)
         except DecodeError as err:
             # An undecodable frame is lost like a dropped one.
-            self.nodes[dst].engine.counters["dropped_corrupt"] += 1
+            self.nodes[dst].counters["dropped_corrupt"] += 1
             self.emit(dst, "rx_corrupt", src=str(src), offset=err.offset, reason=err.reason)
             return
         self.emit(dst, "rx", src=str(src), **_frame_fields(pkt))
-        for action in self.nodes[dst].engine.on_packet(pkt, self.now):
+        for action in self.nodes[dst].on_packet(pkt, self.now):
             self.transmit(dst, action)
 
     def _arrive_beacon(self, dst: NodeAddr, src: NodeAddr) -> None:
-        self.nodes[dst].engine.on_keepalive(src, self.now)
+        self.nodes[dst].on_keepalive(src, self.now)
 
     def _tick_keepalive(self, addr: NodeAddr) -> None:
-        self.nodes[addr].engine.keepalive_tick(self.now)
+        self.nodes[addr].keepalive_tick(self.now)
         for peer, link in self.neighbors[addr]:
             if link.up and not link.drops():
                 self.at(self.now + link.latency_us, self._arrive_beacon, peer, addr)
@@ -329,16 +318,16 @@ class Simulator:
         self.flows[flow.key] = flow
         self.emit("sim", "fetch", node=str(action.node), name=str(action.name),
                   packets=action.packets)
-        engine = self.nodes[action.node].engine
         local = next(
-            (s for s in engine.sources if action.name.has_prefix(s.prefix)), None
+            (s for s in self.nodes[action.node].serves if action.name.has_prefix(s.prefix)),
+            None,
         )
         if local is not None:
             # Producer-local fetch: served from the node's own store, no
             # tokens move and nothing touches the network.
             for i in range(action.packets):
-                flow.received[i] = local.payload_fn(i)
-            for first, _count in flow.required_spans():
+                flow.received[i] = local.payload(i)
+            for first in flow.required_spans():
                 flow.verified[first] = "local"
             flow.state = "done"
             flow.active = Candidate(hops=(), price=0)
@@ -352,9 +341,8 @@ class Simulator:
     def _start_discovery(self, flow: Flow) -> None:
         flow.state = "discovering"
         flow.discoveries += 1
-        node = self.nodes[flow.node]
-        nonce = node.fresh_nonce()
-        for action in node.engine.originate_discovery(flow.name, nonce, self.now):
+        nonce = self.fresh_nonce(flow.node)
+        for action in self.nodes[flow.node].originate_discovery(flow.name, nonce, self.now):
             self.transmit(flow.node, action)
         self.at(
             self.now + self.defaults.discovery_wait_ms * MS,
@@ -436,16 +424,15 @@ class Simulator:
             flow.chain_armed = False
 
     def _send_packet(self, flow: Flow, idx: int) -> None:
-        node = self.nodes[flow.node]
         name = flow.name.with_index(idx)
-        nonce = node.fresh_nonce()
+        nonce = self.fresh_nonce(flow.node)
         hops = flow.active.hops
         payment = None
         try:
             if self.defaults.payment_mode == "payall":
                 consumer_pay_all(
                     self.book, flow.node,
-                    [(hop, self.nodes[hop].engine.cost) for hop in hops],
+                    [(hop, self.nodes[hop].cost) for hop in hops],
                     (name, nonce), self.now, self.defaults.channel_deposit,
                 )
             elif flow.active.price > 0:  # a zero-price route carries no payment
@@ -470,7 +457,7 @@ class Simulator:
         flow.nonces[nonce] = (idx, flow.generation)
         flow.sent_route[idx] = hops
         attempt = flow.attempts.get(idx, 0)
-        for action in node.engine.originate_interest(pkt):
+        for action in self.nodes[flow.node].originate_interest(pkt):
             self.transmit(flow.node, action)
         self.at(
             self.now + self.defaults.interest_lifetime_ms * MS,
@@ -672,15 +659,15 @@ class Simulator:
             })
 
         node_counters = {
-            str(addr): dict(sorted(self.nodes[addr].engine.counters.items()))
+            str(addr): dict(sorted(self.nodes[addr].counters.items()))
             for addr in sorted(self.nodes)
         }
         fib = {
-            str(addr): self.nodes[addr].engine.tables.fib.dump()
+            str(addr): self.nodes[addr].tables.fib.dump()
             for addr in sorted(self.nodes)
         }
         def total(key: str) -> int:
-            return sum(n.engine.counters.get(key, 0) for n in self.nodes.values())
+            return sum(n.counters.get(key, 0) for n in self.nodes.values())
 
         ops = {"mint": 0, "open": 0, "update": 0, "settle": 0}
         for rec in self.ledger.log:
@@ -729,7 +716,7 @@ class Simulator:
         lines = []
         for addr in sorted(self.nodes):
             lines.append(f"node {addr}")
-            for line in self.nodes[addr].engine.tables.dump(self.now):
+            for line in self.nodes[addr].tables.dump(self.now):
                 lines.append(f"  {line}")
         return lines
 

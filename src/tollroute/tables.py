@@ -36,8 +36,7 @@ class Pit:
     sees one.
     """
 
-    def __init__(self, lifetime_us: int = Defaults.interest_lifetime_ms * 1_000) -> None:
-        self.lifetime_us = lifetime_us
+    def __init__(self) -> None:
         self._entries: dict[Name, list[PitDownstream]] = {}
 
     def __len__(self) -> int:
@@ -52,9 +51,8 @@ class Pit:
         downstream: NodeAddr,
         nonce: bytes,
         now: int,
-        lifetime_us: int | None = None,
+        lifetime_us: int,
     ) -> PitResult:
-        life = self.lifetime_us if lifetime_us is None else lifetime_us
         entry = self._entries.get(name)
         if entry is not None:
             # Lazy expiry must stay invisible: an entry whose downstreams
@@ -64,15 +62,15 @@ class Pit:
                 entry = None
                 del self._entries[name]
         if entry is None:
-            self._entries[name] = [PitDownstream(downstream, nonce, now + life)]
+            self._entries[name] = [PitDownstream(downstream, nonce, now + lifetime_us)]
             return PitResult.NEW
         for ds in entry:
             if ds.addr == downstream and ds.nonce == nonce:
                 # Same copy again; refresh the deadline but tell the caller
                 # to suppress.
-                ds.expires_us = max(ds.expires_us, now + life)
+                ds.expires_us = max(ds.expires_us, now + lifetime_us)
                 return PitResult.DUPLICATE_NONCE
-        entry.append(PitDownstream(downstream, nonce, now + life))
+        entry.append(PitDownstream(downstream, nonce, now + lifetime_us))
         return PitResult.AGGREGATED
 
     def consume(self, name: Name, now: int) -> list[tuple[NodeAddr, bytes]]:
@@ -334,7 +332,7 @@ class NodeTables:
     that couple liveness to FIB enable bits."""
 
     def __init__(self, defaults: Defaults = Defaults()) -> None:
-        self.pit = Pit(defaults.interest_lifetime_ms * 1_000)
+        self.pit = Pit()
         self.fib = Fib(defaults.window_capacity)
         self.cs = ContentStore(defaults.cs_capacity_bytes)
         self.liveness = NeighborLiveness(defaults.keepalive_timeout_ms * 1_000)

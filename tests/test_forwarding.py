@@ -5,7 +5,6 @@ import random
 
 from tollroute.forwarding import (
     Broadcast,
-    ContentSource,
     EngineHooks,
     ForwardingEngine,
     RediscoveryScheduler,
@@ -14,7 +13,7 @@ from tollroute.forwarding import (
 from tollroute.keys import KeyPair
 from tollroute.payment import ChannelBook, Ledger, channel_id_for
 from tollroute.proof import verify_chain
-from tollroute.scenario import Defaults, NodeSpec
+from tollroute.scenario import Defaults, NodeSpec, ServeSpec
 from tollroute.wire import (
     ChunkProof,
     Data,
@@ -83,15 +82,15 @@ class Capture:
         return True
 
 
-def make_node(addr, cost=0, book=None, relay_mode=None, payment_mode="hopbyhop"):
+def make_node(addr, cost=0, book=None, relay_mode=None, payment_mode="hopbyhop", serves=()):
     """An engine for one node; without a shared book it gets a private one."""
     if book is None:
         book = ChannelBook(Ledger(), {})
     key = KeyPair.from_seed(addr, b"fwd-tests")
     cap = Capture()
     engine = ForwardingEngine(
-        NodeSpec(addr, cost, relay_mode), Defaults(payment_mode=payment_mode), key, book,
-        cap.hooks(),
+        NodeSpec(addr, cost, relay_mode, serves), Defaults(payment_mode=payment_mode), key,
+        book, cap.hooks(),
     )
     book.register_key(key)
     return engine, cap
@@ -105,17 +104,9 @@ def payment_fabric(*addrs, balance=1_000):
     return ledger, book
 
 
-def content_source(total=4, size=100, ppc=4):
-    def payload_fn(i):
-        return bytes([i]) * (size if i < total - 1 else size // 2)
-
-    return ContentSource(
-        prefix=PREFIX,
-        packet_size=size,
-        packets_per_chunk=ppc,
-        total_packets=total,
-        payload_fn=payload_fn,
-    )
+def served(total=4, ppc=4):
+    """PREFIX as `total` packets of 100 B in chunks of `ppc`."""
+    return (ServeSpec(PREFIX, packet_size=100, packets_per_chunk=ppc, chunks=total // ppc),)
 
 
 class TestDiscovery:
@@ -125,8 +116,7 @@ class TestDiscovery:
         ledger, book = payment_fabric(A, B, C)
         consumer, cap_a = make_node(A, 0, book)
         relay, _ = make_node(B, 3, book)
-        producer, _ = make_node(C, 12, book)
-        producer.sources.append(content_source())
+        producer, _ = make_node(C, 12, book, serves=served())
         cap_a.expect_paths = True
 
         (bcast,) = consumer.originate_discovery(PREFIX, NONCE, now=0)
@@ -174,8 +164,7 @@ class TestDiscovery:
         assert relay.counters["rebroadcasts"] == 2
 
     def test_producer_answers_every_aggregated_downstream(self):
-        producer, _ = make_node(C, 12)
-        producer.sources.append(content_source())
+        producer, _ = make_node(C, 12, serves=served())
         producer.on_interest(interest(PREFIX, b"\x01" * 8, A), 0)
         # First arrival answered immediately; a later copy from another
         # neighbor gets its own answer.
@@ -304,8 +293,7 @@ class TestPaymentsOnPath:
         ledger, book = payment_fabric(A, B, C)
         make_node(A, 0, book)
         relay, _ = make_node(B, 3, book)
-        producer, _ = make_node(C, 12, book)
-        producer.sources.append(content_source())
+        producer, _ = make_node(C, 12, book, serves=served())
         book.open(A, B, 200, 200)
         book.open(B, C, 200, 200)
         relay.tables.keepalive_heard(C, 0)
@@ -354,7 +342,7 @@ class TestPaymentsOnPath:
         name = PREFIX.with_index(0)
         # First consumer's Interest is already pending (simulate by direct
         # PIT insert, as if forwarded upstream earlier).
-        relay.tables.pit.insert(name, A, b"\x01" * 8, 0)
+        relay.tables.pit.insert(name, A, b"\x01" * 8, 0, 4_000_000)
         offer = book.make_offer(D, channel_id_for(D, B), 15, (name, NONCE), now=0)
         pkt = interest(name, NONCE, D, remote=B, route=RouteStack((B, C)), payment=offer)
         assert relay.on_interest(pkt, now=1) == []
@@ -376,11 +364,10 @@ class TestPaymentsOnPath:
 
 class TestContentPlane:
     def _chain(self, relay_mode="cutthrough"):
-        producer, _ = make_node(C, 12, payment_mode="payall")
+        producer, _ = make_node(C, 12, payment_mode="payall", serves=served())
         relay, _ = make_node(B, 3, payment_mode="payall", relay_mode=relay_mode)
         consumer, cap = make_node(A, 0, payment_mode="payall")
         cap.expect_data = True
-        producer.sources.append(content_source(total=4, size=100, ppc=4))
         relay.tables.keepalive_heard(C, 0)
         return producer, relay, consumer, cap
 
@@ -466,8 +453,8 @@ class TestContentPlane:
     def test_nack_propagates_to_all_downstreams(self):
         relay, _ = make_node(B, 3, payment_mode="payall")
         name = PREFIX.with_index(0)
-        relay.tables.pit.insert(name, A, b"\x01" * 8, 0)
-        relay.tables.pit.insert(name, D, b"\x02" * 8, 0)
+        relay.tables.pit.insert(name, A, b"\x01" * 8, 0, 4_000_000)
+        relay.tables.pit.insert(name, D, b"\x02" * 8, 0, 4_000_000)
         outs = relay.on_nack(Nack(name=name, nonce=b"\x09" * 8, reason=NackReason.NO_ROUTE), now=5)
         assert sorted(str(o.to) for o in outs) == sorted([str(A), str(D)])
         # Each downstream gets its own nonce back.
@@ -480,9 +467,8 @@ class TestRelayProofPassThrough:
     unchanged, counts it and traces the exact reason."""
 
     def _relay(self, total, ppc):
-        producer, _ = make_node(C, 12, payment_mode="payall")
+        producer, _ = make_node(C, 12, payment_mode="payall", serves=served(total, ppc))
         relay, cap = make_node(B, 3, payment_mode="payall")
-        producer.sources.append(content_source(total=total, size=100, ppc=ppc))
         relay.tables.keepalive_heard(C, 0)
         return producer, relay, cap
 
@@ -525,7 +511,7 @@ class TestRelayProofPassThrough:
     def test_final_packet_longer_than_cached_first_packet(self):
         producer, relay, cap = self._relay(total=2, ppc=2)
         final = self._relay_all_but_final(producer, relay, 2)
-        assert len(final.payload) == 50
+        assert len(final.payload) == 100
         relay.tables.cs.insert(PREFIX.with_index(0), b"\x00" * 40)
         reason = self._pass_through(relay, cap, final)
         assert reason == "final packet payload out of range"
@@ -585,7 +571,7 @@ class TestRelayProofPassThrough:
         final = self._relay_all_but_final(producer, relay, 4)
         (signed,) = relay.on_data(final, now=500)
         assert [h.signer for h in signed.packet.proof.chain] == [C, B]
-        relay.tables.pit.insert(final.name, A, b"\x55" * 8, 600)
+        relay.tables.pit.insert(final.name, A, b"\x55" * 8, 600, 4_000_000)
         again = Data(
             name=final.name, hop_info=final.hop_info, payload=final.payload,
             proof=signed.packet.proof,
@@ -608,12 +594,10 @@ class TestPriceAdditivity:
             consumer_addr, relays = addrs[0], addrs[1:]
             engines = []
             for addr, cost in zip(relays, costs):
-                eng, _ = make_node(addr, cost, payment_mode="payall")
+                serves = served() if addr == relays[-1] else ()
+                eng, _ = make_node(addr, cost, payment_mode="payall", serves=serves)
                 engines.append(eng)
             producer = engines[-1]
-            producer.sources.append(
-                ContentSource(PREFIX, 100, 4, 4, lambda i: bytes([i]) * 100)
-            )
             # Flood consumer -> chain -> producer.
             pkt = interest(PREFIX, bytes([trial + 1]) * 8, consumer_addr)
             for eng in engines[:-1]:

@@ -69,48 +69,48 @@ class TestPriceWindow:
 class TestPit:
     def test_insert_states(self):
         pit = Pit()
-        assert pit.insert(NAME, A1, b"n" * 8, 0) is PitResult.NEW
-        assert pit.insert(NAME, A2, b"m" * 8, 10) is PitResult.AGGREGATED
-        assert pit.insert(NAME, A1, b"n" * 8, 20) is PitResult.DUPLICATE_NONCE
+        assert pit.insert(NAME, A1, b"n" * 8, 0, 4_000_000) is PitResult.NEW
+        assert pit.insert(NAME, A2, b"m" * 8, 10, 4_000_000) is PitResult.AGGREGATED
+        assert pit.insert(NAME, A1, b"n" * 8, 20, 4_000_000) is PitResult.DUPLICATE_NONCE
         # Same downstream with a fresh nonce is a retransmit worth serving.
-        assert pit.insert(NAME, A1, b"o" * 8, 30) is PitResult.AGGREGATED
+        assert pit.insert(NAME, A1, b"o" * 8, 30, 4_000_000) is PitResult.AGGREGATED
 
     def test_consume_returns_insertion_order_and_removes(self):
         pit = Pit()
-        pit.insert(NAME, A2, b"a" * 8, 0)
-        pit.insert(NAME, A1, b"b" * 8, 1)
-        pit.insert(NAME, A3, b"c" * 8, 2)
+        pit.insert(NAME, A2, b"a" * 8, 0, 4_000_000)
+        pit.insert(NAME, A1, b"b" * 8, 1, 4_000_000)
+        pit.insert(NAME, A3, b"c" * 8, 2, 4_000_000)
         got = pit.consume(NAME, 100)
         assert got == [(A2, b"a" * 8), (A1, b"b" * 8), (A3, b"c" * 8)]
         assert pit.consume(NAME, 100) == []
         assert NAME not in pit
 
     def test_reinsert_after_expiry_is_new_not_aggregated(self):
-        pit = Pit(lifetime_us=1_000)
-        pit.insert(NAME, A1, b"\x01" * 8, now=0)
+        pit = Pit()
+        pit.insert(NAME, A1, b"\x01" * 8, now=0, lifetime_us=1_000)
         # Past the deadline the old entry must not swallow a retransmit
         # as aggregation; it is a fresh pending Interest.
-        assert pit.insert(NAME, A1, b"\x02" * 8, now=2_000) is PitResult.NEW
+        assert pit.insert(NAME, A1, b"\x02" * 8, now=2_000, lifetime_us=1_000) is PitResult.NEW
         assert pit.consume(NAME, now=2_100) == [(A1, b"\x02" * 8)]
 
     def test_consume_filters_expired_downstreams(self):
-        pit = Pit(lifetime_us=1_000)
-        pit.insert(NAME, A1, b"a" * 8, 0)
-        pit.insert(NAME, A2, b"b" * 8, 600)
+        pit = Pit()
+        pit.insert(NAME, A1, b"a" * 8, 0, 1_000)
+        pit.insert(NAME, A2, b"b" * 8, 600, 1_000)
         got = pit.consume(NAME, 1_200)
         assert got == [(A2, b"b" * 8)]
 
     def test_duplicate_refreshes_deadline(self):
-        pit = Pit(lifetime_us=1_000)
-        pit.insert(NAME, A1, b"a" * 8, 0)
-        assert pit.insert(NAME, A1, b"a" * 8, 900) is PitResult.DUPLICATE_NONCE
+        pit = Pit()
+        pit.insert(NAME, A1, b"a" * 8, 0, 1_000)
+        assert pit.insert(NAME, A1, b"a" * 8, 900, 1_000) is PitResult.DUPLICATE_NONCE
         assert pit.consume(NAME, 1_500) == [(A1, b"a" * 8)]
 
     def test_sweep_drops_dead_entries(self):
-        pit = Pit(lifetime_us=1_000)
-        pit.insert(NAME, A1, b"a" * 8, 0)
+        pit = Pit()
+        pit.insert(NAME, A1, b"a" * 8, 0, 1_000)
         other = Name((b"other",))
-        pit.insert(other, A1, b"b" * 8, 5_000)
+        pit.insert(other, A1, b"b" * 8, 5_000, 1_000)
         pit.sweep(2_000)
         assert NAME not in pit and other in pit
 
@@ -315,7 +315,7 @@ class TestNodeTables:
 
     def test_dump_sections(self):
         tables = NodeTables()
-        tables.pit.insert(NAME, A1, b"\x01" * 8, 0)
+        tables.pit.insert(NAME, A1, b"\x01" * 8, 0, 4_000_000)
         tables.fib.update(PREFIX, A2, 7, 0)
         tables.cs.insert(NAME, b"payload")
         tables.keepalive_heard(A2, 50)

@@ -228,6 +228,34 @@ class TestLossAndChurn:
         result = run_doc(doc)
         assert flow_of(result)["status"] == "done"
 
+    def discovery_outage(self, payment_mode, link_up_ms):
+        # The relay-producer link is down before the fetch, so every
+        # discovery round finds nothing.  The send interval equals the
+        # link latency.
+        doc = line_doc()
+        doc["defaults"].update(send_interval_ms=5, payment_mode=payment_mode)
+        doc["schedule"] = [
+            {"at_ms": 0, "action": "link", "a": R, "b": P, "up": False},
+            {"at_ms": 10, "action": "fetch", "node": A, "name": "/line/data", "packets": 8},
+        ]
+        if link_up_ms is not None:
+            doc["schedule"].append(
+                {"at_ms": link_up_ms, "action": "link", "a": R, "b": P, "up": True}
+            )
+        return flow_of(run_doc(doc))
+
+    @pytest.mark.parametrize("payment_mode", ["hopbyhop", "payall"])
+    def test_fruitless_discovery_rounds_end_in_no_route(self, payment_mode):
+        flow = self.discovery_outage(payment_mode, None)
+        # Four rounds of discovery_wait_ms (250 ms) from the fetch at 10 ms.
+        assert (flow["status"], flow["fail_reason"]) == ("failed", "no-route")
+        assert (flow["rediscoveries"], flow["done_ms"]) == (3, 1010)
+
+    @pytest.mark.parametrize("payment_mode", ["hopbyhop", "payall"])
+    def test_rediscovery_finds_a_path_after_the_link_returns(self, payment_mode):
+        flow = self.discovery_outage(payment_mode, 600)
+        assert (flow["status"], flow["rediscoveries"]) == ("done", 3)
+
     def test_neighbor_death_detected_within_bound(self):
         doc = line_doc(duration_ms=4000)
         doc["schedule"].append(

@@ -313,6 +313,83 @@ class TestNodeTables:
         assert tables.keepalive_heard(A1, 400_000) is True
         assert tables.fib.min_cost_hop(PREFIX) == (A1, 5)
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.tuples(
+                        st.just("update"),
+                        st.integers(min_value=0, max_value=1),
+                        st.integers(min_value=0, max_value=2),
+                        st.integers(min_value=0, max_value=20),
+                    ),
+                    st.tuples(st.just("heard"), st.integers(min_value=0, max_value=2)),
+                    st.tuples(st.just("sweep")),
+                ),
+                # Clock steps around the 300 ms timeout.
+                st.sampled_from([0, 1, 100_000, 299_999, 300_000, 450_000]),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200)
+    def test_fib_and_keepalives_match_naive_model(self, steps):
+        # Two nested prefixes, the deeper one fed through a packet name;
+        # three neighbors; a timeout of 300 ms and windows of 3 samples.
+        prefixes = [Name((b"video",)), PREFIX]
+        fed = [prefixes[0], NAME]
+        addrs = [A1, A2, A3]
+        tables = NodeTables(Defaults(keepalive_timeout_ms=300, window_capacity=3))
+        prices: dict[tuple[int, NodeAddr], list[int]] = {}
+        enabled: dict[tuple[int, NodeAddr], bool] = {}
+        last_seen: dict[NodeAddr, int] = {}
+        dead: set[NodeAddr] = set()
+
+        def set_all(neighbor, value):
+            for key in enabled:
+                if key[1] == neighbor:
+                    enabled[key] = value
+
+        def model_lookup(depth, exclude):
+            for p in range(depth, -1, -1):
+                hops = [(min(v[-3:]), a) for (q, a), v in prices.items() if q == p]
+                if hops:
+                    usable = [h for h in hops if enabled[(p, h[1])] and h[1] not in exclude]
+                    return (min(usable)[1], min(usable)[0]) if usable else None
+            return None
+
+        now = 0
+        for op, dt in steps:
+            now += dt
+            if op[0] == "update":
+                _, p, which, price = op
+                tables.fib.update(fed[p], addrs[which], price, now)
+                prices.setdefault((p, addrs[which]), []).append(price)
+                enabled[(p, addrs[which])] = True
+            elif op[0] == "heard":
+                tables.keepalive_heard(addrs[op[1]], now)
+                last_seen[addrs[op[1]]] = now
+                dead.discard(addrs[op[1]])
+                set_all(addrs[op[1]], True)
+            else:
+                newly_dead = [
+                    a for a in sorted(last_seen)
+                    if a not in dead and now - last_seen[a] >= 300_000
+                ]
+                assert tables.keepalive_sweep(now) == newly_dead
+                dead.update(newly_dead)
+                for a in newly_dead:
+                    set_all(a, False)
+            for depth, name in enumerate(fed):
+                for exclude in [()] + [(a,) for a in addrs]:
+                    assert tables.fib.lookup_min_cost(name, exclude) == model_lookup(depth, exclude)
+            assert [line for line in tables.dump(now) if line.startswith("fib ")] == [
+                f"fib prefix={prefixes[p]} hop={a} "
+                f"enabled={'true' if enabled[(p, a)] else 'false'} "
+                f"window_min={min(prices[(p, a)][-3:])} samples={len(prices[(p, a)][-3:])}"
+                for p, a in sorted(prices)
+            ]
+
     def test_dump_sections(self):
         tables = NodeTables()
         tables.pit.insert(NAME, A1, b"\x01" * 8, 0, 4_000_000)

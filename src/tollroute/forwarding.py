@@ -457,7 +457,7 @@ class ForwardingEngine:
         sender = pkt.hop_info.local
         # Price observation first, unconditionally: even a misaddressed
         # reply is a genuine price signal from this neighbor.
-        self.tables.fib.update(pkt.name, sender, pkt.price, now)
+        self.tables.fib.update(pkt.name, sender, pkt.price)
         self._trace(
             "fib_update", prefix=str(pkt.name.prefix), hop=str(sender), price=pkt.price
         )

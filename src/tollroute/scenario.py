@@ -237,6 +237,7 @@ def _parse_nodes(check: _Check, raw) -> list[NodeSpec]:
         return []
     nodes: list[NodeSpec] = []
     seen: set[NodeAddr] = set()
+    served: dict[tuple[bytes, ...], tuple[NodeAddr, ServeSpec]] = {}
     for i, entry in enumerate(raw):
         where = f"nodes[{i}]"
         if not isinstance(entry, dict):
@@ -265,8 +266,14 @@ def _parse_nodes(check: _Check, raw) -> list[NodeSpec]:
             raw_serves = []
         for j, s in enumerate(raw_serves):
             spec = _parse_serve(check, s, f"{where}.serves[{j}]")
-            if spec is not None:
-                serves.append(spec)
+            if spec is None:
+                continue
+            first_addr, first = served.setdefault(spec.prefix.components, (addr, spec))
+            if spec != first:
+                check.fail(
+                    f"{where}.serves[{j}]: {first_addr} and {addr} serve {spec.prefix} differently"
+                )
+            serves.append(spec)
         nodes.append(NodeSpec(addr, cost or 0, relay_mode, tuple(serves)))
     return nodes
 

@@ -352,14 +352,8 @@ class Simulator:
     def _discovery_done(self, flow: Flow, attempt: int) -> None:
         if flow.state != "discovering" or attempt != flow.discovery_attempts:
             return
-        if any(not c.failed for c in flow.candidates):
-            self._select_candidate(flow)
-            return
-        if flow.discovery_attempts > self.defaults.retries:
-            self._fail_flow(flow, "no-route")
-            return
-        flow.discovery_attempts += 1
-        self._start_discovery(flow)
+        # Only a fetching flow demotes candidates, so none here has failed.
+        self._select_candidate(flow)
 
     def _on_path(self, addr: NodeAddr, name: Name, route: RouteStack, price: int) -> bool:
         flow = self.flows.get((addr, name.prefix.components))

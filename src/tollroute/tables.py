@@ -8,7 +8,7 @@ clock; callers pass `now` in.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .scenario import Defaults
@@ -106,132 +106,75 @@ class Pit:
         return lines
 
 
-class PriceWindow:
-    """Bounded FIFO of observed prices; the FIB quotes its minimum."""
-
-    def __init__(self, capacity: int = Defaults.window_capacity) -> None:
-        if capacity < 1:
-            raise ValueError("window capacity must be positive")
-        self.capacity = capacity
-        self._samples: deque[tuple[int, int]] = deque(maxlen=capacity)
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def observe(self, price: int, now: int) -> None:
-        if price < 0:
-            raise ValueError("price cannot be negative")
-        self._samples.append((price, now))
-
-    def minimum(self) -> int | None:
-        if not self._samples:
-            return None
-        return min(price for price, _ in self._samples)
-
-
 @dataclass
 class FibNextHop:
-    window: PriceWindow
+    prices: deque[int]  # the last window_capacity observed prices
     enabled: bool = True
 
 
-@dataclass
-class FibEntry:
-    prefix: Name
-    next_hops: dict[NodeAddr, FibNextHop] = field(default_factory=dict)
-
-
 class Fib:
-    """Forwarding information base keyed by content prefix (names with
-    any packet index stripped)."""
+    """Forwarding information base: content prefix (names with any packet
+    index stripped) -> next hop -> its price window and enable bit."""
 
     def __init__(self, window_capacity: int = Defaults.window_capacity) -> None:
+        if window_capacity < 1:
+            raise ValueError("window capacity must be positive")
         self.window_capacity = window_capacity
-        self._entries: dict[tuple[bytes, ...], FibEntry] = {}
+        self._entries: dict[tuple[bytes, ...], dict[NodeAddr, FibNextHop]] = {}
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def entry(self, prefix: Name) -> FibEntry | None:
-        return self._entries.get(prefix.prefix.components)
-
-    def update(self, prefix: Name, next_hop: NodeAddr, price: int, now: int) -> None:
+    def update(self, prefix: Name, next_hop: NodeAddr, price: int) -> None:
         """Record a price observation for prefix via next_hop and mark the
         hop enabled (discovery Data is proof of life)."""
-        key = prefix.prefix.components
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = FibEntry(prefix.prefix)
-            self._entries[key] = entry
-        hop = entry.next_hops.get(next_hop)
+        if price < 0:
+            raise ValueError("price cannot be negative")
+        hops = self._entries.setdefault(prefix.prefix.components, {})
+        hop = hops.get(next_hop)
         if hop is None:
-            hop = FibNextHop(PriceWindow(self.window_capacity))
-            entry.next_hops[next_hop] = hop
-        hop.window.observe(price, now)
+            hop = hops[next_hop] = FibNextHop(deque(maxlen=self.window_capacity))
+        hop.prices.append(price)
         hop.enabled = True
-
-    def min_cost_hop(
-        self, prefix: Name, exclude: tuple[NodeAddr, ...] = ()
-    ) -> tuple[NodeAddr, int] | None:
-        """Cheapest enabled next hop for this exact prefix entry.
-
-        Ties break toward the lowest address in byte order.  Returns None
-        when no enabled hop has samples.
-        """
-        entry = self.entry(prefix)
-        if entry is None:
-            return None
-        best: tuple[int, NodeAddr] | None = None
-        for addr, hop in entry.next_hops.items():
-            if not hop.enabled or addr in exclude:
-                continue
-            low = hop.window.minimum()
-            if low is None:
-                continue
-            if best is None or (low, addr) < best:
-                best = (low, addr)
-        if best is None:
-            return None
-        return best[1], best[0]
 
     def lookup_min_cost(
         self, name: Name, exclude: tuple[NodeAddr, ...] = ()
     ) -> tuple[NodeAddr, int] | None:
-        """Longest-prefix-match lookup over name minus its packet index.
+        """Cheapest enabled next hop of the longest prefix entry that
+        matches name minus its packet index.
 
         The longest entry that exists decides; it is not skipped in favor
-        of a shorter one when all its hops are disabled.
+        of a shorter one when all its hops are disabled.  Ties break
+        toward the lowest address in byte order.
         """
         comps = name.prefix.components
         for end in range(len(comps), 0, -1):
-            key = comps[:end]
-            if key in self._entries:
-                return self.min_cost_hop(Name(key), exclude)
+            hops = self._entries.get(comps[:end])
+            if hops is None:
+                continue
+            best: tuple[int, NodeAddr] | None = None
+            for addr, hop in hops.items():
+                if hop.enabled and addr not in exclude:
+                    low = (min(hop.prices), addr)
+                    if best is None or low < best:
+                        best = low
+            return None if best is None else (best[1], best[0])
         return None
 
-    def set_neighbor_enabled(self, neighbor: NodeAddr, enabled: bool) -> list[Name]:
-        """Flip every next-hop record through neighbor; returns prefixes
-        whose state actually changed."""
-        changed = []
-        for entry in self._entries.values():
-            hop = entry.next_hops.get(neighbor)
-            if hop is not None and hop.enabled != enabled:
+    def set_neighbor_enabled(self, neighbor: NodeAddr, enabled: bool) -> None:
+        """Flip every next-hop record through neighbor."""
+        for hops in self._entries.values():
+            hop = hops.get(neighbor)
+            if hop is not None:
                 hop.enabled = enabled
-                changed.append(entry.prefix)
-        return changed
 
     def dump(self) -> list[str]:
         lines = []
-        for key in sorted(self._entries, key=lambda k: str(Name(k))):
-            entry = self._entries[key]
-            for addr in sorted(entry.next_hops):
-                hop = entry.next_hops[addr]
-                low = hop.window.minimum()
+        for prefix in sorted(map(Name, self._entries), key=str):
+            hops = self._entries[prefix.components]
+            for addr in sorted(hops):
+                hop = hops[addr]
                 lines.append(
-                    f"fib prefix={entry.prefix} hop={addr} "
+                    f"fib prefix={prefix} hop={addr} "
                     f"enabled={'true' if hop.enabled else 'false'} "
-                    f"window_min={'none' if low is None else low} "
-                    f"samples={len(hop.window)}"
+                    f"window_min={min(hop.prices)} samples={len(hop.prices)}"
                 )
         return lines
 
@@ -338,10 +281,12 @@ class NodeTables:
         self.liveness = NeighborLiveness(defaults.keepalive_timeout_ms * 1_000)
 
     def keepalive_heard(self, neighbor: NodeAddr, now: int) -> bool:
-        """Refresh a neighbor; re-enables its FIB next hops.  Returns True
-        when the neighbor came back from the dead."""
+        """Refresh a neighbor; a revival re-enables its FIB next hops.
+        Returns True when the neighbor came back from the dead."""
         revived = self.liveness.heard(neighbor, now)
-        self.fib.set_neighbor_enabled(neighbor, True)
+        # Only the sweep that marks a neighbor dead disables its hops, so only a revival finds any.
+        if revived:
+            self.fib.set_neighbor_enabled(neighbor, True)
         return revived
 
     def keepalive_sweep(self, now: int) -> list[NodeAddr]:

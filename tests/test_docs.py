@@ -1,13 +1,17 @@
-"""The scenario and run-artifact docs must match the code: every key the
-loader accepts and every key a report carries is documented, with the
-defaults the code uses."""
+"""The scenario, run-artifact and state-dump docs must match the code:
+every key the loader accepts, every key a report carries and every key a
+table dump prints is documented, with the defaults the code uses."""
 
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 from tollroute.cli import _resolve_scenario
 from tollroute.scenario import Defaults, NodeSpec, ServeSpec
 from tollroute.simnet import run_scenario
+from tollroute.tables import NodeTables
+from tollroute.wire import Name, NodeAddr
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -57,3 +61,19 @@ class TestRunArtifactsDoc:
         assert self.report["flows"]
         for flow in self.report["flows"]:
             assert sorted(doc) == sorted(flow)
+
+
+class TestStateDumpDoc:
+    @pytest.mark.parametrize("table", ["pit", "fib", "cs", "liveness"])
+    def test_table_keys_in_dump_order(self, table):
+        tables = NodeTables()
+        hop = NodeAddr.parse("02-00-00-00-00-0b")
+        name = Name((b"video", b"clip"), chunk_index=0)
+        tables.pit.insert(name, hop, b"\x01" * 8, 0, 4_000_000)
+        tables.fib.update(name, hop, 12)
+        tables.cs.insert(name, b"payload")
+        tables.keepalive_heard(hop, 0)
+        (line,) = [line for line in tables.dump(0) if line.startswith(f"{table} ")]
+        printed = [field.split("=", 1)[0] for field in line.split()[1:]]
+        doc = [row[0] for row in _doc_table("state-dump.md", f"## {table}")]
+        assert doc == printed

@@ -145,8 +145,8 @@ class TestDiscovery:
         # first, producer last.
         assert route == RouteStack((B, C))
         # Both relay and consumer learned prices from the reply.
-        assert relay.tables.fib.min_cost_hop(PREFIX) == (C, 12)
-        assert consumer.tables.fib.min_cost_hop(PREFIX) == (B, 15)
+        assert relay.tables.fib.lookup_min_cost(PREFIX) == (C, 12)
+        assert consumer.tables.fib.lookup_min_cost(PREFIX) == (B, 15)
 
     def test_duplicate_nonce_dropped_and_aggregation_suppresses_rebroadcast(self):
         relay, _ = make_node(B, 3)
@@ -210,8 +210,8 @@ class TestStrategyLadder:
         relay, cap = make_node(B, 3, payment_mode="payall")
         relay.tables.keepalive_heard(C, 0)
         relay.tables.keepalive_heard(D, 0)
-        relay.tables.fib.update(PREFIX, C, 12, 0)
-        relay.tables.fib.update(PREFIX, D, 14, 0)
+        relay.tables.fib.update(PREFIX, C, 12)
+        relay.tables.fib.update(PREFIX, D, 14)
         relay.keepalive_tick(400_000)  # everyone quiet too long
         relay.tables.keepalive_heard(D, 400_000)  # D comes back
         (out,) = relay.on_interest(self._routed(), now=400_001)
@@ -225,7 +225,7 @@ class TestStrategyLadder:
     def test_min_cost_never_returns_to_sender(self):
         relay, _ = make_node(B, 3, payment_mode="payall")
         # Only known hop for the prefix is the sender itself; named hop dead.
-        relay.tables.fib.update(PREFIX, A, 2, 0)
+        relay.tables.fib.update(PREFIX, A, 2)
         relay.tables.keepalive_heard(C, 0)
         relay.keepalive_tick(800_000)
         out = relay.on_interest(self._routed(index=1, nonce=b"\x22" * 8), now=800_001)

@@ -425,6 +425,13 @@ SINGLE_DEFECTS = {
                    d.update(schedule=[])),
         ["nodes[2].serves[0].prefix must not carry a seg= index"],
     ),
+    "serve-differs-from-another-node": (
+        # Identical descriptions may repeat; this one halves the chunk.
+        lambda d: d["nodes"][1].update(
+            serves=[dict(d["nodes"][2]["serves"][0], packets_per_chunk=2)]
+        ),
+        [f"nodes[2].serves[0]: {R} and {P} serve /line/data differently"],
+    ),
     "fetch-unserved-name": (
         lambda d: d["schedule"][0].update(name="/other/data"),
         ["schedule[0]: nobody serves /other/data"],
@@ -478,6 +485,11 @@ class TestValidation:
         assert len(err.value.problems) >= 4
         assert "version" in text and "bogus" in text
         assert "self-link" in text and "99999" in text
+
+    def test_identical_serves_on_two_nodes_load(self):
+        doc = line_doc()
+        doc["nodes"][1]["serves"] = copy.deepcopy(doc["nodes"][2]["serves"])
+        assert flow_of(run_doc(doc))["status"] == "done"
 
     def test_fetch_beyond_served_packets_rejected(self):
         doc = line_doc()

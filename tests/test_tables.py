@@ -15,7 +15,6 @@ from tollroute.tables import (
     NodeTables,
     Pit,
     PitResult,
-    PriceWindow,
 )
 from tollroute.wire import Name, NodeAddr
 
@@ -27,43 +26,46 @@ PREFIX = Name((b"video", b"clip"))
 
 
 class TestPriceWindow:
-    def test_empty_window_has_no_minimum(self):
-        assert PriceWindow().minimum() is None
+    """A next hop's price window, seen through the FIB."""
 
     def test_minimum_over_samples(self):
-        w = PriceWindow()
+        fib = Fib()
         for p in (9, 4, 7):
-            w.observe(p, 0)
-        assert w.minimum() == 4
+            fib.update(PREFIX, A1, p)
+        assert fib.lookup_min_cost(PREFIX) == (A1, 4)
 
     def test_ascending_feed_evicts_oldest(self):
         # Capacity 8 fed 20 ascending samples keeps the last 8, so the
         # minimum is the 13th sample fed.
-        w = PriceWindow(capacity=8)
+        fib = Fib(window_capacity=8)
         prices = list(range(101, 121))
-        for i, p in enumerate(prices):
-            w.observe(p, i)
-        assert len(w) == 8
-        assert w.minimum() == prices[12] == 113
+        for p in prices:
+            fib.update(PREFIX, A1, p)
+        (line,) = fib.dump()
+        assert line.endswith(" window_min=113 samples=8")
+        assert fib.lookup_min_cost(PREFIX) == (A1, prices[12]) == (A1, 113)
 
     def test_descending_feed_tracks_latest(self):
-        w = PriceWindow(capacity=8)
-        for i, p in enumerate(range(120, 100, -1)):
-            w.observe(p, i)
-        assert w.minimum() == 101
+        fib = Fib(window_capacity=8)
+        for p in range(120, 100, -1):
+            fib.update(PREFIX, A1, p)
+        assert fib.lookup_min_cost(PREFIX) == (A1, 101)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            PriceWindow(capacity=0)
+            Fib(window_capacity=0)
+        fib = Fib()
         with pytest.raises(ValueError):
-            PriceWindow().observe(-1, 0)
+            fib.update(PREFIX, A1, -1)
+        # A refused price leaves no hop behind.
+        assert fib.dump() == []
 
     @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=64))
     def test_minimum_matches_naive_tail_scan(self, prices):
-        w = PriceWindow(capacity=8)
-        for i, p in enumerate(prices):
-            w.observe(p, i)
-        assert w.minimum() == min(prices[-8:])
+        fib = Fib(window_capacity=8)
+        for p in prices:
+            fib.update(PREFIX, A1, p)
+        assert fib.lookup_min_cost(PREFIX) == (A1, min(prices[-8:]))
 
 
 class TestPit:
@@ -118,74 +120,74 @@ class TestPit:
 class TestFib:
     def test_update_creates_entry_and_enables(self):
         fib = Fib()
-        fib.update(NAME, A1, 15, 0)
-        entry = fib.entry(PREFIX)
-        assert entry is not None
+        fib.update(NAME, A1, 15)
         # The packet index never reaches the FIB key.
-        assert entry.prefix == PREFIX
-        assert fib.min_cost_hop(PREFIX) == (A1, 15)
+        assert fib.dump() == [
+            "fib prefix=/video/clip hop=00-10-00-00-00-01 enabled=true window_min=15 samples=1"
+        ]
+        assert fib.lookup_min_cost(PREFIX) == (A1, 15)
 
     def test_min_cost_prefers_cheapest_hop(self):
         fib = Fib()
-        fib.update(PREFIX, A1, 20, 0)
-        fib.update(PREFIX, A2, 12, 1)
-        assert fib.min_cost_hop(PREFIX) == (A2, 12)
+        fib.update(PREFIX, A1, 20)
+        fib.update(PREFIX, A2, 12)
+        assert fib.lookup_min_cost(PREFIX) == (A2, 12)
 
     def test_min_cost_tie_breaks_by_address_order(self):
         fib = Fib()
-        fib.update(PREFIX, A3, 15, 0)
-        fib.update(PREFIX, A1, 15, 1)
-        fib.update(PREFIX, A2, 15, 2)
-        assert fib.min_cost_hop(PREFIX) == (A1, 15)
+        fib.update(PREFIX, A3, 15)
+        fib.update(PREFIX, A1, 15)
+        fib.update(PREFIX, A2, 15)
+        assert fib.lookup_min_cost(PREFIX) == (A1, 15)
 
     def test_hop_quotes_window_minimum_not_latest(self):
         fib = Fib()
-        fib.update(PREFIX, A1, 9, 0)
-        fib.update(PREFIX, A1, 14, 1)
-        assert fib.min_cost_hop(PREFIX) == (A1, 9)
+        fib.update(PREFIX, A1, 9)
+        fib.update(PREFIX, A1, 14)
+        assert fib.lookup_min_cost(PREFIX) == (A1, 9)
 
     def test_window_eviction_forgets_stale_lows(self):
         fib = Fib(window_capacity=8)
-        fib.update(PREFIX, A1, 1, 0)
+        fib.update(PREFIX, A1, 1)
         for i in range(8):
-            fib.update(PREFIX, A1, 50 + i, 1 + i)
-        assert fib.min_cost_hop(PREFIX) == (A1, 50)
+            fib.update(PREFIX, A1, 50 + i)
+        assert fib.lookup_min_cost(PREFIX) == (A1, 50)
 
     def test_disabled_hops_are_skipped(self):
         fib = Fib()
-        fib.update(PREFIX, A1, 5, 0)
-        fib.update(PREFIX, A2, 9, 1)
-        assert fib.set_neighbor_enabled(A1, False) == [PREFIX]
-        assert fib.min_cost_hop(PREFIX) == (A2, 9)
+        fib.update(PREFIX, A1, 5)
+        fib.update(PREFIX, A2, 9)
+        fib.set_neighbor_enabled(A1, False)
+        assert fib.lookup_min_cost(PREFIX) == (A2, 9)
         fib.set_neighbor_enabled(A1, True)
-        assert fib.min_cost_hop(PREFIX) == (A1, 5)
+        assert fib.lookup_min_cost(PREFIX) == (A1, 5)
 
     def test_update_reenables_disabled_hop(self):
         fib = Fib()
-        fib.update(PREFIX, A1, 5, 0)
+        fib.update(PREFIX, A1, 5)
         fib.set_neighbor_enabled(A1, False)
-        fib.update(PREFIX, A1, 6, 10)
-        assert fib.min_cost_hop(PREFIX) == (A1, 5)
+        fib.update(PREFIX, A1, 6)
+        assert fib.lookup_min_cost(PREFIX) == (A1, 5)
 
     def test_exclusion(self):
         fib = Fib()
-        fib.update(PREFIX, A1, 5, 0)
-        fib.update(PREFIX, A2, 9, 1)
-        assert fib.min_cost_hop(PREFIX, exclude=(A1,)) == (A2, 9)
-        assert fib.min_cost_hop(PREFIX, exclude=(A1, A2)) is None
+        fib.update(PREFIX, A1, 5)
+        fib.update(PREFIX, A2, 9)
+        assert fib.lookup_min_cost(PREFIX, exclude=(A1,)) == (A2, 9)
+        assert fib.lookup_min_cost(PREFIX, exclude=(A1, A2)) is None
 
     def test_longest_prefix_match(self):
         fib = Fib()
-        fib.update(Name((b"video",)), A1, 30, 0)
-        fib.update(Name((b"video", b"clip")), A2, 10, 1)
+        fib.update(Name((b"video",)), A1, 30)
+        fib.update(Name((b"video", b"clip")), A2, 10)
         assert fib.lookup_min_cost(Name((b"video", b"clip", b"hd"), chunk_index=2)) == (A2, 10)
         assert fib.lookup_min_cost(Name((b"video", b"other"))) == (A1, 30)
         assert fib.lookup_min_cost(Name((b"audio",))) is None
 
     def test_lpm_does_not_fall_through_disabled_entry(self):
         fib = Fib()
-        fib.update(Name((b"video",)), A1, 30, 0)
-        fib.update(Name((b"video", b"clip")), A2, 10, 1)
+        fib.update(Name((b"video",)), A1, 30)
+        fib.update(Name((b"video", b"clip")), A2, 10)
         fib.set_neighbor_enabled(A2, False)
         # The longest entry exists but is unusable; a shorter match must
         # not silently take over.
@@ -203,13 +205,13 @@ class TestFib:
         addrs = [A1, A2, A3]
         fib = Fib(window_capacity=8)
         tails: dict[NodeAddr, list[int]] = {}
-        for i, (which, price) in enumerate(feed):
-            fib.update(PREFIX, addrs[which], price, i)
+        for which, price in feed:
+            fib.update(PREFIX, addrs[which], price)
             tails.setdefault(addrs[which], []).append(price)
         best = min(
             ((min(prices[-8:]), addr) for addr, prices in tails.items()),
         )
-        assert fib.min_cost_hop(PREFIX) == (best[1], best[0])
+        assert fib.lookup_min_cost(PREFIX) == (best[1], best[0])
 
 
 class TestNeighborLiveness:
@@ -305,13 +307,13 @@ class TestContentStore:
 class TestNodeTables:
     def test_sweep_disables_and_heard_reenables_fib(self):
         tables = NodeTables(Defaults(keepalive_timeout_ms=300))
-        tables.fib.update(PREFIX, A1, 5, 0)
+        tables.fib.update(PREFIX, A1, 5)
         tables.keepalive_heard(A1, 0)
         assert tables.keepalive_sweep(299_999) == []
         assert tables.keepalive_sweep(300_000) == [A1]
-        assert tables.fib.min_cost_hop(PREFIX) is None
+        assert tables.fib.lookup_min_cost(PREFIX) is None
         assert tables.keepalive_heard(A1, 400_000) is True
-        assert tables.fib.min_cost_hop(PREFIX) == (A1, 5)
+        assert tables.fib.lookup_min_cost(PREFIX) == (A1, 5)
 
     @given(
         st.lists(
@@ -363,7 +365,7 @@ class TestNodeTables:
             now += dt
             if op[0] == "update":
                 _, p, which, price = op
-                tables.fib.update(fed[p], addrs[which], price, now)
+                tables.fib.update(fed[p], addrs[which], price)
                 prices.setdefault((p, addrs[which]), []).append(price)
                 enabled[(p, addrs[which])] = True
             elif op[0] == "heard":
@@ -393,7 +395,7 @@ class TestNodeTables:
     def test_dump_sections(self):
         tables = NodeTables()
         tables.pit.insert(NAME, A1, b"\x01" * 8, 0, 4_000_000)
-        tables.fib.update(PREFIX, A2, 7, 0)
+        tables.fib.update(PREFIX, A2, 7)
         tables.cs.insert(NAME, b"payload")
         tables.keepalive_heard(A2, 50)
         lines = tables.dump(100)

@@ -230,8 +230,9 @@ class TestLossAndChurn:
 
     def discovery_outage(self, payment_mode, link_up_ms):
         # The relay-producer link is down before the fetch, so every
-        # discovery round finds nothing.  The send interval equals the
-        # link latency.
+        # discovery round finds nothing.  A send interval equal to the
+        # link latency keeps the fetch clear of the pipelined-offer
+        # fault (ROADMAP item 8).
         doc = line_doc()
         doc["defaults"].update(send_interval_ms=5, payment_mode=payment_mode)
         doc["schedule"] = [

@@ -36,6 +36,30 @@ def chain_message(digest: bytes, chain: tuple[HopSignature, ...]) -> bytes:
     return digest + b"".join(encode_hop_signature(hop) for hop in chain)
 
 
+class VerifiedLinks:
+    """Chain links that `verify` accepted in one run, shared by all its
+    nodes.  Every relay re-checks the whole chain and the consumer checks
+    it again, so a run meets one link up to once per hop; this pays for
+    each distinct (public key, message, signature) triple once.  A
+    failure is never stored, and the set is emptied at CAPACITY."""
+
+    CAPACITY = 4096
+
+    def __init__(self) -> None:
+        self._seen: set[tuple[bytes, bytes, bytes]] = set()
+
+    def check(self, public: bytes, message: bytes, signature: bytes) -> bool:
+        link = (public, message, signature)
+        if link in self._seen:
+            return True
+        if not verify(public, message, signature):
+            return False
+        if len(self._seen) >= self.CAPACITY:
+            self._seen.clear()
+        self._seen.add(link)
+        return True
+
+
 def make_chunk(key: KeyPair, first: int, payload: bytes, packet_size: int) -> ChunkProof:
     """Producer-side: the proof over a chunk payload that starts at packet
     index first, with the first signature in the chain."""
@@ -46,15 +70,19 @@ def make_chunk(key: KeyPair, first: int, payload: bytes, packet_size: int) -> Ch
     return ChunkProof(first=first, count=count, digest=digest, chain=(hop,))
 
 
-def sign_chunk(key: KeyPair, proof: ChunkProof, payload: bytes) -> ChunkProof:
+def sign_chunk(
+    key: KeyPair, proof: ChunkProof, payload: bytes, links: VerifiedLinks | None = None
+) -> ChunkProof:
     """Relay-side: append a signature.  Refuses to extend a chain it
     cannot itself validate, so a relay never vouches for garbage.  A relay
     holds no key directory, so each earlier link is checked against the
-    public key it carries."""
+    public key it carries.  Without links every link is verified afresh."""
     if chunk_digest(payload) != proof.digest:
         raise ProofError("digest does not match payload")
+    if links is None:
+        links = VerifiedLinks()
     for i, hop in enumerate(proof.chain):
-        if not verify(hop.signer_pub, chain_message(proof.digest, proof.chain[:i]), hop.sig):
+        if not links.check(hop.signer_pub, chain_message(proof.digest, proof.chain[:i]), hop.sig):
             raise ProofError(f"existing signature {i} by {hop.signer} does not verify")
         if hop.signer == key.owner:
             raise ProofError("refusing to sign the same chunk twice")
@@ -91,6 +119,7 @@ def verify_chain(
     payload: bytes,
     expected_path: tuple[NodeAddr, ...],
     directory: KeyDirectory,
+    links: VerifiedLinks | None = None,
 ) -> VerifyResult:
     """Consumer-side verdict on a chunk payload and its proof against the
     path it paid for.
@@ -98,9 +127,12 @@ def verify_chain(
     expected_path runs producer first, consumer-side relay last.  Keys
     come from the trusted directory; the pubkeys embedded in the chain
     only have to agree with it, they are never trusted on their own.
+    Without links every link is verified afresh.
     """
     if not expected_path:
         raise ProofError("expected path cannot be empty")
+    if links is None:
+        links = VerifiedLinks()
     if chunk_digest(payload) != proof.digest:
         return VerifyResult(False, ChainFault.PAYLOAD_TAMPERED, 0)
     signers_present = {hop.signer for hop in proof.chain}
@@ -115,7 +147,7 @@ def verify_chain(
         trusted_pub = directory.get(expected)
         if trusted_pub is None or hop.signer_pub != trusted_pub:
             return VerifyResult(False, ChainFault.UNEXPECTED_SIGNER, i, hop.signer)
-        if not verify(trusted_pub, chain_message(proof.digest, proof.chain[:i]), hop.sig):
+        if not links.check(trusted_pub, chain_message(proof.digest, proof.chain[:i]), hop.sig):
             return VerifyResult(False, ChainFault.BAD_SIGNATURE, i, hop.signer)
     if len(proof.chain) > len(expected_path):
         extra = proof.chain[len(expected_path)]

@@ -35,7 +35,7 @@ from .payment import (
     channel_id_for,
     consumer_pay_all,
 )
-from .proof import verify_chain
+from .proof import VerifiedLinks, verify_chain
 from .scenario import FetchAction, LinkAction, Scenario, ScenarioError, ServeSpec
 from .wire import (
     BROADCAST,
@@ -167,13 +167,17 @@ class Simulator:
         self.ledger = Ledger()
         self.directory: dict[NodeAddr, bytes] = {}
         self.book = ChannelBook(self.ledger, self.directory)
+        # Chain links already verified in this run, shared by every node.
+        self.verified_links = VerifiedLinks()
 
         self.nodes: dict[NodeAddr, ForwardingEngine] = {}
         self._rngs: dict[NodeAddr, random.Random] = {}
         for spec in scenario.nodes:
             self.ledger.mint(spec.addr, self.defaults.account_balance)
             key = KeyPair.from_seed(spec.addr, str(scenario.seed).encode())
-            engine = ForwardingEngine(spec, self.defaults, key, self.book, self._hooks(spec.addr))
+            engine = ForwardingEngine(
+                spec, self.defaults, key, self.book, self._hooks(spec.addr), self.verified_links
+            )
             self.book.register_key(key)
             self.nodes[spec.addr] = engine
             self._rngs[spec.addr] = derive_rng(scenario.seed, "node", str(spec.addr))
@@ -541,7 +545,7 @@ class Simulator:
                 continue
             payload = b"".join(flow.received[i] for i in span)
             expected = tuple(reversed(route))
-            result = verify_chain(proof, payload, expected, self.directory)
+            result = verify_chain(proof, payload, expected, self.directory, self.verified_links)
             flow.signatures_verified += len(proof.chain)
             how = "strict"
             if not result.valid:
@@ -550,7 +554,9 @@ class Simulator:
                 # producer and every signature checks out.
                 observed = tuple(h.signer for h in proof.chain)
                 if observed and expected and observed[0] == expected[0]:
-                    result = verify_chain(proof, payload, observed, self.directory)
+                    result = verify_chain(
+                        proof, payload, observed, self.directory, self.verified_links
+                    )
                     flow.signatures_verified += len(proof.chain)
                     how = "rerouted"
             if result.valid:

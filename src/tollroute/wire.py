@@ -417,10 +417,22 @@ def _dec_u64(buf: bytes, vstart: int, vend: int, off: int) -> int:
     return _U64_STRUCT.unpack_from(buf, vstart)[0]
 
 
+# Decoded addresses, interned so each one is validated and rendered as
+# text once.  Past the limit a decode builds a fresh, equal address.
+_ADDR_INTERN_LIMIT = 1024
+_interned_addrs: dict[bytes, NodeAddr] = {}
+
+
 def _dec_addr(buf: bytes, vstart: int, vend: int, off: int) -> NodeAddr:
     if vend - vstart != ADDR_LEN:
         raise DecodeError(off, "address field must be exactly 6 bytes")
-    return NodeAddr(buf[vstart:vend])
+    octets = buf[vstart:vend]
+    addr = _interned_addrs.get(octets)
+    if addr is None:
+        addr = NodeAddr(octets)
+        if len(_interned_addrs) < _ADDR_INTERN_LIMIT:
+            _interned_addrs[octets] = addr
+    return addr
 
 
 def _dec_component(buf: bytes, vstart: int, vend: int, off: int) -> bytes:

@@ -12,7 +12,7 @@ from tollroute.forwarding import (
 )
 from tollroute.keys import KeyPair
 from tollroute.payment import ChannelBook, Ledger, channel_id_for
-from tollroute.proof import verify_chain
+from tollroute.proof import VerifiedLinks, verify_chain
 from tollroute.scenario import Defaults, NodeSpec, ServeSpec
 from tollroute.wire import (
     ChunkProof,
@@ -90,7 +90,7 @@ def make_node(addr, cost=0, book=None, relay_mode=None, payment_mode="hopbyhop",
     cap = Capture()
     engine = ForwardingEngine(
         NodeSpec(addr, cost, relay_mode, serves), Defaults(payment_mode=payment_mode), key,
-        book, cap.hooks(),
+        book, cap.hooks(), VerifiedLinks(),
     )
     book.register_key(key)
     return engine, cap

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tollroute import proof as proof_module
 from tollroute.keys import KeyPair
 from tollroute.proof import (
     ChainFault,
     ProofError,
+    VerifiedLinks,
     VerifyResult,
     chain_message,
     chunk_digest,
@@ -185,6 +187,88 @@ class TestVerdicts:
                 chain[h] = HopSignature(hop.signer, hop.signer_pub, bytes(mutated))
                 forged = replace(proof, chain=tuple(chain))
                 assert not verify_chain(forged, payload, path, directory).valid
+
+
+def _flip(data: bytes, at: int = -1) -> bytes:
+    mutated = bytearray(data)
+    mutated[at] ^= 0x01
+    return bytes(mutated)
+
+
+def _one_byte_mutants(proof):
+    """(proof, payload) pairs that each differ from the honest chain in
+    one byte of a signature, of a signed message or of an embedded key."""
+    for h, hop in enumerate(proof.chain):
+        for changed in (
+            replace(hop, sig=_flip(hop.sig)),
+            replace(hop, signer_pub=_flip(hop.signer_pub)),
+        ):
+            chain = proof.chain[:h] + (changed,) + proof.chain[h + 1 :]
+            yield replace(proof, chain=chain), PAYLOAD
+    # Payload and digest agree, so every signed message differs by a byte.
+    other = _flip(PAYLOAD)
+    yield replace(proof, digest=chunk_digest(other)), other
+
+
+def _relay_verdict(keys, proof, payload, links=None):
+    try:
+        sign_chunk(keys[OUTSIDER], proof, payload, links)
+    except ProofError as err:
+        return str(err)
+    return None
+
+
+class TestVerifiedLinks:
+    def test_memo_keeps_every_one_byte_fault(self, keys, directory):
+        honest = build_chain(keys)
+        links = VerifiedLinks()
+        assert verify_chain(honest, PAYLOAD, PATH, directory, links).valid
+        assert _relay_verdict(keys, honest, PAYLOAD, links) is None
+        mutants = list(_one_byte_mutants(honest))
+        assert len(mutants) == 2 * len(honest.chain) + 1
+        for proof, payload in mutants:
+            fresh = verify_chain(proof, payload, PATH, directory)
+            assert not fresh.valid
+            assert verify_chain(proof, payload, PATH, directory, links) == fresh
+            # A relay checks against the embedded keys, not the directory.
+            refused = _relay_verdict(keys, proof, payload)
+            assert refused is not None
+            assert _relay_verdict(keys, proof, payload, links) == refused
+
+    def test_failed_check_is_not_stored(self, keys, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        real = proof_module.verify
+        monkeypatch.setattr(proof_module, "verify", counting)
+        signer = keys[PRODUCER]
+        sig = signer.sign(b"message")
+        links = VerifiedLinks()
+        assert not links.check(signer.public, b"message", _flip(sig))
+        assert not links.check(signer.public, b"message", _flip(sig))
+        assert len(calls) == 2
+        assert links.check(signer.public, b"message", sig)
+        assert links.check(signer.public, b"message", sig)
+        assert len(calls) == 3
+
+    def test_capacity_bounds_size_and_changes_no_outcome(self, keys, directory, monkeypatch):
+        honest = build_chain(keys)
+        proof, payload = next(_one_byte_mutants(honest))
+        expected = verify_chain(proof, payload, PATH, directory)
+        links = VerifiedLinks()
+        assert verify_chain(honest, PAYLOAD, PATH, directory, links).valid
+        with monkeypatch.context() as m:
+            m.setattr(proof_module, "verify", lambda *args: True)
+            for i in range(VerifiedLinks.CAPACITY + 10):
+                assert links.check(b"key", i.to_bytes(4, "big"), b"sig")
+                assert len(links._seen) <= VerifiedLinks.CAPACITY
+        for _ in range(2):
+            assert verify_chain(honest, PAYLOAD, PATH, directory, links).valid
+            assert verify_chain(proof, payload, PATH, directory, links) == expected
+            assert len(links._seen) <= VerifiedLinks.CAPACITY
 
 
 class TestWireRoundTrip:

@@ -2,9 +2,12 @@
 buffering modes, payment modes, and the post-run invariant auditor."""
 
 import copy
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
+from tollroute import forwarding, proof
 from tollroute.audit import (
     audit_run,
     check_keepalive_bound,
@@ -13,9 +16,12 @@ from tollroute.audit import (
     check_simple_routes,
     check_unicast_data,
 )
-from tollroute.scenario import ScenarioError, content_bytes, parse_scenario
+from tollroute.keys import KeyPair
+from tollroute.scenario import ScenarioError, content_bytes, load_scenario, parse_scenario
 from tollroute.simnet import Simulator, run_scenario
 from tollroute.wire import HopInfo, Interest, Name, NodeAddr, encode_packet
+
+BUNDLED = Path(str(resources.files("tollroute") / "scenarios"))
 
 A = "02-00-00-00-00-aa"
 R = "02-00-00-00-00-ab"
@@ -80,6 +86,47 @@ class TestDeterminism:
     def test_event_time_is_integral_microseconds(self):
         result = run_doc(line_doc())
         assert all(isinstance(ev["t"], int) for ev in result.trace)
+
+
+class TestVerifiedLinks:
+    def test_each_run_verifies_each_distinct_link_once(self, monkeypatch):
+        real = proof.verify
+        checked = []
+
+        def counting(*link):
+            ok = real(*link)
+            checked.append((link, ok))
+            return ok
+
+        monkeypatch.setattr(proof, "verify", counting)
+        per_run = []
+        for _ in range(2):
+            checked.clear()
+            result = run_scenario(load_scenario(str(BUNDLED / "mesh10.scn")))
+            assert all(ok for _link, ok in checked)
+            assert len(checked) == len({link for link, _ok in checked})
+            signatures = sum(f["signatures_verified"] for f in result.report["flows"])
+            per_run.append((len(checked), signatures))
+        assert per_run[0] == per_run[1]
+        # Ten consumers check the same cached chunk's chain.
+        assert 0 < per_run[0][0] < per_run[0][1]
+
+    def test_relay_memo_cannot_vouch_for_a_substituted_key(self, monkeypatch):
+        # The producer's link is signed under a key that is not its own.
+        # The relay checks it against that embedded key, so the link
+        # verifies and enters the memo; the consumer checks the directory.
+        real_make_chunk = forwarding.make_chunk
+        impostor = KeyPair.from_seed(NodeAddr.parse(P), b"impostor")
+        monkeypatch.setattr(
+            forwarding, "make_chunk", lambda _key, *args: real_make_chunk(impostor, *args)
+        )
+        sim = Simulator(parse_scenario(line_doc(), source="inline.scn"))
+        result = sim.run()
+        assert any(ev["event"] == "chunk_signed" and ev["node"] == R for ev in result.trace)
+        assert any(link[0] == impostor.public for link in sim.verified_links._seen)
+        faults = [ev["fault"] for ev in result.trace if ev["event"] == "chunk_verify_failed"]
+        assert faults and set(faults) == {"unexpected-signer"}
+        assert flow_of(result)["fail_reason"] == "proof"
 
 
 class TestFlows:

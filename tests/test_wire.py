@@ -116,6 +116,34 @@ class TestNodeAddr:
         assert min([A2, A3, A1]) == A1
 
 
+class TestInternedAddrs:
+    def test_same_octets_decode_to_one_object(self, monkeypatch) -> None:
+        monkeypatch.setattr(wire, "_interned_addrs", {})
+        first, second = (decode_packet(encode_packet(golden_interest())) for _ in range(2))
+        assert first.hop_info.local is second.hop_info.local
+        # A2 is both the hop info's remote and the route's top.
+        assert first.hop_info.remote is second.route.top is first.route.top
+
+    def test_table_stays_within_its_limit(self, monkeypatch) -> None:
+        monkeypatch.setattr(wire, "_interned_addrs", {})
+        limit = wire._ADDR_INTERN_LIMIT
+        octets = [i.to_bytes(6, "big") for i in range(1, limit + 51)]
+        route = RouteStack(tuple(NodeAddr(o) for o in octets))
+        frame = encode_packet(
+            Interest(
+                name=Name((b"many",)),
+                nonce=bytes(8),
+                hop_info=HopInfo(A1, route.top),
+                lifetime_ms=4000,
+                route=route,
+            )
+        )
+        for _ in range(2):
+            hops = decode_packet(frame).route.hops
+            assert len(wire._interned_addrs) == limit
+            assert hops == tuple(NodeAddr(o) for o in octets)
+
+
 class TestName:
     def test_uri_round_trip(self) -> None:
         n = Name.parse("/video/clip/seg=12")

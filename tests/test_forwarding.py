@@ -35,12 +35,12 @@ PREFIX = Name((b"video", b"clip"))
 NONCE = b"\x11" * 8
 
 
-def interest(name, nonce, local, remote=None, route=None, payment=None):
+def interest(name, nonce, local, remote=None, route=None, payment=None, lifetime_ms=4_000):
     return Interest(
         name=name,
         nonce=nonce,
         hop_info=HopInfo(local, remote),
-        lifetime_ms=4_000,
+        lifetime_ms=lifetime_ms,
         route=route,
         payment=payment,
     )
@@ -82,15 +82,18 @@ class Capture:
         return True
 
 
-def make_node(addr, cost=0, book=None, relay_mode=None, payment_mode="hopbyhop", serves=()):
-    """An engine for one node; without a shared book it gets a private one."""
+def make_node(
+    addr, cost=0, book=None, relay_mode=None, payment_mode="hopbyhop", serves=(), **defaults
+):
+    """An engine for one node; without a shared book it gets a private one.
+    Extra keywords override scenario defaults."""
     if book is None:
         book = ChannelBook(Ledger(), {})
     key = KeyPair.from_seed(addr, b"fwd-tests")
     cap = Capture()
     engine = ForwardingEngine(
-        NodeSpec(addr, cost, relay_mode, serves), Defaults(payment_mode=payment_mode), key,
-        book, cap.hooks(), VerifiedLinks(),
+        NodeSpec(addr, cost, relay_mode, serves),
+        Defaults(payment_mode=payment_mode, **defaults), key, book, cap.hooks(), VerifiedLinks(),
     )
     book.register_key(key)
     return engine, cap
@@ -114,7 +117,9 @@ class TestDiscovery:
         """Consumer floods, relay rebroadcasts once, producer answers, and
         the reply retraces with the route growing and the price summing."""
         ledger, book = payment_fabric(A, B, C)
-        consumer, cap_a = make_node(A, 0, book)
+        # Only the consumer's lifetime differs from the default, so the
+        # relay's rebroadcast shows whose lifetime it carries.
+        consumer, cap_a = make_node(A, 0, book, interest_lifetime_ms=2_500)
         relay, _ = make_node(B, 3, book)
         producer, _ = make_node(C, 12, book, serves=served())
         cap_a.expect_paths = True
@@ -122,11 +127,14 @@ class TestDiscovery:
         (bcast,) = consumer.originate_discovery(PREFIX, NONCE, now=0)
         assert isinstance(bcast, Broadcast)
         assert bcast.packet.is_discovery and bcast.packet.payment is None
+        assert bcast.packet.hop_info == HopInfo(A)
+        assert bcast.packet.lifetime_ms == 2_500
 
         (rebcast,) = relay.on_interest(bcast.packet, now=5)
         assert isinstance(rebcast, Broadcast)
         assert rebcast.packet.nonce == NONCE
-        assert rebcast.packet.hop_info.local == B
+        assert rebcast.packet.hop_info == HopInfo(B)
+        assert rebcast.packet.lifetime_ms == 2_500
 
         (answer,) = producer.on_interest(rebcast.packet, now=10)
         assert isinstance(answer, Send) and answer.to == B
@@ -195,8 +203,10 @@ class TestDiscovery:
 
 
 class TestStrategyLadder:
-    def _routed(self, index=0, nonce=NONCE):
-        return interest(PREFIX.with_index(index), nonce, A, remote=B, route=RouteStack((B, C)))
+    def _routed(self, index=0, nonce=NONCE, lifetime_ms=4_000):
+        return interest(
+            PREFIX.with_index(index), nonce, A, B, RouteStack((B, C)), lifetime_ms=lifetime_ms
+        )
 
     def test_source_routed_when_named_hop_alive(self):
         relay, _ = make_node(B, 3, payment_mode="payall")
@@ -236,11 +246,13 @@ class TestStrategyLadder:
         relay, _ = make_node(B, 3, payment_mode="payall")
         relay.tables.keepalive_heard(C, 0)
         relay.keepalive_tick(400_000)
-        (out,) = relay.on_interest(self._routed(), now=400_001)
+        (out,) = relay.on_interest(self._routed(lifetime_ms=2_500), now=400_001)
         assert isinstance(out, Broadcast)
         assert out.packet.name == PREFIX.with_index(0)
         assert out.packet.nonce == NONCE
         assert out.packet.route is None and out.packet.payment is None
+        assert out.packet.hop_info == HopInfo(B)
+        assert out.packet.lifetime_ms == 2_500
         assert relay.counters["mode_rediscovery"] == 1
 
     def test_round_robin_denial_nacks_no_route(self):
@@ -419,6 +431,20 @@ class TestContentPlane:
         assert outs[-1].packet.proof is not None
         assert [h.signer for h in outs[-1].packet.proof.chain] == [C, B]
         assert relay.counters["sf_flushes"] == 1
+
+    def test_two_nonces_from_one_downstream_get_one_data(self):
+        producer, relay, consumer, cap = self._chain()
+        name = PREFIX.with_index(0)
+        first = interest(name, b"\x01" * 8, A, remote=B, route=RouteStack((B, C)))
+        (fwd,) = relay.on_interest(first, now=0)
+        # A retransmission with a fresh nonce joins the pending entry.
+        again = interest(name, b"\x02" * 8, A, remote=B, route=RouteStack((B, C)))
+        assert relay.on_interest(again, now=1) == []
+        (data,) = producer.on_interest(fwd.packet, now=2)
+        (out,) = relay.on_data(data.packet, now=3)
+        assert out.to == A and out.packet.hop_info == HopInfo(B, A)
+        assert out.packet.payload == data.packet.payload
+        assert relay.counters["data_forwarded"] == 1
 
     def test_content_data_is_never_broadcast(self):
         producer, relay, consumer, cap = self._chain()

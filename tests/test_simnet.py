@@ -318,6 +318,40 @@ class TestLossAndChurn:
             assert ev["detected_us"] - ev["last_seen_us"] <= 400_000
 
 
+class TestSendChain:
+    def test_queued_index_whose_data_arrived_is_skipped(self):
+        """The relay-producer link eats packet 0 twice, so its second
+        timeout demotes the route while seg=19's Data is still in flight.
+        The new route queues both 0 and 19; by the chain's next turn 19
+        has arrived, so it is skipped and the chain stops there."""
+        B2 = "02-00-00-00-00-ad"
+        doc = line_doc(duration_ms=3000)
+        doc["defaults"].update(retries=1, interest_lifetime_ms=105)
+        doc["nodes"][2]["serves"][0]["chunks"] = 5
+        doc["nodes"].insert(2, {"addr": B2, "cost": 2})
+        doc["links"] = [[A, R], [R, P], [A, B2], [B2, P]]
+        doc["schedule"][0]["packets"] = 20
+        for down in (354, 464):  # as packet 0 and its retransmission cross
+            doc["schedule"] += [
+                {"at_ms": down, "action": "link", "a": R, "b": P, "up": False},
+                {"at_ms": down + 2, "action": "link", "a": R, "b": P, "up": True},
+            ]
+        result = run_doc(doc)
+        flow = flow_of(result)
+        assert (flow["status"], flow["route"], flow["retransmits"]) == ("done", [A, B2, P], 1)
+        (demoted,) = [ev["t"] for ev in result.trace if ev["event"] == "route_exhausted"]
+        sent_after = [
+            ev["name"] for ev in result.trace
+            if ev["event"] == "tx" and ev["node"] == A and ev["routed"] and ev["t"] >= demoted
+        ]
+        assert sent_after == ["/line/data/seg=0"]
+        (late,) = [
+            ev["t"] for ev in result.trace
+            if ev["event"] == "rx" and ev["node"] == A and ev["name"] == "/line/data/seg=19"
+        ]
+        assert demoted < late < demoted + 10_000  # inside one send interval
+
+
 class TestRelayModes:
     def relay_times(self, mode, packets):
         doc = line_doc(duration_ms=4000)

@@ -151,7 +151,7 @@ class ForwardingEngine:
         return None
 
     def _serves_prefix(self, name: Name) -> bool:
-        return any(name.prefix.has_prefix(s.prefix) for s in self.serves)
+        return any(s.owns(name) for s in self.serves)
 
     def _nack(self, to: NodeAddr, name: Name, nonce: bytes, reason: NackReason) -> Send:
         self.counters["nacks_sent"] += 1

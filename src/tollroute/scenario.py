@@ -79,9 +79,14 @@ class ServeSpec:
     def total_packets(self) -> int:
         return self.packets_per_chunk * self.chunks
 
+    def owns(self, name: Name) -> bool:
+        """A serve owns exactly its prefix, so /a and /a/b are separate
+        objects."""
+        return name.components == self.prefix.components
+
     def covers(self, name: Name) -> bool:
         return (
-            name.has_prefix(self.prefix)
+            self.owns(name)
             and name.chunk_index is not None
             and 0 <= name.chunk_index < self.total_packets
         )

@@ -322,10 +322,7 @@ class Simulator:
         self.flows[flow.key] = flow
         self.emit("sim", "fetch", node=str(action.node), name=str(action.name),
                   packets=action.packets)
-        local = next(
-            (s for s in self.nodes[action.node].serves if action.name.has_prefix(s.prefix)),
-            None,
-        )
+        local = next((s for s in self.nodes[action.node].serves if s.owns(action.name)), None)
         if local is not None:
             # Producer-local fetch: served from the node's own store, no
             # tokens move and nothing touches the network.

@@ -352,6 +352,26 @@ class TestSendChain:
         assert demoted < late < demoted + 10_000  # inside one send interval
 
 
+class TestNestedPrefixes:
+    @pytest.mark.parametrize("consumer", [A, R], ids=["far-consumer", "serves-parent"])
+    def test_each_serve_owns_exactly_its_prefix(self, consumer):
+        """R serves /a and P serves /a/b: a fetch of /a/b must reach P
+        and hold /a/b's bytes, never /a's."""
+        doc = line_doc()
+        doc["defaults"]["send_interval_ms"] = 5
+        serve = {"packet_size": 100, "packets_per_chunk": 4, "chunks": 2}
+        doc["nodes"][1]["serves"] = [{"prefix": "/a", **serve}]
+        doc["nodes"][2]["serves"] = [{"prefix": "/a/b", **serve}]
+        doc["schedule"][0].update(node=consumer, name="/a/b", packets=8)
+        sim = Simulator(parse_scenario(doc, source="inline.scn"))
+        result = sim.run()
+        report = flow_of(result)
+        assert (report["status"], report["route"][-1]) == ("done", P)
+        assert report["route"] == ([A, R, P] if consumer == A else [R, P])
+        (flow,) = sim.flows.values()
+        assert flow.received == {i: content_bytes(Name.parse("/a/b"), i, 100) for i in range(8)}
+
+
 class TestRelayModes:
     def relay_times(self, mode, packets):
         doc = line_doc(duration_ms=4000)

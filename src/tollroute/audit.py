@@ -102,11 +102,6 @@ def check_mode_labels(trace: list[dict]) -> list[str]:
     return bad
 
 
-def check_ledger(records: list[dict]) -> list[str]:
-    result = audit_ledger(records)
-    return list(result.violations)
-
-
 def audit_run(scenario: Scenario, trace: list[dict], ledger: list[dict]) -> list[str]:
     """All invariant checks over one run's artifacts.  Empty = clean."""
     violations: list[str] = []
@@ -115,5 +110,5 @@ def audit_run(scenario: Scenario, trace: list[dict], ledger: list[dict]) -> list
     violations += check_simple_routes(trace)
     violations += check_keepalive_bound(scenario, trace)
     violations += check_mode_labels(trace)
-    violations += check_ledger(ledger)
+    violations += audit_ledger(ledger).violations
     return violations

@@ -28,12 +28,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import yaml
-
 from .audit import audit_run
 from .payment import audit_ledger
 from .proof import signature_budget
-from .scenario import PAYMENT_MODES, Scenario, ScenarioError, load_scenario, parse_scenario
+from .scenario import PAYMENT_MODES, Scenario, ScenarioError, load_scenario
 from .simnet import format_report, run_scenario
 
 SCENARIO_DIR_ENV = "TOLLROUTE_SCENARIO_DIR"
@@ -56,11 +54,7 @@ def _resolve_scenario(name: str) -> Scenario:
             return load_scenario(str(candidate))
     bundled = importlib.resources.files("tollroute") / "scenarios" / name
     if bundled.is_file():
-        try:
-            doc = yaml.safe_load(bundled.read_text(encoding="utf-8"))
-        except yaml.YAMLError as exc:
-            raise ScenarioError([f"{name}: not valid YAML: {exc}"]) from exc
-        return parse_scenario(doc, source=name)
+        return load_scenario(str(bundled))
     raise ScenarioError([f"no scenario named {name!r} (cwd, ${SCENARIO_DIR_ENV}, bundled)"])
 
 

@@ -65,6 +65,12 @@ class Broadcast:
 Action = Send | Broadcast
 
 
+def _each_once(pending: list[tuple[NodeAddr, bytes]]) -> dict[NodeAddr, None]:
+    """Each PIT downstream address once, in PIT order: a neighbor that
+    asked under several nonces still gets a single reply."""
+    return dict.fromkeys(addr for addr, _nonce in pending)
+
+
 class RediscoveryScheduler:
     """Round-robin grants across flows that want rediscovery.
 
@@ -158,6 +164,25 @@ class ForwardingEngine:
         self._trace("nack_sent", name=str(name), to=str(to), reason=reason.name)
         return Send(to, Nack(name=name, nonce=nonce, reason=reason))
 
+    def _discovery(self, name: Name, nonce: bytes, lifetime_ms: int) -> Broadcast:
+        """A discovery Interest from this node: no route, no payment."""
+        return Broadcast(Interest(
+            name=name, nonce=nonce, hop_info=HopInfo(self.addr), lifetime_ms=lifetime_ms
+        ))
+
+    def _trace_decision(
+        self, name: Name, mode: str, next_hop: NodeAddr | None,
+        named_hop: NodeAddr | None, named_alive: bool,
+    ) -> None:
+        self._trace(
+            "decision",
+            name=str(name),
+            mode=mode,
+            next_hop=None if next_hop is None else str(next_hop),
+            named_hop=None if named_hop is None else str(named_hop),
+            named_hop_alive=named_alive,
+        )
+
     # -- keep-alive --------------------------------------------------
 
     def on_keepalive(self, neighbor: NodeAddr, now: int) -> None:
@@ -180,14 +205,8 @@ class ForwardingEngine:
 
     def originate_discovery(self, name: Name, nonce: bytes, now: int) -> list[Action]:
         self._own_nonces.add(nonce)
-        pkt = Interest(
-            name=name,
-            nonce=nonce,
-            hop_info=HopInfo(self.addr, None),
-            lifetime_ms=self.interest_lifetime_ms,
-        )
         self._trace("discovery_originated", name=str(name), nonce=nonce.hex())
-        return [Broadcast(pkt)]
+        return [self._discovery(name, nonce, self.interest_lifetime_ms)]
 
     def originate_interest(self, pkt: Interest) -> list[Action]:
         """Send an app-built routed Interest toward its route top."""
@@ -234,14 +253,8 @@ class ForwardingEngine:
         if result in (PitResult.NEW, PitResult.AGGREGATED) and pkt.nonce not in self._rebroadcast:
             self._rebroadcast.add(pkt.nonce)
             self.counters["rebroadcasts"] += 1
-            out = Interest(
-                name=pkt.name,
-                nonce=pkt.nonce,
-                hop_info=HopInfo(self.addr, None),
-                lifetime_ms=pkt.lifetime_ms,
-            )
             self._trace("rebroadcast", name=str(pkt.name), nonce=pkt.nonce.hex())
-            actions.append(Broadcast(out))
+            actions.append(self._discovery(pkt.name, pkt.nonce, pkt.lifetime_ms))
             return actions
         self.counters["broadcast_suppressed"] += 1
         return actions
@@ -318,14 +331,7 @@ class ForwardingEngine:
                 mode, next_hop, out_route = "min-cost", hop, RouteStack((hop,))
             else:
                 return self._rediscover_or_refuse(pkt, sender, named_hop, now)
-        self._trace(
-            "decision",
-            name=str(pkt.name),
-            mode=mode,
-            next_hop=str(next_hop),
-            named_hop=None if named_hop is None else str(named_hop),
-            named_hop_alive=named_alive,
-        )
+        self._trace_decision(pkt.name, mode, next_hop, named_hop, named_alive)
         self.counters[f"mode_{mode.replace('-', '_')}"] += 1
 
         accepted, payment = self._settle_incoming(pkt, next_hop, now)
@@ -344,24 +350,12 @@ class ForwardingEngine:
     def _rediscover_or_refuse(
         self, pkt: Interest, sender: NodeAddr, named_hop: NodeAddr | None, now: int
     ) -> list[Action]:
-        self._trace(
-            "decision",
-            name=str(pkt.name),
-            mode="rediscovery",
-            next_hop=None,
-            named_hop=None if named_hop is None else str(named_hop),
-            named_hop_alive=False,
-        )
+        self._trace_decision(pkt.name, "rediscovery", None, named_hop, False)
         if self._rediscovery.request(pkt.name):
             self.counters["mode_rediscovery"] += 1
-            out = Interest(
-                name=pkt.name,
-                nonce=pkt.nonce,  # keep the nonce: replies correlate upstream and back
-                hop_info=HopInfo(self.addr, None),
-                lifetime_ms=pkt.lifetime_ms,
-            )
             self._trace("rediscovery", name=str(pkt.name), nonce=pkt.nonce.hex())
-            return [Broadcast(out)]
+            # Keep the nonce: replies correlate upstream and back.
+            return [self._discovery(pkt.name, pkt.nonce, pkt.lifetime_ms)]
         self.counters["rediscovery_refused"] += 1
         return [self._nack(sender, pkt.name, pkt.nonce, NackReason.NO_ROUTE)]
 
@@ -476,13 +470,8 @@ class ForwardingEngine:
         consumed = self.hooks.path_discovered(pkt.name, after_me, pkt.price)
         if consumed:
             self._trace("path_recorded", name=str(pkt.name), price=pkt.price)
-        downstreams = self.tables.pit.consume(pkt.name, now)
-        seen: set[NodeAddr] = set()
         actions: list[Action] = []
-        for downstream, _nonce in downstreams:
-            if downstream in seen:
-                continue
-            seen.add(downstream)
+        for downstream in _each_once(self.tables.pit.consume(pkt.name, now)):
             if downstream in pkt.route.hops:
                 # The recorded path already visits that neighbor; handing
                 # the reply back would advertise a looping route.
@@ -522,25 +511,17 @@ class ForwardingEngine:
         if pkt.proof is not None:
             outgoing = self._extend_proof(pkt)
         self.tables.cs.insert(pkt.name, pkt.payload)
-        actions: list[Action] = []
-        seen: set[NodeAddr] = set()
-        for downstream, _nonce in downstreams:
-            if downstream in seen:
-                continue
-            seen.add(downstream)
-            actions.append(
-                Send(
-                    downstream,
-                    Data(
-                        name=outgoing.name,
-                        hop_info=HopInfo(self.addr, downstream),
-                        payload=outgoing.payload,
-                        proof=outgoing.proof,
-                    ),
-                )
-            )
-            self.counters["data_forwarded"] += 1
-        return actions
+        once = _each_once(downstreams)
+        self.counters["data_forwarded"] += len(once)
+        return [
+            Send(downstream, Data(
+                name=outgoing.name,
+                hop_info=HopInfo(self.addr, downstream),
+                payload=outgoing.payload,
+                proof=outgoing.proof,
+            ))
+            for downstream in once
+        ]
 
     def _extend_proof(self, pkt: Data) -> Data:
         """Cut-through signing: pull the chunk's earlier packets from the

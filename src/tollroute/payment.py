@@ -20,6 +20,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Callable
 
 from .keys import KeyDirectory, KeyPair, verify
 from .scenario import Defaults
@@ -322,8 +323,8 @@ class ChannelBook:
             raise PaymentError("unknown-channel", channel_id.decode("ascii", "replace"))
         return state
 
-    def channel_between(self, a: NodeAddr, b: NodeAddr, kind: str = "ch") -> ChannelState | None:
-        return self.channels.get(channel_id_for(a, b, kind))
+    def channel_between(self, a: NodeAddr, b: NodeAddr) -> ChannelState | None:
+        return self.channels.get(channel_id_for(a, b))
 
     def projected_balance(self, channel_id: bytes, party: NodeAddr) -> int:
         """Committed balance minus what this party has promised in
@@ -415,19 +416,18 @@ class ChannelBook:
     def cancel_tag(self, tag: OfferTag) -> int:
         """Drop every pending offer for a flow tag (Nack backflow);
         committed updates are untouched.  Returns how many died."""
-        dropped = 0
-        for cid, queue in self.pending.items():
-            keep = [o for o in queue if o.tag != tag]
-            dropped += len(queue) - len(keep)
-            self.pending[cid] = keep
-        return dropped
+        return self._keep_pending(lambda offer: offer.tag != tag)
 
     def purge_expired(self, now: int) -> int:
+        return self._keep_pending(lambda offer: offer.expires_us > now)
+
+    def _keep_pending(self, keep: Callable[[PendingOffer], bool]) -> int:
+        """Drop every pending offer that `keep` rejects; returns how many."""
         dropped = 0
         for cid, queue in self.pending.items():
-            keep = [o for o in queue if o.expires_us > now]
-            dropped += len(queue) - len(keep)
-            self.pending[cid] = keep
+            kept = [o for o in queue if keep(o)]
+            dropped += len(queue) - len(kept)
+            self.pending[cid] = kept
         return dropped
 
     def settle_all(self) -> int:

@@ -95,8 +95,7 @@ class Flow:
     active: Candidate | None = None
     received: dict[int, bytes] = field(default_factory=dict)
     attempts: dict[int, int] = field(default_factory=dict)
-    send_queue: list[int] = field(default_factory=list)
-    chain_armed: bool = False
+    send_queue: list[int] = field(default_factory=list)  # while fetching: armed iff non-empty
     nonces: dict[bytes, tuple[int, int]] = field(default_factory=dict)
     sent_route: dict[int, tuple[NodeAddr, ...]] = field(default_factory=dict)
     proofs: dict[int, tuple] = field(default_factory=dict)  # first -> (proof, route), unverified
@@ -108,10 +107,6 @@ class Flow:
     nacks: int = 0
     refetches: int = 0
     signatures_verified: int = 0
-
-    @property
-    def key(self) -> tuple[NodeAddr, tuple[bytes, ...]]:
-        return (self.node, self.name.components)
 
     def required_spans(self) -> range:
         """First packets of the whole chunks inside the requested range;
@@ -137,19 +132,20 @@ class RunResult:
     ledger_records: list[dict]
 
     def trace_bytes(self) -> bytes:
-        return b"".join(
-            json.dumps(ev, sort_keys=True, separators=(",", ":")).encode() + b"\n"
-            for ev in self.trace
-        )
+        return _json_lines(self.trace)
 
     def report_bytes(self) -> bytes:
         return json.dumps(self.report, sort_keys=True, indent=2).encode() + b"\n"
 
     def ledger_bytes(self) -> bytes:
-        return b"".join(
-            json.dumps(rec, sort_keys=True, separators=(",", ":")).encode() + b"\n"
-            for rec in self.ledger_records
-        )
+        return _json_lines(self.ledger_records)
+
+
+def _json_lines(records: list[dict]) -> bytes:
+    return b"".join(
+        json.dumps(rec, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+        for rec in records
+    )
 
 
 class Simulator:
@@ -319,7 +315,7 @@ class Simulator:
             serve=serve,
             start_us=self.now,
         )
-        self.flows[flow.key] = flow
+        self.flows[(flow.node, flow.name.components)] = flow
         self.emit("sim", "fetch", node=str(action.node), name=str(action.name),
                   packets=action.packets)
         local = next((s for s in self.nodes[action.node].serves if s.owns(action.name)), None)
@@ -376,7 +372,6 @@ class Simulator:
         flow.state = "fetching"
         flow.generation += 1
         flow.send_queue = []
-        flow.chain_armed = False
         # Finding a usable path resets discovery patience: the retry
         # budget bounds consecutive fruitless rounds, not a lifetime.
         flow.discovery_attempts = 0
@@ -392,12 +387,12 @@ class Simulator:
         # pre-scheduled.  The chain guarantees that packet i's frames
         # (and the channel commit its offer triggers) are processed
         # before packet i+1's offer is signed, keeping consecutive
-        # offers on a shared channel from racing each other.
-        pending = set(flow.send_queue)
-        pending.update(indexes)
-        flow.send_queue = sorted(pending)
-        if flow.send_queue and not flow.chain_armed:
-            flow.chain_armed = True
+        # offers on a shared channel from racing each other.  A send is
+        # armed exactly while the queue is non-empty: only _send_next
+        # pops it, and _select_candidate empties it with a new generation.
+        was_empty = not flow.send_queue
+        flow.send_queue = sorted(set(flow.send_queue).union(indexes))
+        if was_empty and flow.send_queue:
             self.at(self.now, self._send_next, flow, flow.generation)
 
     def _send_next(self, flow: Flow, generation: int) -> None:
@@ -406,17 +401,15 @@ class Simulator:
         while flow.send_queue and flow.send_queue[0] in flow.received:
             flow.send_queue.pop(0)
         if not flow.send_queue:
-            flow.chain_armed = False
             return
-        idx = flow.send_queue.pop(0)
-        self._send_packet(flow, idx)
-        if flow.send_queue and flow.state == "fetching" and generation == flow.generation:
+        self._send_packet(flow, flow.send_queue.pop(0))
+        # _send_packet never changes the generation, but a payment error
+        # fails the flow.
+        if flow.send_queue and flow.state == "fetching":
             self.at(
                 self.now + self.defaults.send_interval_ms * MS,
                 self._send_next, flow, generation,
             )
-        else:
-            flow.chain_armed = False
 
     def _send_packet(self, flow: Flow, idx: int) -> None:
         name = flow.name.with_index(idx)

@@ -28,6 +28,12 @@ class PitDownstream:
     expires_us: int
 
 
+def _live(entry: list[PitDownstream] | None, now: int) -> list[tuple[NodeAddr, bytes]]:
+    if entry is None:
+        return []
+    return [(ds.addr, ds.nonce) for ds in entry if ds.expires_us > now]
+
+
 class Pit:
     """Pending Interest table.
 
@@ -38,9 +44,6 @@ class Pit:
 
     def __init__(self) -> None:
         self._entries: dict[Name, list[PitDownstream]] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def __contains__(self, name: Name) -> bool:
         return name in self._entries
@@ -76,18 +79,12 @@ class Pit:
     def consume(self, name: Name, now: int) -> list[tuple[NodeAddr, bytes]]:
         """Remove the entry and return its unexpired downstreams in
         insertion order."""
-        entry = self._entries.pop(name, None)
-        if entry is None:
-            return []
-        return [(ds.addr, ds.nonce) for ds in entry if ds.expires_us > now]
+        return _live(self._entries.pop(name, None), now)
 
     def peek(self, name: Name, now: int) -> list[tuple[NodeAddr, bytes]]:
         """Like consume but leaves the entry in place, for answers that
         must not end the Interest's life (a cache's discovery reply)."""
-        entry = self._entries.get(name)
-        if entry is None:
-            return []
-        return [(ds.addr, ds.nonce) for ds in entry if ds.expires_us > now]
+        return _live(self._entries.get(name), now)
 
     def sweep(self, now: int) -> None:
         """Drop fully expired entries (housekeeping only)."""
@@ -234,9 +231,6 @@ class ContentStore:
         self.capacity_bytes = capacity_bytes
         self._entries: OrderedDict[Name, bytes] = OrderedDict()
         self._used = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     @property
     def used_bytes(self) -> int:

@@ -221,9 +221,6 @@ class RouteStack:
             if a == b:
                 raise ValueError("route stack has two adjacent equal addresses")
 
-    def __len__(self) -> int:
-        return len(self.hops)
-
     @property
     def top(self) -> NodeAddr:
         return self.hops[0]

@@ -32,15 +32,14 @@ def executable_lines(path: Path) -> set[int]:
 
 
 def spans(numbers: list[int]) -> str:
-    """1, 2, 3, 7 -> '1-3, 7'."""
-    out: list[str] = []
+    """[1, 2, 3, 7] -> '1-3, 7'."""
+    runs: list[list[int]] = []
     for n in numbers:
-        if out and n == last + 1:
-            out[-1] = f"{out[-1].split('-')[0]}-{n}"
+        if runs and n == runs[-1][1] + 1:
+            runs[-1][1] = n
         else:
-            out.append(str(n))
-        last = n
-    return ", ".join(out)
+            runs.append([n, n])
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
 
 
 def main(argv: list[str]) -> int:
@@ -56,6 +55,8 @@ def main(argv: list[str]) -> int:
         filename = frame.f_code.co_filename
         if not filename.startswith(prefix):
             return None
+        # A frame starts at its call event, at the code object's first
+        # line (line 0 for a module), which gets no line event.
         ran.setdefault(filename, set()).add(frame.f_lineno)
         return local
 

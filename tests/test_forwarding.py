@@ -610,6 +610,75 @@ class TestRelayProofPassThrough:
         assert record["reason"] == "refusing to sign the same chunk twice"
 
 
+class TestRefusalsAndDrops:
+    """Packets the engine refuses or drops: each returns the exact
+    actions and moves exactly its counter."""
+
+    def test_routed_interest_with_duplicate_nonce_dropped(self):
+        relay, _ = make_node(B, 3, payment_mode="payall")
+        relay.tables.keepalive_heard(C, 0)
+        pkt = interest(PREFIX.with_index(0), NONCE, A, remote=B, route=RouteStack((B, C)))
+        (out,) = relay.on_interest(pkt, now=10)
+        assert out.to == C
+        assert relay.on_interest(pkt, now=11) == []
+        assert relay.counters["dropped_duplicate"] == 1
+        assert relay.counters["mode_source_routed"] == 1
+
+    def test_underpaid_aggregated_interest_nacked_without_commit(self):
+        ledger, book = payment_fabric(A, B, D)
+        relay, _ = make_node(B, 3, book)
+        make_node(D, 0, book)
+        book.open(D, B, 200, 200)
+        name = PREFIX.with_index(0)
+        relay.tables.pit.insert(name, A, b"\x01" * 8, 0, 4_000_000)
+        offer = book.make_offer(D, channel_id_for(D, B), 2, (name, NONCE), now=0)
+        pkt = interest(name, NONCE, D, remote=B, route=RouteStack((B, C)), payment=offer)
+        (nack,) = relay.on_interest(pkt, now=1)
+        assert nack.to == D
+        assert nack.packet == Nack(name=name, nonce=NONCE, reason=NackReason.INSUFFICIENT_PAYMENT)
+        assert relay.counters["payment_rejects"] == 1
+        assert relay.counters["aggregated"] == 0
+        assert book.state(channel_id_for(D, B)).sequence == 0
+
+    def test_misaddressed_data_dropped(self):
+        relay, _ = make_node(B, 3, payment_mode="payall")
+        name = PREFIX.with_index(0)
+        relay.tables.pit.insert(name, A, b"\x01" * 8, 0, 4_000_000)
+        stray = Data(name=name, hop_info=HopInfo(C, D), payload=b"x")
+        assert relay.on_data(stray, now=5) == []
+        assert relay.counters["dropped_malformed"] == 1
+        assert name in relay.tables.pit
+
+    def test_discovery_data_for_another_route_top_dropped_after_price_update(self):
+        relay, _ = make_node(B, 3, payment_mode="payall")
+        relay.on_interest(interest(PREFIX, NONCE, A), now=0)
+        answer = Data(
+            name=PREFIX, hop_info=HopInfo(C, B), route=RouteStack((D, C)), payload=b"", price=12
+        )
+        assert relay.on_data(answer, now=5) == []
+        assert relay.counters["dropped_malformed"] == 1
+        assert relay.tables.fib.lookup_min_cost(PREFIX) == (C, 12)
+        assert PREFIX in relay.tables.pit
+
+    def test_discovery_data_whose_route_is_only_this_node_dropped(self):
+        relay, _ = make_node(B, 3, payment_mode="payall")
+        relay.on_interest(interest(PREFIX, NONCE, A), now=0)
+        answer = Data(
+            name=PREFIX, hop_info=HopInfo(C, B), route=RouteStack((B,)), payload=b"", price=12
+        )
+        assert relay.on_data(answer, now=5) == []
+        assert relay.counters["dropped_malformed"] == 1
+        assert relay.tables.fib.lookup_min_cost(PREFIX) == (C, 12)
+
+    def test_unsolicited_nack_dropped(self):
+        relay, _ = make_node(B, 3, payment_mode="payall")
+        relay.hooks.deliver_nack = lambda pkt: False  # no flow of this node asked
+        nack = Nack(name=PREFIX.with_index(0), nonce=NONCE, reason=NackReason.NO_ROUTE)
+        assert relay.on_nack(nack, now=5) == []
+        assert relay.counters["dropped_unsolicited"] == 1
+        assert relay.counters["nacks_forwarded"] == 0
+
+
 class TestPriceAdditivity:
     def test_price_sums_over_longer_chains(self):
         rng = random.Random(5)

@@ -145,9 +145,6 @@ class Scenario:
     links: tuple[LinkSpec, ...]
     schedule: tuple[FetchAction | LinkAction, ...]
 
-    def cost_of(self) -> dict[NodeAddr, int]:
-        return {spec.addr: spec.cost for spec in self.nodes}
-
 
 class _Check:
     """Accumulates problems instead of failing fast."""

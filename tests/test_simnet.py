@@ -8,14 +8,7 @@ from pathlib import Path
 import pytest
 
 from tollroute import forwarding, proof
-from tollroute.audit import (
-    audit_run,
-    check_keepalive_bound,
-    check_mode_labels,
-    check_price_additivity,
-    check_simple_routes,
-    check_unicast_data,
-)
+from tollroute.audit import audit_run
 from tollroute.keys import KeyPair
 from tollroute.scenario import ScenarioError, content_bytes, load_scenario, parse_scenario
 from tollroute.simnet import Simulator, run_scenario
@@ -614,82 +607,118 @@ class TestAuditor:
         scenario = parse_scenario(copy.deepcopy(doc), source="inline.scn")
         return scenario, run_scenario(scenario)
 
+    def scenario(self):
+        return parse_scenario(line_doc(), source="inline.scn")
+
     def test_clean_run_passes_every_check(self):
         scenario, result = self.clean_run()
         assert audit_run(scenario, result.trace, result.ledger_records) == []
 
     def test_broadcast_data_is_flagged(self):
-        trace = [
-            {
-                "t": 5,
-                "node": R,
-                "event": "tx",
-                "kind": "data",
-                "name": "/line/data/seg=0",
-                "discovery": False,
-                "to": "ff-ff-ff-ff-ff-ff",
-            }
+        trace = [BROADCAST_DATA]
+        assert audit_run(self.scenario(), trace, []) == [
+            f"t=5 node={R}: data /line/data/seg=0 sent to broadcast"
         ]
-        assert check_unicast_data(trace)
 
     def test_wrong_discovery_price_is_flagged(self):
         scenario, result = self.clean_run()
         trace = copy.deepcopy(result.trace)
-        tampered = False
+        expected = []
         for ev in trace:
             if ev["event"] == "tx" and ev.get("kind") == "data" and ev.get("discovery"):
                 ev["price"] += 1
-                tampered = True
-        assert tampered
-        assert check_price_additivity(scenario, trace)
+                expected.append(
+                    f"t={ev['t']} node={ev['node']}: discovery {ev['name']} "
+                    f"price {ev['price']} != {ev['price'] - 1} for route {ev['route']}"
+                )
+        assert expected
+        assert audit_run(scenario, trace, []) == expected
 
     def test_looping_route_is_flagged(self):
-        trace = [
-            {
-                "t": 9,
-                "node": R,
-                "event": "tx",
-                "kind": "interest",
-                "name": "/line/data/seg=0",
-                "route": [P, R, P],
-                "to": P,
-            }
+        trace = [LOOPING_INTEREST]
+        assert audit_run(self.scenario(), trace, []) == [
+            f"t=9 node={R}: looping route {[P, R, P]} on interest /line/data/seg=0"
         ]
-        assert check_simple_routes(trace)
 
     def test_late_death_detection_is_flagged(self):
-        scenario, _ = self.clean_run()
-        trace = [
-            {
-                "t": 1,
-                "node": R,
-                "event": "neighbor_dead",
-                "neighbor": P,
-                "last_seen_us": 0,
-                "detected_us": 500_000,
-            }
+        trace = [LATE_DEATH]
+        assert audit_run(self.scenario(), trace, []) == [
+            f"t=1 node={R}: neighbor {P} declared dead after 500000us (bound 400000us)"
         ]
-        assert check_keepalive_bound(scenario, trace)
 
     def test_mislabeled_mode_is_flagged(self):
-        trace = [
-            {
-                "t": 2,
-                "node": R,
-                "event": "decision",
-                "name": "/line/data/seg=0",
-                "mode": "source-routed",
-                "named_hop": P,
-                "named_hop_alive": False,
-            },
-            {
-                "t": 3,
-                "node": R,
-                "event": "decision",
-                "name": "/line/data/seg=1",
-                "mode": "min-cost",
-                "named_hop": P,
-                "named_hop_alive": True,
-            },
+        trace = MISLABELED_DECISIONS
+        assert audit_run(self.scenario(), trace, []) == [
+            f"t=2 node={R}: source-routed decision for /line/data/seg=0 with named hop not alive",
+            f"t=3 node={R}: min-cost decision for /line/data/seg=1 while named hop {P} is alive",
         ]
-        assert len(check_mode_labels(trace)) == 2
+
+    def test_one_walk_over_a_one_shot_iterator_reports_every_kind(self):
+        """The audit reads each record once, so a trace that can only be
+        walked once (a stream) still gets every check, in trace order."""
+        scenario, result = self.clean_run()
+        trace = copy.deepcopy(result.trace)
+        reply = next(
+            ev for ev in trace
+            if ev["event"] == "tx" and ev.get("kind") == "data" and ev.get("discovery")
+        )
+        reply["price"] += 1
+        doctored = [LATE_DEATH, *MISLABELED_DECISIONS, BROADCAST_DATA, *trace, LOOPING_INTEREST]
+        violations = audit_run(scenario, iter(doctored), result.ledger_records)
+        assert violations == [
+            f"t=1 node={R}: neighbor {P} declared dead after 500000us (bound 400000us)",
+            f"t=2 node={R}: source-routed decision for /line/data/seg=0 with named hop not alive",
+            f"t=3 node={R}: min-cost decision for /line/data/seg=1 while named hop {P} is alive",
+            f"t=5 node={R}: data /line/data/seg=0 sent to broadcast",
+            f"t={reply['t']} node={reply['node']}: discovery {reply['name']} "
+            f"price {reply['price']} != {reply['price'] - 1} for route {reply['route']}",
+            f"t=9 node={R}: looping route {[P, R, P]} on interest /line/data/seg=0",
+        ]
+
+
+BROADCAST_DATA = {
+    "t": 5,
+    "node": R,
+    "event": "tx",
+    "kind": "data",
+    "name": "/line/data/seg=0",
+    "discovery": False,
+    "to": "ff-ff-ff-ff-ff-ff",
+}
+LOOPING_INTEREST = {
+    "t": 9,
+    "node": R,
+    "event": "tx",
+    "kind": "interest",
+    "name": "/line/data/seg=0",
+    "route": [P, R, P],
+    "to": P,
+}
+LATE_DEATH = {
+    "t": 1,
+    "node": R,
+    "event": "neighbor_dead",
+    "neighbor": P,
+    "last_seen_us": 0,
+    "detected_us": 500_000,
+}
+MISLABELED_DECISIONS = [
+    {
+        "t": 2,
+        "node": R,
+        "event": "decision",
+        "name": "/line/data/seg=0",
+        "mode": "source-routed",
+        "named_hop": P,
+        "named_hop_alive": False,
+    },
+    {
+        "t": 3,
+        "node": R,
+        "event": "decision",
+        "name": "/line/data/seg=1",
+        "mode": "min-cost",
+        "named_hop": P,
+        "named_hop_alive": True,
+    },
+]

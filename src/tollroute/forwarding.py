@@ -37,6 +37,7 @@ from .proof import ProofError, VerifiedLinks, make_chunk, sign_chunk
 from .scenario import Defaults, NodeSpec, ServeSpec
 from .tables import NodeTables, PitResult
 from .wire import (
+    BROADCAST,
     ChunkProof,
     Data,
     HopInfo,
@@ -55,14 +56,6 @@ from .wire import (
 class Send:
     to: NodeAddr
     packet: Packet
-
-
-@dataclass(frozen=True)
-class Broadcast:
-    packet: Interest
-
-
-Action = Send | Broadcast
 
 
 def _each_once(pending: list[tuple[NodeAddr, bytes]]) -> dict[NodeAddr, None]:
@@ -164,9 +157,9 @@ class ForwardingEngine:
         self._trace("nack_sent", name=str(name), to=str(to), reason=reason.name)
         return Send(to, Nack(name=name, nonce=nonce, reason=reason))
 
-    def _discovery(self, name: Name, nonce: bytes, lifetime_ms: int) -> Broadcast:
+    def _discovery(self, name: Name, nonce: bytes, lifetime_ms: int) -> Send:
         """A discovery Interest from this node: no route, no payment."""
-        return Broadcast(Interest(
+        return Send(BROADCAST, Interest(
             name=name, nonce=nonce, hop_info=HopInfo(self.addr), lifetime_ms=lifetime_ms
         ))
 
@@ -203,21 +196,21 @@ class ForwardingEngine:
 
     # -- origination (consumer side) ---------------------------------
 
-    def originate_discovery(self, name: Name, nonce: bytes, now: int) -> list[Action]:
+    def originate_discovery(self, name: Name, nonce: bytes, now: int) -> list[Send]:
         self._own_nonces.add(nonce)
         self._trace("discovery_originated", name=str(name), nonce=nonce.hex())
         return [self._discovery(name, nonce, self.interest_lifetime_ms)]
 
-    def originate_interest(self, pkt: Interest) -> list[Action]:
+    def originate_interest(self, pkt: Interest) -> list[Send]:
         """Send an app-built routed Interest toward its route top."""
-        if pkt.route is None or pkt.hop_info.remote != pkt.route.top:
+        if pkt.route is None:
             raise ValueError("originated content Interests must be source-routed")
         self._own_nonces.add(pkt.nonce)
         return [Send(pkt.route.top, pkt)]
 
     # -- Interest handling -------------------------------------------
 
-    def on_interest(self, pkt: Interest, now: int) -> list[Action]:
+    def on_interest(self, pkt: Interest, now: int) -> list[Send]:
         self.counters["interests_in"] += 1
         if pkt.nonce in self._own_nonces:
             # Our own flood came back around a loop.
@@ -230,7 +223,7 @@ class ForwardingEngine:
             return []
         return self._on_routed_interest(pkt, now)
 
-    def _on_discovery_interest(self, pkt: Interest, now: int) -> list[Action]:
+    def _on_discovery_interest(self, pkt: Interest, now: int) -> list[Send]:
         sender = pkt.hop_info.local
         result = self.tables.pit.insert(
             pkt.name, sender, pkt.nonce, now, pkt.lifetime_ms * 1_000
@@ -241,7 +234,7 @@ class ForwardingEngine:
         if self._serves_prefix(pkt.name):
             # Authoritative: nothing upstream can outbid the origin.
             return self._answer_discovery(pkt.name, now)
-        actions: list[Action] = []
+        actions: list[Send] = []
         if self._can_serve(pkt.name):
             # A cache answer is an offer, not the origin; the search
             # keeps travelling so the consumer also learns a path that
@@ -259,12 +252,12 @@ class ForwardingEngine:
         self.counters["broadcast_suppressed"] += 1
         return actions
 
-    def _answer_discovery(self, name: Name, now: int, consume: bool = True) -> list[Action]:
+    def _answer_discovery(self, name: Name, now: int, consume: bool = True) -> list[Send]:
         """Producer (or caching relay) answers: one discovery Data per
         pending downstream, route seeded [downstream, self].  A cache
         answer passes consume=False so the PIT entry stays alive for the
         reply that may still come back from the true origin."""
-        actions: list[Action] = []
+        actions: list[Send] = []
         pit = self.tables.pit
         pending = pit.consume(name, now) if consume else pit.peek(name, now)
         for downstream, _nonce in pending:
@@ -296,7 +289,7 @@ class ForwardingEngine:
             return self.tables.cs.lookup(name.with_index(0)) is not None
         return False
 
-    def _on_routed_interest(self, pkt: Interest, now: int) -> list[Action]:
+    def _on_routed_interest(self, pkt: Interest, now: int) -> list[Send]:
         sender = pkt.hop_info.local
         after_me = pkt.route.pop()
         result = self.tables.pit.insert(
@@ -349,7 +342,7 @@ class ForwardingEngine:
 
     def _rediscover_or_refuse(
         self, pkt: Interest, sender: NodeAddr, named_hop: NodeAddr | None, now: int
-    ) -> list[Action]:
+    ) -> list[Send]:
         self._trace_decision(pkt.name, "rediscovery", None, named_hop, False)
         if self._rediscovery.request(pkt.name):
             self.counters["mode_rediscovery"] += 1
@@ -387,13 +380,13 @@ class ForwardingEngine:
         self.counters["tokens_kept"] += kept
         return True, offer
 
-    def _serve_content(self, pkt: Interest, sender: NodeAddr, now: int) -> list[Action]:
+    def _serve_content(self, pkt: Interest, sender: NodeAddr, now: int) -> list[Send]:
         # A cache or producer hit keeps the full remaining payment; no
         # upstream does any work for it.
         accepted, _ = self._settle_incoming(pkt, None, now)
         if not accepted:
             return [self._nack(sender, pkt.name, pkt.nonce, NackReason.INSUFFICIENT_PAYMENT)]
-        actions: list[Action] = []
+        actions: list[Send] = []
         for downstream, _nonce in self.tables.pit.consume(pkt.name, now):
             data = self._build_content(pkt.name, downstream)
             if data is None:
@@ -440,7 +433,7 @@ class ForwardingEngine:
 
     # -- Data handling -----------------------------------------------
 
-    def on_data(self, pkt: Data, now: int) -> list[Action]:
+    def on_data(self, pkt: Data, now: int) -> list[Send]:
         self.counters["data_in"] += 1
         if pkt.hop_info.remote != self.addr:
             self.counters["dropped_malformed"] += 1
@@ -449,7 +442,7 @@ class ForwardingEngine:
             return self._on_discovery_data(pkt, now)
         return self._on_content_data(pkt, now)
 
-    def _on_discovery_data(self, pkt: Data, now: int) -> list[Action]:
+    def _on_discovery_data(self, pkt: Data, now: int) -> list[Send]:
         sender = pkt.hop_info.local
         # Price observation first, unconditionally: even a misaddressed
         # reply is a genuine price signal from this neighbor.
@@ -470,7 +463,7 @@ class ForwardingEngine:
         consumed = self.hooks.path_discovered(pkt.name, after_me, pkt.price)
         if consumed:
             self._trace("path_recorded", name=str(pkt.name), price=pkt.price)
-        actions: list[Action] = []
+        actions: list[Send] = []
         for downstream in _each_once(self.tables.pit.consume(pkt.name, now)):
             if downstream in pkt.route.hops:
                 # The recorded path already visits that neighbor; handing
@@ -490,7 +483,7 @@ class ForwardingEngine:
             self.counters["dropped_unsolicited"] += 1
         return actions
 
-    def _on_content_data(self, pkt: Data, now: int) -> list[Action]:
+    def _on_content_data(self, pkt: Data, now: int) -> list[Send]:
         if (
             self.relay_mode == "storeforward"
             and pkt.name.chunk_index is not None
@@ -499,7 +492,7 @@ class ForwardingEngine:
             return self._store_and_forward(pkt, now)
         return self._relay_content(pkt, now)
 
-    def _relay_content(self, pkt: Data, now: int) -> list[Action]:
+    def _relay_content(self, pkt: Data, now: int) -> list[Send]:
         downstreams = self.tables.pit.consume(pkt.name, now)
         if not downstreams:
             if self.hooks.deliver_data(pkt):
@@ -562,7 +555,7 @@ class ForwardingEngine:
         self._proofs[(prefix.components, last)] = extended
         return Data(name=pkt.name, hop_info=pkt.hop_info, payload=pkt.payload, proof=extended)
 
-    def _store_and_forward(self, pkt: Data, now: int) -> list[Action]:
+    def _store_and_forward(self, pkt: Data, now: int) -> list[Send]:
         """Hold content packets until their chunk's proof packet arrives,
         then validate and flush the whole chunk in order."""
         key = pkt.name.prefix.components
@@ -578,7 +571,7 @@ class ForwardingEngine:
             # carry the proof again on the final packet).
             self.counters["sf_buffered"] += 1
             return []
-        actions: list[Action] = []
+        actions: list[Send] = []
         self.counters["sf_flushes"] += 1
         for index in wanted:
             actions.extend(self._relay_content(buffer.pop(index), now))
@@ -586,7 +579,7 @@ class ForwardingEngine:
 
     # -- Nack handling -----------------------------------------------
 
-    def on_nack(self, pkt: Nack, now: int) -> list[Action]:
+    def on_nack(self, pkt: Nack, now: int) -> list[Send]:
         # Nacks carry no hop header; link-level delivery already
         # guaranteed this node is the addressee.
         self.counters["nacks_in"] += 1
@@ -600,7 +593,7 @@ class ForwardingEngine:
             if not self.hooks.deliver_nack(pkt):
                 self.counters["dropped_unsolicited"] += 1
             return []
-        actions: list[Action] = []
+        actions: list[Send] = []
         for downstream, dnonce in downstreams:
             actions.append(Send(downstream, Nack(name=pkt.name, nonce=dnonce, reason=pkt.reason)))
             self.counters["nacks_forwarded"] += 1
@@ -608,7 +601,7 @@ class ForwardingEngine:
 
     # -- dispatch ----------------------------------------------------
 
-    def on_packet(self, pkt: Packet, now: int) -> list[Action]:
+    def on_packet(self, pkt: Packet, now: int) -> list[Send]:
         if isinstance(pkt, Interest):
             return self.on_interest(pkt, now)
         if isinstance(pkt, Data):

@@ -26,7 +26,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .forwarding import Broadcast, EngineHooks, ForwardingEngine, Send
+from .forwarding import EngineHooks, ForwardingEngine, Send
 from .keys import KeyPair
 from .payment import (
     ChannelBook,
@@ -38,7 +38,6 @@ from .payment import (
 from .proof import VerifiedLinks, verify_chain
 from .scenario import FetchAction, LinkAction, Scenario, ScenarioError, ServeSpec
 from .wire import (
-    BROADCAST,
     ChunkProof,
     Data,
     DecodeError,
@@ -258,22 +257,20 @@ class Simulator:
 
     # -- the medium ----------------------------------------------------
 
-    def transmit(self, src: NodeAddr, action) -> None:
+    def transmit(self, src: NodeAddr, action: Send) -> None:
         pkt = action.packet
         frame = encode_packet(pkt)
-        fields = _frame_fields(pkt)
-        if isinstance(action, Broadcast):
-            self.emit(src, "tx", to=str(BROADCAST), **fields)
-            for peer, link in self.neighbors[src]:
-                if link.up and not link.drops():
-                    self.at(self.now + link.latency_us, self._arrive, peer, src, frame)
-        elif isinstance(action, Send):
-            self.emit(src, "tx", to=str(action.to), **fields)
-            link = self.link_between(src, action.to)
+        self.emit(src, "tx", to=str(action.to), **_frame_fields(pkt))
+        if action.to.is_broadcast:
+            targets = self.neighbors[src]
+        else:
             # No link, or a link that is down, loses the frame silently:
             # exactly the failure keep-alives exist to surface.
-            if link is not None and link.up and not link.drops():
-                self.at(self.now + link.latency_us, self._arrive, action.to, src, frame)
+            link = self.link_between(src, action.to)
+            targets = () if link is None else ((action.to, link),)
+        for peer, link in targets:
+            if link.up and not link.drops():
+                self.at(self.now + link.latency_us, self._arrive, peer, src, frame)
 
     def _arrive(self, dst: NodeAddr, src: NodeAddr, frame: bytes) -> None:
         try:
@@ -736,14 +733,12 @@ def _frame_fields(pkt) -> dict:
         else:
             fields["proof"] = pkt.proof is not None
         return fields
-    if isinstance(pkt, Nack):
-        return {
-            "kind": "nack",
-            "name": str(pkt.name),
-            "nonce": pkt.nonce.hex(),
-            "reason": pkt.reason.name,
-        }
-    raise TypeError(f"not a wire packet: {pkt!r}")
+    return {
+        "kind": "nack",
+        "name": str(pkt.name),
+        "nonce": pkt.nonce.hex(),
+        "reason": pkt.reason.name,
+    }
 
 
 def run_scenario(scenario: Scenario) -> RunResult:

@@ -189,9 +189,6 @@ class Name:
     def with_index(self, index: int) -> "Name":
         return Name(self.components, index)
 
-    def has_prefix(self, other: "Name") -> bool:
-        return self.components[: len(other.components)] == other.components
-
 
 @dataclass(frozen=True)
 class HopInfo:

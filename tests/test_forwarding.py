@@ -3,8 +3,9 @@ ladder, payments riding Interests, and proof handling on content Data."""
 
 import random
 
+import pytest
+
 from tollroute.forwarding import (
-    Broadcast,
     EngineHooks,
     ForwardingEngine,
     RediscoveryScheduler,
@@ -15,6 +16,7 @@ from tollroute.payment import ChannelBook, Ledger, channel_id_for
 from tollroute.proof import VerifiedLinks, verify_chain
 from tollroute.scenario import Defaults, NodeSpec, ServeSpec
 from tollroute.wire import (
+    BROADCAST,
     ChunkProof,
     Data,
     HopInfo,
@@ -125,13 +127,13 @@ class TestDiscovery:
         cap_a.expect_paths = True
 
         (bcast,) = consumer.originate_discovery(PREFIX, NONCE, now=0)
-        assert isinstance(bcast, Broadcast)
+        assert bcast.to == BROADCAST
         assert bcast.packet.is_discovery and bcast.packet.payment is None
         assert bcast.packet.hop_info == HopInfo(A)
         assert bcast.packet.lifetime_ms == 2_500
 
         (rebcast,) = relay.on_interest(bcast.packet, now=5)
-        assert isinstance(rebcast, Broadcast)
+        assert rebcast.to == BROADCAST
         assert rebcast.packet.nonce == NONCE
         assert rebcast.packet.hop_info == HopInfo(B)
         assert rebcast.packet.lifetime_ms == 2_500
@@ -168,7 +170,7 @@ class TestDiscovery:
         assert relay.counters["broadcast_suppressed"] == 1
         # A fresh nonce for the same name has a budget of its own.
         (again,) = relay.on_interest(interest(PREFIX, b"\x12" * 8, D), now=3)
-        assert isinstance(again, Broadcast) and again.packet.nonce == b"\x12" * 8
+        assert again.to == BROADCAST and again.packet.nonce == b"\x12" * 8
         assert relay.counters["rebroadcasts"] == 2
 
     def test_producer_answers_every_aggregated_downstream(self):
@@ -185,6 +187,12 @@ class TestDiscovery:
         consumer.originate_discovery(PREFIX, NONCE, now=0)
         assert consumer.on_interest(interest(PREFIX, NONCE, B), now=1) == []
         assert consumer.counters["dropped_own_nonce"] == 1
+
+    def test_originate_interest_refuses_a_discovery_interest(self):
+        consumer, _ = make_node(A, 0)
+        with pytest.raises(ValueError, match="source-routed"):
+            consumer.originate_interest(interest(PREFIX, NONCE, A))
+        assert consumer.on_interest(interest(PREFIX, NONCE, B), now=1) != []
 
     def test_relay_forwards_discovery_reply_to_each_downstream_once(self):
         relay, _ = make_node(B, 3)
@@ -240,14 +248,14 @@ class TestStrategyLadder:
         relay.keepalive_tick(800_000)
         out = relay.on_interest(self._routed(index=1, nonce=b"\x22" * 8), now=800_001)
         # No usable hop: falls through to rediscovery, not back to A.
-        assert isinstance(out[0], Broadcast)
+        assert out[0].to == BROADCAST
 
     def test_rediscovery_keeps_name_and_nonce_strips_route_and_payment(self):
         relay, _ = make_node(B, 3, payment_mode="payall")
         relay.tables.keepalive_heard(C, 0)
         relay.keepalive_tick(400_000)
         (out,) = relay.on_interest(self._routed(lifetime_ms=2_500), now=400_001)
-        assert isinstance(out, Broadcast)
+        assert out.to == BROADCAST
         assert out.packet.name == PREFIX.with_index(0)
         assert out.packet.nonce == NONCE
         assert out.packet.route is None and out.packet.payment is None
@@ -262,14 +270,14 @@ class TestStrategyLadder:
         f1a = interest(Name((b"f1",), chunk_index=0), b"\x01" * 8, A, B, RouteStack((B, C)))
         f1b = interest(Name((b"f1",), chunk_index=1), b"\x03" * 8, A, B, RouteStack((B, C)))
         f2 = interest(Name((b"f2",), chunk_index=0), b"\x02" * 8, A, B, RouteStack((B, C)))
-        assert isinstance(relay.on_interest(f1a, 400_001)[0], Broadcast)
-        assert isinstance(relay.on_interest(f2, 400_002)[0], Broadcast)
+        assert relay.on_interest(f1a, 400_001)[0].to == BROADCAST
+        assert relay.on_interest(f2, 400_002)[0].to == BROADCAST
         # f2 went last; an immediate repeat for f2's flow yields, but f1
         # took turns properly so it broadcasts again.
-        assert isinstance(relay.on_interest(f1b, 400_003)[0], Broadcast)
+        assert relay.on_interest(f1b, 400_003)[0].to == BROADCAST
         f2b = interest(Name((b"f2",), chunk_index=1), b"\x04" * 8, A, B, RouteStack((B, C)))
         f2c = interest(Name((b"f2",), chunk_index=2), b"\x05" * 8, A, B, RouteStack((B, C)))
-        assert isinstance(relay.on_interest(f2b, 400_004)[0], Broadcast)
+        assert relay.on_interest(f2b, 400_004)[0].to == BROADCAST
         (nack,) = relay.on_interest(f2c, 400_005)
         assert isinstance(nack.packet, Nack)
         assert nack.packet.reason is NackReason.NO_ROUTE

@@ -156,11 +156,6 @@ class TestName:
         assert n.prefix == Name.parse("/a/b")
         assert n.prefix.prefix == n.prefix
 
-    def test_has_prefix(self) -> None:
-        assert Name.parse("/a/b/c").has_prefix(Name.parse("/a/b"))
-        assert not Name.parse("/a/b").has_prefix(Name.parse("/a/b/c"))
-        assert not Name.parse("/ab").has_prefix(Name.parse("/a"))
-
     def test_empty_rejected(self) -> None:
         with pytest.raises(ValueError):
             Name(())

@@ -74,9 +74,13 @@ def _load(args: argparse.Namespace) -> Scenario | None:
     try:
         return _apply_overrides(_resolve_scenario(args.scenario), args)
     except ScenarioError as exc:
-        for problem in exc.problems:
-            _err("scenario", problem)
+        _scenario_problems(exc)
         return None
+
+
+def _scenario_problems(exc: ScenarioError) -> None:
+    for problem in exc.problems:
+        _err("scenario", problem)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -177,9 +181,16 @@ def _cmd_compare_payment(args: argparse.Namespace) -> int:
     scenario = _load(args)
     if scenario is None:
         return 1
+    try:
+        variants = [
+            (mode, replace(scenario, defaults=replace(scenario.defaults, payment_mode=mode)))
+            for mode in PAYMENT_MODES
+        ]
+    except ScenarioError as exc:
+        _scenario_problems(exc)
+        return 1
     rows = []
-    for mode in PAYMENT_MODES:
-        variant = replace(scenario, defaults=replace(scenario.defaults, payment_mode=mode))
+    for mode, variant in variants:
         result = run_scenario(variant)
         violations = audit_run(variant, result.trace, result.ledger_records)
         if violations:

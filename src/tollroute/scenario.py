@@ -10,6 +10,7 @@ start.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, fields
 
 import yaml
@@ -144,6 +145,22 @@ class Scenario:
     nodes: tuple[NodeSpec, ...]
     links: tuple[LinkSpec, ...]
     schedule: tuple[FetchAction | LinkAction, ...]
+
+    def __post_init__(self) -> None:
+        """Under hop-by-hop payment every node opens a channel on each of
+        its links, funding one deposit apiece from its starting balance."""
+        if self.defaults.payment_mode != "hopbyhop":
+            return
+        balance, deposit = self.defaults.account_balance, self.defaults.channel_deposit
+        degree = Counter(addr for link in self.links for addr in (link.a, link.b))
+        problems = [
+            f"node {spec.addr} must fund {degree[spec.addr] * deposit} in channel deposits "
+            f"but holds {balance}"
+            for spec in self.nodes
+            if degree[spec.addr] * deposit > balance
+        ]
+        if problems:
+            raise ScenarioError(problems)
 
 
 class _Check:

@@ -36,7 +36,7 @@ from .payment import (
     consumer_pay_all,
 )
 from .proof import VerifiedLinks, verify_chain
-from .scenario import FetchAction, LinkAction, Scenario, ScenarioError, ServeSpec
+from .scenario import FetchAction, LinkAction, Scenario, ServeSpec
 from .wire import (
     ChunkProof,
     Data,
@@ -197,7 +197,10 @@ class Simulator:
             self.neighbors[addr].sort(key=lambda pair: pair[0])
 
         if self.defaults.payment_mode == "hopbyhop":
-            self._fund_adjacency_channels()
+            # The scenario has checked that every node can fund these.
+            deposit = self.defaults.channel_deposit
+            for link in self.links.values():
+                self.book.open(link.a, link.b, deposit, deposit)
 
         self.flows: dict[tuple[NodeAddr, tuple[bytes, ...]], Flow] = {}
 
@@ -230,24 +233,6 @@ class Simulator:
             deliver_data=lambda pkt: self._on_flow_data(addr, pkt),
             deliver_nack=lambda pkt: self._on_flow_nack(addr, pkt),
         )
-
-    def _fund_adjacency_channels(self) -> None:
-        deposit = self.defaults.channel_deposit
-        needed: dict[NodeAddr, int] = {}
-        for link in self.links.values():
-            needed[link.a] = needed.get(link.a, 0) + deposit
-            needed[link.b] = needed.get(link.b, 0) + deposit
-        problems = [
-            f"node {addr} must fund {amount} in channel deposits "
-            f"but holds {self.ledger.balance(addr)}"
-            for addr, amount in sorted(needed.items(), key=lambda kv: str(kv[0]))
-            if self.ledger.balance(addr) < amount
-        ]
-        if problems:
-            raise ScenarioError(problems)
-        for key in sorted(self.links, key=lambda k: (str(k[0]), str(k[1]))):
-            link = self.links[key]
-            self.book.open(link.a, link.b, deposit, deposit)
 
     def link_between(self, a: NodeAddr, b: NodeAddr) -> Link | None:
         return self.links.get((a, b) if a < b else (b, a))

@@ -102,6 +102,62 @@ class TestValidate:
         assert capsys.readouterr().out.startswith("ok renamed.scn")
 
 
+def unfundable(tmp_path, payment_mode):
+    """A 3-node line whose nodes cannot fund a 500-token deposit per link
+    under hop-by-hop payment."""
+    path = tmp_path / f"poor-{payment_mode}.scn"
+    path.write_text(
+        "version: 1\n"
+        "duration_ms: 100\n"
+        f"defaults: {{payment_mode: {payment_mode}, account_balance: 10, channel_deposit: 500}}\n"
+        "nodes:\n"
+        "  - {addr: 02-00-00-00-00-01}\n"
+        "  - {addr: 02-00-00-00-00-02}\n"
+        "  - {addr: 02-00-00-00-00-03}\n"
+        "links:\n"
+        "  - [02-00-00-00-00-01, 02-00-00-00-00-02]\n"
+        "  - [02-00-00-00-00-02, 02-00-00-00-00-03]\n"
+        "schedule: []\n"
+    )
+    return str(path)
+
+
+UNFUNDABLE_ERRORS = (
+    "error[scenario]: node 02-00-00-00-00-01 must fund 500 in channel deposits but holds 10\n"
+    "error[scenario]: node 02-00-00-00-00-02 must fund 1000 in channel deposits but holds 10\n"
+    "error[scenario]: node 02-00-00-00-00-03 must fund 500 in channel deposits but holds 10\n"
+)
+
+
+class TestUnfundableScenario:
+    """A scenario that cannot fund its hop-by-hop channels fails to load,
+    so every verb reports it the same way instead of crashing in a run."""
+
+    @pytest.mark.parametrize(
+        "verb, mode, extra",
+        [
+            ("validate", "hopbyhop", []),
+            ("run", "hopbyhop", []),
+            ("dump-state", "hopbyhop", []),
+            ("compare-payment", "hopbyhop", []),
+            ("run", "payall", ["--payment", "hopbyhop"]),
+            ("dump-state", "payall", ["--payment", "hopbyhop"]),
+            ("compare-payment", "payall", []),
+        ],
+    )
+    def test_every_verb_reports_the_funding_rule(self, tmp_path, capsys, verb, mode, extra):
+        scn = unfundable(tmp_path, mode)
+        args = [verb, "--scenario", scn] if verb == "compare-payment" else [verb, scn]
+        assert main(args + extra) == 1
+        out = capsys.readouterr()
+        assert out.err == UNFUNDABLE_ERRORS
+        assert out.out == ""
+
+    def test_pay_all_file_needs_no_channel_deposits(self, tmp_path, capsys):
+        assert main(["validate", unfundable(tmp_path, "payall")]) == 0
+        assert capsys.readouterr().out.startswith("ok poor-payall.scn")
+
+
 class TestDumpState:
     def test_fig6_final_tables(self, capsys):
         assert main(["dump-state", "fig6.scn"]) == 0

@@ -2,6 +2,7 @@
 buffering modes, payment modes, and the post-run invariant auditor."""
 
 import copy
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -597,8 +598,20 @@ class TestValidation:
         doc = line_doc()
         doc["defaults"]["account_balance"] = 10
         doc["defaults"]["channel_deposit"] = 500
-        with pytest.raises(ScenarioError):
-            run_doc(doc)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(copy.deepcopy(doc), source="poor.scn")
+        assert err.value.problems == [
+            f"node {A} must fund 500 in channel deposits but holds 10",
+            f"node {R} must fund 1000 in channel deposits but holds 10",
+            f"node {P} must fund 500 in channel deposits but holds 10",
+        ]
+        # Pay-all opens no adjacency channels; switching the loaded
+        # scenario to hop-by-hop checks the rule again.
+        doc["defaults"]["payment_mode"] = "payall"
+        poor = parse_scenario(doc, source="poor.scn")
+        with pytest.raises(ScenarioError) as err:
+            replace(poor, defaults=replace(poor.defaults, payment_mode="hopbyhop"))
+        assert len(err.value.problems) == 3
 
 
 class TestAuditor:

@@ -29,7 +29,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .audit import audit_run
-from .payment import audit_ledger
+from .payment import audit_ledger, ledger_record_problem
 from .proof import signature_budget
 from .scenario import PAYMENT_MODES, Scenario, ScenarioError, load_scenario
 from .simnet import format_report, run_scenario
@@ -139,10 +139,15 @@ def _cmd_audit_ledger(args: argparse.Namespace) -> int:
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             _err("io", f"{path}:{i + 1}: not valid JSON: {exc.msg}")
             return 1
+        problem = ledger_record_problem(record)
+        if problem is not None:
+            _err("io", f"{path}:{i + 1}: {problem}")
+            return 1
+        records.append(record)
     result = audit_ledger(records)
     if not result.ok:
         for v in result.violations:

@@ -547,6 +547,28 @@ class AuditResult:
     violations: list[str] = field(default_factory=list)
 
 
+_STATE_FIELDS = {"channel": str, "sequence": int, "balance_a": int, "balance_b": int}
+# The fields audit_ledger reads from each op's records, with their JSON types.
+_LEDGER_FIELDS = {
+    "mint": {"account": str, "amount": int},
+    "open": {"channel": str, "party_a": str, "party_b": str, "deposit_a": int, "deposit_b": int},
+    "update": _STATE_FIELDS,
+    "settle": _STATE_FIELDS,
+}
+
+
+def ledger_record_problem(rec) -> str | None:
+    """Why audit_ledger cannot replay a record read from a file, or None.
+    An unknown op is left for the audit to report."""
+    if not isinstance(rec, dict):
+        return "not a JSON object"
+    op = rec.get("op")
+    for name, kind in (_LEDGER_FIELDS.get(op, {}) if isinstance(op, str) else {}).items():
+        if not isinstance(rec.get(name), kind):
+            return f"{op} record needs {kind.__name__} field {name!r}"
+    return None
+
+
 def audit_ledger(records: list[dict]) -> AuditResult:
     """Replay a ledger log and check token conservation after every
     record, plus per-channel sequence and pool discipline.

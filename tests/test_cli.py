@@ -192,6 +192,21 @@ class TestAuditLedger:
         assert main(["audit-ledger", str(ledger)]) == 2
         assert "error[audit]:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ('{"op":"mint","account":"a"}', "mint record needs int field 'amount'"),
+            ('{"op":"settle","channel":"c","sequence":1,"balance_a":"9","balance_b":1}',
+             "settle record needs int field 'balance_a'"),
+            ("[1,2]", "not a JSON object"),
+        ],
+    )
+    def test_malformed_record_exits_one_naming_its_line(self, tmp_path, capsys, line, problem):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text('{"op":"mint","account":"a","amount":5}\n' + line + "\n")
+        assert main(["audit-ledger", str(ledger)]) == 1
+        assert capsys.readouterr().err == f"error[io]: {ledger}:2: {problem}\n"
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["audit-ledger", "/nonexistent/ledger.jsonl"]) == 1
         assert capsys.readouterr().err.startswith("error[io]:")

@@ -32,7 +32,7 @@ from .audit import audit_run
 from .payment import audit_ledger, ledger_record_problem
 from .proof import signature_budget
 from .scenario import PAYMENT_MODES, Scenario, ScenarioError, load_scenario
-from .simnet import format_report, run_scenario
+from .simnet import Simulator, format_report, run_scenario
 
 SCENARIO_DIR_ENV = "TOLLROUTE_SCENARIO_DIR"
 
@@ -58,7 +58,10 @@ def _resolve_scenario(name: str) -> Scenario:
     raise ScenarioError([f"no scenario named {name!r} (cwd, ${SCENARIO_DIR_ENV}, bundled)"])
 
 
-def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
+def _load(args: argparse.Namespace) -> Scenario:
+    """The scenario the command line names, with its overrides applied.
+    Raises ScenarioError, which `main` reports."""
+    scenario = _resolve_scenario(args.scenario)
     if getattr(args, "seed", None) is not None:
         scenario = replace(scenario, seed=args.seed)
     if getattr(args, "payment", None):
@@ -68,25 +71,8 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     return scenario
 
 
-def _load(args: argparse.Namespace) -> Scenario | None:
-    """The scenario the command line names, with its overrides applied;
-    None once every problem found has been reported."""
-    try:
-        return _apply_overrides(_resolve_scenario(args.scenario), args)
-    except ScenarioError as exc:
-        _scenario_problems(exc)
-        return None
-
-
-def _scenario_problems(exc: ScenarioError) -> None:
-    for problem in exc.problems:
-        _err("scenario", problem)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    if scenario is None:
-        return 1
     result = run_scenario(scenario)
     if args.out:
         out = Path(args.out)
@@ -105,8 +91,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    if scenario is None:
-        return 1
     print(
         f"ok {scenario.source.rsplit('/', 1)[-1]} nodes={len(scenario.nodes)} "
         f"links={len(scenario.links)} schedule={len(scenario.schedule)}"
@@ -115,12 +99,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_state(args: argparse.Namespace) -> int:
-    scenario = _load(args)
-    if scenario is None:
-        return 1
-    from .simnet import Simulator
-
-    sim = Simulator(scenario)
+    sim = Simulator(_load(args))
     sim.run()
     for line in sim.dump_state():
         print(line)
@@ -184,16 +163,11 @@ def _cmd_bench_pof(args: argparse.Namespace) -> int:
 
 def _cmd_compare_payment(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    if scenario is None:
-        return 1
-    try:
-        variants = [
-            (mode, replace(scenario, defaults=replace(scenario.defaults, payment_mode=mode)))
-            for mode in PAYMENT_MODES
-        ]
-    except ScenarioError as exc:
-        _scenario_problems(exc)
-        return 1
+    # Both variants are built, and so checked, before either runs.
+    variants = [
+        (mode, replace(scenario, defaults=replace(scenario.defaults, payment_mode=mode)))
+        for mode in PAYMENT_MODES
+    ]
     rows = []
     for mode, variant in variants:
         result = run_scenario(variant)
@@ -266,9 +240,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    args = _build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except ScenarioError as exc:
+        # Only building a scenario raises it, and each verb builds its
+        # scenarios before it prints anything.
+        for problem in exc.problems:
+            _err("scenario", problem)
+        return 1
 
 
 if __name__ == "__main__":

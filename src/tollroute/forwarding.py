@@ -606,6 +606,4 @@ class ForwardingEngine:
             return self.on_interest(pkt, now)
         if isinstance(pkt, Data):
             return self.on_data(pkt, now)
-        if isinstance(pkt, Nack):
-            return self.on_nack(pkt, now)
-        raise TypeError(f"not a packet: {type(pkt).__name__}")
+        return self.on_nack(pkt, now)

@@ -153,6 +153,9 @@ class ForwardingEngine:
         return any(s.owns(name) for s in self.serves)
 
     def _nack(self, to: NodeAddr, name: Name, nonce: bytes, reason: NackReason) -> Send:
+        """Refuse one Interest.  Its PIT slot goes too, so a retry from
+        the same neighbor is a fresh request, not an aggregated one."""
+        self.tables.pit.release(name, to, nonce)
         self.counters["nacks_sent"] += 1
         self._trace("nack_sent", name=str(name), to=str(to), reason=reason.name)
         return Send(to, Nack(name=name, nonce=nonce, reason=reason))

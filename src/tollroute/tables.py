@@ -86,6 +86,14 @@ class Pit:
         must not end the Interest's life (a cache's discovery reply)."""
         return _live(self._entries.get(name), now)
 
+    def release(self, name: Name, downstream: NodeAddr, nonce: bytes) -> None:
+        """Forget one refused downstream; the entry goes with its last."""
+        entry = self._entries.get(name)
+        if entry is not None:
+            entry[:] = [ds for ds in entry if ds.addr != downstream or ds.nonce != nonce]
+            if not entry:
+                del self._entries[name]
+
     def sweep(self, now: int) -> None:
         """Drop fully expired entries (housekeeping only)."""
         for name in [n for n, e in self._entries.items() if all(d.expires_us <= now for d in e)]:

@@ -369,6 +369,49 @@ class TestPaymentsOnPath:
         assert relay.counters["aggregated"] == 1
         assert book.state(channel_id_for(D, B)).balance_of(B) == 215
 
+    def test_refused_interest_leaves_no_pit_slot_at_the_producer(self):
+        ledger, book = payment_fabric(A, C)
+        consumer, _ = make_node(A, 0, book)
+        producer, _ = make_node(C, 12, book, serves=served())
+        book.open(A, C, 200, 200)
+        name = PREFIX.with_index(0)
+
+        def ask(nonce, amount, now):
+            offer = book.make_offer(A, channel_id_for(A, C), amount, (name, nonce), now=now)
+            pkt = interest(name, nonce, A, remote=C, route=RouteStack((C,)), payment=offer)
+            return producer.on_interest(pkt, now=now)
+
+        (nack,) = ask(b"\x01" * 8, 2, now=0)
+        assert nack.packet.reason is NackReason.INSUFFICIENT_PAYMENT
+        consumer.on_nack(nack.packet, now=1)  # the consumer cancels its offer
+        (data,) = ask(b"\x02" * 8, 12, now=2)
+        assert data.to == A and isinstance(data.packet, Data)
+        assert producer.counters["data_served"] == 1
+
+    def test_relay_forwards_a_paid_retry_after_refusing_the_first_try(self):
+        ledger, book = payment_fabric(A, B, C)
+        consumer, _ = make_node(A, 0, book)
+        relay, _ = make_node(B, 3, book)
+        producer, _ = make_node(C, 12, book, serves=served())
+        book.open(A, B, 200, 200)
+        book.open(B, C, 200, 200)
+        relay.tables.keepalive_heard(C, 0)
+        name = PREFIX.with_index(0)
+
+        def ask(nonce, amount, now):
+            offer = book.make_offer(A, channel_id_for(A, B), amount, (name, nonce), now=now)
+            pkt = interest(name, nonce, A, remote=B, route=RouteStack((B, C)), payment=offer)
+            return relay.on_interest(pkt, now=now)
+
+        (nack,) = ask(b"\x01" * 8, 2, now=0)
+        consumer.on_nack(nack.packet, now=1)
+        (onward,) = ask(b"\x02" * 8, 15, now=2)
+        assert onward.to == C and onward.packet.payment.amount == 12
+        assert relay.counters["aggregated"] == 0
+        (data,) = producer.on_interest(onward.packet, now=3)
+        (delivered,) = relay.on_data(data.packet, now=4)
+        assert delivered.to == A
+
     def test_nack_cancels_pending_offer(self):
         ledger, book = payment_fabric(A, B)
         consumer, cap = make_node(A, 0, book)

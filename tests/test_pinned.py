@@ -41,8 +41,8 @@ PINNED = {
         "b6073aaaf32c3d5e690de0bfc2bf76ef09fcdf261642affeb7c3f7184df07fe3",
     ),
     ("diamond.scn", "hopbyhop"): (
-        "cf2e7847599c29a975be076509fc42baf0a2862ebc1579bc743ab8d4404fca38",
-        "e8b9f9837f0c8dca04b306f19dcff408d4236adef2aadb78493a1e7c7594e302",
+        "1eaa0fe4e9d77267fefedc7981618f53377531eb3f8f9aaf7a4d138b7688be11",
+        "03a7a39f4703fc21a39994c4b182ba721f79cd58ccef309c963b400778e1af1d",
         "95f97a5a95cf905d62cb4316743d2570d9d33b6ac6ab9574afe4cc331c2ece93",
     ),
     ("diamond.scn", "payall"): (
@@ -51,8 +51,8 @@ PINNED = {
         "147d59df48702210ac2d4a783707a3867c5373148dea83bec6c08f19d764ff67",
     ),
     ("churn.scn", "hopbyhop"): (
-        "04b99fd762ae547260f36cbec523ab836fa3bf7e2343a0d070e93ee42da49a82",
-        "5b316f737119fd5bcf640a0bc5d26c64b8a81e39629c6235300e28f970dc7967",
+        "3f1bfcf064403b14b50ae12f6bf5ca21ec82ef17656f651e0ce14661ffae4327",
+        "4e5df8de58d16ca51c7e2f15db33a75fc31af59491a730299f6abd64552973a1",
         "d792e4bb9cb92f4b87c4359407dfd49f9eafdaaf2577edb039c07ee6c9d40832",
     ),
     ("churn.scn", "payall"): (

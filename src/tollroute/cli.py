@@ -142,15 +142,16 @@ def _cmd_bench_pof(args: argparse.Namespace) -> int:
         return 1
     packets = signature_budget(args.chunk_bytes, args.packet_bytes, 1)
     groups = args.group if args.group else [1, packets]
+    for group in groups:
+        if group <= 0:
+            _err("usage", f"group size {group} must be positive")
+            return 1
     print(
         f"bench-pof packet_bytes={args.packet_bytes} "
         f"chunk_bytes={args.chunk_bytes} hops={args.hops} packets={packets}"
     )
     baseline = packets * args.hops
     for group in groups:
-        if group <= 0:
-            _err("usage", f"group size {group} must be positive")
-            return 1
         ops_per_hop = signature_budget(args.chunk_bytes, args.packet_bytes, group)
         total = ops_per_hop * args.hops
         factor = baseline / total

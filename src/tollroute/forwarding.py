@@ -77,7 +77,7 @@ class RediscoveryScheduler:
         self._last: tuple[bytes, ...] | None = None
 
     def request(self, prefix: Name) -> bool:
-        key = prefix.prefix.components
+        key = prefix.components
         self._known.add(key)
         if self._last == key and len(self._known) > 1:
             self._last = None
@@ -86,24 +86,12 @@ class RediscoveryScheduler:
         return True
 
 
-@dataclass
-class EngineHooks:
-    """Callbacks into the surrounding application / simulator."""
-
-    trace: Callable[[dict], None]
-    # Consumer-side: the discovery route ended here.  Return True when
-    # this node was indeed waiting for it.
-    path_discovered: Callable[[Name, RouteStack, int], bool]
-    # Consumer-side: content Data with no PIT downstream.  Return True to
-    # accept (and cache) it.
-    deliver_data: Callable[[Data], bool]
-    # Consumer-side Nack with no PIT downstream.
-    deliver_nack: Callable[[Nack], bool]
-
-
 class ForwardingEngine:
     """One node, built from its scenario entry and the scenario-wide
-    defaults; the scenario has already checked both."""
+    defaults; the scenario has already checked both.  `trace(event,
+    **fields)` records one of the node's trace events; `deliver` takes a
+    packet that ends at this node's own application and returns True when
+    the node was waiting for it."""
 
     def __init__(
         self,
@@ -111,7 +99,8 @@ class ForwardingEngine:
         defaults: Defaults,
         key: KeyPair,
         book: ChannelBook,
-        hooks: EngineHooks,
+        trace: Callable[..., None],
+        deliver: Callable[[Data | Nack], bool],
         verified_links: VerifiedLinks,
     ) -> None:
         self.addr = spec.addr
@@ -122,7 +111,8 @@ class ForwardingEngine:
         self.tables = NodeTables(defaults)
         self.key = key
         self.book = book
-        self.hooks = hooks
+        self.trace = trace
+        self.deliver = deliver
         self.verified_links = verified_links
         self.serves = spec.serves
         self.counters: defaultdict[str, int] = defaultdict(int)
@@ -140,9 +130,6 @@ class ForwardingEngine:
 
     # -- helpers -----------------------------------------------------
 
-    def _trace(self, kind: str, **fields) -> None:
-        self.hooks.trace({"event": kind, **fields})
-
     def _source_for(self, name: Name) -> ServeSpec | None:
         for serve in self.serves:
             if serve.covers(name):
@@ -157,7 +144,7 @@ class ForwardingEngine:
         the same neighbor is a fresh request, not an aggregated one."""
         self.tables.pit.release(name, to, nonce)
         self.counters["nacks_sent"] += 1
-        self._trace("nack_sent", name=str(name), to=str(to), reason=reason.name)
+        self.trace("nack_sent", name=str(name), to=str(to), reason=reason.name)
         return Send(to, Nack(name=name, nonce=nonce, reason=reason))
 
     def _discovery(self, name: Name, nonce: bytes, lifetime_ms: int) -> Send:
@@ -170,7 +157,7 @@ class ForwardingEngine:
         self, name: Name, mode: str, next_hop: NodeAddr | None,
         named_hop: NodeAddr | None, named_alive: bool,
     ) -> None:
-        self._trace(
+        self.trace(
             "decision",
             name=str(name),
             mode=mode,
@@ -183,12 +170,12 @@ class ForwardingEngine:
 
     def on_keepalive(self, neighbor: NodeAddr, now: int) -> None:
         if self.tables.keepalive_heard(neighbor, now):
-            self._trace("neighbor_revived", neighbor=str(neighbor), last_seen_us=now)
+            self.trace("neighbor_revived", neighbor=str(neighbor), last_seen_us=now)
 
     def keepalive_tick(self, now: int) -> list[NodeAddr]:
         newly_dead = self.tables.keepalive_sweep(now)
         for neighbor in newly_dead:
-            self._trace(
+            self.trace(
                 "neighbor_dead",
                 neighbor=str(neighbor),
                 last_seen_us=self.tables.liveness.last_seen(neighbor),
@@ -201,7 +188,7 @@ class ForwardingEngine:
 
     def originate_discovery(self, name: Name, nonce: bytes, now: int) -> list[Send]:
         self._own_nonces.add(nonce)
-        self._trace("discovery_originated", name=str(name), nonce=nonce.hex())
+        self.trace("discovery_originated", name=str(name), nonce=nonce.hex())
         return [self._discovery(name, nonce, self.interest_lifetime_ms)]
 
     def originate_interest(self, pkt: Interest) -> list[Send]:
@@ -249,7 +236,7 @@ class ForwardingEngine:
         if result in (PitResult.NEW, PitResult.AGGREGATED) and pkt.nonce not in self._rebroadcast:
             self._rebroadcast.add(pkt.nonce)
             self.counters["rebroadcasts"] += 1
-            self._trace("rebroadcast", name=str(pkt.name), nonce=pkt.nonce.hex())
+            self.trace("rebroadcast", name=str(pkt.name), nonce=pkt.nonce.hex())
             actions.append(self._discovery(pkt.name, pkt.nonce, pkt.lifetime_ms))
             return actions
         self.counters["broadcast_suppressed"] += 1
@@ -272,7 +259,7 @@ class ForwardingEngine:
                 price=self.cost,
             )
             self.counters["discovery_answers"] += 1
-            self._trace(
+            self.trace(
                 "discovery_answered",
                 name=str(name),
                 to=str(downstream),
@@ -349,7 +336,7 @@ class ForwardingEngine:
         self._trace_decision(pkt.name, "rediscovery", None, named_hop, False)
         if self._rediscovery.request(pkt.name):
             self.counters["mode_rediscovery"] += 1
-            self._trace("rediscovery", name=str(pkt.name), nonce=pkt.nonce.hex())
+            self.trace("rediscovery", name=str(pkt.name), nonce=pkt.nonce.hex())
             # Keep the nonce: replies correlate upstream and back.
             return [self._discovery(pkt.name, pkt.nonce, pkt.lifetime_ms)]
         self.counters["rediscovery_refused"] += 1
@@ -367,7 +354,7 @@ class ForwardingEngine:
         try:
             kept, offer = relay_process_payment(
                 self.book,
-                self.addr,
+                self.key,
                 pkt.hop_info.local,
                 pkt.payment,
                 self.cost,
@@ -378,7 +365,7 @@ class ForwardingEngine:
             )
         except PaymentError as err:
             self.counters["payment_rejects"] += 1
-            self._trace("payment_rejected", name=str(pkt.name), reason=err.reason)
+            self.trace("payment_rejected", name=str(pkt.name), reason=err.reason)
             return False, None
         self.counters["tokens_kept"] += kept
         return True, offer
@@ -428,11 +415,11 @@ class ForwardingEngine:
             proof = make_chunk(self.key, first, payload, serve.packet_size)
             self._proofs[key] = proof
             self.counters["signatures_produced"] += 1
-            self._trace("chunk_signed", prefix=str(serve.prefix), first=first, count=count)
+            self.trace("chunk_signed", prefix=str(serve.prefix), first=first, count=count)
         return proof
 
     def _cached_proof(self, name: Name) -> ChunkProof | None:
-        return self._proofs.get((name.prefix.components, name.chunk_index))
+        return self._proofs.get((name.components, name.chunk_index))
 
     # -- Data handling -----------------------------------------------
 
@@ -450,22 +437,18 @@ class ForwardingEngine:
         # Price observation first, unconditionally: even a misaddressed
         # reply is a genuine price signal from this neighbor.
         self.tables.fib.update(pkt.name, sender, pkt.price)
-        self._trace(
+        self.trace(
             "fib_update", prefix=str(pkt.name.prefix), hop=str(sender), price=pkt.price
         )
-        if pkt.route.top != self.addr:
+        if pkt.route.top != self.addr or len(pkt.route.hops) == 1:
+            # Misaddressed, or a route of just ourselves: no path back to anyone.
             self.counters["dropped_malformed"] += 1
             return []
-        after_me = pkt.route.pop()
-        if after_me is None:
-            # A route of just ourselves records no path back to anyone.
-            self.counters["dropped_malformed"] += 1
-            return []
-        # after_me runs next-hop-first to producer-last: exactly the stack
-        # a content Interest from here must carry.
-        consumed = self.hooks.path_discovered(pkt.name, after_me, pkt.price)
+        # The route below this node runs next-hop-first to producer-last:
+        # exactly the stack a content Interest from here must carry.
+        consumed = self.deliver(pkt)
         if consumed:
-            self._trace("path_recorded", name=str(pkt.name), price=pkt.price)
+            self.trace("path_recorded", name=str(pkt.name), price=pkt.price)
         actions: list[Send] = []
         for downstream in _each_once(self.tables.pit.consume(pkt.name, now)):
             if downstream in pkt.route.hops:
@@ -498,7 +481,7 @@ class ForwardingEngine:
     def _relay_content(self, pkt: Data, now: int) -> list[Send]:
         downstreams = self.tables.pit.consume(pkt.name, now)
         if not downstreams:
-            if self.hooks.deliver_data(pkt):
+            if self.deliver(pkt):
                 self.tables.cs.insert(pkt.name, pkt.payload)
                 return []
             self.counters["dropped_unsolicited"] += 1
@@ -525,7 +508,6 @@ class ForwardingEngine:
         chunk cannot be reassembled or fails validation the proof is
         forwarded untouched (the consumer will notice the gap)."""
         proof = pkt.proof
-        prefix = pkt.name.prefix
         last = proof.first + proof.count - 1
         parts: list[bytes] = []
         try:
@@ -533,7 +515,7 @@ class ForwardingEngine:
                 if index == pkt.name.chunk_index:
                     part = pkt.payload
                 else:
-                    part = self.tables.cs.lookup(prefix.with_index(index))
+                    part = self.tables.cs.lookup(pkt.name.with_index(index))
                     if part is None:
                         raise ProofError(f"packet {index} not in content store")
                 if index == proof.first:
@@ -547,21 +529,21 @@ class ForwardingEngine:
             extended = sign_chunk(self.key, proof, b"".join(parts), self.verified_links)
         except ProofError as err:
             self.counters["proof_forwarded_unsigned"] += 1
-            self._trace("proof_pass_through", name=str(pkt.name), reason=str(err))
+            self.trace("proof_pass_through", name=str(pkt.name), reason=str(err))
             return pkt
         self.counters["signatures_produced"] += 1
-        self._trace(
-            "chunk_signed", prefix=str(prefix), first=proof.first, count=proof.count
+        self.trace(
+            "chunk_signed", prefix=str(pkt.name.prefix), first=proof.first, count=proof.count
         )
         # Remember the extended chain so a later cache hit on this chunk
         # can hand out the same proof.
-        self._proofs[(prefix.components, last)] = extended
+        self._proofs[(pkt.name.components, last)] = extended
         return Data(name=pkt.name, hop_info=pkt.hop_info, payload=pkt.payload, proof=extended)
 
     def _store_and_forward(self, pkt: Data, now: int) -> list[Send]:
         """Hold content packets until their chunk's proof packet arrives,
         then validate and flush the whole chunk in order."""
-        key = pkt.name.prefix.components
+        key = pkt.name.components
         buffer = self._sf_buffers.setdefault(key, {})
         buffer[pkt.name.chunk_index] = pkt
         if pkt.proof is None:
@@ -588,12 +570,12 @@ class ForwardingEngine:
         self.counters["nacks_in"] += 1
         cancelled = self.book.cancel_tag((pkt.name, pkt.nonce))
         if cancelled:
-            self._trace(
+            self.trace(
                 "offer_cancelled", name=str(pkt.name), nonce=pkt.nonce.hex(), count=cancelled
             )
         downstreams = self.tables.pit.consume(pkt.name, now)
         if not downstreams:
-            if not self.hooks.deliver_nack(pkt):
+            if not self.deliver(pkt):
                 self.counters["dropped_unsolicited"] += 1
             return []
         actions: list[Send] = []

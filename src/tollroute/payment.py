@@ -10,7 +10,8 @@ final balances back to the ledger accounts and is terminal.
 
 The ChannelBook is the consensus replica of channel state that both
 parties of each channel hold identical copies of; the simulator keeps
-one instance and lets nodes act on it under their own identity.  Offers
+one instance.  It holds only public keys: a node acts on it by passing
+its own KeyPair, and that key's owner is the payer or payee.  Offers
 stay pending (reserving the payer's funds) until the payee commits them
 or a Nack cancels them.
 """
@@ -23,10 +24,7 @@ from enum import Enum
 from typing import Callable
 
 from .keys import KeyDirectory, KeyPair, verify
-from .scenario import Defaults
 from .wire import Name, NodeAddr, Payment
-
-DEFAULT_OFFER_LIFETIME_US = Defaults.interest_lifetime_ms * 1_000
 
 # Tag identifying the flow a pending offer belongs to: (name, nonce).
 OfferTag = tuple[Name, bytes]
@@ -296,14 +294,9 @@ class ChannelBook:
     def __init__(self, ledger: Ledger, directory: KeyDirectory) -> None:
         self.ledger = ledger
         self.directory = directory
-        self.keys: dict[NodeAddr, KeyPair] = {}
         self.channels: dict[bytes, ChannelState] = {}
         self.pending: dict[bytes, list[PendingOffer]] = {}
         self._issued: dict[bytes, int] = {}
-
-    def register_key(self, key: KeyPair) -> None:
-        self.keys[key.owner] = key
-        self.directory.setdefault(key.owner, key.public)
 
     def open(
         self,
@@ -344,14 +337,16 @@ class ChannelBook:
 
     def make_offer(
         self,
-        payer: NodeAddr,
+        key: KeyPair,
         channel_id: bytes,
         amount: int,
         tag: OfferTag,
         now: int,
-        lifetime_us: int = DEFAULT_OFFER_LIFETIME_US,
+        lifetime_us: int,
     ) -> Payment:
-        """Sign and queue an offer of `amount` to the channel peer."""
+        """Sign, as `key.owner`, and queue an offer of `amount` to the
+        channel peer."""
+        payer = key.owner
         if amount <= 0:
             raise PaymentError("bad-amount", "offers must move at least one token")
         state = self.state(channel_id)
@@ -360,9 +355,6 @@ class ChannelBook:
                 "insufficient-funds",
                 f"{payer} projected {self.projected_balance(channel_id, payer)} < {amount}",
             )
-        key = self.keys.get(payer)
-        if key is None:
-            raise PaymentError("no-key", str(payer))
         seq = self._next_sequence(channel_id)
         sig = key.sign(update_message(channel_id, seq, *offer_balances(state, payer, amount)))
         payment = Payment(channel_id=channel_id, amount=amount, sequence=seq, payer_sig=sig)
@@ -371,9 +363,11 @@ class ChannelBook:
         )
         return payment
 
-    def commit_offer(self, payee: NodeAddr, payer: NodeAddr, payment: Payment) -> ChannelState:
-        """Payee-side acceptance: verify and countersign, advancing the
-        committed state.  Raises without mutating on any defect."""
+    def commit_offer(self, key: KeyPair, payer: NodeAddr, payment: Payment) -> ChannelState:
+        """Payee-side acceptance by `key.owner`: verify and countersign,
+        advancing the committed state.  Raises without mutating on any
+        defect."""
+        payee = key.owner
         state = self.state(payment.channel_id)
         if state.peer_of(payer) != payee:
             raise PaymentError("not-a-party", f"{payee} on {payment.channel_id!r}")
@@ -392,9 +386,6 @@ class ChannelBook:
         pub = self.directory.get(payer)
         if pub is None or not verify(pub, msg, payment.payer_sig):
             raise PaymentError("bad-signature", f"offer seq {payment.sequence} by {payer}")
-        key = self.keys.get(payee)
-        if key is None:
-            raise PaymentError("no-key", str(payee))
         sig_payee = key.sign(msg)
         if payee == state.party_a:
             sig_a, sig_b = sig_payee, payment.payer_sig
@@ -443,16 +434,16 @@ class ChannelBook:
 
 def relay_process_payment(
     book: ChannelBook,
-    me: NodeAddr,
+    key: KeyPair,
     payer: NodeAddr,
     incoming: Payment | None,
     my_cost: int,
     upstream: NodeAddr | None,
     tag: OfferTag,
     now: int,
-    lifetime_us: int = DEFAULT_OFFER_LIFETIME_US,
+    lifetime_us: int,
 ) -> tuple[int, Payment | None]:
-    """Handle the payment riding an Interest at one hop.
+    """Handle the payment riding an Interest at the hop `key.owner`.
 
     Checks run before any mutation: an offer that cannot cover this
     node's cost, or that leaves this node unable to fund the upstream
@@ -471,6 +462,7 @@ def relay_process_payment(
         raise PaymentError(
             "insufficient-payment", f"offered {incoming.amount}, cost {my_cost}"
         )
+    me = key.owner
     forward_amount = incoming.amount - my_cost
     upstream_channel: ChannelState | None = None
     if upstream is not None and forward_amount > 0:
@@ -482,36 +474,39 @@ def relay_process_payment(
                 "insufficient-payment",
                 f"{me} cannot fund {forward_amount} toward {upstream}",
             )
-    book.commit_offer(me, payer, incoming)
+    book.commit_offer(key, payer, incoming)
     if upstream_channel is None:
         return incoming.amount, None
     offer = book.make_offer(
-        me, upstream_channel.channel_id, forward_amount, tag, now, lifetime_us
+        key, upstream_channel.channel_id, forward_amount, tag, now, lifetime_us
     )
     return my_cost, offer
 
 
 def consumer_pay_all(
     book: ChannelBook,
-    consumer: NodeAddr,
-    recipients: list[tuple[NodeAddr, int]],
+    key: KeyPair,
+    recipients: list[tuple[KeyPair, int]],
     tag: OfferTag,
     now: int,
     deposit: int,
-    lifetime_us: int = DEFAULT_OFFER_LIFETIME_US,
+    lifetime_us: int,
 ) -> list[ChannelState]:
-    """Prepay every node on a path directly, atomically.
+    """Prepay every node on a path directly, atomically: `key.owner`
+    offers and each recipient's key commits.
 
     Direct consumer-to-node channels (id kind "pay") open lazily from the
     consumer's ledger account on first use.  All affordability checks run
     before the first token moves; any failure leaves the book as found.
     """
-    plan: list[tuple[bytes, NodeAddr, int]] = []
+    consumer = key.owner
+    plan: list[tuple[bytes, KeyPair, int]] = []
     to_open: list[tuple[NodeAddr, bytes, int]] = []
     ledger_needed = 0
-    for node, amount in recipients:
+    for node_key, amount in recipients:
         if amount <= 0:
             continue
+        node = node_key.owner
         cid = channel_id_for(consumer, node, kind="pay")
         if cid not in book.channels:
             funding = max(deposit, amount)
@@ -524,7 +519,7 @@ def consumer_pay_all(
             raise PaymentError(
                 "insufficient-payment", f"{consumer} cannot prepay {amount} to {node}"
             )
-        plan.append((cid, node, amount))
+        plan.append((cid, node_key, amount))
     if book.ledger.balance(consumer) < ledger_needed:
         raise PaymentError(
             "insufficient-funds",
@@ -533,9 +528,9 @@ def consumer_pay_all(
     for node, cid, funding in to_open:
         book.open(consumer, node, funding, 0, channel_id=cid)
     committed = []
-    for cid, node, amount in plan:
-        offer = book.make_offer(consumer, cid, amount, tag, now, lifetime_us)
-        committed.append(book.commit_offer(node, consumer, offer))
+    for cid, node_key, amount in plan:
+        offer = book.make_offer(key, cid, amount, tag, now, lifetime_us)
+        committed.append(book.commit_offer(node_key, consumer, offer))
     return committed
 
 
@@ -571,7 +566,8 @@ def ledger_record_problem(rec) -> str | None:
 
 def audit_ledger(records: list[dict]) -> AuditResult:
     """Replay a ledger log and check token conservation after every
-    record, plus per-channel sequence and pool discipline.
+    record, plus per-channel sequence and pool discipline and balances
+    that never go negative.
 
     The replay keeps `total`, the sum of all accounts and open pools, up
     to date record by record, so each check costs O(1)."""
@@ -623,6 +619,8 @@ def audit_ledger(records: list[dict]) -> AuditResult:
             last_seq[cid] = max(last_seq.get(cid, 0), rec["sequence"])
             if rec["balance_a"] + rec["balance_b"] != pools.get(cid):
                 violations.append(f"record {i}: update balances break pool on {cid}")
+            elif min(rec["balance_a"], rec["balance_b"]) < 0:
+                violations.append(f"record {i}: update balance goes negative on {cid}")
         elif op == "settle":
             cid = rec["channel"]
             if not open_flags.get(cid):
@@ -636,6 +634,9 @@ def audit_ledger(records: list[dict]) -> AuditResult:
             total -= pools[cid]
             if rec["balance_a"] + rec["balance_b"] != pools[cid]:
                 violations.append(f"record {i}: settle balances break pool on {cid}")
+                continue
+            if min(rec["balance_a"], rec["balance_b"]) < 0:
+                violations.append(f"record {i}: settle balance goes negative on {cid}")
                 continue
             # Parties are recoverable from the channel's open record; the
             # replay keys accounts by the open record's naming.

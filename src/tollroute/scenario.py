@@ -147,18 +147,20 @@ class Scenario:
     schedule: tuple[FetchAction | LinkAction, ...]
 
     def __post_init__(self) -> None:
-        """Under hop-by-hop payment every node opens a channel on each of
-        its links, funding one deposit apiece from its starting balance."""
-        if self.defaults.payment_mode != "hopbyhop":
-            return
-        balance, deposit = self.defaults.account_balance, self.defaults.channel_deposit
-        degree = Counter(addr for link in self.links for addr in (link.a, link.b))
-        problems = [
-            f"node {spec.addr} must fund {degree[spec.addr] * deposit} in channel deposits "
-            f"but holds {balance}"
-            for spec in self.nodes
-            if degree[spec.addr] * deposit > balance
-        ]
+        """The seed is never negative, so a `--seed` override meets the
+        loader's rule.  Under hop-by-hop payment every node opens a channel
+        on each of its links, funding one deposit apiece from its starting
+        balance."""
+        problems = [f"seed must be >= 0, got {self.seed}"] if self.seed < 0 else []
+        if self.defaults.payment_mode == "hopbyhop":
+            balance, deposit = self.defaults.account_balance, self.defaults.channel_deposit
+            degree = Counter(addr for link in self.links for addr in (link.a, link.b))
+            problems += [
+                f"node {spec.addr} must fund {degree[spec.addr] * deposit} in channel "
+                f"deposits but holds {balance}"
+                for spec in self.nodes
+                if degree[spec.addr] * deposit > balance
+            ]
         if problems:
             raise ScenarioError(problems)
 

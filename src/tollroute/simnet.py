@@ -25,8 +25,9 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
-from .forwarding import EngineHooks, ForwardingEngine, Send
+from .forwarding import ForwardingEngine, Send
 from .keys import KeyPair
 from .payment import (
     ChannelBook,
@@ -155,9 +156,6 @@ class Simulator:
         self._seq = 0
         self._heap: list = []
         self.trace: list[dict] = []
-        self.serves: dict[tuple[bytes, ...], ServeSpec] = {
-            s.prefix.components: s for n in scenario.nodes for s in n.serves
-        }
 
         self.ledger = Ledger()
         self.directory: dict[NodeAddr, bytes] = {}
@@ -170,11 +168,11 @@ class Simulator:
         for spec in scenario.nodes:
             self.ledger.mint(spec.addr, self.defaults.account_balance)
             key = KeyPair.from_seed(spec.addr, str(scenario.seed).encode())
-            engine = ForwardingEngine(
-                spec, self.defaults, key, self.book, self._hooks(spec.addr), self.verified_links
+            self.directory[spec.addr] = key.public
+            self.nodes[spec.addr] = ForwardingEngine(
+                spec, self.defaults, key, self.book, partial(self.emit, str(spec.addr)),
+                partial(self._deliver, spec.addr), self.verified_links,
             )
-            self.book.register_key(key)
-            self.nodes[spec.addr] = engine
             self._rngs[spec.addr] = derive_rng(scenario.seed, "node", str(spec.addr))
 
         self.links: dict[tuple[NodeAddr, NodeAddr], Link] = {}
@@ -226,14 +224,6 @@ class Simulator:
         record.update(fields)
         self.trace.append(record)
 
-    def _hooks(self, addr: NodeAddr) -> EngineHooks:
-        return EngineHooks(
-            trace=lambda ev: self.trace.append({"t": self.now, "node": str(addr), **ev}),
-            path_discovered=lambda name, route, price: self._on_path(addr, name, route, price),
-            deliver_data=lambda pkt: self._on_flow_data(addr, pkt),
-            deliver_nack=lambda pkt: self._on_flow_nack(addr, pkt),
-        )
-
     def link_between(self, a: NodeAddr, b: NodeAddr) -> Link | None:
         return self.links.get((a, b) if a < b else (b, a))
 
@@ -269,14 +259,12 @@ class Simulator:
         for action in self.nodes[dst].on_packet(pkt, self.now):
             self.transmit(dst, action)
 
-    def _arrive_beacon(self, dst: NodeAddr, src: NodeAddr) -> None:
-        self.nodes[dst].on_keepalive(src, self.now)
-
     def _tick_keepalive(self, addr: NodeAddr) -> None:
         self.nodes[addr].keepalive_tick(self.now)
         for peer, link in self.neighbors[addr]:
             if link.up and not link.drops():
-                self.at(self.now + link.latency_us, self._arrive_beacon, peer, addr)
+                arrival = self.now + link.latency_us
+                self.at(arrival, self.nodes[peer].on_keepalive, addr, arrival)
         nxt = self.now + self.defaults.keepalive_period_ms * MS
         if nxt <= self.scenario.duration_ms * MS:
             self.at(nxt, self._tick_keepalive, addr)
@@ -289,7 +277,7 @@ class Simulator:
         self.emit("sim", "link_change", a=str(action.a), b=str(action.b), up=action.up)
 
     def _do_fetch(self, action: FetchAction) -> None:
-        serve = self.serves[action.name.components]
+        serve = next(s for n in self.scenario.nodes for s in n.serves if s.owns(action.name))
         flow = Flow(
             node=action.node,
             name=action.name,
@@ -300,12 +288,11 @@ class Simulator:
         self.flows[(flow.node, flow.name.components)] = flow
         self.emit("sim", "fetch", node=str(action.node), name=str(action.name),
                   packets=action.packets)
-        local = next((s for s in self.nodes[action.node].serves if s.owns(action.name)), None)
-        if local is not None:
+        if serve in self.nodes[action.node].serves:
             # Producer-local fetch: served from the node's own store, no
             # tokens move and nothing touches the network.
             for i in range(action.packets):
-                flow.received[i] = local.payload(i)
+                flow.received[i] = serve.payload(i)
             for first in flow.required_spans():
                 flow.verified[first] = "local"
             flow.state = "done"
@@ -334,15 +321,27 @@ class Simulator:
         # Only a fetching flow demotes candidates, so none here has failed.
         self._select_candidate(flow)
 
-    def _on_path(self, addr: NodeAddr, name: Name, route: RouteStack, price: int) -> bool:
-        flow = self.flows.get((addr, name.prefix.components))
-        if flow is None or flow.state in ("done", "failed"):
+    def _deliver(self, addr: NodeAddr, pkt: Data | Nack) -> bool:
+        """A packet that ends at `addr`'s own application; True when one
+        of its flows was waiting for it."""
+        flow = self.flows.get((addr, pkt.name.components))
+        if flow is None:
             return False
-        hops = route.hops
+        if isinstance(pkt, Nack):
+            return self._on_flow_nack(flow, pkt)
+        if pkt.is_discovery:
+            return self._on_path(flow, pkt)
+        return self._on_flow_data(flow, pkt)
+
+    def _on_path(self, flow: Flow, pkt: Data) -> bool:
+        if flow.state in ("done", "failed"):
+            return False
+        # The route below the consumer: next hop first, producer last.
+        hops = pkt.route.hops[1:]
         if any(c.hops == hops for c in flow.candidates):
             return True
         if len(flow.candidates) < self.defaults.candidate_paths:
-            flow.candidates.append(Candidate(hops=hops, price=price))
+            flow.candidates.append(Candidate(hops=hops, price=pkt.price))
         return True
 
     def _select_candidate(self, flow: Flow) -> None:
@@ -397,19 +396,21 @@ class Simulator:
         name = flow.name.with_index(idx)
         nonce = self.fresh_nonce(flow.node)
         hops = flow.active.hops
+        key = self.nodes[flow.node].key
+        lifetime_us = self.defaults.interest_lifetime_ms * MS
         payment = None
         try:
             if self.defaults.payment_mode == "payall":
+                # The simulator plays every node: each recipient commits with its own key.
                 consumer_pay_all(
-                    self.book, flow.node,
-                    [(hop, self.nodes[hop].cost) for hop in hops],
-                    (name, nonce), self.now, self.defaults.channel_deposit,
+                    self.book, key,
+                    [(self.nodes[hop].key, self.nodes[hop].cost) for hop in hops],
+                    (name, nonce), self.now, self.defaults.channel_deposit, lifetime_us,
                 )
             elif flow.active.price > 0:  # a zero-price route carries no payment
-                cid = channel_id_for(flow.node, hops[0])
                 payment = self.book.make_offer(
-                    flow.node, cid, flow.active.price, (name, nonce), self.now,
-                    lifetime_us=self.defaults.interest_lifetime_ms * MS,
+                    key, channel_id_for(flow.node, hops[0]), flow.active.price,
+                    (name, nonce), self.now, lifetime_us,
                 )
         except PaymentError as err:
             self.emit("sim", "flow_error", node=str(flow.node), name=str(name),
@@ -429,10 +430,7 @@ class Simulator:
         attempt = flow.attempts.get(idx, 0)
         for action in self.nodes[flow.node].originate_interest(pkt):
             self.transmit(flow.node, action)
-        self.at(
-            self.now + self.defaults.interest_lifetime_ms * MS,
-            self._packet_timeout, flow, idx, flow.generation, attempt,
-        )
+        self.at(self.now + lifetime_us, self._packet_timeout, flow, idx, flow.generation, attempt)
 
     def _packet_timeout(self, flow: Flow, idx: int, generation: int, attempt: int) -> None:
         if (
@@ -483,9 +481,8 @@ class Simulator:
         self.emit("sim", "flow_failed", node=str(flow.node), name=str(flow.name),
                   reason=reason)
 
-    def _on_flow_data(self, addr: NodeAddr, pkt: Data) -> bool:
-        flow = self.flows.get((addr, pkt.name.prefix.components))
-        if flow is None or pkt.name.chunk_index is None:
+    def _on_flow_data(self, flow: Flow, pkt: Data) -> bool:
+        if pkt.name.chunk_index is None:
             return False
         idx = pkt.name.chunk_index
         if flow.state in ("done", "failed") or idx in flow.received:
@@ -509,8 +506,6 @@ class Simulator:
             if first <= idx < first + proof.count or proof is arrived
         )
         for first in candidates:
-            if first in flow.verified:
-                continue
             proof, route = flow.proofs[first]
             span = range(first, first + proof.count)
             if any(i not in flow.received for i in span):
@@ -565,10 +560,7 @@ class Simulator:
             self.emit("sim", "flow_complete", node=str(flow.node), name=str(flow.name),
                       latency_ms=(self.now - flow.start_us) // MS)
 
-    def _on_flow_nack(self, addr: NodeAddr, pkt: Nack) -> bool:
-        flow = self.flows.get((addr, pkt.name.prefix.components))
-        if flow is None:
-            return False
+    def _on_flow_nack(self, flow: Flow, pkt: Nack) -> bool:
         entry = flow.nonces.get(pkt.nonce)
         if entry is None:
             return True

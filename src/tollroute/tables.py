@@ -132,7 +132,7 @@ class Fib:
         hop enabled (discovery Data is proof of life)."""
         if price < 0:
             raise ValueError("price cannot be negative")
-        hops = self._entries.setdefault(prefix.prefix.components, {})
+        hops = self._entries.setdefault(prefix.components, {})
         hop = hops.get(next_hop)
         if hop is None:
             hop = hops[next_hop] = FibNextHop(deque(maxlen=self.window_capacity))
@@ -149,7 +149,7 @@ class Fib:
         of a shorter one when all its hops are disabled.  Ties break
         toward the lowest address in byte order.
         """
-        comps = name.prefix.components
+        comps = name.components
         for end in range(len(comps), 0, -1):
             hops = self._entries.get(comps[:end])
             if hops is None:

@@ -307,11 +307,11 @@ class TestAcceptance:
         rng = random.Random(0xC6)
         parties = [NodeAddr.parse(f"02-00-00-00-06-{i:02x}") for i in range(1, 9)]
         ledger = Ledger()
-        directory = {}
+        keys = {party: KeyPair.from_seed(party, b"storm") for party in parties}
+        directory = {party: key.public for party, key in keys.items()}
         book = ChannelBook(ledger, directory)
         for party in parties:
             ledger.mint(party, 100_000)
-            book.register_key(KeyPair.from_seed(party, b"storm"))
 
         open_cids: list[bytes] = []
         snapshots: dict[bytes, object] = {}
@@ -337,7 +337,7 @@ class TestAcceptance:
                     payer = rng.choice((state.party_a, state.party_b))
                     tag = (Name.parse("/storm"), op_index.to_bytes(8, "big"))
                     offer = book.make_offer(
-                        payer, cid, rng.randint(1, 40), tag, now, lifetime_us=30_000
+                        keys[payer], cid, rng.randint(1, 40), tag, now, lifetime_us=30_000
                     )
                     if rng.random() < 0.05:
                         # Simulated packet loss: the offer never reaches
@@ -345,7 +345,7 @@ class TestAcceptance:
                         pass
                     else:
                         committed = book.commit_offer(
-                            state.peer_of(payer), payer, offer
+                            keys[state.peer_of(payer)], payer, offer
                         )
                         snapshots.setdefault(cid, committed)
                 else:

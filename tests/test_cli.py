@@ -158,6 +158,24 @@ class TestUnfundableScenario:
         assert capsys.readouterr().out.startswith("ok poor-payall.scn")
 
 
+class TestSeedOverride:
+    """A --seed override meets the loader's seed rule before anything runs."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run", "fig1.scn"],
+            ["dump-state", "fig1.scn"],
+            ["compare-payment", "--scenario", "fig1.scn"],
+        ],
+    )
+    def test_negative_seed_is_refused(self, capsys, args):
+        assert main(args + ["--seed", "-7"]) == 1
+        out = capsys.readouterr()
+        assert out.err == "error[scenario]: seed must be >= 0, got -7\n"
+        assert out.out == ""
+
+
 class TestDumpState:
     def test_fig6_final_tables(self, capsys):
         assert main(["dump-state", "fig6.scn"]) == 0
@@ -211,11 +229,35 @@ class TestAuditLedger:
         assert main(["audit-ledger", "/nonexistent/ledger.jsonl"]) == 1
         assert capsys.readouterr().err.startswith("error[io]:")
 
+    def test_negative_balance_exits_two(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text(
+            '{"op":"mint","account":"a","amount":5}\n'
+            '{"op":"mint","account":"b","amount":5}\n'
+            '{"op":"open","channel":"ch:a:b","party_a":"a","party_b":"b",'
+            '"deposit_a":5,"deposit_b":5}\n'
+            '{"op":"update","channel":"ch:a:b","sequence":1,"balance_a":-90,"balance_b":100}\n'
+            '{"op":"settle","channel":"ch:a:b","sequence":1,"balance_a":-90,"balance_b":100}\n'
+        )
+        assert main(["audit-ledger", str(ledger)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "error[audit]: record 3: update balance goes negative on ch:a:b\n"
+            "error[audit]: record 4: settle balance goes negative on ch:a:b\n"
+        )
+
 
 class TestBenchPof:
     def test_default_sizes_golden(self, capsys):
         assert main(["bench-pof"]) == 0
         assert capsys.readouterr().out == BENCH_GOLDEN
+
+    def test_bad_group_prints_nothing_but_the_error(self, capsys):
+        assert main(["bench-pof", "--group", "4", "--group", "0"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error[usage]: group size 0 must be positive\n"
 
     def test_exact_factor_reduction(self, capsys):
         args = ["bench-pof", "--chunk-bytes", "96000"]

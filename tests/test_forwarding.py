@@ -5,12 +5,7 @@ import random
 
 import pytest
 
-from tollroute.forwarding import (
-    EngineHooks,
-    ForwardingEngine,
-    RediscoveryScheduler,
-    Send,
-)
+from tollroute.forwarding import ForwardingEngine, RediscoveryScheduler, Send
 from tollroute.keys import KeyPair
 from tollroute.payment import ChannelBook, Ledger, channel_id_for
 from tollroute.proof import VerifiedLinks, verify_chain
@@ -35,6 +30,7 @@ C = NodeAddr.parse("00-0a-00-00-00-03")  # producer, cost 12
 D = NodeAddr.parse("00-0a-00-00-00-04")  # spare relay
 PREFIX = Name((b"video", b"clip"))
 NONCE = b"\x11" * 8
+LIFETIME_US = 4_000_000
 
 
 def interest(name, nonce, local, remote=None, route=None, payment=None, lifetime_ms=4_000):
@@ -49,39 +45,21 @@ def interest(name, nonce, local, remote=None, route=None, payment=None, lifetime
 
 
 class Capture:
-    """Hook sink recording app-facing callbacks."""
+    """The node's application side: records trace events and every
+    packet the engine delivers, and claims a delivery only when `accept`
+    is set."""
 
     def __init__(self):
-        self.paths = []
-        self.data = []
-        self.nacks = []
         self.events = []
-        self.expect_paths = False
-        self.expect_data = False
+        self.delivered = []
+        self.accept = False
 
-    def hooks(self):
-        return EngineHooks(
-            trace=self.events.append,
-            path_discovered=self._path,
-            deliver_data=self._data,
-            deliver_nack=self._nack,
-        )
+    def trace(self, event, **fields):
+        self.events.append({"event": event, **fields})
 
-    def _path(self, name, route, price):
-        if self.expect_paths:
-            self.paths.append((name, route, price))
-            return True
-        return False
-
-    def _data(self, pkt):
-        if self.expect_data:
-            self.data.append(pkt)
-            return True
-        return False
-
-    def _nack(self, pkt):
-        self.nacks.append(pkt)
-        return True
+    def deliver(self, pkt):
+        self.delivered.append(pkt)
+        return self.accept
 
 
 def make_node(
@@ -95,9 +73,10 @@ def make_node(
     cap = Capture()
     engine = ForwardingEngine(
         NodeSpec(addr, cost, relay_mode, serves),
-        Defaults(payment_mode=payment_mode, **defaults), key, book, cap.hooks(), VerifiedLinks(),
+        Defaults(payment_mode=payment_mode, **defaults), key, book,
+        cap.trace, cap.deliver, VerifiedLinks(),
     )
-    book.register_key(key)
+    book.directory[addr] = key.public
     return engine, cap
 
 
@@ -124,7 +103,7 @@ class TestDiscovery:
         consumer, cap_a = make_node(A, 0, book, interest_lifetime_ms=2_500)
         relay, _ = make_node(B, 3, book)
         producer, _ = make_node(C, 12, book, serves=served())
-        cap_a.expect_paths = True
+        cap_a.accept = True
 
         (bcast,) = consumer.originate_discovery(PREFIX, NONCE, now=0)
         assert bcast.to == BROADCAST
@@ -149,11 +128,11 @@ class TestDiscovery:
         assert reply.packet.price == 15
 
         assert consumer.on_data(reply.packet, now=20) == []
-        (name, route, price) = cap_a.paths[0]
-        assert (name, price) == (PREFIX, 15)
-        # The recorded route is ready to ride a content Interest: next hop
-        # first, producer last.
-        assert route == RouteStack((B, C))
+        (path,) = cap_a.delivered
+        assert (path.name, path.price) == (PREFIX, 15)
+        # The route below the consumer is ready to ride a content Interest:
+        # next hop first, producer last.
+        assert path.route.hops[1:] == (B, C)
         # Both relay and consumer learned prices from the reply.
         assert relay.tables.fib.lookup_min_cost(PREFIX) == (C, 12)
         assert consumer.tables.fib.lookup_min_cost(PREFIX) == (B, 15)
@@ -311,7 +290,7 @@ class TestScheduler:
 class TestPaymentsOnPath:
     def test_relay_keeps_cost_and_forwards_remainder(self):
         ledger, book = payment_fabric(A, B, C)
-        make_node(A, 0, book)
+        consumer, _ = make_node(A, 0, book)
         relay, _ = make_node(B, 3, book)
         producer, _ = make_node(C, 12, book, serves=served())
         book.open(A, B, 200, 200)
@@ -319,7 +298,9 @@ class TestPaymentsOnPath:
         relay.tables.keepalive_heard(C, 0)
 
         name = PREFIX.with_index(0)
-        offer = book.make_offer(A, channel_id_for(A, B), 15, (name, NONCE), now=0)
+        offer = book.make_offer(
+            consumer.key, channel_id_for(A, B), 15, (name, NONCE), 0, LIFETIME_US
+        )
         pkt = interest(name, NONCE, A, remote=B, route=RouteStack((B, C)), payment=offer)
         (to_producer,) = relay.on_interest(pkt, now=1)
         assert to_producer.to == C
@@ -337,14 +318,16 @@ class TestPaymentsOnPath:
 
     def test_underpayment_rejected_with_nack_and_no_commit(self):
         ledger, book = payment_fabric(A, B, C)
-        make_node(A, 0, book)
+        consumer, _ = make_node(A, 0, book)
         relay, _ = make_node(B, 3, book)
         make_node(C, 12, book)
         book.open(A, B, 200, 200)
         book.open(B, C, 200, 200)
         relay.tables.keepalive_heard(C, 0)
         name = PREFIX.with_index(0)
-        offer = book.make_offer(A, channel_id_for(A, B), 2, (name, NONCE), now=0)
+        offer = book.make_offer(
+            consumer.key, channel_id_for(A, B), 2, (name, NONCE), 0, LIFETIME_US
+        )
         pkt = interest(name, NONCE, A, remote=B, route=RouteStack((B, C)), payment=offer)
         (nack,) = relay.on_interest(pkt, now=1)
         assert isinstance(nack.packet, Nack)
@@ -355,7 +338,7 @@ class TestPaymentsOnPath:
     def test_aggregated_interest_pays_margin_without_forwarding(self):
         ledger, book = payment_fabric(A, B, D)
         relay, _ = make_node(B, 3, book)
-        make_node(D, 0, book)
+        spare, _ = make_node(D, 0, book)
         book.open(A, B, 200, 200)
         book.open(D, B, 200, 200)
         relay.tables.keepalive_heard(C, 0)
@@ -363,7 +346,7 @@ class TestPaymentsOnPath:
         # First consumer's Interest is already pending (simulate by direct
         # PIT insert, as if forwarded upstream earlier).
         relay.tables.pit.insert(name, A, b"\x01" * 8, 0, 4_000_000)
-        offer = book.make_offer(D, channel_id_for(D, B), 15, (name, NONCE), now=0)
+        offer = book.make_offer(spare.key, channel_id_for(D, B), 15, (name, NONCE), 0, LIFETIME_US)
         pkt = interest(name, NONCE, D, remote=B, route=RouteStack((B, C)), payment=offer)
         assert relay.on_interest(pkt, now=1) == []
         assert relay.counters["aggregated"] == 1
@@ -377,7 +360,9 @@ class TestPaymentsOnPath:
         name = PREFIX.with_index(0)
 
         def ask(nonce, amount, now):
-            offer = book.make_offer(A, channel_id_for(A, C), amount, (name, nonce), now=now)
+            offer = book.make_offer(
+                consumer.key, channel_id_for(A, C), amount, (name, nonce), now, LIFETIME_US
+            )
             pkt = interest(name, nonce, A, remote=C, route=RouteStack((C,)), payment=offer)
             return producer.on_interest(pkt, now=now)
 
@@ -399,7 +384,9 @@ class TestPaymentsOnPath:
         name = PREFIX.with_index(0)
 
         def ask(nonce, amount, now):
-            offer = book.make_offer(A, channel_id_for(A, B), amount, (name, nonce), now=now)
+            offer = book.make_offer(
+                consumer.key, channel_id_for(A, B), amount, (name, nonce), now, LIFETIME_US
+            )
             pkt = interest(name, nonce, A, remote=B, route=RouteStack((B, C)), payment=offer)
             return relay.on_interest(pkt, now=now)
 
@@ -415,14 +402,15 @@ class TestPaymentsOnPath:
     def test_nack_cancels_pending_offer(self):
         ledger, book = payment_fabric(A, B)
         consumer, cap = make_node(A, 0, book)
+        cap.accept = True  # the consumer's own offer rides this nonce
         make_node(B, 3, book)
         book.open(A, B, 200, 200)
         name = PREFIX.with_index(0)
-        book.make_offer(A, channel_id_for(A, B), 15, (name, NONCE), now=0)
+        book.make_offer(consumer.key, channel_id_for(A, B), 15, (name, NONCE), 0, LIFETIME_US)
         assert len(book.pending[channel_id_for(A, B)]) == 1
         consumer.on_nack(Nack(name=name, nonce=NONCE, reason=NackReason.NO_ROUTE), now=5)
         assert book.pending[channel_id_for(A, B)] == []
-        assert cap.nacks and cap.nacks[0].reason is NackReason.NO_ROUTE
+        assert cap.delivered and cap.delivered[0].reason is NackReason.NO_ROUTE
 
 
 class TestContentPlane:
@@ -430,7 +418,7 @@ class TestContentPlane:
         producer, _ = make_node(C, 12, payment_mode="payall", serves=served())
         relay, _ = make_node(B, 3, payment_mode="payall", relay_mode=relay_mode)
         consumer, cap = make_node(A, 0, payment_mode="payall")
-        cap.expect_data = True
+        cap.accept = True
         relay.tables.keepalive_heard(C, 0)
         return producer, relay, consumer, cap
 
@@ -451,13 +439,13 @@ class TestContentPlane:
             assert consumer.on_data(to_consumer.packet, now=i * 10 + 3) == []
         assert producer.counters["signatures_produced"] == 1
         assert relay.counters["signatures_produced"] == 1
-        final = cap.data[-1]
+        final = cap.delivered[-1]
         assert final.proof is not None
         assert [h.signer for h in final.proof.chain] == [C, B]
         # Consumer-side verification over its own received payloads.
         directory = {C: producer.key.public, B: relay.key.public}
-        assert [pkt.name.chunk_index for pkt in cap.data] == [0, 1, 2, 3]
-        payload = b"".join(pkt.payload for pkt in cap.data)
+        assert [pkt.name.chunk_index for pkt in cap.delivered] == [0, 1, 2, 3]
+        payload = b"".join(pkt.payload for pkt in cap.delivered)
         assert verify_chain(final.proof, payload, (C, B), directory).valid
 
     def test_relay_missing_packet_forwards_proof_untouched(self):
@@ -480,6 +468,22 @@ class TestContentPlane:
         outs = relay.on_data(packets[3], now=53)
         assert [o.packet.name.chunk_index for o in outs] == [0, 1, 2, 3]
         assert outs[-1].packet.proof is not None
+        assert [h.signer for h in outs[-1].packet.proof.chain] == [C, B]
+        assert relay.counters["sf_flushes"] == 1
+
+    def test_store_and_forward_waits_out_a_hole_until_the_proof_comes_again(self):
+        producer, relay, consumer, cap = self._chain(relay_mode="storeforward")
+        packets = [self._fetch(producer, relay, i, bytes([i + 1]) * 8) for i in range(4)]
+        assert relay.on_data(packets[0], now=50) == []
+        assert relay.on_data(packets[1], now=51) == []
+        # The proof packet finds packet 2 missing, so the chunk waits.
+        assert relay.on_data(packets[3], now=52) == []
+        assert relay.on_data(packets[2], now=53) == []
+        assert relay.counters["sf_buffered"] == 4
+        assert relay.counters["sf_flushes"] == 0
+        # A retransmitted proof packet finds the chunk whole and flushes it.
+        outs = relay.on_data(packets[3], now=54)
+        assert [o.packet.name.chunk_index for o in outs] == [0, 1, 2, 3]
         assert [h.signer for h in outs[-1].packet.proof.chain] == [C, B]
         assert relay.counters["sf_flushes"] == 1
 
@@ -678,11 +682,11 @@ class TestRefusalsAndDrops:
     def test_underpaid_aggregated_interest_nacked_without_commit(self):
         ledger, book = payment_fabric(A, B, D)
         relay, _ = make_node(B, 3, book)
-        make_node(D, 0, book)
+        spare, _ = make_node(D, 0, book)
         book.open(D, B, 200, 200)
         name = PREFIX.with_index(0)
         relay.tables.pit.insert(name, A, b"\x01" * 8, 0, 4_000_000)
-        offer = book.make_offer(D, channel_id_for(D, B), 2, (name, NONCE), now=0)
+        offer = book.make_offer(spare.key, channel_id_for(D, B), 2, (name, NONCE), 0, LIFETIME_US)
         pkt = interest(name, NONCE, D, remote=B, route=RouteStack((B, C)), payment=offer)
         (nack,) = relay.on_interest(pkt, now=1)
         assert nack.to == D
@@ -690,6 +694,19 @@ class TestRefusalsAndDrops:
         assert relay.counters["payment_rejects"] == 1
         assert relay.counters["aggregated"] == 0
         assert book.state(channel_id_for(D, B)).sequence == 0
+
+    def test_routed_interest_without_an_index_at_a_cache_gets_no_route_nack(self):
+        relay, _ = make_node(B, 3, payment_mode="payall")
+        # Holding packet 0 lets the relay answer for the bare prefix, but
+        # a content Interest needs a packet the store can build.
+        relay.tables.cs.insert(PREFIX.with_index(0), b"x" * 100)
+        pkt = interest(PREFIX, NONCE, A, remote=B, route=RouteStack((B, C)))
+        (nack,) = relay.on_interest(pkt, now=1)
+        assert nack.to == A
+        assert nack.packet == Nack(name=PREFIX, nonce=NONCE, reason=NackReason.NO_ROUTE)
+        assert relay.counters["nacks_sent"] == 1
+        assert relay.counters["data_served"] == 0
+        assert PREFIX not in relay.tables.pit
 
     def test_misaddressed_data_dropped(self):
         relay, _ = make_node(B, 3, payment_mode="payall")
@@ -723,7 +740,6 @@ class TestRefusalsAndDrops:
 
     def test_unsolicited_nack_dropped(self):
         relay, _ = make_node(B, 3, payment_mode="payall")
-        relay.hooks.deliver_nack = lambda pkt: False  # no flow of this node asked
         nack = Nack(name=PREFIX.with_index(0), nonce=NONCE, reason=NackReason.NO_ROUTE)
         assert relay.on_nack(nack, now=5) == []
         assert relay.counters["dropped_unsolicited"] == 1

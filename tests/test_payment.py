@@ -26,6 +26,7 @@ RELAY_B = NodeAddr.parse("00-cc-00-00-00-03")
 PRODUCER = NodeAddr.parse("00-cc-00-00-00-04")
 ALL = (CONSUMER, RELAY_A, RELAY_B, PRODUCER)
 TAG = (Name((b"video", b"clip")), b"\x07" * 8)
+LIFETIME_US = 4_000_000
 
 
 def fresh_book(balance=1_000, deposit=100):
@@ -36,7 +37,7 @@ def fresh_book(balance=1_000, deposit=100):
     for addr in ALL:
         kp = KeyPair.from_seed(addr, b"payment-tests")
         keys[addr] = kp
-        book.register_key(kp)
+        directory[addr] = kp.public
         ledger.mint(addr, balance)
     for a, b in zip(ALL, ALL[1:]):
         book.open(a, b, deposit, deposit)
@@ -150,46 +151,46 @@ class TestChannelUpdate:
 
 class TestChannelBook:
     def test_offer_then_commit_moves_committed_state(self):
-        _, book, _ = fresh_book()
+        _, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
-        offer = book.make_offer(CONSUMER, cid, 15, TAG, now=0)
+        offer = book.make_offer(keys[CONSUMER], cid, 15, TAG, 0, LIFETIME_US)
         assert offer.amount == 15 and offer.sequence == 1
-        state = book.commit_offer(RELAY_A, CONSUMER, offer)
+        state = book.commit_offer(keys[RELAY_A], CONSUMER, offer)
         assert state.balance_of(CONSUMER) == 85 and state.balance_of(RELAY_A) == 115
         assert verify_state(state, book.directory)
         assert book.pending[cid] == []
 
     def test_pending_offers_reserve_balance(self):
-        _, book, _ = fresh_book()
+        _, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
-        book.make_offer(CONSUMER, cid, 60, TAG, now=0)
+        book.make_offer(keys[CONSUMER], cid, 60, TAG, 0, LIFETIME_US)
         assert book.projected_balance(cid, CONSUMER) == 40
         with pytest.raises(PaymentError) as err:
-            book.make_offer(CONSUMER, cid, 41, TAG, now=0)
+            book.make_offer(keys[CONSUMER], cid, 41, TAG, 0, LIFETIME_US)
         assert err.value.reason == "insufficient-funds"
-        book.make_offer(CONSUMER, cid, 40, TAG, now=0)
+        book.make_offer(keys[CONSUMER], cid, 40, TAG, 0, LIFETIME_US)
 
     def test_serialized_offers_commit_in_order(self):
-        _, book, _ = fresh_book()
+        _, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
         for expected_seq in (1, 2, 3):
-            offer = book.make_offer(CONSUMER, cid, 10, TAG, now=0)
+            offer = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
             assert offer.sequence == expected_seq
-            book.commit_offer(RELAY_A, CONSUMER, offer)
+            book.commit_offer(keys[RELAY_A], CONSUMER, offer)
         assert book.state(cid).balance_of(CONSUMER) == 70
 
     def test_racing_offers_only_first_commits(self):
         # Two offers signed against the same committed state: whichever
         # commits first wins; the loser's balances no longer match what
         # the payee reconstructs and it bounces without mutation.
-        _, book, _ = fresh_book()
+        _, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
-        first = book.make_offer(CONSUMER, cid, 10, TAG, now=0)
+        first = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
         other_tag = (Name((b"other",)), b"\x01" * 8)
-        second = book.make_offer(CONSUMER, cid, 10, other_tag, now=0)
-        book.commit_offer(RELAY_A, CONSUMER, first)
+        second = book.make_offer(keys[CONSUMER], cid, 10, other_tag, 0, LIFETIME_US)
+        book.commit_offer(keys[RELAY_A], CONSUMER, first)
         with pytest.raises(PaymentError) as err:
-            book.commit_offer(RELAY_A, CONSUMER, second)
+            book.commit_offer(keys[RELAY_A], CONSUMER, second)
         assert err.value.reason == "bad-signature"
         assert book.state(cid).balance_of(CONSUMER) == 90
 
@@ -197,42 +198,42 @@ class TestChannelBook:
         # An offer that never commits (lost Interest, cancelled flow) must
         # not skew the offers made after it: each one prices the update
         # off the committed state, not off what is still pending.
-        _, book, _ = fresh_book()
+        _, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
-        lost = book.make_offer(CONSUMER, cid, 10, TAG, now=0)
+        lost = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
         other_tag = (Name((b"other",)), b"\x01" * 8)
-        retry = book.make_offer(CONSUMER, cid, 10, other_tag, now=0)
-        state = book.commit_offer(RELAY_A, CONSUMER, retry)
+        retry = book.make_offer(keys[CONSUMER], cid, 10, other_tag, 0, LIFETIME_US)
+        state = book.commit_offer(keys[RELAY_A], CONSUMER, retry)
         # Sequence hole where the lost offer sat; balances move once.
         assert state.sequence == 2 and state.balance_of(CONSUMER) == 90
         with pytest.raises(PaymentError):
-            book.commit_offer(RELAY_A, CONSUMER, lost)
+            book.commit_offer(keys[RELAY_A], CONSUMER, lost)
         assert book.cancel_tag(TAG) == 1
 
     def test_commit_rejects_stale_and_overdraw_without_mutation(self):
-        _, book, _ = fresh_book()
+        _, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
-        offer = book.make_offer(CONSUMER, cid, 10, TAG, now=0)
-        book.commit_offer(RELAY_A, CONSUMER, offer)
+        offer = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
+        book.commit_offer(keys[RELAY_A], CONSUMER, offer)
         before = book.state(cid)
         with pytest.raises(PaymentError) as err:
-            book.commit_offer(RELAY_A, CONSUMER, offer)
+            book.commit_offer(keys[RELAY_A], CONSUMER, offer)
         assert err.value.reason == "stale-sequence"
         assert book.state(cid) == before
 
     def test_purge_expired(self):
-        _, book, _ = fresh_book()
+        _, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
-        book.make_offer(CONSUMER, cid, 10, TAG, now=0, lifetime_us=1_000)
+        book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, 1_000)
         assert book.purge_expired(now=999) == 0
         assert book.purge_expired(now=1_001) == 1
         assert book.projected_balance(cid, CONSUMER) == 100
 
     def test_settle_all_closes_everything(self):
-        ledger, book, _ = fresh_book()
+        ledger, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
-        offer = book.make_offer(CONSUMER, cid, 10, TAG, now=0)
-        book.commit_offer(RELAY_A, CONSUMER, offer)
+        offer = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
+        book.commit_offer(keys[RELAY_A], CONSUMER, offer)
         assert book.settle_all() == 3
         assert all(c.status is ChannelStatus.SETTLED for c in ledger.channels.values())
         assert ledger.balance(CONSUMER) == 990 and ledger.balance(RELAY_A) == 1010
@@ -241,75 +242,83 @@ class TestChannelBook:
 
 class TestHopPayments:
     def test_relay_commits_and_forwards_remainder(self):
-        _, book, _ = fresh_book()
+        _, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
-        incoming = book.make_offer(CONSUMER, cid, 10, TAG, now=0)
+        incoming = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
         kept, onward = relay_process_payment(
-            book, RELAY_A, CONSUMER, incoming, my_cost=5, upstream=RELAY_B, tag=TAG, now=0
+            book, keys[RELAY_A], CONSUMER, incoming, my_cost=5, upstream=RELAY_B, tag=TAG,
+            now=0, lifetime_us=LIFETIME_US,
         )
         assert (kept, onward.amount) == (5, 5)
         assert book.state(cid).balance_of(RELAY_A) == 110
         # The onward offer is pending until the next hop commits it.
         kept_b, onward_b = relay_process_payment(
-            book, RELAY_B, RELAY_A, onward, my_cost=2, upstream=PRODUCER, tag=TAG, now=0
+            book, keys[RELAY_B], RELAY_A, onward, my_cost=2, upstream=PRODUCER, tag=TAG,
+            now=0, lifetime_us=LIFETIME_US,
         )
         assert (kept_b, onward_b.amount) == (2, 3)
         kept_p, none = relay_process_payment(
-            book, PRODUCER, RELAY_B, onward_b, my_cost=3, upstream=None, tag=TAG, now=0
+            book, keys[PRODUCER], RELAY_B, onward_b, my_cost=3, upstream=None, tag=TAG,
+            now=0, lifetime_us=LIFETIME_US,
         )
         assert (kept_p, none) == (3, None)
         assert book.settle_all() == 3
 
     def test_underpayment_rejected_without_mutation(self):
-        _, book, _ = fresh_book()
+        _, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
-        incoming = book.make_offer(CONSUMER, cid, 4, TAG, now=0)
+        incoming = book.make_offer(keys[CONSUMER], cid, 4, TAG, 0, LIFETIME_US)
         before = book.state(cid)
         with pytest.raises(PaymentError) as err:
             relay_process_payment(
-                book, RELAY_A, CONSUMER, incoming, my_cost=5, upstream=RELAY_B, tag=TAG, now=0
+                book, keys[RELAY_A], CONSUMER, incoming, my_cost=5, upstream=RELAY_B, tag=TAG,
+                now=0, lifetime_us=LIFETIME_US,
             )
         assert err.value.reason == "insufficient-payment"
         assert book.state(cid) == before
 
     def test_missing_payment_rejected_when_cost_nonzero(self):
-        _, book, _ = fresh_book()
+        _, book, keys = fresh_book()
         with pytest.raises(PaymentError):
             relay_process_payment(
-                book, RELAY_A, CONSUMER, None, my_cost=5, upstream=None, tag=TAG, now=0
+                book, keys[RELAY_A], CONSUMER, None, my_cost=5, upstream=None, tag=TAG,
+                now=0, lifetime_us=LIFETIME_US,
             )
 
     def test_relay_that_cannot_fund_upstream_rejects_before_commit(self):
-        _, book, _ = fresh_book()
+        _, book, keys = fresh_book()
         cid_up = channel_id_for(RELAY_A, RELAY_B)
         # Drain relay A's upstream balance first.
-        drain = book.make_offer(RELAY_A, cid_up, 100, TAG, now=0)
-        book.commit_offer(RELAY_B, RELAY_A, drain)
+        drain = book.make_offer(keys[RELAY_A], cid_up, 100, TAG, 0, LIFETIME_US)
+        book.commit_offer(keys[RELAY_B], RELAY_A, drain)
         cid_down = channel_id_for(CONSUMER, RELAY_A)
-        incoming = book.make_offer(CONSUMER, cid_down, 10, TAG, now=0)
+        incoming = book.make_offer(keys[CONSUMER], cid_down, 10, TAG, 0, LIFETIME_US)
         before = book.state(cid_down)
         with pytest.raises(PaymentError) as err:
             relay_process_payment(
-                book, RELAY_A, CONSUMER, incoming, my_cost=5, upstream=RELAY_B, tag=TAG, now=0
+                book, keys[RELAY_A], CONSUMER, incoming, my_cost=5, upstream=RELAY_B, tag=TAG,
+                now=0, lifetime_us=LIFETIME_US,
             )
         assert err.value.reason == "insufficient-payment"
         assert book.state(cid_down) == before
 
     def test_exact_payment_at_producer(self):
-        _, book, _ = fresh_book()
+        _, book, keys = fresh_book()
         cid = channel_id_for(RELAY_B, PRODUCER)
-        incoming = book.make_offer(RELAY_B, cid, 3, TAG, now=0)
+        incoming = book.make_offer(keys[RELAY_B], cid, 3, TAG, 0, LIFETIME_US)
         kept, onward = relay_process_payment(
-            book, PRODUCER, RELAY_B, incoming, my_cost=3, upstream=None, tag=TAG, now=0
+            book, keys[PRODUCER], RELAY_B, incoming, my_cost=3, upstream=None, tag=TAG,
+            now=0, lifetime_us=LIFETIME_US,
         )
         assert (kept, onward) == (3, None)
 
 
 class TestPayAll:
     def test_lazy_channels_and_atomic_prepay(self):
-        ledger, book, _ = fresh_book(balance=1_000, deposit=100)
+        ledger, book, keys = fresh_book(balance=1_000, deposit=100)
         recipients = [(RELAY_A, 5), (RELAY_B, 2), (PRODUCER, 3)]
-        states = consumer_pay_all(book, CONSUMER, recipients, TAG, now=0, deposit=50)
+        paid = [(keys[node], amount) for node, amount in recipients]
+        states = consumer_pay_all(book, keys[CONSUMER], paid, TAG, 0, 50, LIFETIME_US)
         assert len(states) == 3
         for (node, amount), state in zip(recipients, states):
             assert state.balance_of(node) == amount
@@ -320,19 +329,21 @@ class TestPayAll:
         )
         before = ledger.balance(CONSUMER)
         # Second group on the same paths reuses the channels.
-        consumer_pay_all(book, CONSUMER, recipients, TAG, now=1, deposit=50)
+        consumer_pay_all(book, keys[CONSUMER], paid, TAG, 1, 50, LIFETIME_US)
         assert ledger.balance(CONSUMER) == before
         assert ledger.conserved()
 
     def test_insufficient_ledger_balance_changes_nothing(self):
-        ledger, book, _ = fresh_book(balance=1_000, deposit=100)
+        ledger, book, keys = fresh_book(balance=1_000, deposit=100)
         # Lock almost everything the consumer has into an unrelated channel
         # so the three lazy 50-token fundings cannot be covered.
         book.open(CONSUMER, RELAY_B, ledger.balance(CONSUMER) - 40, 0, b"drain")
         channels_before = set(book.channels)
         with pytest.raises(PaymentError) as err:
             consumer_pay_all(
-                book, CONSUMER, [(RELAY_A, 5), (RELAY_B, 2), (PRODUCER, 3)], TAG, 0, deposit=50
+                book, keys[CONSUMER],
+                [(keys[RELAY_A], 5), (keys[RELAY_B], 2), (keys[PRODUCER], 3)],
+                TAG, 0, 50, LIFETIME_US,
             )
         assert err.value.reason == "insufficient-funds"
         assert set(book.channels) == channels_before
@@ -382,10 +393,10 @@ class TestConservation:
 
 class TestAudit:
     def test_clean_log_passes(self):
-        ledger, book, _ = fresh_book()
+        ledger, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
-        offer = book.make_offer(CONSUMER, cid, 15, TAG, now=0)
-        book.commit_offer(RELAY_A, CONSUMER, offer)
+        offer = book.make_offer(keys[CONSUMER], cid, 15, TAG, 0, LIFETIME_US)
+        book.commit_offer(keys[RELAY_A], CONSUMER, offer)
         book.settle_all()
         report = audit_ledger(ledger.log)
         assert isinstance(report, AuditResult)
@@ -404,10 +415,10 @@ class TestAudit:
         assert any("non-open channel" in v for v in report.violations)
 
     def test_balance_inflation_is_flagged(self):
-        ledger, book, _ = fresh_book()
+        ledger, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
-        offer = book.make_offer(CONSUMER, cid, 15, TAG, now=0)
-        book.commit_offer(RELAY_A, CONSUMER, offer)
+        offer = book.make_offer(keys[CONSUMER], cid, 15, TAG, 0, LIFETIME_US)
+        book.commit_offer(keys[RELAY_A], CONSUMER, offer)
         log = list(ledger.log)
         doctored = dict(next(r for r in log if r["op"] == "update"))
         doctored["balance_b"] += 7
@@ -496,6 +507,14 @@ DOCTORED_LOGS = {
     "unknown-op": (
         _FUNDED + [{"op": "burn", "account": "a", "amount": 5}],
         ["record 3: unknown op 'burn'"],
+    ),
+    # Balances that keep the pool but pay one party into the negative; a
+    # settle that does so credits nobody, like one that breaks the pool.
+    "negative-balance": (
+        [_mint("a", 5), _mint("b", 5), _open("ch:a:b", "a", "b", 5, 5),
+         _update("ch:a:b", 1, -90, 100), _settle("ch:a:b", 1, -90, 100)],
+        ["record 3: update balance goes negative on ch:a:b",
+         "record 4: settle balance goes negative on ch:a:b"],
     ),
 }
 

@@ -170,6 +170,34 @@ class TestFlows:
             run_doc(doc)
 
 
+class TestPaymentErrors:
+    """The consumer cannot fund a packet: its flow fails with the payment's
+    reason (a 3-node line whose relay costs more than a channel holds)."""
+
+    def run_underfunded(self, payment_mode):
+        doc = line_doc(defaults={
+            "send_interval_ms": 10, "channel_deposit": 10, "account_balance": 100,
+            "payment_mode": payment_mode,
+        })
+        doc["nodes"][1]["cost"] = 20
+        doc["schedule"][0]["packets"] = 4
+        result = run_doc(doc)
+        errors = [(e["name"], e["reason"]) for e in result.trace if e["event"] == "flow_error"]
+        return flow_of(result), errors
+
+    def test_hop_by_hop_offer_beyond_the_channel_fails_the_first_packet(self):
+        flow, errors = self.run_underfunded("hopbyhop")
+        assert (flow["status"], flow["received"], flow["requested"]) == ("failed", 0, 4)
+        assert flow["fail_reason"] == "payment:insufficient-funds"
+        assert errors == [("/line/data/seg=0", "insufficient-funds")]
+
+    def test_pay_all_fails_once_the_first_packet_drains_the_direct_channel(self):
+        flow, errors = self.run_underfunded("payall")
+        assert (flow["status"], flow["received"], flow["requested"]) == ("failed", 0, 4)
+        assert flow["fail_reason"] == "payment:insufficient-payment"
+        assert errors == [("/line/data/seg=1", "insufficient-payment")]
+
+
 class TestContentPath:
     """Fetches of whole and partial chunks from 4 chunks of 4 x 100 B:
     only whole chunks inside the request are verified, and every held

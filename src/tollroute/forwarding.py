@@ -33,7 +33,7 @@ from typing import Callable
 
 from .keys import KeyPair
 from .payment import ChannelBook, PaymentError, relay_process_payment
-from .proof import ProofError, VerifiedLinks, make_chunk, sign_chunk
+from .proof import ProofError, make_chunk, sign_chunk
 from .scenario import Defaults, NodeSpec, ServeSpec
 from .tables import NodeTables, PitResult
 from .wire import (
@@ -101,7 +101,6 @@ class ForwardingEngine:
         book: ChannelBook,
         trace: Callable[..., None],
         deliver: Callable[[Data | Nack], bool],
-        verified_links: VerifiedLinks,
     ) -> None:
         self.addr = spec.addr
         self.cost = spec.cost
@@ -113,7 +112,6 @@ class ForwardingEngine:
         self.book = book
         self.trace = trace
         self.deliver = deliver
-        self.verified_links = verified_links
         self.serves = spec.serves
         self.counters: defaultdict[str, int] = defaultdict(int)
         # Discovery nonces already rebroadcast: each gets one rebroadcast.
@@ -526,7 +524,7 @@ class ForwardingEngine:
                 elif len(part) != packet_size:
                     raise ProofError("non-final packet must be exactly packet_size")
                 parts.append(part)
-            extended = sign_chunk(self.key, proof, b"".join(parts), self.verified_links)
+            extended = sign_chunk(self.key, proof, b"".join(parts), self.book.memo)
         except ProofError as err:
             self.counters["proof_forwarded_unsigned"] += 1
             self.trace("proof_pass_through", name=str(pkt.name), reason=str(err))

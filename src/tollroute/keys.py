@@ -1,15 +1,22 @@
-"""Node identity keys.
+"""Node identity keys and the run's memo of valid signatures.
 
 Each node holds one Ed25519 keypair used both for forwarding-proof chain
 links and for channel-update signatures.  Key derivation is deterministic
 from a seed so simulation runs are reproducible; public keys are assumed
 to be pre-distributed (the key directory is a plain address-to-key map).
+
+A run's keys share one `VerifiedLinks` memo and record every signature
+they make in it.  Ed25519 is deterministic and a signature always
+verifies under the public half of the key that made it, so a checker
+that finds a triple in the memo gets the answer Ed25519 would give
+without verifying it.  Any other triple is verified for real.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -22,22 +29,31 @@ from .wire import NodeAddr
 
 @dataclass(frozen=True)
 class KeyPair:
-    """A node's signing identity."""
+    """A node's signing identity.  The public half is always derived from
+    the private key, so every signature recorded in `memo` is valid."""
 
     owner: NodeAddr
-    public: bytes
     _private: Ed25519PrivateKey = field(repr=False, compare=False)
+    memo: VerifiedLinks | None = field(default=None, repr=False, compare=False)
+    public: bytes = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "public", self._private.public_key().public_bytes_raw())
 
     @classmethod
-    def from_seed(cls, owner: NodeAddr, seed: bytes) -> "KeyPair":
-        """Derive the node's keypair from an arbitrary seed string."""
+    def from_seed(
+        cls, owner: NodeAddr, seed: bytes, memo: VerifiedLinks | None = None
+    ) -> "KeyPair":
+        """Derive the node's keypair from an arbitrary seed string; its
+        signatures feed `memo` when one is given."""
         material = hashlib.sha256(b"tollroute-key:" + seed + owner.octets).digest()
-        private = Ed25519PrivateKey.from_private_bytes(material)
-        public = private.public_key().public_bytes_raw()
-        return cls(owner, public, private)
+        return cls(owner, Ed25519PrivateKey.from_private_bytes(material), memo)
 
     def sign(self, message: bytes) -> bytes:
-        return self._private.sign(message)
+        sig = self._private.sign(message)
+        if self.memo is not None:
+            self.memo.add(self.public, message, sig)
+        return sig
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
@@ -48,6 +64,39 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
         return True
     except (InvalidSignature, ValueError):
         return False
+
+
+Verifier = Callable[[bytes, bytes, bytes], bool]
+
+
+class VerifiedLinks:
+    """(public key, message, signature) triples known valid in one run,
+    shared by all its nodes: the signatures its keys made, and those a
+    real verify accepted.  A failure is never stored.  Past CAPACITY the
+    least recently used triple is dropped, so a chain link that every
+    consumer checks outlives channel updates that are checked once."""
+
+    CAPACITY = 1024
+
+    def __init__(self) -> None:
+        self._seen: dict[tuple[bytes, bytes, bytes], None] = {}
+
+    def add(self, public: bytes, message: bytes, signature: bytes) -> None:
+        seen = self._seen
+        seen[(public, message, signature)] = None
+        if len(seen) > self.CAPACITY:
+            del seen[next(iter(seen))]
+
+    def check(self, public: bytes, message: bytes, signature: bytes, verify: Verifier) -> bool:
+        """The memo's answer when it holds the triple, else `verify`'s."""
+        triple = (public, message, signature)
+        if triple in self._seen:
+            self._seen[triple] = self._seen.pop(triple)
+            return True
+        if not verify(public, message, signature):
+            return False
+        self.add(public, message, signature)
+        return True
 
 
 KeyDirectory = dict[NodeAddr, bytes]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
 
-from .keys import KeyDirectory, KeyPair, verify
+from .keys import KeyDirectory, KeyPair, VerifiedLinks, verify
 from .wire import Name, NodeAddr, Payment
 
 # Tag identifying the flow a pending offer belongs to: (name, nonce).
@@ -123,9 +123,9 @@ def channel_update(
     return replace(nxt, sig_a=key_a.sign(msg), sig_b=key_b.sign(msg))
 
 
-def verify_state(state: ChannelState, directory: KeyDirectory) -> bool:
-    """Both-party signature check; the sequence-0 funding state needs
-    none."""
+def verify_state(state: ChannelState, directory: KeyDirectory, memo: VerifiedLinks) -> bool:
+    """Both-party signature check, through the run's memo; the sequence-0
+    funding state needs none."""
     if state.sequence == 0:
         return True
     if state.sig_a is None or state.sig_b is None:
@@ -135,7 +135,8 @@ def verify_state(state: ChannelState, directory: KeyDirectory) -> bool:
     pub_b = directory.get(state.party_b)
     if pub_a is None or pub_b is None:
         return False
-    return verify(pub_a, msg, state.sig_a) and verify(pub_b, msg, state.sig_b)
+    valid_a = memo.check(pub_a, msg, state.sig_a, verify)
+    return valid_a and memo.check(pub_b, msg, state.sig_b, verify)
 
 
 @dataclass
@@ -231,7 +232,7 @@ class Ledger:
             }
         )
 
-    def settle(self, state: ChannelState, directory: KeyDirectory) -> None:
+    def settle(self, state: ChannelState, directory: KeyDirectory, memo: VerifiedLinks) -> None:
         """Close a channel at the given state and credit the accounts.
 
         Rejected: unknown or already settled channels, states older than
@@ -252,7 +253,7 @@ class Ledger:
             )
         if state.total != chan.pool:
             raise PaymentError("conservation", f"{cid}: {state.total} != pool {chan.pool}")
-        if not verify_state(state, directory):
+        if not verify_state(state, directory, memo):
             raise PaymentError("bad-signature", cid)
         chan.status = ChannelStatus.SETTLED
         self.accounts[state.party_a] = self.balance(state.party_a) + state.balance_a
@@ -289,11 +290,13 @@ class ChannelBook:
     Offers reserve the payer's balance so concurrent flows cannot promise
     the same tokens twice; the reservation dissolves on commit, on a Nack
     for the offer's flow tag, or when the offer outlives its Interest.
+    Signatures are checked through `memo`, the run's shared one.
     """
 
-    def __init__(self, ledger: Ledger, directory: KeyDirectory) -> None:
+    def __init__(self, ledger: Ledger, directory: KeyDirectory, memo: VerifiedLinks) -> None:
         self.ledger = ledger
         self.directory = directory
+        self.memo = memo
         self.channels: dict[bytes, ChannelState] = {}
         self.pending: dict[bytes, list[PendingOffer]] = {}
         self._issued: dict[bytes, int] = {}
@@ -384,7 +387,7 @@ class ChannelBook:
         bal_a, bal_b = offer_balances(state, payer, payment.amount)
         msg = update_message(payment.channel_id, payment.sequence, bal_a, bal_b)
         pub = self.directory.get(payer)
-        if pub is None or not verify(pub, msg, payment.payer_sig):
+        if pub is None or not self.memo.check(pub, msg, payment.payer_sig, verify):
             raise PaymentError("bad-signature", f"offer seq {payment.sequence} by {payer}")
         sig_payee = key.sign(msg)
         if payee == state.party_a:
@@ -427,7 +430,7 @@ class ChannelBook:
         for cid, state in list(self.channels.items()):
             chan = self.ledger.channels.get(cid)
             if chan is not None and chan.status is ChannelStatus.OPEN:
-                self.ledger.settle(state, self.directory)
+                self.ledger.settle(state, self.directory, self.memo)
                 settled += 1
         return settled
 

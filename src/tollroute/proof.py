@@ -20,7 +20,7 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 
-from .keys import KeyDirectory, KeyPair, verify
+from .keys import KeyDirectory, KeyPair, VerifiedLinks, verify
 from .wire import ChunkProof, HopSignature, NodeAddr, encode_hop_signature
 
 
@@ -34,30 +34,6 @@ def chunk_digest(payload: bytes) -> bytes:
 
 def chain_message(digest: bytes, chain: tuple[HopSignature, ...]) -> bytes:
     return digest + b"".join(encode_hop_signature(hop) for hop in chain)
-
-
-class VerifiedLinks:
-    """Chain links that `verify` accepted in one run, shared by all its
-    nodes.  Every relay re-checks the whole chain and the consumer checks
-    it again, so a run meets one link up to once per hop; this pays for
-    each distinct (public key, message, signature) triple once.  A
-    failure is never stored, and the set is emptied at CAPACITY."""
-
-    CAPACITY = 4096
-
-    def __init__(self) -> None:
-        self._seen: set[tuple[bytes, bytes, bytes]] = set()
-
-    def check(self, public: bytes, message: bytes, signature: bytes) -> bool:
-        link = (public, message, signature)
-        if link in self._seen:
-            return True
-        if not verify(public, message, signature):
-            return False
-        if len(self._seen) >= self.CAPACITY:
-            self._seen.clear()
-        self._seen.add(link)
-        return True
 
 
 def make_chunk(key: KeyPair, first: int, payload: bytes, packet_size: int) -> ChunkProof:
@@ -82,7 +58,8 @@ def sign_chunk(
     if links is None:
         links = VerifiedLinks()
     for i, hop in enumerate(proof.chain):
-        if not links.check(hop.signer_pub, chain_message(proof.digest, proof.chain[:i]), hop.sig):
+        message = chain_message(proof.digest, proof.chain[:i])
+        if not links.check(hop.signer_pub, message, hop.sig, verify):
             raise ProofError(f"existing signature {i} by {hop.signer} does not verify")
         if hop.signer == key.owner:
             raise ProofError("refusing to sign the same chunk twice")
@@ -147,7 +124,8 @@ def verify_chain(
         trusted_pub = directory.get(expected)
         if trusted_pub is None or hop.signer_pub != trusted_pub:
             return VerifyResult(False, ChainFault.UNEXPECTED_SIGNER, i, hop.signer)
-        if not links.check(trusted_pub, chain_message(proof.digest, proof.chain[:i]), hop.sig):
+        message = chain_message(proof.digest, proof.chain[:i])
+        if not links.check(trusted_pub, message, hop.sig, verify):
             return VerifyResult(False, ChainFault.BAD_SIGNATURE, i, hop.signer)
     if len(proof.chain) > len(expected_path):
         extra = proof.chain[len(expected_path)]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .forwarding import ForwardingEngine, Send
-from .keys import KeyPair
+from .keys import KeyPair, VerifiedLinks
 from .payment import (
     ChannelBook,
     Ledger,
@@ -36,7 +36,7 @@ from .payment import (
     channel_id_for,
     consumer_pay_all,
 )
-from .proof import VerifiedLinks, verify_chain
+from .proof import verify_chain
 from .scenario import FetchAction, LinkAction, Scenario, ServeSpec
 from .wire import (
     ChunkProof,
@@ -159,19 +159,20 @@ class Simulator:
 
         self.ledger = Ledger()
         self.directory: dict[NodeAddr, bytes] = {}
-        self.book = ChannelBook(self.ledger, self.directory)
-        # Chain links already verified in this run, shared by every node.
+        # Signatures known valid in this run: every node's key records the
+        # ones it makes, and every check consults it.
         self.verified_links = VerifiedLinks()
+        self.book = ChannelBook(self.ledger, self.directory, self.verified_links)
 
         self.nodes: dict[NodeAddr, ForwardingEngine] = {}
         self._rngs: dict[NodeAddr, random.Random] = {}
         for spec in scenario.nodes:
             self.ledger.mint(spec.addr, self.defaults.account_balance)
-            key = KeyPair.from_seed(spec.addr, str(scenario.seed).encode())
+            key = KeyPair.from_seed(spec.addr, str(scenario.seed).encode(), self.verified_links)
             self.directory[spec.addr] = key.public
             self.nodes[spec.addr] = ForwardingEngine(
                 spec, self.defaults, key, self.book, partial(self.emit, str(spec.addr)),
-                partial(self._deliver, spec.addr), self.verified_links,
+                partial(self._deliver, spec.addr),
             )
             self._rngs[spec.addr] = derive_rng(scenario.seed, "node", str(spec.addr))
 

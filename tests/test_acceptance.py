@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from tollroute.cli import main as cli_main
-from tollroute.keys import KeyPair
+from tollroute.keys import KeyPair, VerifiedLinks
 from tollroute.payment import ChannelBook, Ledger, PaymentError
 from tollroute.proof import make_chunk, sign_chunk, verify_chain
 from tollroute.scenario import load_scenario, parse_scenario
@@ -154,15 +154,18 @@ class TestAcceptance:
         path = tuple(
             NodeAddr.parse(f"02-00-00-00-00-{o}") for o in ("10", "20", "30")
         )
-        keys = {addr: KeyPair.from_seed(addr, b"acceptance") for addr in path}
+        # The keys record their signatures in the memo the checks use, as
+        # in a run, so every mutation attacks the memo's fast path.
+        memo = VerifiedLinks()
+        keys = {addr: KeyPair.from_seed(addr, b"acceptance", memo) for addr in path}
         directory = {addr: key.public for addr, key in keys.items()}
 
         rng = random.Random(4)
         payload = rng.randbytes(4 * 1500)
         proof = make_chunk(keys[path[0]], 0, payload, 1500)
         for relay in path[1:]:
-            proof = sign_chunk(keys[relay], proof, payload)
-        honest_ok = bool(verify_chain(proof, payload, path, directory))
+            proof = sign_chunk(keys[relay], proof, payload, memo)
+        honest_ok = bool(verify_chain(proof, payload, path, directory, memo))
 
         mutations = 0
         false_valids = 0
@@ -170,7 +173,7 @@ class TestAcceptance:
         def check(mutated, mutated_payload=payload) -> None:
             nonlocal mutations, false_valids
             mutations += 1
-            if verify_chain(mutated, mutated_payload, path, directory):
+            if verify_chain(mutated, mutated_payload, path, directory, memo):
                 false_valids += 1
 
         def flip(blob: bytes, i: int) -> bytes:
@@ -307,9 +310,10 @@ class TestAcceptance:
         rng = random.Random(0xC6)
         parties = [NodeAddr.parse(f"02-00-00-00-06-{i:02x}") for i in range(1, 9)]
         ledger = Ledger()
-        keys = {party: KeyPair.from_seed(party, b"storm") for party in parties}
+        memo = VerifiedLinks()
+        keys = {party: KeyPair.from_seed(party, b"storm", memo) for party in parties}
         directory = {party: key.public for party, key in keys.items()}
-        book = ChannelBook(ledger, directory)
+        book = ChannelBook(ledger, directory, memo)
         for party in parties:
             ledger.mint(party, 100_000)
 
@@ -355,9 +359,9 @@ class TestAcceptance:
                     if snapshot is not None and snapshot.sequence < current.sequence:
                         stale_attempts += 1
                         with pytest.raises(PaymentError, match="stale-sequence"):
-                            ledger.settle(snapshot, directory)
+                            ledger.settle(snapshot, directory, memo)
                         stale_rejections += 1
-                    ledger.settle(current, directory)
+                    ledger.settle(current, directory, memo)
                     open_cids.remove(cid)
                     book.pending.pop(cid, None)
                 counts[kind] += 1
@@ -366,11 +370,11 @@ class TestAcceptance:
             assert ledger.conserved(), f"drift after op {op_index} ({kind})"
 
         for cid in open_cids:
-            ledger.settle(book.state(cid), directory)
+            ledger.settle(book.state(cid), directory, memo)
         replayed = 0
         for cid, snapshot in snapshots.items():
             with pytest.raises(PaymentError):
-                ledger.settle(snapshot, directory)
+                ledger.settle(snapshot, directory, memo)
             replayed += 1
 
         total = sum(ledger.balance(p) for p in parties)

@@ -6,9 +6,9 @@ import random
 import pytest
 
 from tollroute.forwarding import ForwardingEngine, RediscoveryScheduler, Send
-from tollroute.keys import KeyPair
+from tollroute.keys import KeyPair, VerifiedLinks
 from tollroute.payment import ChannelBook, Ledger, channel_id_for
-from tollroute.proof import VerifiedLinks, verify_chain
+from tollroute.proof import verify_chain
 from tollroute.scenario import Defaults, NodeSpec, ServeSpec
 from tollroute.wire import (
     BROADCAST,
@@ -68,13 +68,13 @@ def make_node(
     """An engine for one node; without a shared book it gets a private one.
     Extra keywords override scenario defaults."""
     if book is None:
-        book = ChannelBook(Ledger(), {})
-    key = KeyPair.from_seed(addr, b"fwd-tests")
+        book = ChannelBook(Ledger(), {}, VerifiedLinks())
+    key = KeyPair.from_seed(addr, b"fwd-tests", book.memo)
     cap = Capture()
     engine = ForwardingEngine(
         NodeSpec(addr, cost, relay_mode, serves),
         Defaults(payment_mode=payment_mode, **defaults), key, book,
-        cap.trace, cap.deliver, VerifiedLinks(),
+        cap.trace, cap.deliver,
     )
     book.directory[addr] = key.public
     return engine, cap
@@ -82,7 +82,7 @@ def make_node(
 
 def payment_fabric(*addrs, balance=1_000):
     ledger = Ledger()
-    book = ChannelBook(ledger, {})
+    book = ChannelBook(ledger, {}, VerifiedLinks())
     for addr in addrs:
         ledger.mint(addr, balance)
     return ledger, book

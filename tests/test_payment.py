@@ -1,10 +1,12 @@
 """Ledger, channel update, offer book, and hop payment semantics."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from tollroute.keys import KeyPair
+from tollroute import payment
+from tollroute.keys import KeyPair, VerifiedLinks
 from tollroute.payment import (
     AuditResult,
     ChannelBook,
@@ -16,6 +18,7 @@ from tollroute.payment import (
     channel_update,
     consumer_pay_all,
     relay_process_payment,
+    state_message,
     verify_state,
 )
 from tollroute.wire import Name, NodeAddr
@@ -30,12 +33,14 @@ LIFETIME_US = 4_000_000
 
 
 def fresh_book(balance=1_000, deposit=100):
+    """A funded line of channels whose keys record their signatures in
+    the book's memo, as a run's keys do."""
     ledger = Ledger()
     directory = {}
-    book = ChannelBook(ledger, directory)
+    book = ChannelBook(ledger, directory, VerifiedLinks())
     keys = {}
     for addr in ALL:
-        kp = KeyPair.from_seed(addr, b"payment-tests")
+        kp = KeyPair.from_seed(addr, b"payment-tests", book.memo)
         keys[addr] = kp
         directory[addr] = kp.public
         ledger.mint(addr, balance)
@@ -70,7 +75,7 @@ class TestLedger:
         ledger.mint(CONSUMER, 100)
         ledger.mint(RELAY_A, 100)
         state = ledger.open_channel(CONSUMER, RELAY_A, 30, 20)
-        ledger.settle(state, {})
+        ledger.settle(state, {}, VerifiedLinks())
         assert ledger.balance(CONSUMER) == 100 and ledger.balance(RELAY_A) == 100
         assert ledger.conserved()
 
@@ -79,9 +84,9 @@ class TestLedger:
         ledger.mint(CONSUMER, 100)
         ledger.mint(RELAY_A, 100)
         state = ledger.open_channel(CONSUMER, RELAY_A, 30, 20)
-        ledger.settle(state, {})
+        ledger.settle(state, {}, VerifiedLinks())
         with pytest.raises(PaymentError) as err:
-            ledger.settle(state, {})
+            ledger.settle(state, {}, VerifiedLinks())
         assert err.value.reason == "already-settled"
 
     def test_settle_rejects_pool_mismatch(self):
@@ -93,7 +98,7 @@ class TestLedger:
             state.channel_id, state.party_a, state.party_b, 0, 40, 20, None, None
         )
         with pytest.raises(PaymentError) as err:
-            ledger.settle(inflated, {})
+            ledger.settle(inflated, {}, VerifiedLinks())
         assert err.value.reason == "conservation"
         assert ledger.conserved()
 
@@ -108,10 +113,86 @@ class TestLedger:
         #.. the payee tries to roll back to the state that favored it less,
         # or the payer replays the richer old state: both are stale.
         with pytest.raises(PaymentError) as err:
-            ledger.settle(s1, book.directory)
+            ledger.settle(s1, book.directory, book.memo)
         assert err.value.reason == "stale-sequence"
-        ledger.settle(s2, book.directory)
+        ledger.settle(s2, book.directory, book.memo)
         assert ledger.conserved()
+
+
+def _flip(data: bytes) -> bytes:
+    return data[:-1] + bytes([data[-1] ^ 0x01])
+
+
+def _drop(directory, party):
+    return {addr: pub for addr, pub in directory.items() if addr != party}
+
+
+# One defect per case, applied to an honest committed state and to the
+# directory settle checks it against: (reason, state change, directory change).
+SETTLE_REFUSALS = {
+    "unknown-channel": (
+        "unknown-channel", lambda s: replace(s, channel_id=b"ch:nowhere"), lambda d: d),
+    "bad-party": ("bad-party", lambda s: replace(s, party_b=PRODUCER), lambda d: d),
+    "sig_a-flipped": ("bad-signature", lambda s: replace(s, sig_a=_flip(s.sig_a)), lambda d: d),
+    "sig_b-flipped": ("bad-signature", lambda s: replace(s, sig_b=_flip(s.sig_b)), lambda d: d),
+    "balances-not-signed": (
+        "bad-signature",
+        lambda s: replace(s, balance_a=s.balance_a - 1, balance_b=s.balance_b + 1),
+        lambda d: d,
+    ),
+    "sig_b-missing": ("bad-signature", lambda s: replace(s, sig_b=None), lambda d: d),
+    "party-not-in-directory": (
+        "bad-signature", lambda s: s, lambda d: _drop(d, CONSUMER)),
+}
+
+
+class TestSettleRefusals:
+    """Each refusal happens while the memo holds the honest state's
+    signatures, so the memo can vouch for nothing but those triples."""
+
+    @staticmethod
+    def _committed():
+        ledger, book, keys = fresh_book()
+        cid = channel_id_for(CONSUMER, RELAY_A)
+        offer = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
+        honest = book.commit_offer(keys[RELAY_A], CONSUMER, offer)
+        msg = state_message(honest)
+        for party, sig in ((honest.party_a, honest.sig_a), (honest.party_b, honest.sig_b)):
+            assert (book.directory[party], msg, sig) in book.memo._seen
+        return ledger, book, honest
+
+    @pytest.mark.parametrize("case", list(SETTLE_REFUSALS))
+    def test_single_defect_is_refused_without_mutation(self, case):
+        reason, change_state, change_directory = SETTLE_REFUSALS[case]
+        ledger, book, honest = self._committed()
+        accounts = dict(ledger.accounts)
+        with pytest.raises(PaymentError) as err:
+            ledger.settle(change_state(honest), change_directory(book.directory), book.memo)
+        assert err.value.reason == reason
+        assert ledger.accounts == accounts and ledger.conserved()
+        assert ledger.channels[honest.channel_id].status is ChannelStatus.OPEN
+        ledger.settle(honest, book.directory, book.memo)
+        assert ledger.balance(CONSUMER) == accounts[CONSUMER] + 90
+
+    def test_verify_state_refuses_missing_signatures_and_unknown_parties(self):
+        _, book, honest = self._committed()
+        assert verify_state(honest, book.directory, book.memo)
+        for missing in ("sig_a", "sig_b"):
+            assert not verify_state(replace(honest, **{missing: None}), book.directory, book.memo)
+        for party in (CONSUMER, RELAY_A):
+            assert not verify_state(honest, _drop(book.directory, party), book.memo)
+
+    def test_settle_all_reuses_the_commit_checks(self, monkeypatch):
+        real = []
+        monkeypatch.setattr(payment, "verify", lambda *triple: real.append(triple))
+        ledger, book, keys = fresh_book()
+        cid = channel_id_for(CONSUMER, RELAY_A)
+        for _ in range(3):
+            offer = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
+            book.commit_offer(keys[RELAY_A], CONSUMER, offer)
+        assert book.settle_all() == 3
+        assert real == []
+        assert ledger.balance(CONSUMER) == 970 and ledger.conserved()
 
 
 class TestChannelUpdate:
@@ -121,7 +202,7 @@ class TestChannelUpdate:
         state = book.state(cid)
         nxt = channel_update(state, 25, keys[CONSUMER], keys[RELAY_A])
         assert (nxt.sequence, nxt.balance_a, nxt.balance_b) == (1, 75, 125)
-        assert verify_state(nxt, book.directory)
+        assert verify_state(nxt, book.directory, book.memo)
 
     def test_zero_delta_still_advances_sequence(self):
         _, book, keys = fresh_book()
@@ -129,7 +210,7 @@ class TestChannelUpdate:
         nxt = channel_update(state, 0, keys[CONSUMER], keys[RELAY_A])
         assert nxt.sequence == state.sequence + 1
         assert (nxt.balance_a, nxt.balance_b) == (state.balance_a, state.balance_b)
-        assert verify_state(nxt, book.directory)
+        assert verify_state(nxt, book.directory, book.memo)
 
     def test_overdraw_rejected(self):
         _, book, keys = fresh_book()
@@ -146,7 +227,7 @@ class TestChannelUpdate:
             nxt.channel_id, nxt.party_a, nxt.party_b, nxt.sequence,
             nxt.balance_a - 1, nxt.balance_b + 1, nxt.sig_a, nxt.sig_b,
         )
-        assert not verify_state(forged, book.directory)
+        assert not verify_state(forged, book.directory, book.memo)
 
 
 class TestChannelBook:
@@ -157,7 +238,7 @@ class TestChannelBook:
         assert offer.amount == 15 and offer.sequence == 1
         state = book.commit_offer(keys[RELAY_A], CONSUMER, offer)
         assert state.balance_of(CONSUMER) == 85 and state.balance_of(RELAY_A) == 115
-        assert verify_state(state, book.directory)
+        assert verify_state(state, book.directory, book.memo)
         assert book.pending[cid] == []
 
     def test_pending_offers_reserve_balance(self):
@@ -354,7 +435,8 @@ class TestConservation:
     def test_random_op_storm_conserves_tokens(self):
         rng = random.Random(4242)
         ledger = Ledger()
-        keys = {a: KeyPair.from_seed(a, b"storm") for a in ALL}
+        memo = VerifiedLinks()
+        keys = {a: KeyPair.from_seed(a, b"storm", memo) for a in ALL}
         directory = {a: k.public for a, k in keys.items()}
         for a in ALL:
             ledger.mint(a, 500)
@@ -385,7 +467,7 @@ class TestConservation:
                 live[cid] = state
             elif live:
                 cid = rng.choice(list(live))
-                ledger.settle(live.pop(cid), directory)
+                ledger.settle(live.pop(cid), directory, memo)
             assert ledger.conserved(), f"conservation broke at step {step}"
         report = audit_ledger(ledger.log)
         assert report.ok, report.violations[:3]

@@ -1,18 +1,19 @@
 """Proof-of-forwarding chain construction, verdict classification, and
 the signature budget arithmetic."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tollroute import keys as keys_module
 from tollroute import proof as proof_module
-from tollroute.keys import KeyPair
+from tollroute.keys import KeyPair, VerifiedLinks
+from tollroute.payment import update_message
 from tollroute.proof import (
     ChainFault,
     ProofError,
-    VerifiedLinks,
     VerifyResult,
     chain_message,
     chunk_digest,
@@ -30,16 +31,23 @@ OUTSIDER = NodeAddr.parse("00-aa-00-00-00-99")
 NAME = Name((b"video", b"clip"))
 
 
-def _keys():
+def _keys(memo=None):
     return {
-        addr: KeyPair.from_seed(addr, b"proof-tests")
+        addr: KeyPair.from_seed(addr, b"proof-tests", memo)
         for addr in (PRODUCER, RELAY1, RELAY2, OUTSIDER)
     }
 
 
 @pytest.fixture(scope="module")
-def keys():
-    return _keys()
+def memo():
+    """The memo the module's keys record their signatures in, as a run's
+    keys do: checks given it take the memo's fast path on honest links."""
+    return VerifiedLinks()
+
+
+@pytest.fixture(scope="module")
+def keys(memo):
+    return _keys(memo)
 
 
 @pytest.fixture(scope="module")
@@ -87,12 +95,12 @@ class TestChainBuild:
         with pytest.raises(ValueError, match="proof first index out of range"):
             make_chunk(keys[PRODUCER], -1, b"a", 1500)
 
-    def test_sign_chunk_refuses_tampered_payload(self, keys):
+    def test_sign_chunk_refuses_tampered_payload(self, keys, memo):
         proof = build_chain(keys)
         with pytest.raises(ProofError, match="digest does not match payload"):
-            sign_chunk(keys[OUTSIDER], proof, b"?" + PAYLOAD[1:])
+            sign_chunk(keys[OUTSIDER], proof, b"?" + PAYLOAD[1:], memo)
 
-    def test_sign_chunk_refuses_broken_prior_signature(self, keys):
+    def test_sign_chunk_refuses_broken_prior_signature(self, keys, memo):
         proof = build_chain(keys)
         bad_sig = bytes(64)
         broken = replace(
@@ -100,55 +108,56 @@ class TestChainBuild:
             chain=(proof.chain[0], HopSignature(RELAY1, keys[RELAY1].public, bad_sig), proof.chain[2]),
         )
         with pytest.raises(ProofError, match=f"existing signature 1 by {RELAY1} does not verify"):
-            sign_chunk(keys[OUTSIDER], broken, PAYLOAD)
+            sign_chunk(keys[OUTSIDER], broken, PAYLOAD, memo)
 
-    def test_sign_chunk_refuses_double_signing(self, keys):
+    def test_sign_chunk_refuses_double_signing(self, keys, memo):
         proof = build_chain(keys)
         with pytest.raises(ProofError, match="refusing to sign the same chunk twice"):
-            sign_chunk(keys[RELAY1], proof, PAYLOAD)
+            sign_chunk(keys[RELAY1], proof, PAYLOAD, memo)
 
 
 class TestVerdicts:
-    def test_payload_tamper_classified_first(self, keys, directory):
+    def test_payload_tamper_classified_first(self, keys, directory, memo):
         proof = build_chain(keys)
-        got = verify_chain(proof, PAYLOAD[:-1] + b"!", PATH, directory)
+        got = verify_chain(proof, PAYLOAD[:-1] + b"!", PATH, directory, memo)
         assert (got.valid, got.fault, got.at_index) == (False, ChainFault.PAYLOAD_TAMPERED, 0)
 
-    def test_digest_swap_counts_as_tamper(self, keys, directory):
+    def test_digest_swap_counts_as_tamper(self, keys, directory, memo):
         swapped = replace(build_chain(keys), digest=bytes(32))
-        assert verify_chain(swapped, PAYLOAD, PATH, directory).fault is ChainFault.PAYLOAD_TAMPERED
+        got = verify_chain(swapped, PAYLOAD, PATH, directory, memo)
+        assert got.fault is ChainFault.PAYLOAD_TAMPERED
 
-    def test_dropped_relay_is_missing_signer(self, keys, directory):
+    def test_dropped_relay_is_missing_signer(self, keys, directory, memo):
         proof = build_chain(keys)
         pruned = replace(proof, chain=(proof.chain[0], proof.chain[2]))
-        got = verify_chain(pruned, PAYLOAD, PATH, directory)
+        got = verify_chain(pruned, PAYLOAD, PATH, directory, memo)
         assert (got.fault, got.at_index, got.signer) == (ChainFault.MISSING_SIGNER, 1, RELAY1)
 
-    def test_short_chain_is_missing_signer_at_gap(self, keys, directory):
+    def test_short_chain_is_missing_signer_at_gap(self, keys, directory, memo):
         proof = make_chunk(keys[PRODUCER], 0, b"solo", 1500)
-        got = verify_chain(proof, b"solo", (PRODUCER, RELAY1), directory)
+        got = verify_chain(proof, b"solo", (PRODUCER, RELAY1), directory, memo)
         assert (got.fault, got.at_index, got.signer) == (ChainFault.MISSING_SIGNER, 1, RELAY1)
 
-    def test_swapped_order_is_unexpected_signer(self, keys, directory):
+    def test_swapped_order_is_unexpected_signer(self, keys, directory, memo):
         proof = build_chain(keys)
         shuffled = replace(proof, chain=(proof.chain[0], proof.chain[2], proof.chain[1]))
-        got = verify_chain(shuffled, PAYLOAD, PATH, directory)
+        got = verify_chain(shuffled, PAYLOAD, PATH, directory, memo)
         assert (got.fault, got.at_index, got.signer) == (ChainFault.UNEXPECTED_SIGNER, 1, RELAY2)
 
-    def test_extra_trailing_signer_is_unexpected(self, keys, directory):
-        proof = sign_chunk(keys[OUTSIDER], build_chain(keys), PAYLOAD)
-        got = verify_chain(proof, PAYLOAD, PATH, directory)
+    def test_extra_trailing_signer_is_unexpected(self, keys, directory, memo):
+        proof = sign_chunk(keys[OUTSIDER], build_chain(keys), PAYLOAD, memo)
+        got = verify_chain(proof, PAYLOAD, PATH, directory, memo)
         assert (got.fault, got.at_index, got.signer) == (ChainFault.UNEXPECTED_SIGNER, 3, OUTSIDER)
 
-    def test_flipped_signature_bit_is_bad_signature(self, keys, directory):
+    def test_flipped_signature_bit_is_bad_signature(self, keys, directory, memo):
         proof = build_chain(keys)
         hop = proof.chain[1]
         mangled = HopSignature(hop.signer, hop.signer_pub, hop.sig[:-1] + bytes([hop.sig[-1] ^ 1]))
         forged = replace(proof, chain=(proof.chain[0], mangled, proof.chain[2]))
-        got = verify_chain(forged, PAYLOAD, PATH, directory)
+        got = verify_chain(forged, PAYLOAD, PATH, directory, memo)
         assert (got.fault, got.at_index, got.signer) == (ChainFault.BAD_SIGNATURE, 1, RELAY1)
 
-    def test_key_substitution_is_unexpected_signer(self, keys, directory):
+    def test_key_substitution_is_unexpected_signer(self, keys, directory, memo):
         # An impostor signs correctly with its own key but claims the
         # relay's address; the embedded pubkey betrays it.
         proof = sign_chunk(keys[RELAY1], make_chunk(keys[PRODUCER], 0, b"pay", 1500), b"pay")
@@ -156,20 +165,20 @@ class TestVerdicts:
         msg = chain_message(proof.digest, proof.chain)
         fake = HopSignature(signer=RELAY2, signer_pub=impostor.public, sig=impostor.sign(msg))
         forged = replace(proof, chain=proof.chain + (fake,))
-        got = verify_chain(forged, b"pay", PATH, directory)
+        got = verify_chain(forged, b"pay", PATH, directory, memo)
         assert (got.fault, got.at_index, got.signer) == (ChainFault.UNEXPECTED_SIGNER, 2, RELAY2)
 
-    def test_signer_absent_from_directory_is_unexpected(self, keys, directory):
+    def test_signer_absent_from_directory_is_unexpected(self, keys, directory, memo):
         proof = build_chain(keys)
         trimmed = {addr: pub for addr, pub in directory.items() if addr != RELAY1}
-        got = verify_chain(proof, PAYLOAD, PATH, trimmed)
+        got = verify_chain(proof, PAYLOAD, PATH, trimmed, memo)
         assert (got.fault, got.at_index) == (ChainFault.UNEXPECTED_SIGNER, 1)
 
-    def test_empty_expected_path_rejected(self, keys, directory):
+    def test_empty_expected_path_rejected(self, keys, directory, memo):
         with pytest.raises(ProofError):
-            verify_chain(build_chain(keys), PAYLOAD, (), directory)
+            verify_chain(build_chain(keys), PAYLOAD, (), directory, memo)
 
-    def test_mutation_mini_sweep_never_validates(self, keys, directory):
+    def test_mutation_mini_sweep_never_validates(self, keys, directory, memo):
         # Flip every byte of the payload and of every signature; nothing
         # may come back Valid.  The full-size sweep lives in acceptance.
         payload = b"m" * 120
@@ -178,7 +187,7 @@ class TestVerdicts:
         for i in range(len(payload)):
             mutated = bytearray(payload)
             mutated[i] ^= 0xFF
-            assert not verify_chain(proof, bytes(mutated), path, directory).valid
+            assert not verify_chain(proof, bytes(mutated), path, directory, memo).valid
         for h, hop in enumerate(proof.chain):
             for i in range(len(hop.sig)):
                 mutated = bytearray(hop.sig)
@@ -186,7 +195,7 @@ class TestVerdicts:
                 chain = list(proof.chain)
                 chain[h] = HopSignature(hop.signer, hop.signer_pub, bytes(mutated))
                 forged = replace(proof, chain=tuple(chain))
-                assert not verify_chain(forged, payload, path, directory).valid
+                assert not verify_chain(forged, payload, path, directory, memo).valid
 
 
 def _flip(data: bytes, at: int = -1) -> bytes:
@@ -219,21 +228,20 @@ def _relay_verdict(keys, proof, payload, links=None):
 
 
 class TestVerifiedLinks:
-    def test_memo_keeps_every_one_byte_fault(self, keys, directory):
+    def test_memo_keeps_every_one_byte_fault(self, keys, directory, memo):
         honest = build_chain(keys)
-        links = VerifiedLinks()
-        assert verify_chain(honest, PAYLOAD, PATH, directory, links).valid
-        assert _relay_verdict(keys, honest, PAYLOAD, links) is None
+        assert verify_chain(honest, PAYLOAD, PATH, directory, memo).valid
+        assert _relay_verdict(keys, honest, PAYLOAD, memo) is None
         mutants = list(_one_byte_mutants(honest))
         assert len(mutants) == 2 * len(honest.chain) + 1
         for proof, payload in mutants:
             fresh = verify_chain(proof, payload, PATH, directory)
             assert not fresh.valid
-            assert verify_chain(proof, payload, PATH, directory, links) == fresh
+            assert verify_chain(proof, payload, PATH, directory, memo) == fresh
             # A relay checks against the embedded keys, not the directory.
             refused = _relay_verdict(keys, proof, payload)
             assert refused is not None
-            assert _relay_verdict(keys, proof, payload, links) == refused
+            assert _relay_verdict(keys, proof, payload, memo) == refused
 
     def test_failed_check_is_not_stored(self, keys, monkeypatch):
         calls = []
@@ -247,28 +255,83 @@ class TestVerifiedLinks:
         signer = keys[PRODUCER]
         sig = signer.sign(b"message")
         links = VerifiedLinks()
-        assert not links.check(signer.public, b"message", _flip(sig))
-        assert not links.check(signer.public, b"message", _flip(sig))
+        assert not links.check(signer.public, b"message", _flip(sig), proof_module.verify)
+        assert not links.check(signer.public, b"message", _flip(sig), proof_module.verify)
         assert len(calls) == 2
-        assert links.check(signer.public, b"message", sig)
-        assert links.check(signer.public, b"message", sig)
+        assert links.check(signer.public, b"message", sig, proof_module.verify)
+        assert links.check(signer.public, b"message", sig, proof_module.verify)
         assert len(calls) == 3
 
-    def test_capacity_bounds_size_and_changes_no_outcome(self, keys, directory, monkeypatch):
+    def test_signed_triples_answer_as_ed25519_under_every_one_byte_mutant(self):
+        memo = VerifiedLinks()
+        keys = _keys(memo)
+        proof = build_chain(keys)
+        triples = [
+            (hop.signer_pub, chain_message(proof.digest, proof.chain[:i]), hop.sig)
+            for i, hop in enumerate(proof.chain)
+        ]
+        message = update_message(b"ch:test", 3, 40, 60)
+        triples.append((keys[RELAY1].public, message, keys[RELAY1].sign(message)))
+        real = []
+
+        def counting(*triple):
+            real.append(triple)
+            return keys_module.verify(*triple)
+
+        for triple in triples:
+            assert memo.check(*triple, counting)
+        assert real == []
+        mutants = 0
+        for triple in triples:
+            for field, blob in enumerate(triple):
+                for i in range(len(blob)):
+                    mutant = triple[:field] + (_flip(blob, i),) + triple[field + 1 :]
+                    assert memo.check(*mutant, counting) == keys_module.verify(*mutant)
+                    mutants += 1
+        # Every mutant missed the memo and was verified for real.
+        assert len(real) == mutants
+
+    def test_a_key_seeds_only_its_own_public_half(self, keys):
+        memo = VerifiedLinks()
+        key = KeyPair.from_seed(PRODUCER, b"proof-tests", memo)
+        other = keys[RELAY1].public
+        with pytest.raises(TypeError):
+            KeyPair(PRODUCER, key._private, memo, other)
+        with pytest.raises(ValueError):
+            replace(key, public=other)
+        with pytest.raises(FrozenInstanceError):
+            key.public = other
+        sig = key.sign(b"message")
+        assert list(memo._seen) == [(key.public, b"message", sig)]
+        assert keys_module.verify(key.public, b"message", sig)
+
+    def test_capacity_bounds_size_and_changes_no_outcome(self, directory, monkeypatch):
+        links = VerifiedLinks()
+        keys = _keys(links)
         honest = build_chain(keys)
         proof, payload = next(_one_byte_mutants(honest))
         expected = verify_chain(proof, payload, PATH, directory)
-        links = VerifiedLinks()
+
+        def outcomes_hold():
+            for _ in range(2):
+                assert verify_chain(honest, PAYLOAD, PATH, directory, links).valid
+                assert verify_chain(proof, payload, PATH, directory, links) == expected
+                assert len(links._seen) <= VerifiedLinks.CAPACITY
+
         assert verify_chain(honest, PAYLOAD, PATH, directory, links).valid
         with monkeypatch.context() as m:
             m.setattr(proof_module, "verify", lambda *args: True)
             for i in range(VerifiedLinks.CAPACITY + 10):
-                assert links.check(b"key", i.to_bytes(4, "big"), b"sig")
+                assert links.check(b"key", i.to_bytes(4, "big"), b"sig", proof_module.verify)
                 assert len(links._seen) <= VerifiedLinks.CAPACITY
-        for _ in range(2):
-            assert verify_chain(honest, PAYLOAD, PATH, directory, links).valid
-            assert verify_chain(proof, payload, PATH, directory, links) == expected
+        outcomes_hold()
+        # Signing seeds the memo under the same bound and evicts the
+        # honest chain's links, which are then verified for real.
+        for i in range(VerifiedLinks.CAPACITY + 10):
+            keys[OUTSIDER].sign(i.to_bytes(4, "big"))
             assert len(links._seen) <= VerifiedLinks.CAPACITY
+        assert all(link[0] == keys[OUTSIDER].public for link in links._seen)
+        outcomes_hold()
 
 
 class TestWireRoundTrip:

@@ -87,6 +87,10 @@ class VerifiedLinks:
         if len(seen) > self.CAPACITY:
             del seen[next(iter(seen))]
 
+    def discard(self, public: bytes, message: bytes, signature: bytes) -> None:
+        """Forget a triple that no check will ask about again."""
+        self._seen.pop((public, message, signature), None)
+
     def check(self, public: bytes, message: bytes, signature: bytes, verify: Verifier) -> bool:
         """The memo's answer when it holds the triple, else `verify`'s."""
         triple = (public, message, signature)

@@ -399,6 +399,7 @@ class ChannelBook:
             payment.sequence, bal_a, bal_b, sig_a, sig_b,
         )
         self.channels[payment.channel_id] = committed
+        self._forget(state)
         self._issued[payment.channel_id] = max(
             self._issued.get(payment.channel_id, 0), payment.sequence
         )
@@ -406,6 +407,18 @@ class ChannelBook:
         self.pending[payment.channel_id] = [o for o in queue if o.sequence != payment.sequence]
         self.ledger.note_update(committed, payer, payment.amount)
         return committed
+
+    def _forget(self, state: ChannelState) -> None:
+        """Drop a superseded state's signatures from the memo: the ledger
+        refuses to settle a stale state before it checks signatures, so
+        they can never be checked again."""
+        if state.sequence == 0:
+            return
+        msg = state_message(state)
+        for party, sig in ((state.party_a, state.sig_a), (state.party_b, state.sig_b)):
+            pub = self.directory.get(party)
+            if pub is not None:
+                self.memo.discard(pub, msg, sig)
 
     def cancel_tag(self, tag: OfferTag) -> int:
         """Drop every pending offer for a flow tag (Nack backflow);

@@ -57,13 +57,14 @@ def sign_chunk(
         raise ProofError("digest does not match payload")
     if links is None:
         links = VerifiedLinks()
+    message = proof.digest
     for i, hop in enumerate(proof.chain):
-        message = chain_message(proof.digest, proof.chain[:i])
         if not links.check(hop.signer_pub, message, hop.sig, verify):
             raise ProofError(f"existing signature {i} by {hop.signer} does not verify")
         if hop.signer == key.owner:
             raise ProofError("refusing to sign the same chunk twice")
-    sig = key.sign(chain_message(proof.digest, proof.chain))
+        message += encode_hop_signature(hop)
+    sig = key.sign(message)
     hop = HopSignature(signer=key.owner, signer_pub=key.public, sig=sig)
     return ChunkProof(
         first=proof.first, count=proof.count, digest=proof.digest, chain=proof.chain + (hop,)
@@ -113,6 +114,7 @@ def verify_chain(
     if chunk_digest(payload) != proof.digest:
         return VerifyResult(False, ChainFault.PAYLOAD_TAMPERED, 0)
     signers_present = {hop.signer for hop in proof.chain}
+    message = proof.digest
     for i, expected in enumerate(expected_path):
         if i >= len(proof.chain):
             return VerifyResult(False, ChainFault.MISSING_SIGNER, i, expected)
@@ -124,9 +126,9 @@ def verify_chain(
         trusted_pub = directory.get(expected)
         if trusted_pub is None or hop.signer_pub != trusted_pub:
             return VerifyResult(False, ChainFault.UNEXPECTED_SIGNER, i, hop.signer)
-        message = chain_message(proof.digest, proof.chain[:i])
         if not links.check(trusted_pub, message, hop.sig, verify):
             return VerifyResult(False, ChainFault.BAD_SIGNATURE, i, hop.signer)
+        message += encode_hop_signature(hop)
     if len(proof.chain) > len(expected_path):
         extra = proof.chain[len(expected_path)]
         return VerifyResult(False, ChainFault.UNEXPECTED_SIGNER, len(expected_path), extra.signer)

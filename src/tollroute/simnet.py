@@ -141,11 +141,12 @@ class RunResult:
         return _json_lines(self.ledger_records)
 
 
+# One encoder for every JSON line; json.dumps would build one per record.
+_json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _json_lines(records: list[dict]) -> bytes:
-    return b"".join(
-        json.dumps(rec, sort_keys=True, separators=(",", ":")).encode() + b"\n"
-        for rec in records
-    )
+    return "".join([_json_line(rec) + "\n" for rec in records]).encode()
 
 
 class Simulator:

@@ -194,6 +194,34 @@ class TestSettleRefusals:
         assert real == []
         assert ledger.balance(CONSUMER) == 970 and ledger.conserved()
 
+    def test_channel_traffic_cannot_evict_an_idle_final_state(self, monkeypatch):
+        real = []
+        monkeypatch.setattr(payment, "verify", lambda *triple: real.append(triple))
+        ledger, book, keys = fresh_book(balance=4_000, deposit=2_000)
+        idle = channel_id_for(CONSUMER, RELAY_A)
+        offer = book.make_offer(keys[CONSUMER], idle, 10, TAG, 0, LIFETIME_US)
+        book.commit_offer(keys[RELAY_A], CONSUMER, offer)
+        busy = channel_id_for(RELAY_A, RELAY_B)
+        superseded = []
+        # Two signatures per update: twice the memo's capacity in all.
+        for _ in range(VerifiedLinks.CAPACITY):
+            offer = book.make_offer(keys[RELAY_A], busy, 1, TAG, 0, LIFETIME_US)
+            superseded.append(book.state(busy))
+            book.commit_offer(keys[RELAY_B], RELAY_A, offer)
+        # The memo holds the two live states' signatures and nothing else.
+        live = [book.state(idle), book.state(busy)]
+        assert set(book.memo._seen) == {
+            (book.directory[party], state_message(state), sig)
+            for state in live
+            for party, sig in ((state.party_a, state.sig_a), (state.party_b, state.sig_b))
+        }
+        with pytest.raises(PaymentError) as err:
+            ledger.settle(superseded[-1], book.directory, book.memo)
+        assert err.value.reason == "stale-sequence"
+        assert book.settle_all() == 3
+        assert real == []
+        assert ledger.conserved()
+
 
 class TestChannelUpdate:
     def test_update_moves_tokens_and_signs(self):

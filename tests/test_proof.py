@@ -22,7 +22,16 @@ from tollroute.proof import (
     signature_budget,
     verify_chain,
 )
-from tollroute.wire import Data, HopInfo, HopSignature, Name, NodeAddr, decode_packet, encode_packet
+from tollroute.wire import (
+    Data,
+    HopInfo,
+    HopSignature,
+    Name,
+    NodeAddr,
+    decode_packet,
+    encode_hop_signature,
+    encode_packet,
+)
 
 PRODUCER = NodeAddr.parse("00-aa-00-00-00-01")
 RELAY1 = NodeAddr.parse("00-aa-00-00-00-02")
@@ -114,6 +123,40 @@ class TestChainBuild:
         proof = build_chain(keys)
         with pytest.raises(ProofError, match="refusing to sign the same chunk twice"):
             sign_chunk(keys[RELAY1], proof, PAYLOAD, memo)
+
+    def test_a_chain_of_n_links_costs_n_encodes(self, monkeypatch):
+        memo = VerifiedLinks()
+        path = tuple(NodeAddr(bytes([0, 0xBB, 0, 0, 0, i])) for i in range(1, 10))
+        signers = {addr: KeyPair.from_seed(addr, b"proof-tests", memo) for addr in path}
+        directory = {addr: key.public for addr, key in signers.items()}
+        outsider = KeyPair.from_seed(OUTSIDER, b"proof-tests", memo)
+        encodes = []
+
+        def counting(hop):
+            encodes.append(hop)
+            return encode_hop_signature(hop)
+
+        monkeypatch.setattr(proof_module, "encode_hop_signature", counting)
+        proof = make_chunk(signers[path[0]], 0, PAYLOAD, 1500)
+        for n, addr in enumerate(path[1:], start=1):
+            encodes.clear()
+            proof = sign_chunk(signers[addr], proof, PAYLOAD, memo)
+            assert encodes == list(proof.chain[:n])
+            # The new link signs the chain it extends, as chain_message defines it.
+            hop, message = proof.chain[n], chain_message(proof.digest, proof.chain[:n])
+            assert keys_module.verify(hop.signer_pub, message, hop.sig)
+        encodes.clear()
+        assert verify_chain(proof, PAYLOAD, path, directory, memo).valid
+        assert encodes == list(proof.chain)
+        for i, hop in enumerate(proof.chain):
+            chain = proof.chain[:i] + (replace(hop, sig=bytes(64)),) + proof.chain[i + 1 :]
+            forged = replace(proof, chain=chain)
+            encodes.clear()
+            verdict = verify_chain(forged, PAYLOAD, path, directory, memo)
+            assert verdict == VerifyResult(False, ChainFault.BAD_SIGNATURE, i, hop.signer)
+            assert len(encodes) == i
+            with pytest.raises(ProofError, match=f"existing signature {i} by {hop.signer} "):
+                sign_chunk(outsider, forged, PAYLOAD, memo)
 
 
 class TestVerdicts:

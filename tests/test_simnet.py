@@ -2,13 +2,14 @@
 buffering modes, payment modes, and the post-run invariant auditor."""
 
 import copy
+import json
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from tollroute import forwarding, payment, proof
+from tollroute import forwarding, payment, proof, simnet
 from tollroute.audit import audit_run
 from tollroute.keys import KeyPair
 from tollroute.scenario import ScenarioError, content_bytes, load_scenario, parse_scenario
@@ -80,6 +81,18 @@ class TestDeterminism:
     def test_event_time_is_integral_microseconds(self):
         result = run_doc(line_doc())
         assert all(isinstance(ev["t"], int) for ev in result.trace)
+
+    def test_json_lines_match_one_dumps_per_record(self):
+        records = run_doc(line_doc()).trace + [
+            {"z": [1, 2.5, None], "a": {"y": True, "b": "é\u2028\n"}, "m": -0.0},
+            {},
+        ]
+        expected = b"".join(
+            json.dumps(rec, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+            for rec in records
+        )
+        assert simnet._json_lines(records) == expected
+        assert simnet._json_lines([]) == b""
 
 
 class TestVerifiedLinks:

@@ -11,8 +11,9 @@ Determinism rules, enforced throughout:
 * every event carries a (time, seq) key, seq assigned at scheduling
 * all randomness flows from per-identity generators derived by hashing
   the scenario seed, never from shared or global state
-* every packet crosses the wire codec on each hop, so a run exercises
-  encode/decode exactly as a deployment would
+* every sent packet is encoded, so a packet the wire cannot carry fails
+  its send as it would in a deployment; the codec is canonical, so a
+  packet arrives as itself
 
 Run twice with the same scenario, the simulator produces byte-identical
 traces, reports, and ledger logs.
@@ -47,6 +48,7 @@ from .wire import (
     Nack,
     Name,
     NodeAddr,
+    Packet,
     RouteStack,
     decode_packet,
     encode_packet,
@@ -236,7 +238,9 @@ class Simulator:
 
     def transmit(self, src: NodeAddr, action: Send) -> None:
         pkt = action.packet
-        frame = encode_packet(pkt)
+        # Encoded only as a check: a packet the wire cannot carry raises
+        # EncodeError here, as its send would in a deployment.
+        encode_packet(pkt)
         self.emit(src, "tx", to=str(action.to), **_frame_fields(pkt))
         if action.to.is_broadcast:
             targets = self.neighbors[src]
@@ -247,16 +251,19 @@ class Simulator:
             targets = () if link is None else ((action.to, link),)
         for peer, link in targets:
             if link.up and not link.drops():
-                self.at(self.now + link.latency_us, self._arrive, peer, src, frame)
+                self.at(self.now + link.latency_us, self._arrive, peer, src, pkt)
 
-    def _arrive(self, dst: NodeAddr, src: NodeAddr, frame: bytes) -> None:
-        try:
-            pkt = decode_packet(frame)
-        except DecodeError as err:
-            # An undecodable frame is lost like a dropped one.
-            self.nodes[dst].counters["dropped_corrupt"] += 1
-            self.emit(dst, "rx_corrupt", src=str(src), offset=err.offset, reason=err.reason)
-            return
+    def _arrive(self, dst: NodeAddr, src: NodeAddr, pkt: Packet | bytes) -> None:
+        if isinstance(pkt, bytes):
+            # Only a frame that may differ from the sent packet arrives as
+            # bytes, and only it is decoded.
+            try:
+                pkt = decode_packet(pkt)
+            except DecodeError as err:
+                # An undecodable frame is lost like a dropped one.
+                self.nodes[dst].counters["dropped_corrupt"] += 1
+                self.emit(dst, "rx_corrupt", src=str(src), offset=err.offset, reason=err.reason)
+                return
         self.emit(dst, "rx", src=str(src), **_frame_fields(pkt))
         for action in self.nodes[dst].on_packet(pkt, self.now):
             self.transmit(dst, action)

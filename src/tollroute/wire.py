@@ -11,21 +11,11 @@ any byte string the decoder accepts re-encodes to the identical bytes.
 Each wire type's layout is written once, as a schema of rows at the end
 of this module, and both directions walk it.  docs/wire-format.md lists
 every tag value and field schema.
-
-Relays decode the same nested values byte for byte on every hop, so the
-decoder interns addresses, Names, HopInfos, RouteStacks, HopSignatures
-and ChunkProofs in one bounded table keyed on their kind and value bytes.
-No outcome can depend on it: the values are immutable, a decode of given
-bytes always gives an equal value, and only a successful decode is
-stored, so a hit returns what a fresh decode would and a malformed value
-still fails with its own offset and reason.  Payments and packets carry
-per-use signatures and nonces and are built afresh.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
 from dataclasses import dataclass, fields
 from enum import IntEnum
 from functools import cached_property
@@ -421,30 +411,10 @@ def _dec_u64(buf: bytes, vstart: int, vend: int, off: int) -> int:
     return _U64_STRUCT.unpack_from(buf, vstart)[0]
 
 
-# Decoded values interned by their bytes, so each one is validated and
-# rendered as text once: addresses keyed on their octets, interned nested
-# values on (schema, value bytes).  A full table drops its oldest entry,
-# which an OrderedDict finds at once; a dict would scan past the slots
-# its earlier deletions left.
-_ADDR_INTERN_LIMIT = 1024
-_interned_addrs: dict[Any, Any] = OrderedDict()
-
-
-def _intern(key, value):
-    if len(_interned_addrs) >= _ADDR_INTERN_LIMIT:
-        del _interned_addrs[next(iter(_interned_addrs))]
-    _interned_addrs[key] = value
-    return value
-
-
 def _dec_addr(buf: bytes, vstart: int, vend: int, off: int) -> NodeAddr:
     if vend - vstart != ADDR_LEN:
         raise DecodeError(off, "address field must be exactly 6 bytes")
-    octets = buf[vstart:vend]
-    addr = _interned_addrs.get(octets)
-    if addr is None:
-        addr = _intern(octets, NodeAddr(octets))
-    return addr
+    return NodeAddr(buf[vstart:vend])
 
 
 def _dec_component(buf: bytes, vstart: int, vend: int, off: int) -> bytes:
@@ -486,12 +456,10 @@ class _Row(NamedTuple):
 
 class _Schema:
     """One wire type's layout, compiled once from its rows, which are in
-    canonical order.  A schema is also the kind of a field nesting it.
-    An interned schema's decode returns one shared value per value bytes."""
+    canonical order.  A schema is also the kind of a field nesting it."""
 
-    def __init__(self, cls: type, *rows: tuple, interned: bool = False) -> None:
+    def __init__(self, cls: type, *rows: tuple) -> None:
         self.cls = cls
-        self.interned = interned
         self.what = cls.__name__
         self.rows = tuple(_Row(*row) for row in rows)
         self.rank_of = {row.tag: i for i, row in enumerate(self.rows)}
@@ -525,15 +493,6 @@ class _Schema:
     def decode(self, buf: bytes, start: int, end: int, off: int):
         """The value in buf[start:end]; a violated type invariant is
         reported at `off`, the offset of the TLV holding the value."""
-        if not self.interned:
-            return self._build(buf, start, end, off)
-        key = (self, buf[start:end])
-        value = _interned_addrs.get(key)
-        if value is None:
-            value = _intern(key, self._build(buf, start, end, off))
-        return value
-
-    def _build(self, buf: bytes, start: int, end: int, off: int):
         got = _collect(buf, start, end, self)
         args = [None] * len(self._decoders)
         for tag, slot, decode, repeatable in self._decoders:
@@ -589,15 +548,13 @@ _NAME_SCHEMA = _Schema(
     Name,
     (TAG_COMPONENT, "components", _COMPONENT, True, True),
     (TAG_CHUNK_INDEX, "chunk_index", _U64, False, False),
-    interned=True,
 )
 _HOP_INFO_SCHEMA = _Schema(
     HopInfo,
     (TAG_LOCAL, "local", _ADDR, True, False),
     (TAG_REMOTE, "remote", _ADDR, False, False),
-    interned=True,
 )
-_ROUTE_SCHEMA = _Schema(RouteStack, (TAG_HOP, "hops", _ADDR, True, True), interned=True)
+_ROUTE_SCHEMA = _Schema(RouteStack, (TAG_HOP, "hops", _ADDR, True, True))
 _PAYMENT_SCHEMA = _Schema(
     Payment,
     (TAG_CHANNEL_ID, "channel_id", _BYTES, True, False),
@@ -610,7 +567,6 @@ _HOP_SIGNATURE_SCHEMA = _Schema(
     (TAG_SIGNER, "signer", _ADDR, True, False),
     (TAG_SIGNER_PUB, "signer_pub", _BYTES, True, False),
     (TAG_SIG, "sig", _BYTES, True, False),
-    interned=True,
 )
 _PROOF_SCHEMA = _Schema(
     ChunkProof,
@@ -618,7 +574,6 @@ _PROOF_SCHEMA = _Schema(
     (TAG_CHUNK_COUNT, "count", _U64, True, False),
     (TAG_DIGEST, "digest", _BYTES, True, False),
     (TAG_HOP_SIGNATURE, "chain", _HOP_SIGNATURE_SCHEMA, True, True),
-    interned=True,
 )
 _PACKET_SCHEMAS = {
     TAG_INTEREST: _Schema(

@@ -4,6 +4,11 @@ A refactor that claims to keep behaviour must keep these sha256 values:
 report, trace and ledger bytes for each bundled scenario, and for a few
 larger generated scenarios, under both payment modes.  A change that
 alters behaviour on purpose updates the table and says why.
+
+The simulator hands each receiver the packet object its sender sent.
+Every run here also decodes each sent packet's frame and checks that it
+is that packet, so the pins also prove that every packet survives the
+wire.
 """
 
 import hashlib
@@ -13,8 +18,10 @@ from pathlib import Path
 
 import pytest
 
+from tollroute import simnet
 from tollroute.scenario import load_scenario, parse_scenario
 from tollroute.simnet import run_scenario
+from tollroute.wire import decode_packet, encode_packet
 
 BUNDLED = Path(str(resources.files("tollroute") / "scenarios"))
 
@@ -184,6 +191,17 @@ PINNED_GENERATED = {
         "985d9a527600ca06b4817109917c3743268ad8786019ff4984a01a3ef25d7632",
     ),
 }
+
+
+@pytest.fixture(autouse=True)
+def every_sent_packet_survives_the_wire(monkeypatch):
+    def encode_and_check(pkt):
+        frame = encode_packet(pkt)
+        decoded = decode_packet(frame)
+        assert decoded == pkt and type(decoded) is type(pkt)
+        return frame
+
+    monkeypatch.setattr(simnet, "encode_packet", encode_and_check)
 
 
 def _digests(result) -> tuple[str, str, str]:

@@ -14,7 +14,7 @@ from tollroute.audit import audit_run
 from tollroute.keys import KeyPair
 from tollroute.scenario import ScenarioError, content_bytes, load_scenario, parse_scenario
 from tollroute.simnet import Simulator, run_scenario
-from tollroute.wire import HopInfo, Interest, Name, NodeAddr, encode_packet
+from tollroute.wire import Data, EncodeError, HopInfo, Interest, Name, NodeAddr, encode_packet
 
 BUNDLED = Path(str(resources.files("tollroute") / "scenarios"))
 
@@ -274,6 +274,19 @@ class TestLossAndChurn:
         assert "dropped_corrupt" not in result.report["nodes"][A]
         assert flow_of(result)["status"] == "done"
         assert audit_run(scenario, result.trace, result.ledger_records) == []
+
+    def test_packet_the_wire_cannot_carry_fails_its_send(self):
+        # The medium delivers the packet object, but still encodes it, so a
+        # field over the 2-byte TLV length fails the send outright.
+        sim = Simulator(parse_scenario(line_doc(), source="inline.scn"))
+        a, r = NodeAddr.parse(A), NodeAddr.parse(R)
+        huge = Data(name=Name.parse("/line/data/seg=0"), payload=b"x" * 70_000,
+                    hop_info=HopInfo(a, r))
+        trace, heap = list(sim.trace), list(sim._heap)
+        with pytest.raises(EncodeError, match="field 0x16 value of 70000 bytes exceeds 65535"):
+            sim.transmit(a, forwarding.Send(r, huge))
+        assert sim.trace == trace
+        assert sim._heap == heap
 
     def test_downed_link_loses_frames_silently(self):
         # Cut the link mid-flow: Interests already committed to it are

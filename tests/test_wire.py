@@ -116,117 +116,6 @@ class TestNodeAddr:
         assert min([A2, A3, A1]) == A1
 
 
-class TestInternedAddrs:
-    def test_same_octets_decode_to_one_object(self, monkeypatch) -> None:
-        monkeypatch.setattr(wire, "_interned_addrs", {})
-        first, second = (decode_packet(encode_packet(golden_interest())) for _ in range(2))
-        assert first.hop_info.local is second.hop_info.local
-        # A2 is both the hop info's remote and the route's top.
-        assert first.hop_info.remote is second.route.top is first.route.top
-
-    def test_table_stays_within_its_limit(self, monkeypatch) -> None:
-        monkeypatch.setattr(wire, "_interned_addrs", {})
-        limit = wire._ADDR_INTERN_LIMIT
-        octets = [i.to_bytes(6, "big") for i in range(1, limit + 51)]
-        route = RouteStack(tuple(NodeAddr(o) for o in octets))
-        frame = encode_packet(
-            Interest(
-                name=Name((b"many",)),
-                nonce=bytes(8),
-                hop_info=HopInfo(A1, route.top),
-                lifetime_ms=4000,
-                route=route,
-            )
-        )
-        for _ in range(2):
-            hops = decode_packet(frame).route.hops
-            assert len(wire._interned_addrs) == limit
-            assert hops == tuple(NodeAddr(o) for o in octets)
-
-    def test_name_and_address_with_equal_bytes_keep_their_kinds(self, monkeypatch) -> None:
-        # /abc's value bytes are 20 00 03 61 62 63, six bytes like an address.
-        twin = NodeAddr(bytes.fromhex("200003616263"))
-        name = Name.parse("/abc")
-        assert _t(wire.TAG_COMPONENT, b"abc") == twin.octets
-        monkeypatch.setattr(wire, "_interned_addrs", {})
-        frames = [
-            encode_packet(Nack(name, bytes(8), NackReason.DUPLICATE)),
-            encode_packet(Data(name=name, payload=b"", hop_info=HopInfo(twin))),
-        ]
-        for frame in frames * 2:
-            pkt = decode_packet(frame)
-            assert type(pkt.name) is Name and pkt.name == name
-            if isinstance(pkt, Data):
-                assert type(pkt.hop_info.local) is NodeAddr and pkt.hop_info.local == twin
-
-    def test_served_values_equal_a_fresh_decode(self, monkeypatch) -> None:
-        # The first 5,000 packets of acceptance 8's corpus.
-        rng = random.Random(8)
-        frames = [encode_packet(random_packet(rng)) for _ in range(5000)]
-        table: dict = {}
-        shared = 0
-        for frame in frames:
-            monkeypatch.setattr(wire, "_interned_addrs", {})
-            fresh = decode_packet(frame)
-            monkeypatch.setattr(wire, "_interned_addrs", table)
-            first, served = decode_packet(frame), decode_packet(frame)
-            assert served == fresh
-            assert encode_packet(served) == frame
-            # A hit does not refresh its entry, so the rest of the frame
-            # can evict a name the first decode was served from the table.
-            shared += served.name is first.name
-        assert shared > 0.95 * len(frames)
-        assert len(table) == wire._ADDR_INTERN_LIMIT
-
-    def test_corrupted_twin_fails_as_on_a_fresh_table(self, monkeypatch) -> None:
-        chain = (
-            HopSignature(A1, b"\x01" * 32, b"\x01" * 64),
-            HopSignature(A2, bytes(32), bytes(64)),
-        )
-        honest = encode_packet(
-            Data(
-                name=Name.parse("/video/clip/seg=3"),
-                payload=b"payload",
-                hop_info=HopInfo(A3, A1),
-                proof=ChunkProof(0, 4, bytes(32), chain),
-            )
-        )
-
-        def outcome(buf: bytes):
-            try:
-                return decode_packet(buf)
-            except DecodeError as exc:
-                return exc.offset, exc.reason
-
-        warm: dict = {}
-        monkeypatch.setattr(wire, "_interned_addrs", warm)
-        decode_packet(honest)
-        errors = 0
-        for i in range(len(honest)):
-            for flip in (0x01, 0x80, 0xFF):
-                buf = _mutate(honest, i, honest[i] ^ flip)
-                monkeypatch.setattr(wire, "_interned_addrs", {})
-                expected = outcome(buf)
-                monkeypatch.setattr(wire, "_interned_addrs", warm)
-                assert outcome(buf) == expected, (i, flip)
-                errors += isinstance(expected, tuple)
-        assert 0 < errors < 3 * len(honest)
-
-    def test_many_distinct_names_evict_the_oldest(self, monkeypatch) -> None:
-        monkeypatch.setattr(wire, "_interned_addrs", {})
-        limit = wire._ADDR_INTERN_LIMIT
-        frames = [
-            encode_packet(Nack(Name((b"n",), i), bytes(8), NackReason.EXPIRED))
-            for i in range(limit + 50)
-        ]
-        names = [decode_packet(frame).name for frame in frames]
-        assert len(wire._interned_addrs) == limit
-        assert decode_packet(frames[-1]).name is names[-1]
-        oldest = decode_packet(frames[0]).name
-        assert oldest == names[0] and oldest is not names[0]
-        assert len(wire._interned_addrs) == limit
-
-
 class TestName:
     def test_uri_round_trip(self) -> None:
         n = Name.parse("/video/clip/seg=12")
@@ -565,6 +454,39 @@ def _single_defect_cases():
             frame("Interest", _replace(
                 interest, 0x12, _t(0x22, A1.octets) + _t(0x23, A3.octets))),
             0, "routed Interest must address the route top", id="remote-not-route-top",
+        ),
+        pytest.param(
+            frame("Interest", _replace(
+                interest, 0x12, _t(0x22, A1.octets) + _t(0x23, A1.octets))),
+            _at(interest, 2), "hop info local and remote must differ", id="local-is-remote",
+        ),
+        pytest.param(
+            frame("Interest", _replace(interest, 0x14, _fields_bytes(
+                _replace(_PAYMENT_FIELDS, 0x25, b"c" * 65)))),
+            _at(interest, 4), "channel id must be 1..64 bytes", id="channel-id-65",
+        ),
+        pytest.param(
+            frame("Interest", _replace(interest, 0x14, _fields_bytes(
+                _replace(_PAYMENT_FIELDS, 0x28, b"")))),
+            _at(interest, 4), "payer signature must be 1..255 bytes", id="payer-sig-empty",
+        ),
+        pytest.param(
+            frame("Data", _replace(data, 0x18, _fields_bytes(_replace(
+                _PROOF_FIELDS, 0x2C, _fields_bytes(
+                    _replace(_HOP_SIG_FIELDS, 0x2E, b"\x01" * 31)))))),
+            _at(_PROOF_FIELDS, 3, _at(data, 3) + 3), "signer public key must be 32 bytes",
+            id="signer-pub-31",
+        ),
+        pytest.param(
+            frame("Data", _replace(data, 0x18, _fields_bytes(_replace(
+                _PROOF_FIELDS, 0x2C, _fields_bytes(
+                    _replace(_HOP_SIG_FIELDS, 0x2F, b"\x02" * 63)))))),
+            _at(_PROOF_FIELDS, 3, _at(data, 3) + 3), "hop signature must be 64 bytes",
+            id="hop-sig-63",
+        ),
+        pytest.param(
+            frame("Interest", _replace(interest, 0x15, _u64(0))),
+            0, "lifetime must be a positive integer", id="lifetime-0",
         ),
     ]
 

@@ -2,11 +2,14 @@
 and the per-hop offer bookkeeping that rides on Interests.
 
 Channel model.  A channel is funded on the ledger by both parties'
-deposits and thereafter updated off-chain: the payer signs a proposed
-(sequence, balance_a, balance_b) triple, the payee countersigns and the
-state is committed.  Sequences are strictly increasing but need not be
-dense; a rejected offer simply leaves a hole.  Settlement pushes the
-final balances back to the ledger accounts and is terminal.
+deposits and then runs as two one-way channels: counters of the tokens
+a has paid b and b has paid a.  A counter only grows and carries only
+its payer's signature over its cumulative total, since a payee need not
+sign a state that pays it more.  A balance is the party's deposit minus
+what it paid plus what it was paid.  Both directions share one strictly
+increasing sequence; a rejected offer simply leaves a hole.  Settlement
+checks each counter against its payer's key, pays the balances out to
+the ledger accounts and is terminal.
 
 The ChannelBook is the consensus replica of channel state that both
 parties of each channel hold identical copies of; the simulator keeps
@@ -42,58 +45,72 @@ class ChannelStatus(Enum):
 
 
 @dataclass(frozen=True)
+class Counter:
+    """The tokens one party has paid the other over a channel, in total,
+    with the payer's signature over that total at `sequence`.  The unpaid
+    counter of the funding state carries no signature."""
+
+    sequence: int = 0
+    total: int = 0
+    sig: bytes | None = None
+
+
+UNPAID = Counter()
+
+
+@dataclass(frozen=True)
 class ChannelState:
-    """A countersignable channel snapshot.  Sequence 0 is the funding
-    state and carries no signatures."""
+    """A channel snapshot: the funding deposits and one payer-signed
+    counter per direction, a -> b first.  Balances derive from them."""
 
     channel_id: bytes
     party_a: NodeAddr
     party_b: NodeAddr
-    sequence: int
-    balance_a: int
-    balance_b: int
-    sig_a: bytes | None = None
-    sig_b: bytes | None = None
+    deposit_a: int
+    deposit_b: int
+    paid: tuple[Counter, Counter] = (UNPAID, UNPAID)
 
     @property
-    def total(self) -> int:
-        return self.balance_a + self.balance_b
+    def sequence(self) -> int:
+        return max(self.paid[0].sequence, self.paid[1].sequence)
+
+    @property
+    def balance_a(self) -> int:
+        return self.deposit_a - self.paid[0].total + self.paid[1].total
+
+    @property
+    def balance_b(self) -> int:
+        return self.deposit_b + self.paid[0].total - self.paid[1].total
+
+    def direction(self, payer: NodeAddr) -> int:
+        """Index in `paid` of the counter `payer` signs."""
+        if payer == self.party_a:
+            return 0
+        if payer == self.party_b:
+            return 1
+        raise PaymentError("not-a-party", str(payer))
 
     def balance_of(self, party: NodeAddr) -> int:
-        if party == self.party_a:
-            return self.balance_a
-        if party == self.party_b:
-            return self.balance_b
-        raise PaymentError("not-a-party", str(party))
+        return self.balance_b if self.direction(party) else self.balance_a
 
     def peer_of(self, party: NodeAddr) -> NodeAddr:
-        if party == self.party_a:
-            return self.party_b
-        if party == self.party_b:
-            return self.party_a
-        raise PaymentError("not-a-party", str(party))
+        return self.party_a if self.direction(party) else self.party_b
+
+    def moved(self, direction: int, counter: Counter) -> ChannelState:
+        """This state with the counter of `direction` replaced."""
+        paid = (counter, self.paid[1]) if direction == 0 else (self.paid[0], counter)
+        return replace(self, paid=paid)
 
 
-def update_message(channel_id: bytes, sequence: int, balance_a: int, balance_b: int) -> bytes:
-    return b"chan-update" + channel_id + struct.pack(">QQQ", sequence, balance_a, balance_b)
+def update_message(channel_id: bytes, sequence: int, direction: int, total: int) -> bytes:
+    """What a payer signs: the cumulative `total` it has paid over the
+    channel as of `sequence`, in `direction` (0 when party a pays)."""
+    return b"chan-update" + channel_id + struct.pack(">QBQ", sequence, direction, total)
 
 
-def state_message(state: ChannelState) -> bytes:
-    return update_message(state.channel_id, state.sequence, state.balance_a, state.balance_b)
-
-
-def offer_balances(state: ChannelState, payer: NodeAddr, amount: int) -> tuple[int, int]:
-    """(balance_a, balance_b) that an offer of `amount` from `payer` signs.
-
-    The wire Payment carries no balances, so the payee reconstructs them
-    from the committed state plus the amount.  The signature must
-    therefore cover exactly that pair: committed +/- amount.  A lost or
-    cancelled offer leaves only a sequence hole; it can never skew the
-    balances of the offers made after it.
-    """
-    if payer == state.party_a:
-        return state.balance_a - amount, state.balance_b + amount
-    return state.balance_a + amount, state.balance_b - amount
+def counter_message(state: ChannelState, direction: int) -> bytes:
+    counter = state.paid[direction]
+    return update_message(state.channel_id, counter.sequence, direction, counter.total)
 
 
 def channel_id_for(a: NodeAddr, b: NodeAddr, kind: str = "ch") -> bytes:
@@ -101,42 +118,32 @@ def channel_id_for(a: NodeAddr, b: NodeAddr, kind: str = "ch") -> bytes:
     return f"{kind}:{lo}:{hi}".encode("ascii")
 
 
-def channel_update(
-    state: ChannelState, delta_to_b: int, key_a: KeyPair, key_b: KeyPair
-) -> ChannelState:
-    """Move delta_to_b tokens from party a to party b and have both
-    parties sign the successor state.  A zero delta still advances the
-    sequence (useful as a liveness ping)."""
+def channel_update(state: ChannelState, delta_to_b: int, key_a: KeyPair) -> ChannelState:
+    """Move delta_to_b tokens from party a to party b: a signs its new
+    total paid.  A zero delta still advances the sequence (useful as a
+    liveness ping)."""
     if not (0 <= delta_to_b <= state.balance_a):
         raise PaymentError("overdraw", f"delta {delta_to_b} vs balance {state.balance_a}")
-    if key_a.owner != state.party_a or key_b.owner != state.party_b:
-        raise PaymentError("not-a-party", "keys do not match channel parties")
-    nxt = replace(
-        state,
-        sequence=state.sequence + 1,
-        balance_a=state.balance_a - delta_to_b,
-        balance_b=state.balance_b + delta_to_b,
-        sig_a=None,
-        sig_b=None,
-    )
-    msg = state_message(nxt)
-    return replace(nxt, sig_a=key_a.sign(msg), sig_b=key_b.sign(msg))
+    if key_a.owner != state.party_a:
+        raise PaymentError("not-a-party", "key does not match party a")
+    sequence, total = state.sequence + 1, state.paid[0].total + delta_to_b
+    sig = key_a.sign(update_message(state.channel_id, sequence, 0, total))
+    return state.moved(0, Counter(sequence, total, sig))
 
 
 def verify_state(state: ChannelState, directory: KeyDirectory, memo: VerifiedLinks) -> bool:
-    """Both-party signature check, through the run's memo; the sequence-0
-    funding state needs none."""
-    if state.sequence == 0:
-        return True
-    if state.sig_a is None or state.sig_b is None:
-        return False
-    msg = state_message(state)
-    pub_a = directory.get(state.party_a)
-    pub_b = directory.get(state.party_b)
-    if pub_a is None or pub_b is None:
-        return False
-    valid_a = memo.check(pub_a, msg, state.sig_a, verify)
-    return valid_a and memo.check(pub_b, msg, state.sig_b, verify)
+    """Each counter that has moved must carry its payer's signature over
+    its total, checked through the run's memo; unpaid counters need none."""
+    for direction, payer in enumerate((state.party_a, state.party_b)):
+        counter = state.paid[direction]
+        if counter == UNPAID:
+            continue
+        pub = directory.get(payer)
+        if counter.sig is None or pub is None:
+            return False
+        if not memo.check(pub, counter_message(state, direction), counter.sig, verify):
+            return False
+    return True
 
 
 @dataclass
@@ -144,9 +151,12 @@ class LedgerChannel:
     channel_id: bytes
     party_a: NodeAddr
     party_b: NodeAddr
-    pool: int
+    deposit_a: int
+    deposit_b: int
     status: ChannelStatus = ChannelStatus.OPEN
-    latest_sequence: int = 0
+    # Newest committed counter of each direction, a -> b first: settlement
+    # refuses a counter below it in sequence or in total.
+    noted: list[Counter] = field(default_factory=lambda: [UNPAID, UNPAID])
 
 
 class Ledger:
@@ -199,7 +209,7 @@ class Ledger:
             raise PaymentError("insufficient-funds", f"{b} has {self.balance(b)}, needs {deposit_b}")
         self.accounts[a] = self.balance(a) - deposit_a
         self.accounts[b] = self.balance(b) - deposit_b
-        self.channels[cid] = LedgerChannel(cid, a, b, deposit_a + deposit_b)
+        self.channels[cid] = LedgerChannel(cid, a, b, deposit_a, deposit_b)
         self.log.append(
             {
                 "op": "open",
@@ -210,15 +220,17 @@ class Ledger:
                 "deposit_b": deposit_b,
             }
         )
-        return ChannelState(cid, a, b, 0, deposit_a, deposit_b)
+        return ChannelState(cid, a, b, deposit_a, deposit_b)
 
     def note_update(self, state: ChannelState, payer: NodeAddr, amount: int) -> None:
-        """Record a committed off-chain update; advances the replay
-        watermark the settlement check uses."""
+        """Record a committed off-chain update by `payer`; advances the
+        replay watermark of its counter."""
         chan = self.channels.get(state.channel_id)
         if chan is None or chan.status is not ChannelStatus.OPEN:
             raise PaymentError("unknown-channel", state.channel_id.decode("ascii", "replace"))
-        chan.latest_sequence = max(chan.latest_sequence, state.sequence)
+        direction = state.direction(payer)
+        if state.paid[direction].sequence > chan.noted[direction].sequence:
+            chan.noted[direction] = state.paid[direction]
         self.log.append(
             {
                 "op": "update",
@@ -235,9 +247,10 @@ class Ledger:
     def settle(self, state: ChannelState, directory: KeyDirectory, memo: VerifiedLinks) -> None:
         """Close a channel at the given state and credit the accounts.
 
-        Rejected: unknown or already settled channels, states older than
-        the newest sequence the ledger has seen, bad signatures, and
-        balances that do not add up to the funding pool.
+        Rejected: unknown or already settled channels, a counter below
+        the newest one the ledger has seen (a payer can sign a later
+        sequence with a smaller total), balances that the ledger's
+        deposits and the counters leave negative, and bad signatures.
         """
         chan = self.channels.get(state.channel_id)
         cid = state.channel_id.decode("ascii", "replace")
@@ -247,29 +260,30 @@ class Ledger:
             raise PaymentError("already-settled", cid)
         if (state.party_a, state.party_b) != (chan.party_a, chan.party_b):
             raise PaymentError("bad-party", cid)
-        if state.sequence < chan.latest_sequence:
-            raise PaymentError(
-                "stale-sequence", f"{cid}: {state.sequence} < {chan.latest_sequence}"
-            )
-        if state.total != chan.pool:
-            raise PaymentError("conservation", f"{cid}: {state.total} != pool {chan.pool}")
-        if not verify_state(state, directory, memo):
+        for counter, noted in zip(state.paid, chan.noted):
+            if counter.sequence < noted.sequence or counter.total < noted.total:
+                raise PaymentError("stale-sequence", f"{cid}: below {noted.sequence}/{noted.total}")
+        final = replace(state, deposit_a=chan.deposit_a, deposit_b=chan.deposit_b)
+        if min(final.balance_a, final.balance_b) < 0:
+            raise PaymentError("conservation", f"{cid}: pays {final.balance_a}/{final.balance_b}")
+        if not verify_state(final, directory, memo):
             raise PaymentError("bad-signature", cid)
         chan.status = ChannelStatus.SETTLED
-        self.accounts[state.party_a] = self.balance(state.party_a) + state.balance_a
-        self.accounts[state.party_b] = self.balance(state.party_b) + state.balance_b
+        self.accounts[state.party_a] = self.balance(state.party_a) + final.balance_a
+        self.accounts[state.party_b] = self.balance(state.party_b) + final.balance_b
         self.log.append(
             {
                 "op": "settle",
                 "channel": cid,
-                "sequence": state.sequence,
-                "balance_a": state.balance_a,
-                "balance_b": state.balance_b,
+                "sequence": final.sequence,
+                "balance_a": final.balance_a,
+                "balance_b": final.balance_b,
             }
         )
 
     def open_pool_total(self) -> int:
-        return sum(c.pool for c in self.channels.values() if c.status is ChannelStatus.OPEN)
+        open_channels = (c for c in self.channels.values() if c.status is ChannelStatus.OPEN)
+        return sum(c.deposit_a + c.deposit_b for c in open_channels)
 
     def conserved(self) -> bool:
         return sum(self.accounts.values()) + self.open_pool_total() == self.minted
@@ -359,7 +373,9 @@ class ChannelBook:
                 f"{payer} projected {self.projected_balance(channel_id, payer)} < {amount}",
             )
         seq = self._next_sequence(channel_id)
-        sig = key.sign(update_message(channel_id, seq, *offer_balances(state, payer, amount)))
+        direction = state.direction(payer)
+        total = state.paid[direction].total + amount
+        sig = key.sign(update_message(channel_id, seq, direction, total))
         payment = Payment(channel_id=channel_id, amount=amount, sequence=seq, payer_sig=sig)
         self.pending.setdefault(channel_id, []).append(
             PendingOffer(seq, payer, amount, tag, now + lifetime_us)
@@ -367,9 +383,9 @@ class ChannelBook:
         return payment
 
     def commit_offer(self, key: KeyPair, payer: NodeAddr, payment: Payment) -> ChannelState:
-        """Payee-side acceptance by `key.owner`: verify and countersign,
-        advancing the committed state.  Raises without mutating on any
-        defect."""
+        """Payee-side acceptance by `key.owner`: verify the payer's
+        signature over its committed total plus the amount, and store it
+        as the payer's counter.  Raises without mutating on any defect."""
         payee = key.owner
         state = self.state(payment.channel_id)
         if state.peer_of(payer) != payee:
@@ -384,41 +400,27 @@ class ChannelBook:
             raise PaymentError(
                 "overdraw", f"{payer} holds {state.balance_of(payer)} < {payment.amount}"
             )
-        bal_a, bal_b = offer_balances(state, payer, payment.amount)
-        msg = update_message(payment.channel_id, payment.sequence, bal_a, bal_b)
+        direction = state.direction(payer)
+        old = state.paid[direction]
+        committed = state.moved(
+            direction, Counter(payment.sequence, old.total + payment.amount, payment.payer_sig)
+        )
+        msg = counter_message(committed, direction)
         pub = self.directory.get(payer)
         if pub is None or not self.memo.check(pub, msg, payment.payer_sig, verify):
             raise PaymentError("bad-signature", f"offer seq {payment.sequence} by {payer}")
-        sig_payee = key.sign(msg)
-        if payee == state.party_a:
-            sig_a, sig_b = sig_payee, payment.payer_sig
-        else:
-            sig_a, sig_b = payment.payer_sig, sig_payee
-        committed = ChannelState(
-            payment.channel_id, state.party_a, state.party_b,
-            payment.sequence, bal_a, bal_b, sig_a, sig_b,
-        )
+        self.ledger.note_update(committed, payer, payment.amount)
         self.channels[payment.channel_id] = committed
-        self._forget(state)
+        if old.sig is not None:
+            # The ledger refuses a superseded counter before it checks
+            # signatures, so this one can never be checked again.
+            self.memo.discard(pub, counter_message(state, direction), old.sig)
         self._issued[payment.channel_id] = max(
             self._issued.get(payment.channel_id, 0), payment.sequence
         )
         queue = self.pending.get(payment.channel_id, [])
         self.pending[payment.channel_id] = [o for o in queue if o.sequence != payment.sequence]
-        self.ledger.note_update(committed, payer, payment.amount)
         return committed
-
-    def _forget(self, state: ChannelState) -> None:
-        """Drop a superseded state's signatures from the memo: the ledger
-        refuses to settle a stale state before it checks signatures, so
-        they can never be checked again."""
-        if state.sequence == 0:
-            return
-        msg = state_message(state)
-        for party, sig in ((state.party_a, state.sig_a), (state.party_b, state.sig_b)):
-            pub = self.directory.get(party)
-            if pub is not None:
-                self.memo.discard(pub, msg, sig)
 
     def cancel_tag(self, tag: OfferTag) -> int:
         """Drop every pending offer for a flow tag (Nack backflow);

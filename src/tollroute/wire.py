@@ -237,8 +237,8 @@ class Payment:
     """Signed channel-update offer riding a content Interest.
 
     amount is in integer token micro-units ("u").  payer_sig covers the
-    canonical update message for (channel_id, sequence) and the balances
-    implied by amount; the payment module owns that construction.
+    canonical update message for (channel_id, sequence) and the payer's
+    cumulative total that amount brings it to; payment.py builds it.
     """
 
     channel_id: bytes

@@ -8,17 +8,20 @@ import pytest
 from tollroute import payment
 from tollroute.keys import KeyPair, VerifiedLinks
 from tollroute.payment import (
+    UNPAID,
     AuditResult,
     ChannelBook,
     ChannelStatus,
+    Counter,
     Ledger,
     PaymentError,
     audit_ledger,
     channel_id_for,
     channel_update,
     consumer_pay_all,
+    counter_message,
     relay_process_payment,
-    state_message,
+    update_message,
     verify_state,
 )
 from tollroute.wire import Name, NodeAddr
@@ -90,24 +93,28 @@ class TestLedger:
         assert err.value.reason == "already-settled"
 
     def test_settle_rejects_pool_mismatch(self):
+        # A counter that pays out more than its payer put in, signed by
+        # that payer, and a state that claims a larger deposit: the
+        # ledger derives the balances from its own deposits, so neither
+        # can take tokens the pool does not hold.
         ledger = Ledger()
         ledger.mint(CONSUMER, 100)
         ledger.mint(RELAY_A, 100)
         state = ledger.open_channel(CONSUMER, RELAY_A, 30, 20)
-        inflated = type(state)(
-            state.channel_id, state.party_a, state.party_b, 0, 40, 20, None, None
-        )
+        overpaid = _signed(CONSUMER, 0, 1, 31)(state)
         with pytest.raises(PaymentError) as err:
-            ledger.settle(inflated, {}, VerifiedLinks())
+            ledger.settle(overpaid, {CONSUMER: _KEYS[CONSUMER].public}, VerifiedLinks())
         assert err.value.reason == "conservation"
+        ledger.settle(replace(state, deposit_a=40), {}, VerifiedLinks())
+        assert ledger.balance(CONSUMER) == 100 and ledger.balance(RELAY_A) == 100
         assert ledger.conserved()
 
     def test_stale_sequence_settle_rejected(self):
         ledger, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
         old = book.state(cid)
-        s1 = channel_update(old, 10, keys[CONSUMER], keys[RELAY_A])
-        s2 = channel_update(s1, 5, keys[CONSUMER], keys[RELAY_A])
+        s1 = channel_update(old, 10, keys[CONSUMER])
+        s2 = channel_update(s1, 5, keys[CONSUMER])
         ledger.note_update(s1, CONSUMER, 10)
         ledger.note_update(s2, CONSUMER, 5)
         #.. the payee tries to roll back to the state that favored it less,
@@ -127,20 +134,44 @@ def _drop(directory, party):
     return {addr: pub for addr, pub in directory.items() if addr != party}
 
 
-# One defect per case, applied to an honest committed state and to the
-# directory settle checks it against: (reason, state change, directory change).
+def _counter(direction, change):
+    """A state change that replaces the counter of `direction` by
+    `change(counter)`."""
+    return lambda s: s.moved(direction, change(s.paid[direction]))
+
+
+# fresh_book's keys, outside any book's memo.
+_KEYS = {addr: KeyPair.from_seed(addr, b"payment-tests") for addr in ALL}
+
+
+def _signed(payer, direction, sequence, total):
+    """A state change: the counter of `direction` as `payer`'s key signs it."""
+    def change(s):
+        sig = _KEYS[payer].sign(update_message(s.channel_id, sequence, direction, total))
+        return s.moved(direction, Counter(sequence, total, sig))
+    return change
+
+
+# One defect per case, applied to an honest committed state in which
+# each party has paid the other (so each holds one signature: sig_a on
+# the a -> b counter, sig_b on b -> a) and to the directory settle checks
+# it against: (reason, state change, directory change).
 SETTLE_REFUSALS = {
     "unknown-channel": (
         "unknown-channel", lambda s: replace(s, channel_id=b"ch:nowhere"), lambda d: d),
     "bad-party": ("bad-party", lambda s: replace(s, party_b=PRODUCER), lambda d: d),
-    "sig_a-flipped": ("bad-signature", lambda s: replace(s, sig_a=_flip(s.sig_a)), lambda d: d),
-    "sig_b-flipped": ("bad-signature", lambda s: replace(s, sig_b=_flip(s.sig_b)), lambda d: d),
+    "stale-counter": ("stale-sequence", _counter(0, lambda c: UNPAID), lambda d: d),
+    # The payer signs a later sequence that pays less than it committed.
+    "lower-total": ("stale-sequence", _signed(CONSUMER, 0, 3, 9), lambda d: d),
+    "overpaid": ("conservation", _counter(0, lambda c: replace(c, total=105)), lambda d: d),
+    "sig_a-flipped": (
+        "bad-signature", _counter(0, lambda c: replace(c, sig=_flip(c.sig))), lambda d: d),
+    "sig_b-flipped": (
+        "bad-signature", _counter(1, lambda c: replace(c, sig=_flip(c.sig))), lambda d: d),
+    "sig_a-by-payee": ("bad-signature", _signed(RELAY_A, 0, 1, 10), lambda d: d),
     "balances-not-signed": (
-        "bad-signature",
-        lambda s: replace(s, balance_a=s.balance_a - 1, balance_b=s.balance_b + 1),
-        lambda d: d,
-    ),
-    "sig_b-missing": ("bad-signature", lambda s: replace(s, sig_b=None), lambda d: d),
+        "bad-signature", _counter(0, lambda c: replace(c, total=11)), lambda d: d),
+    "sig_b-missing": ("bad-signature", _counter(1, lambda c: replace(c, sig=None)), lambda d: d),
     "party-not-in-directory": (
         "bad-signature", lambda s: s, lambda d: _drop(d, CONSUMER)),
 }
@@ -154,11 +185,14 @@ class TestSettleRefusals:
     def _committed():
         ledger, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
-        offer = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
-        honest = book.commit_offer(keys[RELAY_A], CONSUMER, offer)
-        msg = state_message(honest)
-        for party, sig in ((honest.party_a, honest.sig_a), (honest.party_b, honest.sig_b)):
-            assert (book.directory[party], msg, sig) in book.memo._seen
+        for payer, payee, amount in ((CONSUMER, RELAY_A, 10), (RELAY_A, CONSUMER, 4)):
+            offer = book.make_offer(keys[payer], cid, amount, TAG, 0, LIFETIME_US)
+            honest = book.commit_offer(keys[payee], payer, offer)
+        # Each payer's signature over its own counter, and nothing else.
+        assert set(book.memo._seen) == {
+            (book.directory[payer], counter_message(honest, direction), honest.paid[direction].sig)
+            for direction, payer in enumerate((CONSUMER, RELAY_A))
+        }
         return ledger, book, honest
 
     @pytest.mark.parametrize("case", list(SETTLE_REFUSALS))
@@ -172,15 +206,20 @@ class TestSettleRefusals:
         assert ledger.accounts == accounts and ledger.conserved()
         assert ledger.channels[honest.channel_id].status is ChannelStatus.OPEN
         ledger.settle(honest, book.directory, book.memo)
-        assert ledger.balance(CONSUMER) == accounts[CONSUMER] + 90
+        assert ledger.balance(CONSUMER) == accounts[CONSUMER] + 100 - 10 + 4
 
     def test_verify_state_refuses_missing_signatures_and_unknown_parties(self):
         _, book, honest = self._committed()
         assert verify_state(honest, book.directory, book.memo)
-        for missing in ("sig_a", "sig_b"):
-            assert not verify_state(replace(honest, **{missing: None}), book.directory, book.memo)
-        for party in (CONSUMER, RELAY_A):
-            assert not verify_state(honest, _drop(book.directory, party), book.memo)
+        for direction, payer in enumerate((CONSUMER, RELAY_A)):
+            unsigned = honest.moved(direction, replace(honest.paid[direction], sig=None))
+            assert not verify_state(unsigned, book.directory, book.memo)
+            assert not verify_state(honest, _drop(book.directory, payer), book.memo)
+            # Paid in one direction only, a channel needs only the payer's key.
+            one_way = honest.moved(1 - direction, UNPAID)
+            assert verify_state(one_way, _drop(book.directory, one_way.peer_of(payer)), book.memo)
+        # A counter that has moved needs a signature even at sequence 0.
+        assert not verify_state(honest.moved(0, Counter(0, 10)), book.directory, book.memo)
 
     def test_settle_all_reuses_the_commit_checks(self, monkeypatch):
         real = []
@@ -197,23 +236,22 @@ class TestSettleRefusals:
     def test_channel_traffic_cannot_evict_an_idle_final_state(self, monkeypatch):
         real = []
         monkeypatch.setattr(payment, "verify", lambda *triple: real.append(triple))
-        ledger, book, keys = fresh_book(balance=4_000, deposit=2_000)
+        ledger, book, keys = fresh_book(balance=8_000, deposit=4_000)
         idle = channel_id_for(CONSUMER, RELAY_A)
         offer = book.make_offer(keys[CONSUMER], idle, 10, TAG, 0, LIFETIME_US)
         book.commit_offer(keys[RELAY_A], CONSUMER, offer)
         busy = channel_id_for(RELAY_A, RELAY_B)
         superseded = []
-        # Two signatures per update: twice the memo's capacity in all.
-        for _ in range(VerifiedLinks.CAPACITY):
+        # One signature per update: twice the memo's capacity in all.
+        for _ in range(2 * VerifiedLinks.CAPACITY):
             offer = book.make_offer(keys[RELAY_A], busy, 1, TAG, 0, LIFETIME_US)
             superseded.append(book.state(busy))
             book.commit_offer(keys[RELAY_B], RELAY_A, offer)
-        # The memo holds the two live states' signatures and nothing else.
+        # The memo holds the two live counters' signatures and nothing else.
         live = [book.state(idle), book.state(busy)]
         assert set(book.memo._seen) == {
-            (book.directory[party], state_message(state), sig)
+            (book.directory[state.party_a], counter_message(state, 0), state.paid[0].sig)
             for state in live
-            for party, sig in ((state.party_a, state.sig_a), (state.party_b, state.sig_b))
         }
         with pytest.raises(PaymentError) as err:
             ledger.settle(superseded[-1], book.directory, book.memo)
@@ -228,14 +266,19 @@ class TestChannelUpdate:
         _, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
         state = book.state(cid)
-        nxt = channel_update(state, 25, keys[CONSUMER], keys[RELAY_A])
+        nxt = channel_update(state, 25, keys[CONSUMER])
         assert (nxt.sequence, nxt.balance_a, nxt.balance_b) == (1, 75, 125)
-        assert verify_state(nxt, book.directory, book.memo)
+        assert nxt.paid == (Counter(1, 25, nxt.paid[0].sig), UNPAID)
+        # Signed by the payer only: the payee's key is not needed.
+        assert set(book.memo._seen) == {
+            (keys[CONSUMER].public, counter_message(nxt, 0), nxt.paid[0].sig)
+        }
+        assert verify_state(nxt, _drop(book.directory, RELAY_A), book.memo)
 
     def test_zero_delta_still_advances_sequence(self):
         _, book, keys = fresh_book()
         state = book.state(channel_id_for(CONSUMER, RELAY_A))
-        nxt = channel_update(state, 0, keys[CONSUMER], keys[RELAY_A])
+        nxt = channel_update(state, 0, keys[CONSUMER])
         assert nxt.sequence == state.sequence + 1
         assert (nxt.balance_a, nxt.balance_b) == (state.balance_a, state.balance_b)
         assert verify_state(nxt, book.directory, book.memo)
@@ -244,18 +287,51 @@ class TestChannelUpdate:
         _, book, keys = fresh_book()
         state = book.state(channel_id_for(CONSUMER, RELAY_A))
         with pytest.raises(PaymentError) as err:
-            channel_update(state, state.balance_a + 1, keys[CONSUMER], keys[RELAY_A])
+            channel_update(state, state.balance_a + 1, keys[CONSUMER])
         assert err.value.reason == "overdraw"
+
+    def test_only_party_a_can_sign(self):
+        _, book, keys = fresh_book()
+        state = book.state(channel_id_for(CONSUMER, RELAY_A))
+        with pytest.raises(PaymentError) as err:
+            channel_update(state, 5, keys[RELAY_A])
+        assert err.value.reason == "not-a-party"
+        assert not book.memo._seen
 
     def test_tampered_signature_fails_verification(self):
         _, book, keys = fresh_book()
         state = book.state(channel_id_for(CONSUMER, RELAY_A))
-        nxt = channel_update(state, 5, keys[CONSUMER], keys[RELAY_A])
-        forged = type(nxt)(
-            nxt.channel_id, nxt.party_a, nxt.party_b, nxt.sequence,
-            nxt.balance_a - 1, nxt.balance_b + 1, nxt.sig_a, nxt.sig_b,
-        )
+        nxt = channel_update(state, 5, keys[CONSUMER])
+        forged = nxt.moved(0, replace(nxt.paid[0], total=6))
+        assert (forged.balance_a, forged.balance_b) == (nxt.balance_a - 1, nxt.balance_b + 1)
         assert not verify_state(forged, book.directory, book.memo)
+
+
+def _resigned(payer, offer, total):
+    """`offer` with `payer`'s signature over an a -> b total of `total`."""
+    message = update_message(offer.channel_id, offer.sequence, 0, total)
+    return replace(offer, payer_sig=_KEYS[payer].sign(message))
+
+
+# One defect per case, applied to the commit of an honest offer of 20
+# from CONSUMER (party a) made after its first offer of 10 committed:
+# (reason, (offer, first offer) -> (payee, payer, payment)).
+COMMIT_REFUSALS = {
+    "payee-not-on-channel": ("not-a-party", lambda offer, first: (RELAY_B, CONSUMER, offer)),
+    "payer-not-on-channel": ("not-a-party", lambda offer, first: (RELAY_A, PRODUCER, offer)),
+    "replayed": ("stale-sequence", lambda offer, first: (RELAY_A, CONSUMER, first)),
+    "zero-amount": (
+        "bad-amount", lambda offer, first: (RELAY_A, CONSUMER, replace(offer, amount=0))),
+    "above-holdings": (
+        "overdraw",
+        lambda offer, first: (
+            RELAY_A, CONSUMER, _resigned(CONSUMER, replace(offer, amount=91), 101)),
+    ),
+    "signed-by-payee": (
+        "bad-signature", lambda offer, first: (RELAY_A, CONSUMER, _resigned(RELAY_A, offer, 30))),
+    "amount-not-signed": (
+        "bad-signature", lambda offer, first: (RELAY_A, CONSUMER, replace(offer, amount=21))),
+}
 
 
 class TestChannelBook:
@@ -290,7 +366,7 @@ class TestChannelBook:
 
     def test_racing_offers_only_first_commits(self):
         # Two offers signed against the same committed state: whichever
-        # commits first wins; the loser's balances no longer match what
+        # commits first wins; the loser's total no longer matches what
         # the payee reconstructs and it bounces without mutation.
         _, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
@@ -329,6 +405,66 @@ class TestChannelBook:
             book.commit_offer(keys[RELAY_A], CONSUMER, offer)
         assert err.value.reason == "stale-sequence"
         assert book.state(cid) == before
+
+    @pytest.mark.parametrize("case", list(COMMIT_REFUSALS))
+    def test_single_defect_commit_is_refused_without_mutation(self, case):
+        reason, change = COMMIT_REFUSALS[case]
+        ledger, book, keys = fresh_book()
+        cid = channel_id_for(CONSUMER, RELAY_A)
+        first = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
+        book.commit_offer(keys[RELAY_A], CONSUMER, first)
+        offer = book.make_offer(keys[CONSUMER], cid, 20, TAG, 0, LIFETIME_US)
+        before = (book.state(cid), list(book.pending[cid]), list(ledger.log))
+        payee, payer, payment = change(offer, first)
+        with pytest.raises(PaymentError) as err:
+            book.commit_offer(keys[payee], payer, payment)
+        assert err.value.reason == reason
+        assert (book.state(cid), book.pending[cid], ledger.log) == before
+        assert book.commit_offer(keys[RELAY_A], CONSUMER, offer).paid[0].total == 30
+
+    def test_offer_must_move_a_token(self):
+        _, book, keys = fresh_book()
+        cid = channel_id_for(CONSUMER, RELAY_A)
+        with pytest.raises(PaymentError) as err:
+            book.make_offer(keys[CONSUMER], cid, 0, TAG, 0, LIFETIME_US)
+        assert err.value.reason == "bad-amount"
+        assert not book.pending and not book.memo._seen
+
+    def test_commit_on_a_settled_channel_changes_nothing(self):
+        ledger, book, keys = fresh_book()
+        cid = channel_id_for(CONSUMER, RELAY_A)
+        ledger.settle(book.state(cid), book.directory, book.memo)
+        offer = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
+        before = (book.state(cid), list(book.pending[cid]), list(ledger.log))
+        with pytest.raises(PaymentError) as err:
+            book.commit_offer(keys[RELAY_A], CONSUMER, offer)
+        assert err.value.reason == "unknown-channel"
+        assert (book.state(cid), book.pending[cid], ledger.log) == before
+
+    def test_payments_both_ways_settle_to_deposit_minus_paid_out_plus_paid_in(self):
+        ledger, book, keys = fresh_book()
+        cid = channel_id_for(CONSUMER, RELAY_A)
+        for payer, payee, amount in ((CONSUMER, RELAY_A, 30), (RELAY_A, CONSUMER, 12),
+                                     (CONSUMER, RELAY_A, 5)):
+            offer = book.make_offer(keys[payer], cid, amount, TAG, 0, LIFETIME_US)
+            state = book.commit_offer(keys[payee], payer, offer)
+        assert [(c.sequence, c.total) for c in state.paid] == [(3, 35), (2, 12)]
+        ledger.settle(state, book.directory, book.memo)
+        assert ledger.log[-1] == {
+            "op": "settle", "channel": cid.decode(), "sequence": 3,
+            "balance_a": 100 - 35 + 12, "balance_b": 100 - 12 + 35,
+        }
+        assert ledger.balance(CONSUMER) == 900 + 77 and ledger.conserved()
+
+    def test_opposite_offers_in_flight_both_commit(self):
+        # Each signs its own counter, which the other does not move.
+        _, book, keys = fresh_book()
+        cid = channel_id_for(CONSUMER, RELAY_A)
+        there = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
+        back = book.make_offer(keys[RELAY_A], cid, 4, TAG, 0, LIFETIME_US)
+        book.commit_offer(keys[RELAY_A], CONSUMER, there)
+        state = book.commit_offer(keys[CONSUMER], RELAY_A, back)
+        assert (state.sequence, state.balance_a, state.balance_b) == (2, 94, 106)
 
     def test_purge_expired(self):
         _, book, keys = fresh_book()
@@ -488,9 +624,7 @@ class TestConservation:
                 cid = rng.choice(list(live))
                 state = live[cid]
                 delta = rng.randrange(0, state.balance_a + 1)
-                state = channel_update(
-                    state, delta, keys[state.party_a], keys[state.party_b]
-                )
+                state = channel_update(state, delta, keys[state.party_a])
                 ledger.note_update(state, state.party_a, delta)
                 live[cid] = state
             elif live:

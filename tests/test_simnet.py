@@ -453,6 +453,26 @@ class TestRelayModes:
 
 
 class TestPaymentModes:
+    @pytest.mark.parametrize("payment_mode", ["hopbyhop", "payall"])
+    def test_one_signature_per_committed_offer_and_chain_link(self, payment_mode, monkeypatch):
+        # The payer signs each offer; the payee commits it unsigned.
+        signed = []
+        real_sign = KeyPair.sign
+
+        def counting_sign(key, message):
+            signed.append(message)
+            return real_sign(key, message)
+
+        monkeypatch.setattr(KeyPair, "sign", counting_sign)
+        doc = line_doc()
+        doc["defaults"]["payment_mode"] = payment_mode
+        result = run_doc(doc)
+        assert flow_of(result)["status"] == "done"
+        commits = sum(rec["op"] == "update" for rec in result.ledger_records)
+        links = sum(ev["event"] == "chunk_signed" for ev in result.trace)
+        assert commits == 16 and links == 4
+        assert len(signed) == commits + links
+
     def test_payall_opens_consumer_channels_to_every_hop(self):
         hop = run_doc(line_doc())
         doc = line_doc()

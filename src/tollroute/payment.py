@@ -11,23 +11,23 @@ increasing sequence; a rejected offer simply leaves a hole.  Settlement
 checks each counter against its payer's key, pays the balances out to
 the ledger accounts and is terminal.
 
-The ChannelBook is the consensus replica of channel state that both
-parties of each channel hold identical copies of; the simulator keeps
-one instance.  It holds only public keys: a node acts on it by passing
-its own KeyPair, and that key's owner is the payer or payee.  Offers
-stay pending (reserving the payer's funds) until the payee commits them
-or a Nack cancels them.
+The Ledger holds the one record of each channel: its committed state,
+which the next offer builds on and below which settlement refuses to
+go.  The ChannelBook holds only what is in flight: offers stay pending
+(reserving the payer's funds) until the payee commits them to the
+ledger or a Nack cancels them.  The simulator keeps one book; it holds
+only public keys, and a node acts on it by passing its own KeyPair,
+whose owner is the payer or payee.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import Callable
 
 from .keys import KeyDirectory, KeyPair, VerifiedLinks, verify
-from .wire import Name, NodeAddr, Payment
+from .wire import CHANNEL_ID_MAX, Name, NodeAddr, Payment
 
 # Tag identifying the flow a pending offer belongs to: (name, nonce).
 OfferTag = tuple[Name, bytes]
@@ -37,11 +37,6 @@ class PaymentError(Exception):
     def __init__(self, reason: str, detail: str = "") -> None:
         super().__init__(f"{reason}: {detail}" if detail else reason)
         self.reason = reason
-
-
-class ChannelStatus(Enum):
-    OPEN = "open"
-    SETTLED = "settled"
 
 
 @dataclass(frozen=True)
@@ -131,32 +126,34 @@ def channel_update(state: ChannelState, delta_to_b: int, key_a: KeyPair) -> Chan
     return state.moved(0, Counter(sequence, total, sig))
 
 
+def payer_signed(
+    state: ChannelState, direction: int, directory: KeyDirectory, memo: VerifiedLinks
+) -> bool:
+    """Whether the counter of `direction` carries its payer's signature
+    over its total, checked through the run's memo."""
+    counter = state.paid[direction]
+    pub = directory.get(state.party_b if direction else state.party_a)
+    if counter.sig is None or pub is None:
+        return False
+    return memo.check(pub, counter_message(state, direction), counter.sig, verify)
+
+
 def verify_state(state: ChannelState, directory: KeyDirectory, memo: VerifiedLinks) -> bool:
-    """Each counter that has moved must carry its payer's signature over
-    its total, checked through the run's memo; unpaid counters need none."""
-    for direction, payer in enumerate((state.party_a, state.party_b)):
-        counter = state.paid[direction]
-        if counter == UNPAID:
-            continue
-        pub = directory.get(payer)
-        if counter.sig is None or pub is None:
-            return False
-        if not memo.check(pub, counter_message(state, direction), counter.sig, verify):
-            return False
-    return True
+    """Each counter that has moved must be payer-signed; unpaid counters
+    need no signature."""
+    return all(
+        state.paid[d] == UNPAID or payer_signed(state, d, directory, memo) for d in (0, 1)
+    )
 
 
 @dataclass
 class LedgerChannel:
-    channel_id: bytes
-    party_a: NodeAddr
-    party_b: NodeAddr
-    deposit_a: int
-    deposit_b: int
-    status: ChannelStatus = ChannelStatus.OPEN
-    # Newest committed counter of each direction, a -> b first: settlement
-    # refuses a counter below it in sequence or in total.
-    noted: list[Counter] = field(default_factory=lambda: [UNPAID, UNPAID])
+    """A channel as the ledger records it.  `state` is its newest
+    committed state: the next offer builds on it, and settlement refuses
+    a counter below it in sequence or in total."""
+
+    state: ChannelState
+    settled: bool = False
 
 
 class Ledger:
@@ -199,7 +196,7 @@ class Ledger:
         if deposit_a < 0 or deposit_b < 0 or deposit_a + deposit_b == 0:
             raise PaymentError("bad-amount", "deposits must be nonnegative and fund something")
         cid = channel_id if channel_id is not None else channel_id_for(a, b)
-        if not 1 <= len(cid) <= 64:
+        if not 1 <= len(cid) <= CHANNEL_ID_MAX:
             raise PaymentError("bad-channel-id", f"{len(cid)} bytes")
         if cid in self.channels:
             raise PaymentError("duplicate-channel", cid.decode("ascii", "replace"))
@@ -209,7 +206,8 @@ class Ledger:
             raise PaymentError("insufficient-funds", f"{b} has {self.balance(b)}, needs {deposit_b}")
         self.accounts[a] = self.balance(a) - deposit_a
         self.accounts[b] = self.balance(b) - deposit_b
-        self.channels[cid] = LedgerChannel(cid, a, b, deposit_a, deposit_b)
+        state = ChannelState(cid, a, b, deposit_a, deposit_b)
+        self.channels[cid] = LedgerChannel(state)
         self.log.append(
             {
                 "op": "open",
@@ -220,17 +218,15 @@ class Ledger:
                 "deposit_b": deposit_b,
             }
         )
-        return ChannelState(cid, a, b, deposit_a, deposit_b)
+        return state
 
     def note_update(self, state: ChannelState, payer: NodeAddr, amount: int) -> None:
-        """Record a committed off-chain update by `payer`; advances the
-        replay watermark of its counter."""
+        """Record `state`, an off-chain update by `payer` that supersedes
+        the channel's committed state, as the new committed state."""
         chan = self.channels.get(state.channel_id)
-        if chan is None or chan.status is not ChannelStatus.OPEN:
+        if chan is None or chan.settled:
             raise PaymentError("unknown-channel", state.channel_id.decode("ascii", "replace"))
-        direction = state.direction(payer)
-        if state.paid[direction].sequence > chan.noted[direction].sequence:
-            chan.noted[direction] = state.paid[direction]
+        chan.state = state
         self.log.append(
             {
                 "op": "update",
@@ -256,19 +252,20 @@ class Ledger:
         cid = state.channel_id.decode("ascii", "replace")
         if chan is None:
             raise PaymentError("unknown-channel", cid)
-        if chan.status is ChannelStatus.SETTLED:
+        if chan.settled:
             raise PaymentError("already-settled", cid)
-        if (state.party_a, state.party_b) != (chan.party_a, chan.party_b):
+        committed = chan.state
+        if (state.party_a, state.party_b) != (committed.party_a, committed.party_b):
             raise PaymentError("bad-party", cid)
-        for counter, noted in zip(state.paid, chan.noted):
+        for counter, noted in zip(state.paid, committed.paid):
             if counter.sequence < noted.sequence or counter.total < noted.total:
                 raise PaymentError("stale-sequence", f"{cid}: below {noted.sequence}/{noted.total}")
-        final = replace(state, deposit_a=chan.deposit_a, deposit_b=chan.deposit_b)
+        final = replace(state, deposit_a=committed.deposit_a, deposit_b=committed.deposit_b)
         if min(final.balance_a, final.balance_b) < 0:
             raise PaymentError("conservation", f"{cid}: pays {final.balance_a}/{final.balance_b}")
         if not verify_state(final, directory, memo):
             raise PaymentError("bad-signature", cid)
-        chan.status = ChannelStatus.SETTLED
+        chan.settled = True
         self.accounts[state.party_a] = self.balance(state.party_a) + final.balance_a
         self.accounts[state.party_b] = self.balance(state.party_b) + final.balance_b
         self.log.append(
@@ -282,8 +279,8 @@ class Ledger:
         )
 
     def open_pool_total(self) -> int:
-        open_channels = (c for c in self.channels.values() if c.status is ChannelStatus.OPEN)
-        return sum(c.deposit_a + c.deposit_b for c in open_channels)
+        open_states = (c.state for c in self.channels.values() if not c.settled)
+        return sum(s.deposit_a + s.deposit_b for s in open_states)
 
     def conserved(self) -> bool:
         return sum(self.accounts.values()) + self.open_pool_total() == self.minted
@@ -299,42 +296,28 @@ class PendingOffer:
 
 
 class ChannelBook:
-    """Committed channel states plus in-flight payment offers.
+    """In-flight payment offers over the ledger's channels, and the
+    public keys and memo that the payee checks them with.
 
     Offers reserve the payer's balance so concurrent flows cannot promise
     the same tokens twice; the reservation dissolves on commit, on a Nack
     for the offer's flow tag, or when the offer outlives its Interest.
-    Signatures are checked through `memo`, the run's shared one.
+    Committed state lives only on the ledger.
     """
 
     def __init__(self, ledger: Ledger, directory: KeyDirectory, memo: VerifiedLinks) -> None:
         self.ledger = ledger
         self.directory = directory
         self.memo = memo
-        self.channels: dict[bytes, ChannelState] = {}
         self.pending: dict[bytes, list[PendingOffer]] = {}
         self._issued: dict[bytes, int] = {}
 
-    def open(
-        self,
-        a: NodeAddr,
-        b: NodeAddr,
-        deposit_a: int,
-        deposit_b: int,
-        channel_id: bytes | None = None,
-    ) -> ChannelState:
-        state = self.ledger.open_channel(a, b, deposit_a, deposit_b, channel_id)
-        self.channels[state.channel_id] = state
-        return state
-
     def state(self, channel_id: bytes) -> ChannelState:
-        state = self.channels.get(channel_id)
-        if state is None:
+        """The ledger's committed state of a channel."""
+        chan = self.ledger.channels.get(channel_id)
+        if chan is None:
             raise PaymentError("unknown-channel", channel_id.decode("ascii", "replace"))
-        return state
-
-    def channel_between(self, a: NodeAddr, b: NodeAddr) -> ChannelState | None:
-        return self.channels.get(channel_id_for(a, b))
+        return chan.state
 
     def projected_balance(self, channel_id: bytes, party: NodeAddr) -> int:
         """Committed balance minus what this party has promised in
@@ -405,19 +388,13 @@ class ChannelBook:
         committed = state.moved(
             direction, Counter(payment.sequence, old.total + payment.amount, payment.payer_sig)
         )
-        msg = counter_message(committed, direction)
-        pub = self.directory.get(payer)
-        if pub is None or not self.memo.check(pub, msg, payment.payer_sig, verify):
+        if not payer_signed(committed, direction, self.directory, self.memo):
             raise PaymentError("bad-signature", f"offer seq {payment.sequence} by {payer}")
         self.ledger.note_update(committed, payer, payment.amount)
-        self.channels[payment.channel_id] = committed
         if old.sig is not None:
             # The ledger refuses a superseded counter before it checks
             # signatures, so this one can never be checked again.
-            self.memo.discard(pub, counter_message(state, direction), old.sig)
-        self._issued[payment.channel_id] = max(
-            self._issued.get(payment.channel_id, 0), payment.sequence
-        )
+            self.memo.discard(self.directory[payer], counter_message(state, direction), old.sig)
         queue = self.pending.get(payment.channel_id, [])
         self.pending[payment.channel_id] = [o for o in queue if o.sequence != payment.sequence]
         return committed
@@ -440,12 +417,12 @@ class ChannelBook:
         return dropped
 
     def settle_all(self) -> int:
-        """Settle every still-open channel at its committed state."""
+        """Settle every still-open ledger channel at its committed state,
+        in the order the channels were opened."""
         settled = 0
-        for cid, state in list(self.channels.items()):
-            chan = self.ledger.channels.get(cid)
-            if chan is not None and chan.status is ChannelStatus.OPEN:
-                self.ledger.settle(state, self.directory, self.memo)
+        for chan in self.ledger.channels.values():
+            if not chan.settled:
+                self.ledger.settle(chan.state, self.directory, self.memo)
                 settled += 1
         return settled
 
@@ -482,22 +459,19 @@ def relay_process_payment(
         )
     me = key.owner
     forward_amount = incoming.amount - my_cost
-    upstream_channel: ChannelState | None = None
+    upstream_cid: bytes | None = None
     if upstream is not None and forward_amount > 0:
-        upstream_channel = book.channel_between(me, upstream)
-        if upstream_channel is None:
-            raise PaymentError("unknown-channel", f"{me} <-> {upstream}")
-        if book.projected_balance(upstream_channel.channel_id, me) < forward_amount:
+        upstream_cid = channel_id_for(me, upstream)
+        # Raises unknown-channel when there is no channel toward upstream.
+        if book.projected_balance(upstream_cid, me) < forward_amount:
             raise PaymentError(
                 "insufficient-payment",
                 f"{me} cannot fund {forward_amount} toward {upstream}",
             )
     book.commit_offer(key, payer, incoming)
-    if upstream_channel is None:
+    if upstream_cid is None:
         return incoming.amount, None
-    offer = book.make_offer(
-        key, upstream_channel.channel_id, forward_amount, tag, now, lifetime_us
-    )
+    offer = book.make_offer(key, upstream_cid, forward_amount, tag, now, lifetime_us)
     return my_cost, offer
 
 
@@ -526,7 +500,7 @@ def consumer_pay_all(
             continue
         node = node_key.owner
         cid = channel_id_for(consumer, node, kind="pay")
-        if cid not in book.channels:
+        if cid not in book.ledger.channels:
             funding = max(deposit, amount)
             to_open.append((node, cid, funding))
             ledger_needed += funding
@@ -544,7 +518,7 @@ def consumer_pay_all(
             f"{consumer} holds {book.ledger.balance(consumer)}, needs {ledger_needed}",
         )
     for node, cid, funding in to_open:
-        book.open(consumer, node, funding, 0, channel_id=cid)
+        book.ledger.open_channel(consumer, node, funding, 0, channel_id=cid)
     committed = []
     for cid, node_key, amount in plan:
         offer = book.make_offer(key, cid, amount, tag, now, lifetime_us)

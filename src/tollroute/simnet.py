@@ -202,7 +202,7 @@ class Simulator:
             # The scenario has checked that every node can fund these.
             deposit = self.defaults.channel_deposit
             for link in self.links.values():
-                self.book.open(link.a, link.b, deposit, deposit)
+                self.ledger.open_channel(link.a, link.b, deposit, deposit)
 
         self.flows: dict[tuple[NodeAddr, tuple[bytes, ...]], Flow] = {}
 

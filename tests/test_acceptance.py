@@ -333,7 +333,7 @@ class TestAcceptance:
                 if kind == "open":
                     a, b = rng.sample(parties, 2)
                     cid = f"storm-{op_index:05d}".encode()
-                    book.open(a, b, rng.randint(50, 400), rng.randint(50, 400), cid)
+                    ledger.open_channel(a, b, rng.randint(50, 400), rng.randint(50, 400), cid)
                     open_cids.append(cid)
                 elif kind == "update":
                     cid = rng.choice(open_cids)

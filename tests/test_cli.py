@@ -2,11 +2,14 @@
 prefixes, and the pinned (golden) stdout of the bundled scenarios."""
 
 import json
+import runpy
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
+from tollroute import cli
 from tollroute.cli import main
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src" / "tollroute" / "scenarios"
@@ -66,6 +69,27 @@ class TestRun:
         assert main(["run", "does-not-exist.scn"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error[scenario]:")
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["run", "fig1.scn"], "error[audit]: planted\n"),
+            (["compare-payment", "--scenario", "fig1.scn"], "error[audit]: hopbyhop: planted\n"),
+        ],
+    )
+    def test_audit_violation_exits_two(self, capsys, monkeypatch, argv, err):
+        monkeypatch.setattr(cli, "audit_run", lambda *args: ["planted"])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err
+
+    def test_module_entry_point_runs_main(self, capsys, monkeypatch):
+        # A fresh import as __main__, as `python -m tollroute.cli` does.
+        monkeypatch.delitem(sys.modules, "tollroute.cli")
+        monkeypatch.setattr(sys, "argv", ["tollroute", "validate", "fig1.scn"])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("tollroute.cli", run_name="__main__")
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("ok fig1.scn ")
 
     def test_every_bundled_scenario_runs_clean(self, capsys):
         for scn in sorted(p.name for p in BUNDLED.glob("*.scn")):
@@ -225,6 +249,12 @@ class TestAuditLedger:
         assert main(["audit-ledger", str(ledger)]) == 1
         assert capsys.readouterr().err == f"error[io]: {ledger}:2: {problem}\n"
 
+    def test_blank_lines_are_skipped_and_bad_json_is_named(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text('{"op":"mint","account":"a","amount":5}\n\nnot json\n')
+        assert main(["audit-ledger", str(ledger)]) == 1
+        assert capsys.readouterr().err == f"error[io]: {ledger}:3: not valid JSON: Expecting value\n"
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["audit-ledger", "/nonexistent/ledger.jsonl"]) == 1
         assert capsys.readouterr().err.startswith("error[io]:")
@@ -259,6 +289,12 @@ class TestBenchPof:
         assert out.out == ""
         assert out.err == "error[usage]: group size 0 must be positive\n"
 
+    def test_zero_hops_is_a_usage_error(self, capsys):
+        assert main(["bench-pof", "--hops", "0"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error[usage]: packet-bytes, chunk-bytes and hops must be positive\n"
+
     def test_exact_factor_reduction(self, capsys):
         args = ["bench-pof", "--chunk-bytes", "96000"]
         for n in (1, 4, 16, 64):
@@ -284,3 +320,9 @@ class TestComparePayment:
         assert rows["hopbyhop"][0] < rows["payall"][0]
         assert rows["hopbyhop"][3] == rows["payall"][3] == 10
         assert "fewer channels" in out
+
+    def test_fig1_line_needs_as_many_channels_either_way(self, capsys):
+        assert main(["compare-payment", "--scenario", "fig1.scn"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in out[2:4]] == ["2", "2"]
+        assert out[-1] == "hop-by-hop does not reduce channel count on this topology"

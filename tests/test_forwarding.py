@@ -21,6 +21,7 @@ from tollroute.wire import (
     NackReason,
     Name,
     NodeAddr,
+    Payment,
     RouteStack,
 )
 
@@ -293,8 +294,8 @@ class TestPaymentsOnPath:
         consumer, _ = make_node(A, 0, book)
         relay, _ = make_node(B, 3, book)
         producer, _ = make_node(C, 12, book, serves=served())
-        book.open(A, B, 200, 200)
-        book.open(B, C, 200, 200)
+        ledger.open_channel(A, B, 200, 200)
+        ledger.open_channel(B, C, 200, 200)
         relay.tables.keepalive_heard(C, 0)
 
         name = PREFIX.with_index(0)
@@ -321,8 +322,8 @@ class TestPaymentsOnPath:
         consumer, _ = make_node(A, 0, book)
         relay, _ = make_node(B, 3, book)
         make_node(C, 12, book)
-        book.open(A, B, 200, 200)
-        book.open(B, C, 200, 200)
+        ledger.open_channel(A, B, 200, 200)
+        ledger.open_channel(B, C, 200, 200)
         relay.tables.keepalive_heard(C, 0)
         name = PREFIX.with_index(0)
         offer = book.make_offer(
@@ -335,12 +336,50 @@ class TestPaymentsOnPath:
         assert book.state(channel_id_for(A, B)).sequence == 0
         assert relay.counters["payment_rejects"] == 1
 
+    @staticmethod
+    def _refusals(cap):
+        return [ev["reason"] for ev in cap.events if ev["event"] == "payment_rejected"]
+
+    def test_payment_on_a_channel_that_does_not_exist_is_refused(self):
+        ledger, book = payment_fabric(A, B, C)
+        relay, cap = make_node(B, 3, book)
+        make_node(C, 12, book)
+        ledger.open_channel(B, C, 200, 200)
+        relay.tables.keepalive_heard(C, 0)
+        log = list(ledger.log)
+        name = PREFIX.with_index(0)
+        forged = Payment(channel_id=b"ch:nowhere", amount=15, sequence=1, payer_sig=b"\x01" * 64)
+        pkt = interest(name, NONCE, A, remote=B, route=RouteStack((B, C)), payment=forged)
+        (nack,) = relay.on_interest(pkt, now=1)
+        assert nack.to == A
+        assert nack.packet == Nack(name=name, nonce=NONCE, reason=NackReason.INSUFFICIENT_PAYMENT)
+        assert self._refusals(cap) == ["unknown-channel"]
+        assert ledger.log == log and not book.pending and name not in relay.tables.pit
+
+    def test_next_hop_without_a_channel_is_refused_before_commit(self):
+        ledger, book = payment_fabric(A, B, C)
+        consumer, _ = make_node(A, 0, book)
+        relay, cap = make_node(B, 3, book)
+        ledger.open_channel(A, B, 200, 200)
+        # B has no channel with C, and a neighbour it has never heard
+        # from counts as alive, so the Interest reaches the payment step.
+        name = PREFIX.with_index(0)
+        offer = book.make_offer(
+            consumer.key, channel_id_for(A, B), 15, (name, NONCE), 0, LIFETIME_US
+        )
+        log = list(ledger.log)
+        pkt = interest(name, NONCE, A, remote=B, route=RouteStack((B, C)), payment=offer)
+        (nack,) = relay.on_interest(pkt, now=1)
+        assert nack.packet == Nack(name=name, nonce=NONCE, reason=NackReason.INSUFFICIENT_PAYMENT)
+        assert self._refusals(cap) == ["unknown-channel"]
+        assert book.state(channel_id_for(A, B)).sequence == 0 and ledger.log == log
+
     def test_aggregated_interest_pays_margin_without_forwarding(self):
         ledger, book = payment_fabric(A, B, D)
         relay, _ = make_node(B, 3, book)
         spare, _ = make_node(D, 0, book)
-        book.open(A, B, 200, 200)
-        book.open(D, B, 200, 200)
+        ledger.open_channel(A, B, 200, 200)
+        ledger.open_channel(D, B, 200, 200)
         relay.tables.keepalive_heard(C, 0)
         name = PREFIX.with_index(0)
         # First consumer's Interest is already pending (simulate by direct
@@ -356,7 +395,7 @@ class TestPaymentsOnPath:
         ledger, book = payment_fabric(A, C)
         consumer, _ = make_node(A, 0, book)
         producer, _ = make_node(C, 12, book, serves=served())
-        book.open(A, C, 200, 200)
+        ledger.open_channel(A, C, 200, 200)
         name = PREFIX.with_index(0)
 
         def ask(nonce, amount, now):
@@ -378,8 +417,8 @@ class TestPaymentsOnPath:
         consumer, _ = make_node(A, 0, book)
         relay, _ = make_node(B, 3, book)
         producer, _ = make_node(C, 12, book, serves=served())
-        book.open(A, B, 200, 200)
-        book.open(B, C, 200, 200)
+        ledger.open_channel(A, B, 200, 200)
+        ledger.open_channel(B, C, 200, 200)
         relay.tables.keepalive_heard(C, 0)
         name = PREFIX.with_index(0)
 
@@ -404,7 +443,7 @@ class TestPaymentsOnPath:
         consumer, cap = make_node(A, 0, book)
         cap.accept = True  # the consumer's own offer rides this nonce
         make_node(B, 3, book)
-        book.open(A, B, 200, 200)
+        ledger.open_channel(A, B, 200, 200)
         name = PREFIX.with_index(0)
         book.make_offer(consumer.key, channel_id_for(A, B), 15, (name, NONCE), 0, LIFETIME_US)
         assert len(book.pending[channel_id_for(A, B)]) == 1
@@ -683,7 +722,7 @@ class TestRefusalsAndDrops:
         ledger, book = payment_fabric(A, B, D)
         relay, _ = make_node(B, 3, book)
         spare, _ = make_node(D, 0, book)
-        book.open(D, B, 200, 200)
+        ledger.open_channel(D, B, 200, 200)
         name = PREFIX.with_index(0)
         relay.tables.pit.insert(name, A, b"\x01" * 8, 0, 4_000_000)
         offer = book.make_offer(spare.key, channel_id_for(D, B), 2, (name, NONCE), 0, LIFETIME_US)

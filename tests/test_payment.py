@@ -11,7 +11,6 @@ from tollroute.payment import (
     UNPAID,
     AuditResult,
     ChannelBook,
-    ChannelStatus,
     Counter,
     Ledger,
     PaymentError,
@@ -24,7 +23,7 @@ from tollroute.payment import (
     update_message,
     verify_state,
 )
-from tollroute.wire import Name, NodeAddr
+from tollroute.wire import Name, NodeAddr, Payment
 
 CONSUMER = NodeAddr.parse("00-cc-00-00-00-01")
 RELAY_A = NodeAddr.parse("00-cc-00-00-00-02")
@@ -48,11 +47,39 @@ def fresh_book(balance=1_000, deposit=100):
         directory[addr] = kp.public
         ledger.mint(addr, balance)
     for a, b in zip(ALL, ALL[1:]):
-        book.open(a, b, deposit, deposit)
+        ledger.open_channel(a, b, deposit, deposit)
     return ledger, book, keys
 
 
+# One defect per case, applied to a ledger in which CONSUMER and RELAY_A
+# hold 100 each and RELAY_B holds 10: (reason, operation).
+LEDGER_REFUSALS = {
+    "mint-zero": ("bad-amount", lambda led: led.mint(CONSUMER, 0)),
+    "same-party": ("bad-party", lambda led: led.open_channel(CONSUMER, CONSUMER, 10, 10)),
+    "empty-id": ("bad-channel-id", lambda led: led.open_channel(CONSUMER, RELAY_A, 10, 10, b"")),
+    "long-id": (
+        "bad-channel-id", lambda led: led.open_channel(CONSUMER, RELAY_A, 10, 10, b"x" * 65)),
+    "duplicate-id": (
+        "duplicate-channel", lambda led: led.open_channel(RELAY_A, RELAY_B, 10, 10, b"taken")),
+    "b-short": ("insufficient-funds", lambda led: led.open_channel(RELAY_A, RELAY_B, 10, 11)),
+}
+
+
 class TestLedger:
+    @pytest.mark.parametrize("case", list(LEDGER_REFUSALS))
+    def test_single_defect_is_refused_without_mutation(self, case):
+        reason, operation = LEDGER_REFUSALS[case]
+        ledger = Ledger()
+        for addr, amount in ((CONSUMER, 100), (RELAY_A, 100), (RELAY_B, 10)):
+            ledger.mint(addr, amount)
+        ledger.open_channel(CONSUMER, RELAY_A, 5, 5, b"taken")
+        before = (dict(ledger.accounts), dict(ledger.channels), list(ledger.log), ledger.minted)
+        with pytest.raises(PaymentError) as err:
+            operation(ledger)
+        assert err.value.reason == reason
+        assert (dict(ledger.accounts), dict(ledger.channels), ledger.log, ledger.minted) == before
+        assert ledger.conserved()
+
     def test_open_requires_funds_and_rejects_cleanly(self):
         ledger = Ledger()
         ledger.mint(CONSUMER, 50)
@@ -204,7 +231,7 @@ class TestSettleRefusals:
             ledger.settle(change_state(honest), change_directory(book.directory), book.memo)
         assert err.value.reason == reason
         assert ledger.accounts == accounts and ledger.conserved()
-        assert ledger.channels[honest.channel_id].status is ChannelStatus.OPEN
+        assert not ledger.channels[honest.channel_id].settled
         ledger.settle(honest, book.directory, book.memo)
         assert ledger.balance(CONSUMER) == accounts[CONSUMER] + 100 - 10 + 4
 
@@ -422,6 +449,27 @@ class TestChannelBook:
         assert (book.state(cid), book.pending[cid], ledger.log) == before
         assert book.commit_offer(keys[RELAY_A], CONSUMER, offer).paid[0].total == 30
 
+    def test_sequences_follow_a_commit_the_book_never_issued(self):
+        # A payer-signed payment at sequence 7 commits although no offer
+        # issued it; offers then continue above it, and a cancelled
+        # offer's sequence is never issued again.
+        _, book, keys = fresh_book()
+        cid = channel_id_for(CONSUMER, RELAY_A)
+        other_tag = (Name((b"other",)), b"\x01" * 8)
+        assert book.make_offer(keys[CONSUMER], cid, 5, other_tag, 0, LIFETIME_US).sequence == 1
+        assert book.cancel_tag(other_tag) == 1
+        sig = _KEYS[CONSUMER].sign(update_message(cid, 7, 0, 10))
+        payment = Payment(channel_id=cid, amount=10, sequence=7, payer_sig=sig)
+        assert book.commit_offer(keys[RELAY_A], CONSUMER, payment).sequence == 7
+        cancelled = book.make_offer(keys[CONSUMER], cid, 5, other_tag, 0, LIFETIME_US)
+        assert cancelled.sequence == 8
+        assert book.cancel_tag(other_tag) == 1
+        offer = book.make_offer(keys[CONSUMER], cid, 5, TAG, 0, LIFETIME_US)
+        assert offer.sequence == 9
+        assert book.commit_offer(keys[RELAY_A], CONSUMER, offer).paid[0] == (
+            Counter(9, 15, offer.payer_sig))
+        assert book.make_offer(keys[CONSUMER], cid, 5, TAG, 0, LIFETIME_US).sequence == 10
+
     def test_offer_must_move_a_token(self):
         _, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
@@ -480,7 +528,7 @@ class TestChannelBook:
         offer = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
         book.commit_offer(keys[RELAY_A], CONSUMER, offer)
         assert book.settle_all() == 3
-        assert all(c.status is ChannelStatus.SETTLED for c in ledger.channels.values())
+        assert all(c.settled for c in ledger.channels.values())
         assert ledger.balance(CONSUMER) == 990 and ledger.balance(RELAY_A) == 1010
         assert ledger.conserved()
 
@@ -569,7 +617,7 @@ class TestPayAll:
             assert state.balance_of(node) == amount
         # Direct channels opened lazily, one per recipient.
         assert all(
-            channel_id_for(CONSUMER, node, kind="pay") in book.channels
+            channel_id_for(CONSUMER, node, kind="pay") in ledger.channels
             for node, _ in recipients
         )
         before = ledger.balance(CONSUMER)
@@ -582,8 +630,8 @@ class TestPayAll:
         ledger, book, keys = fresh_book(balance=1_000, deposit=100)
         # Lock almost everything the consumer has into an unrelated channel
         # so the three lazy 50-token fundings cannot be covered.
-        book.open(CONSUMER, RELAY_B, ledger.balance(CONSUMER) - 40, 0, b"drain")
-        channels_before = set(book.channels)
+        ledger.open_channel(CONSUMER, RELAY_B, ledger.balance(CONSUMER) - 40, 0, b"drain")
+        channels_before = set(ledger.channels)
         with pytest.raises(PaymentError) as err:
             consumer_pay_all(
                 book, keys[CONSUMER],
@@ -591,7 +639,7 @@ class TestPayAll:
                 TAG, 0, 50, LIFETIME_US,
             )
         assert err.value.reason == "insufficient-funds"
-        assert set(book.channels) == channels_before
+        assert set(ledger.channels) == channels_before
         assert ledger.balance(CONSUMER) == 40 and ledger.conserved()
 
 

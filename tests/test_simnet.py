@@ -487,6 +487,20 @@ class TestPaymentModes:
         assert payall.report["ledger"]["conserved"] is True
         assert payall.report["ledger"]["incomes"] == hop.report["ledger"]["incomes"]
 
+    def test_payall_skips_a_zero_cost_relay(self):
+        doc = line_doc()
+        doc["defaults"]["payment_mode"] = "payall"
+        doc["nodes"][1]["cost"] = 0
+        doc["schedule"][0]["packets"] = 16
+        result = run_doc(doc)
+        flow = flow_of(result)
+        assert (flow["status"], flow["received"], flow["price"]) == ("done", 16, 2)
+        # The consumer opens a channel to the producer only.
+        opened = [rec["channel"] for rec in result.ledger_records if rec["op"] == "open"]
+        direct = payment.channel_id_for(NodeAddr.parse(A), NodeAddr.parse(P), kind="pay")
+        assert opened == [direct.decode()]
+        assert result.report["ledger"]["incomes"] == {A: -32, R: 0, P: 32}
+
     def test_hopbyhop_needs_fewer_channels_with_many_consumers(self):
         consumers = [f"02-00-00-00-01-{i:02x}" for i in range(1, 5)]
         doc = {

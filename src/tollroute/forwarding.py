@@ -231,7 +231,7 @@ class ForwardingEngine:
         # AGGREGATED with a fresh nonce is a retransmitted discovery: the
         # first broadcast may have died on a partitioned link, so it is
         # forwarded again like any retransmitted Interest.
-        if result in (PitResult.NEW, PitResult.AGGREGATED) and pkt.nonce not in self._rebroadcast:
+        if pkt.nonce not in self._rebroadcast:
             self._rebroadcast.add(pkt.nonce)
             self.counters["rebroadcasts"] += 1
             self.trace("rebroadcast", name=str(pkt.name), nonce=pkt.nonce.hex())
@@ -393,7 +393,7 @@ class ForwardingEngine:
             payload = self.tables.cs.lookup(name)
             if payload is None:
                 return None
-            proof = self._cached_proof(name)
+            proof = self._proofs.get((name.components, name.chunk_index))
         return Data(
             name=name,
             hop_info=HopInfo(self.addr, downstream),
@@ -415,9 +415,6 @@ class ForwardingEngine:
             self.counters["signatures_produced"] += 1
             self.trace("chunk_signed", prefix=str(serve.prefix), first=first, count=count)
         return proof
-
-    def _cached_proof(self, name: Name) -> ChunkProof | None:
-        return self._proofs.get((name.components, name.chunk_index))
 
     # -- Data handling -----------------------------------------------
 
@@ -516,13 +513,6 @@ class ForwardingEngine:
                     part = self.tables.cs.lookup(pkt.name.with_index(index))
                     if part is None:
                         raise ProofError(f"packet {index} not in content store")
-                if index == proof.first:
-                    packet_size = len(part)  # the chunk's first packet sets the size
-                if index == last:
-                    if not 0 < len(part) <= packet_size:
-                        raise ProofError("final packet payload out of range")
-                elif len(part) != packet_size:
-                    raise ProofError("non-final packet must be exactly packet_size")
                 parts.append(part)
             extended = sign_chunk(self.key, proof, b"".join(parts), self.book.memo)
         except ProofError as err:

@@ -556,19 +556,26 @@ def ledger_record_problem(rec) -> str | None:
     return None
 
 
+@dataclass
+class _ReplayedChannel:
+    """A channel as audit_ledger replays it, named by its one open record."""
+
+    party_a: str
+    party_b: str
+    pool: int
+    open: bool = True
+    last_seq: int = 0
+
+
 def audit_ledger(records: list[dict]) -> AuditResult:
     """Replay a ledger log and check token conservation after every
-    record, plus per-channel sequence and pool discipline and balances
-    that never go negative.
+    record, plus per-channel sequence and pool discipline, balances that
+    never go negative and channel ids that open only once.
 
     The replay keeps `total`, the sum of all accounts and open pools, up
     to date record by record, so each check costs O(1)."""
     accounts: dict[str, int] = {}
-    pools: dict[str, int] = {}
-    open_flags: dict[str, bool] = {}
-    last_seq: dict[str, int] = {}
-    # Parties of each channel as named by its first open record.
-    parties: dict[str, tuple[str, str]] = {}
+    channels: dict[str, _ReplayedChannel] = {}
     minted = 0
     total = 0
     violations: list[str] = []
@@ -585,56 +592,52 @@ def audit_ledger(records: list[dict]) -> AuditResult:
             total += amount
         elif op == "open":
             cid = rec["channel"]
-            da, db = rec["deposit_a"], rec["deposit_b"]
-            if open_flags.get(cid):
+            if cid in channels:
                 violations.append(f"record {i}: channel {cid} opened twice")
                 continue
+            da, db = rec["deposit_a"], rec["deposit_b"]
             for party, dep in ((rec["party_a"], da), (rec["party_b"], db)):
                 if accounts.get(party, 0) < dep:
                     violations.append(f"record {i}: {party} overdrew opening {cid}")
             # The deposits move from the accounts into the pool: total holds.
             accounts[rec["party_a"]] = accounts.get(rec["party_a"], 0) - da
             accounts[rec["party_b"]] = accounts.get(rec["party_b"], 0) - db
-            pools[cid] = da + db
-            open_flags[cid] = True
-            last_seq[cid] = 0
-            parties.setdefault(cid, (rec["party_a"], rec["party_b"]))
+            channels[cid] = _ReplayedChannel(rec["party_a"], rec["party_b"], da + db)
         elif op == "update":
             cid = rec["channel"]
-            if not open_flags.get(cid):
+            ch = channels.get(cid)
+            if ch is None or not ch.open:
                 violations.append(f"record {i}: update on non-open channel {cid}")
                 continue
-            if rec["sequence"] <= last_seq.get(cid, 0):
+            if rec["sequence"] <= ch.last_seq:
                 violations.append(
                     f"record {i}: sequence {rec['sequence']} not increasing on {cid}"
                 )
-            last_seq[cid] = max(last_seq.get(cid, 0), rec["sequence"])
-            if rec["balance_a"] + rec["balance_b"] != pools.get(cid):
+            ch.last_seq = max(ch.last_seq, rec["sequence"])
+            if rec["balance_a"] + rec["balance_b"] != ch.pool:
                 violations.append(f"record {i}: update balances break pool on {cid}")
             elif min(rec["balance_a"], rec["balance_b"]) < 0:
                 violations.append(f"record {i}: update balance goes negative on {cid}")
         elif op == "settle":
             cid = rec["channel"]
-            if not open_flags.get(cid):
+            ch = channels.get(cid)
+            if ch is None or not ch.open:
                 violations.append(f"record {i}: settle on non-open channel {cid}")
                 continue
-            if rec["sequence"] < last_seq.get(cid, 0):
+            if rec["sequence"] < ch.last_seq:
                 violations.append(
                     f"record {i}: settle at stale sequence {rec['sequence']} on {cid}"
                 )
-            open_flags[cid] = False
-            total -= pools[cid]
-            if rec["balance_a"] + rec["balance_b"] != pools[cid]:
+            ch.open = False
+            total -= ch.pool
+            if rec["balance_a"] + rec["balance_b"] != ch.pool:
                 violations.append(f"record {i}: settle balances break pool on {cid}")
                 continue
             if min(rec["balance_a"], rec["balance_b"]) < 0:
                 violations.append(f"record {i}: settle balance goes negative on {cid}")
                 continue
-            # Parties are recoverable from the channel's open record; the
-            # replay keys accounts by the open record's naming.
-            party_a, party_b = parties[cid]
-            accounts[party_a] = accounts.get(party_a, 0) + rec["balance_a"]
-            accounts[party_b] = accounts.get(party_b, 0) + rec["balance_b"]
+            accounts[ch.party_a] = accounts.get(ch.party_a, 0) + rec["balance_a"]
+            accounts[ch.party_b] = accounts.get(ch.party_b, 0) + rec["balance_b"]
             total += rec["balance_a"] + rec["balance_b"]
         else:
             violations.append(f"record {i}: unknown op {op!r}")

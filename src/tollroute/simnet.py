@@ -319,13 +319,11 @@ class Simulator:
         nonce = self.fresh_nonce(flow.node)
         for action in self.nodes[flow.node].originate_discovery(flow.name, nonce, self.now):
             self.transmit(flow.node, action)
-        self.at(
-            self.now + self.defaults.discovery_wait_ms * MS,
-            self._discovery_done, flow, flow.discovery_attempts,
-        )
+        self.at(self.now + self.defaults.discovery_wait_ms * MS, self._discovery_done, flow)
 
-    def _discovery_done(self, flow: Flow, attempt: int) -> None:
-        if flow.state != "discovering" or attempt != flow.discovery_attempts:
+    def _discovery_done(self, flow: Flow) -> None:
+        # The one pending round ends; the flow may have failed meanwhile.
+        if flow.state != "discovering":
             return
         # Only a fetching flow demotes candidates, so none here has failed.
         self._select_candidate(flow)
@@ -464,7 +462,6 @@ class Simulator:
         if flow.active is not None:
             flow.active.failed = True
         self._cancel_outstanding_offers(flow)
-        flow.generation += 1
         flow.attempts.clear()
         self._select_candidate(flow)
 
@@ -491,17 +488,15 @@ class Simulator:
                   reason=reason)
 
     def _on_flow_data(self, flow: Flow, pkt: Data) -> bool:
-        if pkt.name.chunk_index is None:
-            return False
         idx = pkt.name.chunk_index
+        route = flow.sent_route.get(idx)
+        if route is None:  # the flow never asked for this packet
+            return False
         if flow.state in ("done", "failed") or idx in flow.received:
-            return True
-        if idx >= flow.requested:
             return True
         flow.received[idx] = pkt.payload
         if pkt.proof is not None:
-            route = flow.sent_route.get(idx, flow.active.hops if flow.active else ())
-            flow.proofs[pkt.proof.first] = (pkt.proof, tuple(route))
+            flow.proofs[pkt.proof.first] = (pkt.proof, route)
         self._try_verify(flow, idx, pkt.proof)
         self._check_complete(flow)
         return True
@@ -555,7 +550,8 @@ class Simulator:
             self._fail_flow(flow, "proof")
             return
         proof, _route = flow.proofs.pop(first)
-        span = [i for i in range(first, first + proof.count) if i < flow.requested]
+        # A failed span was wholly received, so wholly sent, so below requested.
+        span = list(range(first, first + proof.count))
         for i in span:
             flow.received.pop(i, None)
             flow.attempts[i] = 0
@@ -572,7 +568,7 @@ class Simulator:
     def _on_flow_nack(self, flow: Flow, pkt: Nack) -> bool:
         entry = flow.nonces.get(pkt.nonce)
         if entry is None:
-            return True
+            return False
         idx, gen = entry
         if flow.state != "fetching" or gen != flow.generation or idx in flow.received:
             return True

@@ -30,9 +30,6 @@ SIG_LEN = 64
 
 # A field value must fit the 2-byte TLV length.
 MAX_FIELD_LEN = 0xFFFF
-# Largest payload one UDP overlay datagram can carry; the codec itself
-# accepts anything up to MAX_FIELD_LEN.
-MAX_OVERLAY_PAYLOAD = 65_507
 
 CHANNEL_ID_MAX = 64
 U64_MAX = 2**64 - 1

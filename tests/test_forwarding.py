@@ -614,63 +614,46 @@ class TestRelayProofPassThrough:
             relay.on_data(self._from_producer(producer, relay, i), now=i * 10 + 2)
         return self._from_producer(producer, relay, total - 1)
 
-    def test_non_final_cached_packet_of_wrong_size(self):
-        producer, relay, cap = self._relay(total=4, ppc=4)
-        final = self._relay_all_but_final(producer, relay, 4)
-        relay.tables.cs.insert(PREFIX.with_index(1), b"\x01" * 99)
-        reason = self._pass_through(relay, cap, final)
-        assert reason == "non-final packet must be exactly packet_size"
-
-    def test_first_cached_packet_sets_the_size_the_rest_must_match(self):
-        producer, relay, cap = self._relay(total=4, ppc=4)
-        final = self._relay_all_but_final(producer, relay, 4)
-        relay.tables.cs.insert(PREFIX.with_index(0), b"\x00" * 120)
-        reason = self._pass_through(relay, cap, final)
-        assert reason == "non-final packet must be exactly packet_size"
-
-    def test_final_packet_longer_than_cached_first_packet(self):
-        producer, relay, cap = self._relay(total=2, ppc=2)
-        final = self._relay_all_but_final(producer, relay, 2)
-        assert len(final.payload) == 100
-        relay.tables.cs.insert(PREFIX.with_index(0), b"\x00" * 40)
-        reason = self._pass_through(relay, cap, final)
-        assert reason == "final packet payload out of range"
-
-    def test_arriving_final_packet_longer_than_packet_size(self):
-        producer, relay, cap = self._relay(total=4, ppc=4)
-        final = self._relay_all_but_final(producer, relay, 4)
-        long_final = Data(
-            name=final.name, hop_info=final.hop_info, payload=b"\x03" * 101, proof=final.proof
-        )
-        reason = self._pass_through(relay, cap, long_final)
-        assert reason == "final packet payload out of range"
-
-    def test_arriving_final_packet_empty(self):
-        producer, relay, cap = self._relay(total=4, ppc=4)
-        final = self._relay_all_but_final(producer, relay, 4)
-        empty_final = Data(name=final.name, hop_info=final.hop_info, payload=b"", proof=final.proof)
-        reason = self._pass_through(relay, cap, empty_final)
-        assert reason == "final packet payload out of range"
-
-    def test_single_packet_chunk_with_empty_payload(self):
-        producer, relay, cap = self._relay(total=1, ppc=1)
-        final = self._from_producer(producer, relay, 0)
-        empty = Data(name=final.name, hop_info=final.hop_info, payload=b"", proof=final.proof)
-        reason = self._pass_through(relay, cap, empty)
-        assert reason == "final packet payload out of range"
-
     def test_missing_cached_packet(self):
         producer, relay, cap = self._relay(total=4, ppc=4)
         final = self._from_producer(producer, relay, 3)
         reason = self._pass_through(relay, cap, final)
         assert reason == "packet 0 not in content store"
 
+    def _spoiled(self, total, ppc, cached=(), payload=None):
+        """Relay a chunk of `total` packets up to its final one, overwrite
+        the relay's copy of each cached (index, bytes) pair and swap the
+        final payload for `payload`: however the packet sizes come out,
+        the chunk digest is the one check that refuses the bytes."""
+        producer, relay, cap = self._relay(total=total, ppc=ppc)
+        final = self._relay_all_but_final(producer, relay, total)
+        for index, part in cached:
+            relay.tables.cs.insert(PREFIX.with_index(index), part)
+        if payload is not None:
+            final = Data(name=final.name, hop_info=final.hop_info, payload=payload,
+                         proof=final.proof)
+        assert self._pass_through(relay, cap, final) == "digest does not match payload"
+
+    def test_non_final_cached_packet_of_wrong_size(self):
+        self._spoiled(4, 4, cached=[(1, b"\x01" * 99)])
+
+    def test_longer_first_cached_packet(self):
+        self._spoiled(4, 4, cached=[(0, b"\x00" * 120)])
+
+    def test_final_packet_longer_than_cached_first_packet(self):
+        self._spoiled(2, 2, cached=[(0, b"\x00" * 40)])
+
+    def test_arriving_final_packet_longer_than_packet_size(self):
+        self._spoiled(4, 4, payload=b"\x03" * 101)
+
+    def test_arriving_final_packet_empty(self):
+        self._spoiled(4, 4, payload=b"")
+
+    def test_single_packet_chunk_with_empty_payload(self):
+        self._spoiled(1, 1, payload=b"")
+
     def test_cached_packet_of_right_size_but_wrong_bytes(self):
-        producer, relay, cap = self._relay(total=4, ppc=4)
-        final = self._relay_all_but_final(producer, relay, 4)
-        relay.tables.cs.insert(PREFIX.with_index(2), b"\xee" * 100)
-        reason = self._pass_through(relay, cap, final)
-        assert reason == "digest does not match payload"
+        self._spoiled(4, 4, cached=[(2, b"\xee" * 100)])
 
     def test_broken_producer_signature(self):
         producer, relay, cap = self._relay(total=4, ppc=4)

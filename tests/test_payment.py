@@ -787,14 +787,21 @@ DOCTORED_LOGS = {
         _FUNDED + [_settle("zz", 0, 0, 0)],
         ["record 3: settle on non-open channel zz"],
     ),
-    # The replay credits a settle to the parties of the channel's first
-    # open record, so after a reopen under other parties c is never paid
-    # back and overdraws its next open.
+    # A channel id opens once, even after it settles: the second open is
+    # skipped, so its deposits stay in the accounts and its settle finds
+    # no open channel.
     "reopen-after-settle": (
         _FUNDED + [_settle("ch", 0, 50, 50), _mint("c", 100),
                    _open("ch", "b", "c", 0, 100), _settle("ch", 0, 0, 100),
                    _open("ch2", "c", "a", 100, 0)],
-        ["record 7: c overdrew opening ch2"],
+        ["record 5: channel ch opened twice", "record 6: settle on non-open channel ch"],
+    ),
+    # Reopened under other parties, the id once paid c's deposit to a.
+    "reopen-under-other-parties": (
+        [_mint("a", 10), _mint("b", 10), _mint("c", 10),
+         _open("x", "a", "b", 5, 5), _settle("x", 0, 5, 5),
+         _open("x", "c", "b", 5, 5), _settle("x", 0, 5, 5)],
+        ["record 5: channel x opened twice", "record 6: settle on non-open channel x"],
     ),
     "unknown-op": (
         _FUNDED + [{"op": "burn", "account": "a", "amount": 5}],

@@ -14,7 +14,9 @@ from tollroute.audit import audit_run
 from tollroute.keys import KeyPair
 from tollroute.scenario import ScenarioError, content_bytes, load_scenario, parse_scenario
 from tollroute.simnet import Simulator, run_scenario
-from tollroute.wire import Data, EncodeError, HopInfo, Interest, Name, NodeAddr, encode_packet
+from tollroute.wire import (
+    Data, EncodeError, HopInfo, Interest, Nack, NackReason, Name, NodeAddr, encode_packet,
+)
 
 BUNDLED = Path(str(resources.files("tollroute") / "scenarios"))
 
@@ -393,6 +395,80 @@ class TestSendChain:
         assert demoted < late < demoted + 10_000  # inside one send interval
 
 
+def chunk_final_data(sim, index, payload=None):
+    """R hands A the Data for P's packet `index` with the producer's proof
+    of the chunk that ends there; `payload` replaces the packet's bytes."""
+    serve = sim.nodes[NodeAddr.parse(P)].serves[0]
+    first = serve.chunk_first(index)
+    chunk = b"".join(serve.payload(i) for i in range(first, index + 1))
+    return Data(
+        name=serve.prefix.with_index(index),
+        hop_info=HopInfo(NodeAddr.parse(R), NodeAddr.parse(A)),
+        payload=serve.payload(index) if payload is None else payload,
+        proof=proof.make_chunk(sim.nodes[NodeAddr.parse(P)].key, first, chunk, serve.packet_size),
+    )
+
+
+def inject(sim, at_ms, pkt):
+    sim.at(at_ms * 1_000, sim._arrive, NodeAddr.parse(A), NodeAddr.parse(R), pkt)
+
+
+class TestUnsolicited:
+    """A flow takes only the Data and Nacks it sent for; the consumer's
+    engine counts the rest as unsolicited and caches none of it."""
+
+    def test_data_before_the_route_is_chosen_is_dropped(self):
+        # seg=3 with chunk 0's proof arrives while the flow still
+        # discovers; kept, its proof would be checked against no route.
+        sim = Simulator(parse_scenario(line_doc(), source="inline.scn"))
+        inject(sim, 150, chunk_final_data(sim, 3))
+        result = sim.run()
+        flow = flow_of(result)
+        assert (flow["status"], flow["received"], flow["verified_spans"]) == ("done", 8, 2)
+        assert result.report["nodes"][A]["dropped_unsolicited"] == 1
+
+    def test_data_for_an_index_never_requested_is_not_cached(self):
+        doc = line_doc()
+        doc["defaults"]["send_interval_ms"] = 5
+        doc["nodes"][2]["serves"][0].update(prefix="/z", packet_size=50)
+        doc["schedule"][0]["name"] = "/z"
+        sim = Simulator(parse_scenario(doc, source="inline.scn"))
+        inject(sim, 2_000, chunk_final_data(sim, 12))
+        result = sim.run()
+        assert flow_of(result)["status"] == "done"
+        assert result.report["nodes"][A]["dropped_unsolicited"] == 1
+        assert sim.nodes[NodeAddr.parse(A)].tables.cs.lookup(Name.parse("/z/seg=12")) is None
+
+    def test_nack_for_a_nonce_never_sent_moves_no_flow_counter(self):
+        clean = run_doc(line_doc())
+        sim = Simulator(parse_scenario(line_doc(), source="inline.scn"))
+        inject(sim, 400, Nack(Name.parse("/line/data/seg=0"), b"\x99" * 8, NackReason.NO_ROUTE))
+        result = sim.run()
+        assert result.report["flows"] == clean.report["flows"]
+        assert result.report["nodes"][A]["dropped_unsolicited"] == 1
+
+    def test_discovery_round_ending_after_the_flow_failed_does_nothing(self):
+        """With no retries, the cut link's first timeout sends the flow
+        back to discovery; a tampered packet then fails it on its proof,
+        and the pending round's end must leave that reason alone."""
+        doc = line_doc()
+        doc["defaults"]["interest_lifetime_ms"] = 200
+        doc["nodes"][2]["serves"][0].update(packets_per_chunk=1, chunks=8)
+        doc["schedule"].append({"at_ms": 300, "action": "link", "a": R, "b": P, "up": False})
+        scenario = parse_scenario(doc, source="inline.scn")
+        sim = Simulator(replace(scenario, defaults=replace(scenario.defaults, retries=0)))
+        inject(sim, 600, chunk_final_data(sim, 0, payload=b"EVIL" * 150))
+        result = sim.run()
+        flow = flow_of(result)
+        assert (flow["status"], flow["fail_reason"], flow["done_ms"]) == ("failed", "proof", 600)
+        assert flow["rediscoveries"] == 1
+        steps = {"path_selected", "route_exhausted", "discovery_originated", "flow_failed"}
+        assert [ev["event"] for ev in result.trace if ev["event"] in steps] == [
+            "discovery_originated", "path_selected", "route_exhausted",
+            "discovery_originated", "flow_failed",
+        ]
+
+
 class TestNestedPrefixes:
     @pytest.mark.parametrize("consumer", [A, R], ids=["far-consumer", "serves-parent"])
     def test_each_serve_owns_exactly_its_prefix(self, consumer):
@@ -601,6 +677,11 @@ SINGLE_DEFECTS = {
         lambda d: (d["nodes"][2]["serves"][0].update(prefix="/line/data/seg=3"),
                    d.update(schedule=[])),
         ["nodes[2].serves[0].prefix must not carry a seg= index"],
+    ),
+    "serve-packet-size-over-bound": (
+        lambda d: (d["nodes"][2]["serves"][0].update(packet_size=60_001),
+                   d.update(schedule=[])),
+        ["nodes[2].serves[0].packet_size 60001 exceeds the wire payload bound"],
     ),
     "serve-differs-from-another-node": (
         # Identical descriptions may repeat; this one halves the chunk.

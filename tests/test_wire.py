@@ -19,7 +19,6 @@ from tollroute.wire import (
     HopInfo,
     HopSignature,
     Interest,
-    MAX_OVERLAY_PAYLOAD,
     Nack,
     NackReason,
     Name,
@@ -199,7 +198,8 @@ class TestPacketInvariants:
 
 class TestEncodeLimits:
     def test_overlay_maximum_payload_encodes(self) -> None:
-        d = Data(Name.parse("/big"), b"\xab" * MAX_OVERLAY_PAYLOAD, HopInfo(A1, A2))
+        # 65,507 bytes: the largest payload one UDP datagram can carry.
+        d = Data(Name.parse("/big"), b"\xab" * 65_507, HopInfo(A1, A2))
         buf = encode_packet(d)
         assert decode_packet(buf) == d
 

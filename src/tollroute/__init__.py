@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 
 from .wire import (  # noqa: F401
     BROADCAST,
+    ChainCommitment,
     ChunkProof,
     Data,
     DecodeError,

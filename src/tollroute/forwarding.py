@@ -344,7 +344,7 @@ class ForwardingEngine:
         self, pkt: Interest, upstream: NodeAddr | None, now: int
     ) -> tuple[bool, Payment | None]:
         """Commit the payment riding an Interest and, when forwarding to
-        `upstream`, sign the onward offer.  Returns (accepted, onward
+        `upstream`, make the onward offer.  Returns (accepted, onward
         offer); payall-mode Interests carry no payment and are always
         accepted."""
         if self.payment_mode != "hopbyhop":

@@ -1,9 +1,12 @@
-"""Node identity keys and the run's memo of valid signatures.
+"""Node identity keys, payment hash chains and the run's memo of valid
+signatures.
 
 Each node holds one Ed25519 keypair used both for forwarding-proof chain
-links and for channel-update signatures.  Key derivation is deterministic
-from a seed so simulation runs are reproducible; public keys are assumed
-to be pre-distributed (the key directory is a plain address-to-key map).
+links and for the commitments to its payment hash chains.  Key
+derivation is deterministic from a seed so simulation runs are
+reproducible; public keys are assumed to be pre-distributed (the key
+directory is a plain address-to-key map).  A chain's secret end derives
+from the private key, so only the key's owner can extend its chains.
 
 A run's keys share one `VerifiedLinks` memo and record every signature
 they make in it.  Ed25519 is deterministic and a signature always
@@ -24,7 +27,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .wire import NodeAddr
+from .wire import ChainCommitment, NodeAddr
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,12 @@ class KeyPair:
     _private: Ed25519PrivateKey = field(repr=False, compare=False)
     memo: VerifiedLinks | None = field(default=None, repr=False, compare=False)
     public: bytes = field(init=False)
+    # The live payment chain, as its commitment, its words and the
+    # highest total revealed on it, of each (channel id, direction) it
+    # pays over.
+    chains: dict[tuple[bytes, int], tuple[ChainCommitment, bytes, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "public", self._private.public_key().public_bytes_raw())
@@ -54,6 +63,19 @@ class KeyPair:
         if self.memo is not None:
             self.memo.add(self.public, message, sig)
         return sig
+
+    def hash_chain(self, label: bytes, length: int) -> bytes:
+        """The `length + 1` words of a hash chain, root first, as one
+        buffer: the last word is a secret drawn from this key and
+        `label`, and every other word is the SHA-256 of the next one."""
+        sha256 = hashlib.sha256
+        word = sha256(b"tollroute-payword:" + self._private.private_bytes_raw() + label).digest()
+        words = [word]
+        for _ in range(length):
+            word = sha256(word).digest()
+            words.append(word)
+        words.reverse()
+        return b"".join(words)
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:

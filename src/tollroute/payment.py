@@ -3,13 +3,22 @@ and the per-hop offer bookkeeping that rides on Interests.
 
 Channel model.  A channel is funded on the ledger by both parties'
 deposits and then runs as two one-way channels: counters of the tokens
-a has paid b and b has paid a.  A counter only grows and carries only
-its payer's signature over its cumulative total, since a payee need not
-sign a state that pays it more.  A balance is the party's deposit minus
-what it paid plus what it was paid.  Both directions share one strictly
-increasing sequence; a rejected offer simply leaves a hole.  Settlement
-checks each counter against its payer's key, pays the balances out to
-the ledger accounts and is terminal.
+a has paid b and b has paid a.  A counter only grows, and its payer
+vouches for each total with a word of a PayWord hash chain (Rivest &
+Shamir, 1996): the payer signs once per chain a commitment to its root,
+opening sequence, base total and length, and paying a total T reveals
+the word T - base hashes from the root.  A payer never reveals a word
+of one chain below one it revealed before, and opens its chains in
+sequence order, so a word on an older chain, or below the committed
+total on its own, is an earlier promise than the committed one.  The
+payee hashes a new word `amount` times into the word it holds, or into
+the root when the offer carries the chain's commitment, and signs
+nothing.  A balance is the party's deposit minus what it paid plus what
+it was paid.  Both directions share one strictly increasing sequence;
+a rejected offer simply leaves a hole.  Settlement checks each
+counter's commitment against its payer's key and hashes its word back
+to the root, pays the balances out to the ledger accounts and is
+terminal.
 
 The Ledger holds the one record of each channel: its committed state,
 which the next offer builds on and below which settlement refuses to
@@ -17,20 +26,25 @@ go.  The ChannelBook holds only what is in flight: offers stay pending
 (reserving the payer's funds) until the payee commits them to the
 ledger or a Nack cancels them.  The simulator keeps one book; it holds
 only public keys, and a node acts on it by passing its own KeyPair,
-whose owner is the payer or payee.
+whose owner is the payer or payee and which keeps the payer's chains.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from hashlib import sha256
 from typing import Callable
 
 from .keys import KeyDirectory, KeyPair, VerifiedLinks, verify
-from .wire import CHANNEL_ID_MAX, Name, NodeAddr, Payment
+from .wire import CHANNEL_ID_MAX, DIGEST_LEN, ChainCommitment, Name, NodeAddr, Payment
 
 # Tag identifying the flow a pending offer belongs to: (name, nonce).
 OfferTag = tuple[Name, bytes]
+
+# The most words one payment chain holds.  A chain as long as a large
+# deposit would take megabytes and milliseconds to build.
+CHAIN_WORDS_MAX = 1024
 
 
 class PaymentError(Exception):
@@ -42,12 +56,19 @@ class PaymentError(Exception):
 @dataclass(frozen=True)
 class Counter:
     """The tokens one party has paid the other over a channel, in total,
-    with the payer's signature over that total at `sequence`.  The unpaid
-    counter of the funding state carries no signature."""
+    as of `sequence`: the payer's chain word for that total and the
+    commitment of the chain it is on.  The unpaid counter of the funding
+    state carries neither."""
 
     sequence: int = 0
     total: int = 0
-    sig: bytes | None = None
+    word: bytes | None = None
+    commitment: ChainCommitment | None = None
+
+    @property
+    def opened(self) -> int:
+        """The sequence that opened this counter's chain; 0 without one."""
+        return self.commitment.sequence if self.commitment else 0
 
 
 UNPAID = Counter()
@@ -55,7 +76,7 @@ UNPAID = Counter()
 
 @dataclass(frozen=True)
 class ChannelState:
-    """A channel snapshot: the funding deposits and one payer-signed
+    """A channel snapshot: the funding deposits and one payer-vouched
     counter per direction, a -> b first.  Balances derive from them."""
 
     channel_id: bytes
@@ -78,7 +99,7 @@ class ChannelState:
         return self.deposit_b + self.paid[0].total - self.paid[1].total
 
     def direction(self, payer: NodeAddr) -> int:
-        """Index in `paid` of the counter `payer` signs."""
+        """Index in `paid` of the counter `payer` pays into."""
         if payer == self.party_a:
             return 0
         if payer == self.party_b:
@@ -97,15 +118,26 @@ class ChannelState:
         return replace(self, paid=paid)
 
 
-def update_message(channel_id: bytes, sequence: int, direction: int, total: int) -> bytes:
-    """What a payer signs: the cumulative `total` it has paid over the
-    channel as of `sequence`, in `direction` (0 when party a pays)."""
-    return b"chan-update" + channel_id + struct.pack(">QBQ", sequence, direction, total)
+def chain_label(channel_id: bytes, direction: int, sequence: int, base: int, length: int) -> bytes:
+    """What names a chain: it pays the cumulative totals base .. base +
+    length over the channel in `direction` (0 when party a pays), from
+    the offer at `sequence` on.  The chain's secret end derives from it,
+    so two chains never share a word."""
+    return b"payword-chain" + channel_id + struct.pack(">BQQQ", direction, sequence, base, length)
 
 
-def counter_message(state: ChannelState, direction: int) -> bytes:
-    counter = state.paid[direction]
-    return update_message(state.channel_id, counter.sequence, direction, counter.total)
+def commitment_message(
+    channel_id: bytes, direction: int, sequence: int, base: int, length: int, root: bytes
+) -> bytes:
+    """What a payer signs to open a chain: its label and its `root`."""
+    return chain_label(channel_id, direction, sequence, base, length) + root
+
+
+def _hashes_to(word: bytes, steps: int, target: bytes) -> bool:
+    """Whether hashing `word` `steps` times gives `target`."""
+    for _ in range(steps):
+        word = sha256(word).digest()
+    return word == target
 
 
 def channel_id_for(a: NodeAddr, b: NodeAddr, kind: str = "ch") -> bytes:
@@ -113,36 +145,75 @@ def channel_id_for(a: NodeAddr, b: NodeAddr, kind: str = "ch") -> bytes:
     return f"{kind}:{lo}:{hi}".encode("ascii")
 
 
+def chain_word(
+    key: KeyPair, state: ChannelState, total: int, sequence: int
+) -> tuple[bytes, ChainCommitment]:
+    """The word by which `key.owner` pays `total` in all over the channel
+    at `sequence`, and its chain: the key's live chain for this
+    direction, or a new one signed now that starts at the committed total
+    and replaces it.  A new chain is needed when `total` passes the live
+    one's end, and when it is below the highest total revealed on it:
+    the payee may hold that word, and would collect it over the lower
+    one revealed later."""
+    direction = state.direction(key.owner)
+    base = state.paid[direction].total
+    slot = (state.channel_id, direction)
+    commitment, words, revealed = key.chains.get(slot) or (None, b"", 0)
+    end = commitment.base + commitment.length if commitment else -1
+    if not (commitment and commitment.base <= base and revealed <= total <= end):
+        length = max(min(state.balance_of(key.owner), CHAIN_WORDS_MAX), total - base)
+        label = chain_label(state.channel_id, direction, sequence, base, length)
+        words = key.hash_chain(label, length)
+        root = words[:DIGEST_LEN]
+        sig = key.sign(label + root)
+        commitment = ChainCommitment(sequence, base, length, root, sig)
+    key.chains[slot] = (commitment, words, total)
+    at = (total - commitment.base) * DIGEST_LEN
+    return words[at : at + DIGEST_LEN], commitment
+
+
 def channel_update(state: ChannelState, delta_to_b: int, key_a: KeyPair) -> ChannelState:
-    """Move delta_to_b tokens from party a to party b: a signs its new
-    total paid.  A zero delta still advances the sequence (useful as a
-    liveness ping)."""
+    """Move delta_to_b tokens from party a to party b: a reveals the word
+    of its new total paid.  A zero delta still advances the sequence
+    (useful as a liveness ping)."""
     if not (0 <= delta_to_b <= state.balance_a):
         raise PaymentError("overdraw", f"delta {delta_to_b} vs balance {state.balance_a}")
     if key_a.owner != state.party_a:
         raise PaymentError("not-a-party", "key does not match party a")
-    sequence, total = state.sequence + 1, state.paid[0].total + delta_to_b
-    sig = key_a.sign(update_message(state.channel_id, sequence, 0, total))
-    return state.moved(0, Counter(sequence, total, sig))
+    total = state.paid[0].total + delta_to_b
+    word, commitment = chain_word(key_a, state, total, state.sequence + 1)
+    return state.moved(0, Counter(state.sequence + 1, total, word, commitment))
 
 
-def payer_signed(
+def payer_committed(
     state: ChannelState, direction: int, directory: KeyDirectory, memo: VerifiedLinks
 ) -> bool:
-    """Whether the counter of `direction` carries its payer's signature
-    over its total, checked through the run's memo."""
+    """Whether the counter of `direction` holds the word for its total on
+    a chain its payer committed to: the commitment's signature, checked
+    through the run's memo, and the word, hashed back to the root."""
     counter = state.paid[direction]
+    commitment = counter.commitment
     pub = directory.get(state.party_b if direction else state.party_a)
-    if counter.sig is None or pub is None:
+    if commitment is None or counter.word is None or pub is None:
         return False
-    return memo.check(pub, counter_message(state, direction), counter.sig, verify)
+    steps = counter.total - commitment.base
+    message = _message_of(state.channel_id, direction, commitment)
+    return (
+        0 <= steps <= commitment.length
+        and memo.check(pub, message, commitment.sig, verify)
+        and _hashes_to(counter.word, steps, commitment.root)
+    )
+
+
+def _message_of(channel_id: bytes, direction: int, c: ChainCommitment) -> bytes:
+    return commitment_message(channel_id, direction, c.sequence, c.base, c.length, c.root)
 
 
 def verify_state(state: ChannelState, directory: KeyDirectory, memo: VerifiedLinks) -> bool:
-    """Each counter that has moved must be payer-signed; unpaid counters
-    need no signature."""
+    """Each counter that has moved must be payer-committed; unpaid
+    counters need no word."""
     return all(
-        state.paid[d] == UNPAID or payer_signed(state, d, directory, memo) for d in (0, 1)
+        state.paid[d] == UNPAID or payer_committed(state, d, directory, memo) for d in (0, 1)
     )
 
 
@@ -244,9 +315,11 @@ class Ledger:
         """Close a channel at the given state and credit the accounts.
 
         Rejected: unknown or already settled channels, a counter below
-        the newest one the ledger has seen (a payer can sign a later
-        sequence with a smaller total), balances that the ledger's
-        deposits and the counters leave negative, and bad signatures.
+        the newest one the ledger has seen in sequence, in total or in
+        the sequence that opened its chain (its word was revealed
+        before the newest one), balances that the ledger's deposits and
+        the counters leave negative, and counters their payers did not
+        commit to (`bad-signature`).
         """
         chan = self.channels.get(state.channel_id)
         cid = state.channel_id.decode("ascii", "replace")
@@ -258,7 +331,11 @@ class Ledger:
         if (state.party_a, state.party_b) != (committed.party_a, committed.party_b):
             raise PaymentError("bad-party", cid)
         for counter, noted in zip(state.paid, committed.paid):
-            if counter.sequence < noted.sequence or counter.total < noted.total:
+            if (
+                counter.sequence < noted.sequence
+                or counter.total < noted.total
+                or counter.commitment is not None and counter.opened < noted.opened
+            ):
                 raise PaymentError("stale-sequence", f"{cid}: below {noted.sequence}/{noted.total}")
         final = replace(state, deposit_a=committed.deposit_a, deposit_b=committed.deposit_b)
         if min(final.balance_a, final.balance_b) < 0:
@@ -330,7 +407,7 @@ class ChannelBook:
 
     def _next_sequence(self, channel_id: bytes) -> int:
         # Cancelled offers leave holes: a sequence, once issued, is never
-        # reused, so a stale signed offer can never impersonate a new one.
+        # reused, so a stale offer can never pass for a new one.
         nxt = max(self.state(channel_id).sequence, self._issued.get(channel_id, 0)) + 1
         self._issued[channel_id] = nxt
         return nxt
@@ -344,7 +421,7 @@ class ChannelBook:
         now: int,
         lifetime_us: int,
     ) -> Payment:
-        """Sign, as `key.owner`, and queue an offer of `amount` to the
+        """Make, as `key.owner`, and queue an offer of `amount` to the
         channel peer."""
         payer = key.owner
         if amount <= 0:
@@ -356,19 +433,20 @@ class ChannelBook:
                 f"{payer} projected {self.projected_balance(channel_id, payer)} < {amount}",
             )
         seq = self._next_sequence(channel_id)
-        direction = state.direction(payer)
-        total = state.paid[direction].total + amount
-        sig = key.sign(update_message(channel_id, seq, direction, total))
-        payment = Payment(channel_id=channel_id, amount=amount, sequence=seq, payer_sig=sig)
+        committed = state.paid[state.direction(payer)]
+        word, commitment = chain_word(key, state, committed.total + amount, seq)
+        # The commitment rides along until the payee holds a word on its chain.
+        carried = None if committed.commitment == commitment else commitment
+        payment = Payment(channel_id, amount, seq, word, carried)
         self.pending.setdefault(channel_id, []).append(
             PendingOffer(seq, payer, amount, tag, now + lifetime_us)
         )
         return payment
 
     def commit_offer(self, key: KeyPair, payer: NodeAddr, payment: Payment) -> ChannelState:
-        """Payee-side acceptance by `key.owner`: verify the payer's
-        signature over its committed total plus the amount, and store it
-        as the payer's counter.  Raises without mutating on any defect."""
+        """Payee-side acceptance by `key.owner`: check that the payer's
+        word pays its committed total plus the amount, and store it as the
+        payer's counter.  Raises without mutating on any defect."""
         payee = key.owner
         state = self.state(payment.channel_id)
         if state.peer_of(payer) != payee:
@@ -385,18 +463,31 @@ class ChannelBook:
             )
         direction = state.direction(payer)
         old = state.paid[direction]
-        committed = state.moved(
-            direction, Counter(payment.sequence, old.total + payment.amount, payment.payer_sig)
-        )
-        if not payer_signed(committed, direction, self.directory, self.memo):
+        total = old.total + payment.amount
+        chain = payment.commitment or old.commitment
+        committed = state.moved(direction, Counter(payment.sequence, total, payment.word, chain))
+        if payment.commitment is not None:
+            valid = payer_committed(committed, direction, self.directory, self.memo)
+        else:
+            # The word the payee holds vouches for the new one, on the same
+            # chain and no further than its end.
+            valid = (
+                chain is not None
+                and total <= chain.base + chain.length
+                and _hashes_to(payment.word, payment.amount, old.word)
+            )
+        if not valid:
             raise PaymentError("bad-signature", f"offer seq {payment.sequence} by {payer}")
         self.ledger.note_update(committed, payer, payment.amount)
-        if old.sig is not None:
+        if old.commitment is not None and old.commitment != chain:
             # The ledger refuses a superseded counter before it checks
-            # signatures, so this one can never be checked again.
-            self.memo.discard(self.directory[payer], counter_message(state, direction), old.sig)
-        queue = self.pending.get(payment.channel_id, [])
-        self.pending[payment.channel_id] = [o for o in queue if o.sequence != payment.sequence]
+            # commitments, so this one can never be checked again.
+            message = _message_of(payment.channel_id, direction, old.commitment)
+            self.memo.discard(self.directory[payer], message, old.commitment.sig)
+        self._keep_queue(
+            payment.channel_id,
+            [o for o in self.pending.get(payment.channel_id, ()) if o.sequence != payment.sequence],
+        )
         return committed
 
     def cancel_tag(self, tag: OfferTag) -> int:
@@ -410,11 +501,18 @@ class ChannelBook:
     def _keep_pending(self, keep: Callable[[PendingOffer], bool]) -> int:
         """Drop every pending offer that `keep` rejects; returns how many."""
         dropped = 0
-        for cid, queue in self.pending.items():
+        for cid, queue in list(self.pending.items()):
             kept = [o for o in queue if keep(o)]
             dropped += len(queue) - len(kept)
-            self.pending[cid] = kept
+            self._keep_queue(cid, kept)
         return dropped
+
+    def _keep_queue(self, channel_id: bytes, queue: list[PendingOffer]) -> None:
+        """Store a channel's pending offers; a channel with none has no entry."""
+        if queue:
+            self.pending[channel_id] = queue
+        else:
+            self.pending.pop(channel_id, None)
 
     def settle_all(self) -> int:
         """Settle every still-open ledger channel at its committed state,
@@ -444,7 +542,7 @@ def relay_process_payment(
     node's cost, or that leaves this node unable to fund the upstream
     offer, is rejected with the book untouched.  On success the incoming
     offer is committed and, when there is an upstream hop, a new offer of
-    (incoming - my_cost) is signed toward it.  A zero-cost hop accepts an
+    (incoming - my_cost) is made toward it.  A zero-cost hop accepts an
     Interest that carries no payment (a zero-price route) and forwards it
     without an onward offer.  Returns (tokens kept, upstream offer or
     None).

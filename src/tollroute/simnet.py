@@ -374,7 +374,7 @@ class Simulator:
         # Sends are chained, one event arming the next, rather than all
         # pre-scheduled.  The chain guarantees that packet i's frames
         # (and the channel commit its offer triggers) are processed
-        # before packet i+1's offer is signed, keeping consecutive
+        # before packet i+1's offer is made, keeping consecutive
         # offers on a shared channel from racing each other.  A send is
         # armed exactly while the queue is non-empty: only _send_next
         # pops it, and _select_candidate empties it with a new generation.

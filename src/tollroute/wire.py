@@ -5,8 +5,9 @@ Every field TLV is a 1-byte tag, a 2-byte big-endian length, and the value;
 nested structures repeat the same layout inside a field's value.  Optional
 fields that are absent omit their TLV entirely, fields appear in strictly
 ascending tag order, and fixed-width values (addresses, nonces, integers,
-digests, signatures) have exact lengths.  Decoding enforces all of that, so
-any byte string the decoder accepts re-encodes to the identical bytes.
+digests, chain words, signatures) have exact lengths.  Decoding enforces
+all of that, so any byte string the decoder accepts re-encodes to the
+identical bytes.
 
 Each wire type's layout is written once, as a schema of rows at the end
 of this module, and both directions walk it.  docs/wire-format.md lists
@@ -60,7 +61,7 @@ TAG_HOP = 0x24
 TAG_CHANNEL_ID = 0x25
 TAG_AMOUNT = 0x26
 TAG_SEQUENCE = 0x27
-TAG_PAYER_SIG = 0x28
+TAG_WORD = 0x28
 TAG_CHUNK_FIRST = 0x29
 TAG_CHUNK_COUNT = 0x2A
 TAG_DIGEST = 0x2B
@@ -68,6 +69,12 @@ TAG_HOP_SIGNATURE = 0x2C
 TAG_SIGNER = 0x2D
 TAG_SIGNER_PUB = 0x2E
 TAG_SIG = 0x2F
+TAG_COMMITMENT = 0x30
+TAG_CHAIN_SEQUENCE = 0x31
+TAG_CHAIN_BASE = 0x32
+TAG_CHAIN_LENGTH = 0x33
+TAG_CHAIN_ROOT = 0x34
+TAG_CHAIN_SIG = 0x35
 
 
 class WireError(Exception):
@@ -230,18 +237,40 @@ class RouteStack:
 
 
 @dataclass(frozen=True)
-class Payment:
-    """Signed channel-update offer riding a content Interest.
+class ChainCommitment:
+    """A payer's signed commitment to a PayWord hash chain that pays
+    cumulative totals base .. base + length over one channel direction,
+    opened by the offer at `sequence`; root is the chain's first word.
+    payment.py builds and checks it."""
 
-    amount is in integer token micro-units ("u").  payer_sig covers the
-    canonical update message for (channel_id, sequence) and the payer's
-    cumulative total that amount brings it to; payment.py builds it.
+    sequence: int
+    base: int
+    length: int
+    root: bytes
+    sig: bytes
+
+    def __post_init__(self) -> None:
+        if len(self.root) != DIGEST_LEN:
+            raise ValueError("chain root must be 32 bytes")
+        if len(self.sig) != SIG_LEN:
+            raise ValueError("commitment signature must be 64 bytes")
+
+
+@dataclass(frozen=True)
+class Payment:
+    """Channel payment offer riding a content Interest.
+
+    amount is in integer token micro-units ("u").  word is the payer's
+    hash-chain word for the cumulative total that amount brings it to;
+    commitment, when present, is the chain that word belongs to.
+    payment.py builds both.
     """
 
     channel_id: bytes
     amount: int
     sequence: int
-    payer_sig: bytes
+    word: bytes
+    commitment: ChainCommitment | None = None
 
     def __post_init__(self) -> None:
         if not self.channel_id or len(self.channel_id) > CHANNEL_ID_MAX:
@@ -250,8 +279,8 @@ class Payment:
             raise ValueError("payment amount out of range")
         if not 0 <= self.sequence <= U64_MAX:
             raise ValueError("payment sequence out of range")
-        if not 0 < len(self.payer_sig) <= 255:
-            raise ValueError("payer signature must be 1..255 bytes")
+        if len(self.word) != DIGEST_LEN:
+            raise ValueError("payment word must be 32 bytes")
 
 
 @dataclass(frozen=True)
@@ -552,12 +581,21 @@ _HOP_INFO_SCHEMA = _Schema(
     (TAG_REMOTE, "remote", _ADDR, False, False),
 )
 _ROUTE_SCHEMA = _Schema(RouteStack, (TAG_HOP, "hops", _ADDR, True, True))
+_COMMITMENT_SCHEMA = _Schema(
+    ChainCommitment,
+    (TAG_CHAIN_SEQUENCE, "sequence", _U64, True, False),
+    (TAG_CHAIN_BASE, "base", _U64, True, False),
+    (TAG_CHAIN_LENGTH, "length", _U64, True, False),
+    (TAG_CHAIN_ROOT, "root", _BYTES, True, False),
+    (TAG_CHAIN_SIG, "sig", _BYTES, True, False),
+)
 _PAYMENT_SCHEMA = _Schema(
     Payment,
     (TAG_CHANNEL_ID, "channel_id", _BYTES, True, False),
     (TAG_AMOUNT, "amount", _U64, True, False),
     (TAG_SEQUENCE, "sequence", _U64, True, False),
-    (TAG_PAYER_SIG, "payer_sig", _BYTES, True, False),
+    (TAG_WORD, "word", _BYTES, True, False),
+    (TAG_COMMITMENT, "commitment", _COMMITMENT_SCHEMA, False, False),
 )
 _HOP_SIGNATURE_SCHEMA = _Schema(
     HopSignature,

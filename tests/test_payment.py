@@ -1,9 +1,13 @@
 """Ledger, channel update, offer book, and hop payment semantics."""
 
+import copy
 import random
+import struct
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tollroute import payment
 from tollroute.keys import KeyPair, VerifiedLinks
@@ -17,13 +21,12 @@ from tollroute.payment import (
     audit_ledger,
     channel_id_for,
     channel_update,
+    commitment_message,
     consumer_pay_all,
-    counter_message,
     relay_process_payment,
-    update_message,
     verify_state,
 )
-from tollroute.wire import Name, NodeAddr, Payment
+from tollroute.wire import ChainCommitment, Name, NodeAddr, Payment
 
 CONSUMER = NodeAddr.parse("00-cc-00-00-00-01")
 RELAY_A = NodeAddr.parse("00-cc-00-00-00-02")
@@ -120,7 +123,7 @@ class TestLedger:
         assert err.value.reason == "already-settled"
 
     def test_settle_rejects_pool_mismatch(self):
-        # A counter that pays out more than its payer put in, signed by
+        # A counter that pays out more than its payer put in, committed by
         # that payer, and a state that claims a larger deposit: the
         # ledger derives the balances from its own deposits, so neither
         # can take tokens the pool does not hold.
@@ -128,7 +131,7 @@ class TestLedger:
         ledger.mint(CONSUMER, 100)
         ledger.mint(RELAY_A, 100)
         state = ledger.open_channel(CONSUMER, RELAY_A, 30, 20)
-        overpaid = _signed(CONSUMER, 0, 1, 31)(state)
+        overpaid = _paid_by(CONSUMER, 0, 1, 31)(state)
         with pytest.raises(PaymentError) as err:
             ledger.settle(overpaid, {CONSUMER: _KEYS[CONSUMER].public}, VerifiedLinks())
         assert err.value.reason == "conservation"
@@ -153,8 +156,10 @@ class TestLedger:
         assert ledger.conserved()
 
 
-def _flip(data: bytes) -> bytes:
-    return data[:-1] + bytes([data[-1] ^ 0x01])
+def _flip(data: bytes, at: int = -1) -> bytes:
+    """`data` with the low bit of byte `at` flipped."""
+    at %= len(data)
+    return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1 :]
 
 
 def _drop(directory, party):
@@ -167,38 +172,88 @@ def _counter(direction, change):
     return lambda s: s.moved(direction, change(s.paid[direction]))
 
 
+def _commitment(direction, change):
+    """A state change that replaces the commitment on the counter of
+    `direction` by `change(commitment)`."""
+    return _counter(direction, lambda c: replace(c, commitment=change(c.commitment)))
+
+
 # fresh_book's keys, outside any book's memo.
 _KEYS = {addr: KeyPair.from_seed(addr, b"payment-tests") for addr in ALL}
 
 
-def _signed(payer, direction, sequence, total):
-    """A state change: the counter of `direction` as `payer`'s key signs it."""
+def _chain(payer, cid, direction, base, length=100, signed_length=None, opened=1):
+    """A chain that `payer`'s key commits to for `direction` of channel
+    `cid`, from `base` and the offer at `opened`: its commitment, which
+    states `signed_length` words (by default all of them), and its
+    words, root first."""
+    key = _KEYS[payer]
+    label = b"test:" + cid + bytes([direction]) + struct.pack(">QQ", opened, base)
+    words = key.hash_chain(label, length)
+    signed = length if signed_length is None else signed_length
+    sig = key.sign(commitment_message(cid, direction, opened, base, signed, words[:32]))
+    return ChainCommitment(opened, base, signed, words[:32], sig), words
+
+
+def _word(words, index):
+    return words[32 * index : 32 * (index + 1)]
+
+
+def _paid_by(payer, direction, sequence, total, short=0, word_by=None, **chain):
+    """A state change: the counter of `direction` at `total`, on a chain
+    `payer` commits to from 0, paid with the word `short` steps below it
+    on that chain or, given `word_by`, on `word_by`'s chain the other way."""
     def change(s):
-        sig = _KEYS[payer].sign(update_message(s.channel_id, sequence, direction, total))
-        return s.moved(direction, Counter(sequence, total, sig))
+        commitment, words = _chain(payer, s.channel_id, direction, 0, **chain)
+        if word_by is not None:
+            words = _chain(word_by, s.channel_id, 1 - direction, 0)[1]
+        return s.moved(direction, Counter(sequence, total, _word(words, total - short), commitment))
     return change
 
 
+def _triple(book, state, direction):
+    """The memo triple of the commitment on the counter of `direction`."""
+    c = state.paid[direction].commitment
+    payer = (state.party_a, state.party_b)[direction]
+    message = commitment_message(state.channel_id, direction, c.sequence, c.base, c.length, c.root)
+    return book.directory[payer], message, c.sig
+
+
 # One defect per case, applied to an honest committed state in which
-# each party has paid the other (so each holds one signature: sig_a on
-# the a -> b counter, sig_b on b -> a) and to the directory settle checks
-# it against: (reason, state change, directory change).
+# each party has paid the other (so each counter holds a word on its
+# payer's chain: a -> b at 10, b -> a at 4) and to the directory settle
+# checks it against: (reason, state change, directory change).
 SETTLE_REFUSALS = {
     "unknown-channel": (
         "unknown-channel", lambda s: replace(s, channel_id=b"ch:nowhere"), lambda d: d),
     "bad-party": ("bad-party", lambda s: replace(s, party_b=PRODUCER), lambda d: d),
     "stale-counter": ("stale-sequence", _counter(0, lambda c: UNPAID), lambda d: d),
-    # The payer signs a later sequence that pays less than it committed.
-    "lower-total": ("stale-sequence", _signed(CONSUMER, 0, 3, 9), lambda d: d),
+    # The payer reveals an earlier word of a chain at a later sequence.
+    "lower-total": ("stale-sequence", _paid_by(CONSUMER, 0, 3, 9), lambda d: d),
+    # A higher total, but on a chain opened before the committed one.
+    "older-chain": ("stale-sequence", _paid_by(CONSUMER, 0, 3, 12, opened=0), lambda d: d),
     "overpaid": ("conservation", _counter(0, lambda c: replace(c, total=105)), lambda d: d),
     "sig_a-flipped": (
-        "bad-signature", _counter(0, lambda c: replace(c, sig=_flip(c.sig))), lambda d: d),
+        "bad-signature", _commitment(0, lambda c: replace(c, sig=_flip(c.sig))), lambda d: d),
     "sig_b-flipped": (
-        "bad-signature", _counter(1, lambda c: replace(c, sig=_flip(c.sig))), lambda d: d),
-    "sig_a-by-payee": ("bad-signature", _signed(RELAY_A, 0, 1, 10), lambda d: d),
+        "bad-signature", _commitment(1, lambda c: replace(c, sig=_flip(c.sig))), lambda d: d),
+    "root_a-flipped": (
+        "bad-signature", _commitment(0, lambda c: replace(c, root=_flip(c.root))), lambda d: d),
+    "word_a-flipped": (
+        "bad-signature", _counter(0, lambda c: replace(c, word=_flip(c.word))), lambda d: d),
+    # A commitment the payee signed, to its own chain.
+    "sig_a-by-payee": ("bad-signature", _paid_by(RELAY_A, 0, 1, 10), lambda d: d),
+    "word_a-from-payee-chain": (
+        "bad-signature", _paid_by(CONSUMER, 0, 1, 10, word_by=RELAY_A), lambda d: d),
+    "word_a-one-short": ("bad-signature", _paid_by(CONSUMER, 0, 1, 10, short=1), lambda d: d),
+    # Words past the length the payer signed.
+    "chain-end-crossed": (
+        "bad-signature", _paid_by(CONSUMER, 0, 1, 10, length=40, signed_length=9), lambda d: d),
     "balances-not-signed": (
         "bad-signature", _counter(0, lambda c: replace(c, total=11)), lambda d: d),
-    "sig_b-missing": ("bad-signature", _counter(1, lambda c: replace(c, sig=None)), lambda d: d),
+    "sig_b-missing": (
+        "bad-signature", _counter(1, lambda c: replace(c, commitment=None)), lambda d: d),
+    "word_b-missing": ("bad-signature", _counter(1, lambda c: replace(c, word=None)), lambda d: d),
     "party-not-in-directory": (
         "bad-signature", lambda s: s, lambda d: _drop(d, CONSUMER)),
 }
@@ -206,7 +261,7 @@ SETTLE_REFUSALS = {
 
 class TestSettleRefusals:
     """Each refusal happens while the memo holds the honest state's
-    signatures, so the memo can vouch for nothing but those triples."""
+    commitments, so the memo can vouch for nothing but those triples."""
 
     @staticmethod
     def _committed():
@@ -215,11 +270,8 @@ class TestSettleRefusals:
         for payer, payee, amount in ((CONSUMER, RELAY_A, 10), (RELAY_A, CONSUMER, 4)):
             offer = book.make_offer(keys[payer], cid, amount, TAG, 0, LIFETIME_US)
             honest = book.commit_offer(keys[payee], payer, offer)
-        # Each payer's signature over its own counter, and nothing else.
-        assert set(book.memo._seen) == {
-            (book.directory[payer], counter_message(honest, direction), honest.paid[direction].sig)
-            for direction, payer in enumerate((CONSUMER, RELAY_A))
-        }
+        # Each payer's commitment to its own chain, and nothing else.
+        assert set(book.memo._seen) == {_triple(book, honest, d) for d in (0, 1)}
         return ledger, book, honest
 
     @pytest.mark.parametrize("case", list(SETTLE_REFUSALS))
@@ -239,13 +291,13 @@ class TestSettleRefusals:
         _, book, honest = self._committed()
         assert verify_state(honest, book.directory, book.memo)
         for direction, payer in enumerate((CONSUMER, RELAY_A)):
-            unsigned = honest.moved(direction, replace(honest.paid[direction], sig=None))
+            unsigned = honest.moved(direction, replace(honest.paid[direction], commitment=None))
             assert not verify_state(unsigned, book.directory, book.memo)
             assert not verify_state(honest, _drop(book.directory, payer), book.memo)
             # Paid in one direction only, a channel needs only the payer's key.
             one_way = honest.moved(1 - direction, UNPAID)
             assert verify_state(one_way, _drop(book.directory, one_way.peer_of(payer)), book.memo)
-        # A counter that has moved needs a signature even at sequence 0.
+        # A counter that has moved needs a committed word even at sequence 0.
         assert not verify_state(honest.moved(0, Counter(0, 10)), book.directory, book.memo)
 
     def test_settle_all_reuses_the_commit_checks(self, monkeypatch):
@@ -263,27 +315,31 @@ class TestSettleRefusals:
     def test_channel_traffic_cannot_evict_an_idle_final_state(self, monkeypatch):
         real = []
         monkeypatch.setattr(payment, "verify", lambda *triple: real.append(triple))
-        ledger, book, keys = fresh_book(balance=8_000, deposit=4_000)
+        ledger, book, keys = fresh_book()
         idle = channel_id_for(CONSUMER, RELAY_A)
         offer = book.make_offer(keys[CONSUMER], idle, 10, TAG, 0, LIFETIME_US)
         book.commit_offer(keys[RELAY_A], CONSUMER, offer)
-        busy = channel_id_for(RELAY_A, RELAY_B)
+        # One token bounces back and forth, so every payment passes the
+        # end of its payer's one-word chain and signs a new commitment:
+        # twice the memo's capacity in all.
+        busy = ledger.open_channel(RELAY_A, RELAY_B, 1, 0, channel_id=b"busy").channel_id
         superseded = []
-        # One signature per update: twice the memo's capacity in all.
-        for _ in range(2 * VerifiedLinks.CAPACITY):
-            offer = book.make_offer(keys[RELAY_A], busy, 1, TAG, 0, LIFETIME_US)
-            superseded.append(book.state(busy))
-            book.commit_offer(keys[RELAY_B], RELAY_A, offer)
-        # The memo holds the two live counters' signatures and nothing else.
-        live = [book.state(idle), book.state(busy)]
+        for _ in range(VerifiedLinks.CAPACITY):
+            for payer, payee in ((RELAY_A, RELAY_B), (RELAY_B, RELAY_A)):
+                offer = book.make_offer(keys[payer], busy, 1, TAG, 0, LIFETIME_US)
+                assert offer.commitment is not None and offer.commitment.length == 1
+                superseded.append(book.state(busy))
+                book.commit_offer(keys[payee], payer, offer)
+        # The memo holds the three live counters' commitments and nothing else.
         assert set(book.memo._seen) == {
-            (book.directory[state.party_a], counter_message(state, 0), state.paid[0].sig)
-            for state in live
+            _triple(book, book.state(idle), 0),
+            _triple(book, book.state(busy), 0),
+            _triple(book, book.state(busy), 1),
         }
         with pytest.raises(PaymentError) as err:
             ledger.settle(superseded[-1], book.directory, book.memo)
         assert err.value.reason == "stale-sequence"
-        assert book.settle_all() == 3
+        assert book.settle_all() == 4
         assert real == []
         assert ledger.conserved()
 
@@ -295,11 +351,11 @@ class TestChannelUpdate:
         state = book.state(cid)
         nxt = channel_update(state, 25, keys[CONSUMER])
         assert (nxt.sequence, nxt.balance_a, nxt.balance_b) == (1, 75, 125)
-        assert nxt.paid == (Counter(1, 25, nxt.paid[0].sig), UNPAID)
-        # Signed by the payer only: the payee's key is not needed.
-        assert set(book.memo._seen) == {
-            (keys[CONSUMER].public, counter_message(nxt, 0), nxt.paid[0].sig)
-        }
+        paid = nxt.paid[0]
+        assert nxt.paid == (Counter(1, 25, paid.word, paid.commitment), UNPAID)
+        assert (paid.commitment.base, paid.commitment.length) == (0, 100)
+        # Committed by the payer only: the payee's key is not needed.
+        assert set(book.memo._seen) == {_triple(book, nxt, 0)}
         assert verify_state(nxt, _drop(book.directory, RELAY_A), book.memo)
 
     def test_zero_delta_still_advances_sequence(self):
@@ -334,30 +390,46 @@ class TestChannelUpdate:
         assert not verify_state(forged, book.directory, book.memo)
 
 
-def _resigned(payer, offer, total):
-    """`offer` with `payer`'s signature over an a -> b total of `total`."""
-    message = update_message(offer.channel_id, offer.sequence, 0, total)
-    return replace(offer, payer_sig=_KEYS[payer].sign(message))
+def _rechained(payer, offer, total):
+    """`offer` with a word for an a -> b total of `total` on a new chain
+    that `payer`'s key commits to from the committed total of 10."""
+    commitment, words = _chain(payer, offer.channel_id, 0, 10)
+    return replace(offer, word=_word(words, total - 10), commitment=commitment)
 
 
 # One defect per case, applied to the commit of an honest offer of 20
-# from CONSUMER (party a) made after its first offer of 10 committed:
-# (reason, (offer, first offer) -> (payee, payer, payment)).
+# from CONSUMER (party a) made after its first offer of 10 committed, so
+# that it carries no commitment: (reason, (offer, first offer, the
+# payer's chain words) -> (payee, payer, payment)).
 COMMIT_REFUSALS = {
-    "payee-not-on-channel": ("not-a-party", lambda offer, first: (RELAY_B, CONSUMER, offer)),
-    "payer-not-on-channel": ("not-a-party", lambda offer, first: (RELAY_A, PRODUCER, offer)),
-    "replayed": ("stale-sequence", lambda offer, first: (RELAY_A, CONSUMER, first)),
+    "payee-not-on-channel": ("not-a-party", lambda offer, first, words: (RELAY_B, CONSUMER, offer)),
+    "payer-not-on-channel": ("not-a-party", lambda offer, first, words: (RELAY_A, PRODUCER, offer)),
+    "replayed": ("stale-sequence", lambda offer, first, words: (RELAY_A, CONSUMER, first)),
     "zero-amount": (
-        "bad-amount", lambda offer, first: (RELAY_A, CONSUMER, replace(offer, amount=0))),
+        "bad-amount",
+        lambda offer, first, words: (RELAY_A, CONSUMER, replace(offer, amount=0))),
     "above-holdings": (
         "overdraw",
-        lambda offer, first: (
-            RELAY_A, CONSUMER, _resigned(CONSUMER, replace(offer, amount=91), 101)),
+        lambda offer, first, words: (
+            RELAY_A, CONSUMER, _rechained(CONSUMER, replace(offer, amount=91), 101)),
     ),
+    # A commitment the payee signed, to its own chain.
     "signed-by-payee": (
-        "bad-signature", lambda offer, first: (RELAY_A, CONSUMER, _resigned(RELAY_A, offer, 30))),
+        "bad-signature",
+        lambda offer, first, words: (RELAY_A, CONSUMER, _rechained(RELAY_A, offer, 30))),
     "amount-not-signed": (
-        "bad-signature", lambda offer, first: (RELAY_A, CONSUMER, replace(offer, amount=21))),
+        "bad-signature",
+        lambda offer, first, words: (RELAY_A, CONSUMER, replace(offer, amount=21))),
+    "word-from-payee-chain": (
+        "bad-signature",
+        lambda offer, first, words: (RELAY_A, CONSUMER, replace(
+            offer, word=_word(_chain(RELAY_A, offer.channel_id, 1, 0)[1], 30)))),
+    "word-one-short": (
+        "bad-signature",
+        lambda offer, first, words: (RELAY_A, CONSUMER, replace(offer, word=_word(words, 29)))),
+    "word-flipped": (
+        "bad-signature",
+        lambda offer, first, words: (RELAY_A, CONSUMER, replace(offer, word=_flip(offer.word)))),
 }
 
 
@@ -370,7 +442,7 @@ class TestChannelBook:
         state = book.commit_offer(keys[RELAY_A], CONSUMER, offer)
         assert state.balance_of(CONSUMER) == 85 and state.balance_of(RELAY_A) == 115
         assert verify_state(state, book.directory, book.memo)
-        assert book.pending[cid] == []
+        assert cid not in book.pending
 
     def test_pending_offers_reserve_balance(self):
         _, book, keys = fresh_book()
@@ -392,8 +464,8 @@ class TestChannelBook:
         assert book.state(cid).balance_of(CONSUMER) == 70
 
     def test_racing_offers_only_first_commits(self):
-        # Two offers signed against the same committed state: whichever
-        # commits first wins; the loser's total no longer matches what
+        # Two offers made against the same committed state: whichever
+        # commits first wins; the loser's word no longer hashes to what
         # the payee reconstructs and it bounces without mutation.
         _, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
@@ -441,8 +513,9 @@ class TestChannelBook:
         first = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
         book.commit_offer(keys[RELAY_A], CONSUMER, first)
         offer = book.make_offer(keys[CONSUMER], cid, 20, TAG, 0, LIFETIME_US)
+        assert first.commitment is not None and offer.commitment is None
         before = (book.state(cid), list(book.pending[cid]), list(ledger.log))
-        payee, payer, payment = change(offer, first)
+        payee, payer, payment = change(offer, first, keys[CONSUMER].chains[(cid, 0)][1])
         with pytest.raises(PaymentError) as err:
             book.commit_offer(keys[payee], payer, payment)
         assert err.value.reason == reason
@@ -450,16 +523,16 @@ class TestChannelBook:
         assert book.commit_offer(keys[RELAY_A], CONSUMER, offer).paid[0].total == 30
 
     def test_sequences_follow_a_commit_the_book_never_issued(self):
-        # A payer-signed payment at sequence 7 commits although no offer
-        # issued it; offers then continue above it, and a cancelled
+        # A payer-committed payment at sequence 7 commits although no
+        # offer issued it; offers then continue above it, and a cancelled
         # offer's sequence is never issued again.
         _, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
         other_tag = (Name((b"other",)), b"\x01" * 8)
         assert book.make_offer(keys[CONSUMER], cid, 5, other_tag, 0, LIFETIME_US).sequence == 1
         assert book.cancel_tag(other_tag) == 1
-        sig = _KEYS[CONSUMER].sign(update_message(cid, 7, 0, 10))
-        payment = Payment(channel_id=cid, amount=10, sequence=7, payer_sig=sig)
+        commitment, words = _chain(CONSUMER, cid, 0, 0)
+        payment = Payment(cid, 10, 7, _word(words, 10), commitment)
         assert book.commit_offer(keys[RELAY_A], CONSUMER, payment).sequence == 7
         cancelled = book.make_offer(keys[CONSUMER], cid, 5, other_tag, 0, LIFETIME_US)
         assert cancelled.sequence == 8
@@ -467,7 +540,7 @@ class TestChannelBook:
         offer = book.make_offer(keys[CONSUMER], cid, 5, TAG, 0, LIFETIME_US)
         assert offer.sequence == 9
         assert book.commit_offer(keys[RELAY_A], CONSUMER, offer).paid[0] == (
-            Counter(9, 15, offer.payer_sig))
+            Counter(9, 15, offer.word, offer.commitment))
         assert book.make_offer(keys[CONSUMER], cid, 5, TAG, 0, LIFETIME_US).sequence == 10
 
     def test_offer_must_move_a_token(self):
@@ -505,7 +578,8 @@ class TestChannelBook:
         assert ledger.balance(CONSUMER) == 900 + 77 and ledger.conserved()
 
     def test_opposite_offers_in_flight_both_commit(self):
-        # Each signs its own counter, which the other does not move.
+        # Each pays on its own chain into its own counter, which the
+        # other does not move.
         _, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
         there = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
@@ -531,6 +605,217 @@ class TestChannelBook:
         assert all(c.settled for c in ledger.channels.values())
         assert ledger.balance(CONSUMER) == 990 and ledger.balance(RELAY_A) == 1010
         assert ledger.conserved()
+
+    def test_pending_entries_go_when_their_queue_empties(self):
+        _, book, keys = fresh_book()
+        cid = channel_id_for(CONSUMER, RELAY_A)
+        other_tag = (Name((b"other",)), b"\x01" * 8)
+        offer = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, 1_000)
+        book.make_offer(keys[CONSUMER], cid, 10, other_tag, 0, 2_000)
+        book.make_offer(keys[RELAY_A], channel_id_for(RELAY_A, RELAY_B), 5, TAG, 0, 1_000)
+        book.commit_offer(keys[RELAY_A], CONSUMER, offer)
+        assert [o.tag for o in book.pending[cid]] == [other_tag]
+        assert book.purge_expired(now=1_500) == 1
+        assert list(book.pending) == [cid]
+        assert book.cancel_tag(other_tag) == 1
+        assert book.pending == {}
+
+
+def _tampered(offer, mutation, at, balance):
+    """`offer` with one defect, or None when `mutation` does not apply:
+    a one-byte flip of its word, or of its chain's root or commitment
+    signature, or an amount one off that its payer could still afford."""
+    c = offer.commitment
+    if mutation == "word":
+        return replace(offer, word=_flip(offer.word, at))
+    if mutation == "root" and c is not None:
+        return replace(offer, commitment=replace(c, root=_flip(c.root, at)))
+    if mutation == "sig" and c is not None:
+        return replace(offer, commitment=replace(c, sig=_flip(c.sig, 2 * at)))
+    if mutation == "amount" and offer.amount + 1 <= balance:
+        return replace(offer, amount=offer.amount + 1)
+    if mutation == "amount" and offer.amount > 1:
+        return replace(offer, amount=offer.amount - 1)
+    return None
+
+
+class TestPayWordChains:
+    def test_an_offer_past_the_chain_end_needs_a_new_commitment(self):
+        ledger, book, keys = fresh_book()
+        cid = channel_id_for(CONSUMER, RELAY_A)
+        # A chain whose words run past the 15 its payer signed for.
+        commitment, words = _chain(CONSUMER, cid, 0, 0, length=40, signed_length=15)
+        first = Payment(cid, 10, 1, _word(words, 10), commitment)
+        book.commit_offer(keys[RELAY_A], CONSUMER, first)
+        before = (book.state(cid), list(ledger.log))
+        with pytest.raises(PaymentError) as err:
+            book.commit_offer(keys[RELAY_A], CONSUMER, Payment(cid, 10, 2, _word(words, 20)))
+        assert err.value.reason == "bad-signature"
+        assert (book.state(cid), ledger.log) == before
+        # The payer's own offer starts a chain at the committed total.
+        offer = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
+        assert (offer.commitment.base, offer.commitment.length) == (10, 90)
+        assert book.commit_offer(keys[RELAY_A], CONSUMER, offer).paid[0].total == 20
+
+    def test_a_chain_that_runs_out_starts_again_at_the_committed_total(self):
+        ledger, book, keys = fresh_book()
+        cid = channel_id_for(CONSUMER, RELAY_A)
+        chains = []
+        for payer, payee, amount in ((CONSUMER, RELAY_A, 60), (RELAY_A, CONSUMER, 50),
+                                     (CONSUMER, RELAY_A, 60), (CONSUMER, RELAY_A, 20)):
+            offer = book.make_offer(keys[payer], cid, amount, TAG, 0, LIFETIME_US)
+            chains.append(offer.commitment and (offer.commitment.base, offer.commitment.length))
+            state = book.commit_offer(keys[payee], payer, offer)
+        # The consumer's first chain ends at 100, its balance.  Paid back
+        # 50, it pays up to 120 on a second chain from 60, which holds
+        # its balance of 90 then, and keeps that chain for the last 20.
+        assert chains == [(0, 100), (0, 160), (60, 90), None]
+        assert keys[CONSUMER].chains[(cid, 0)][0] == state.paid[0].commitment
+        ledger.settle(state, book.directory, book.memo)
+        assert (ledger.log[-1]["balance_a"], ledger.log[-1]["balance_b"]) == (10, 190)
+
+    def test_a_chain_holds_at_least_the_words_an_offer_needs(self):
+        ledger, book, keys = fresh_book(balance=5_000)
+        cid = ledger.open_channel(CONSUMER, PRODUCER, 3_000, 0, channel_id=b"big").channel_id
+        offers = [book.make_offer(keys[CONSUMER], cid, n, TAG, 0, LIFETIME_US) for n in (2, 1_500)]
+        # The first chain holds CHAIN_WORDS_MAX words; the second offer
+        # passes its end and starts one long enough for itself.
+        assert [(o.commitment.base, o.commitment.length) for o in offers] == [
+            (0, payment.CHAIN_WORDS_MAX), (0, 1_500)]
+        assert len(keys[CONSUMER].chains[(cid, 0)][1]) == 32 * 1_501
+        state = book.commit_offer(keys[PRODUCER], CONSUMER, offers[1])
+        assert state.balance_of(PRODUCER) == 1_500
+
+    def test_a_lost_commitment_rides_on_the_next_offer(self):
+        _, book, keys = fresh_book()
+        cid = channel_id_for(CONSUMER, RELAY_A)
+        other_tag = (Name((b"other",)), b"\x01" * 8)
+        lost = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
+        assert book.cancel_tag(TAG) == 1
+        retry = book.make_offer(keys[CONSUMER], cid, 10, other_tag, 0, LIFETIME_US)
+        assert retry.commitment == lost.commitment is not None
+        book.commit_offer(keys[RELAY_A], CONSUMER, retry)
+        assert book.make_offer(keys[CONSUMER], cid, 5, TAG, 0, LIFETIME_US).commitment is None
+
+    @staticmethod
+    def _refused(ledger, book, claim, reason):
+        accounts, log = dict(ledger.accounts), list(ledger.log)
+        with pytest.raises(PaymentError) as err:
+            ledger.settle(claim, book.directory, book.memo)
+        assert err.value.reason == reason
+        assert (ledger.accounts, ledger.log) == (accounts, log)
+        assert not ledger.channels[claim.channel_id].settled
+
+    def test_a_lost_word_is_not_settled_over_a_later_commit(self):
+        ledger, book, keys = fresh_book()
+        cid = channel_id_for(CONSUMER, RELAY_A)
+        other_tag = (Name((b"other",)), b"\x01" * 8)
+        lost = book.make_offer(keys[CONSUMER], cid, 12, TAG, 0, LIFETIME_US)
+        assert book.cancel_tag(TAG) == 1
+        paid = book.make_offer(keys[CONSUMER], cid, 5, other_tag, 0, LIFETIME_US)
+        # The payee may hold the word of 12, so 5 is paid on a new chain.
+        assert (lost.commitment.sequence, paid.commitment.sequence) == (1, 2)
+        state = book.commit_offer(keys[RELAY_A], CONSUMER, paid)
+        for chain, reason in ((lost.commitment, "stale-sequence"),
+                              (paid.commitment, "bad-signature")):
+            claim = state.moved(0, Counter(state.sequence + 1, 12, lost.word, chain))
+            self._refused(ledger, book, claim, reason)
+        ledger.settle(state, book.directory, book.memo)
+        assert (ledger.log[-1]["balance_a"], ledger.log[-1]["balance_b"]) == (95, 105)
+
+    def test_a_chain_replaced_at_the_same_base_shares_no_word(self):
+        ledger, book, keys = fresh_book()
+        cid = channel_id_for(CONSUMER, RELAY_A)
+        lost = book.make_offer(keys[CONSUMER], cid, 80, TAG, 0, LIFETIME_US)
+        assert book.cancel_tag(TAG) == 1
+        back = book.make_offer(keys[RELAY_A], cid, 50, TAG, 0, LIFETIME_US)
+        book.commit_offer(keys[CONSUMER], RELAY_A, back)
+        offer = book.make_offer(keys[CONSUMER], cid, 120, TAG, 0, LIFETIME_US)
+        # 120 passes the end of the chain (0, 100), so the consumer, now
+        # holding 150, opens (0, 150).  Had both chains one secret, the
+        # lost word 80, 20 below the first end, would be word 130 here.
+        assert [(c.base, c.length) for c in (lost.commitment, offer.commitment)] == [
+            (0, 100), (0, 150)]
+        state = book.commit_offer(keys[RELAY_A], CONSUMER, offer)
+        for chain, reason in ((offer.commitment, "bad-signature"),
+                              (lost.commitment, "stale-sequence")):
+            claim = state.moved(0, Counter(state.sequence + 1, 130, lost.word, chain))
+            self._refused(ledger, book, claim, reason)
+        ledger.settle(state, book.directory, book.memo)
+        assert (ledger.log[-1]["balance_a"], ledger.log[-1]["balance_b"]) == (30, 170)
+
+
+@given(
+    deposits=st.tuples(st.integers(1, 2_500), st.integers(0, 2_500)),
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, 1),
+            st.integers(1, 1_200),
+            st.sampled_from(("commit", "lose", "tamper")),
+            st.sampled_from(("word", "root", "sig", "amount")),
+            st.integers(0, 31),
+        ),
+        max_size=10,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_honest_offers_commit_and_one_defect_is_refused(deposits, steps):
+    """Random deposits and payments both ways, some lost and some
+    crossing a chain's end: every honest offer commits, one defect in an
+    offer is refused with nothing changed, and settling pays each party
+    its deposit minus what it paid out plus what it was paid.  A lost
+    offer's word settles only when no later offer in its direction
+    committed, as a signature on its sequence would, or when a later
+    offer revealed it again and committed it."""
+    ledger, book, keys = fresh_book(balance=5_000)
+    cid = ledger.open_channel(CONSUMER, RELAY_A, *deposits, channel_id=b"prop").channel_id
+    parties = (CONSUMER, RELAY_A)
+    paid = [0, 0]
+    lost_commitment = [False, False]
+    last_commit = [0, 0]
+    lost = []
+    for i, (direction, want, fate, mutation, at) in enumerate(steps):
+        payer, payee = parties[direction], parties[1 - direction]
+        amount = min(want, book.projected_balance(cid, payer))
+        if amount == 0:
+            continue
+        tag = (Name((b"prop",)), i.to_bytes(8, "big"))
+        offer = book.make_offer(keys[payer], cid, amount, tag, 0, LIFETIME_US)
+        assert offer.commitment is not None or not lost_commitment[direction]
+        if fate == "lose":
+            lost_commitment[direction] |= offer.commitment is not None
+            total = book.state(cid).paid[direction].total + amount
+            chain = keys[payer].chains[(cid, direction)][0]
+            lost.append((direction, offer.sequence, Counter(0, total, offer.word, chain)))
+            assert book.cancel_tag(tag) == 1
+            continue
+        bad = _tampered(offer, mutation, at, book.state(cid).balance_of(payer))
+        if fate == "tamper" and bad is not None:
+            pending = {c: list(q) for c, q in book.pending.items()}
+            before = (book.state(cid), pending, list(ledger.log))
+            with pytest.raises(PaymentError) as err:
+                book.commit_offer(keys[payee], payer, bad)
+            assert err.value.reason == "bad-signature"
+            assert (book.state(cid), book.pending, ledger.log) == before
+        book.commit_offer(keys[payee], payer, offer)
+        paid[direction] += amount
+        lost_commitment[direction] = False
+        last_commit[direction] = offer.sequence
+    assert book.pending == {}
+    final = book.state(cid)
+    for direction, sequence, counter in lost:
+        claim = final.moved(direction, replace(counter, sequence=final.sequence + 1))
+        trial = copy.deepcopy(ledger)
+        committed = replace(final.paid[direction], sequence=counter.sequence)
+        if sequence > last_commit[direction] or counter == committed:
+            trial.settle(claim, book.directory, book.memo)
+        else:
+            with pytest.raises(PaymentError) as err:
+                trial.settle(claim, book.directory, book.memo)
+            assert err.value.reason == "stale-sequence"
+    ledger.settle(final, book.directory, book.memo)
+    assert ledger.log[-1]["balance_a"] == deposits[0] - paid[0] + paid[1]
+    assert ledger.log[-1]["balance_b"] == deposits[1] - paid[1] + paid[0]
 
 
 class TestHopPayments:

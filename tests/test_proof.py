@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tollroute import keys as keys_module
 from tollroute import proof as proof_module
 from tollroute.keys import KeyPair, VerifiedLinks
-from tollroute.payment import update_message
+from tollroute.payment import commitment_message
 from tollroute.proof import (
     ChainFault,
     ProofError,
@@ -313,7 +313,7 @@ class TestVerifiedLinks:
             (hop.signer_pub, chain_message(proof.digest, proof.chain[:i]), hop.sig)
             for i, hop in enumerate(proof.chain)
         ]
-        message = update_message(b"ch:test", 3, 40, 60)
+        message = commitment_message(b"ch:test", 1, 7, 40, 60, bytes(range(32)))
         triples.append((keys[RELAY1].public, message, keys[RELAY1].sign(message)))
         real = []
 

@@ -531,7 +531,8 @@ class TestRelayModes:
 class TestPaymentModes:
     @pytest.mark.parametrize("payment_mode", ["hopbyhop", "payall"])
     def test_one_signature_per_committed_offer_and_chain_link(self, payment_mode, monkeypatch):
-        # The payer signs each offer; the payee commits it unsigned.
+        # A payer signs once per payment chain, not per offer; the payee
+        # commits unsigned.  Each channel here is paid one way by one chain.
         signed = []
         real_sign = KeyPair.sign
 
@@ -546,8 +547,18 @@ class TestPaymentModes:
         assert flow_of(result)["status"] == "done"
         commits = sum(rec["op"] == "update" for rec in result.ledger_records)
         links = sum(ev["event"] == "chunk_signed" for ev in result.trace)
-        assert commits == 16 and links == 4
-        assert len(signed) == commits + links
+        chains = len({rec["channel"] for rec in result.ledger_records if rec["op"] == "update"})
+        assert commits == 16 and links == 4 and chains == 2
+        assert len(signed) == chains + links
+
+    @pytest.mark.parametrize("payment_mode", ["hopbyhop", "payall"])
+    def test_no_pending_entry_outlives_the_fetch(self, payment_mode):
+        doc = line_doc()
+        doc["defaults"]["payment_mode"] = payment_mode
+        sim = Simulator(parse_scenario(doc, source="inline.scn"))
+        result = sim.run()
+        assert flow_of(result)["status"] == "done"
+        assert sim.book.pending == {}
 
     def test_payall_opens_consumer_channels_to_every_hop(self):
         hop = run_doc(line_doc())

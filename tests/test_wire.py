@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tollroute import wire
 from tollroute.wire import (
     BROADCAST,
+    ChainCommitment,
     ChunkProof,
     Data,
     DecodeError,
@@ -57,7 +58,9 @@ def golden_interest() -> Interest:
         hop_info=HopInfo(A1, A2),
         lifetime_ms=4000,
         route=RouteStack((A2, A3)),
-        payment=Payment(b"chan-a", 15, 3, b"\x5a" * 64),
+        payment=Payment(
+            b"chan-a", 15, 3, b"\xa5" * 32, ChainCommitment(2, 0, 64, b"\x3c" * 32, b"\x5a" * 64)
+        ),
     )
 
 
@@ -65,8 +68,13 @@ def reference_golden_bytes() -> bytes:
     name = _t(0x20, b"video") + _t(0x20, b"clip") + _t(0x21, _u64(7))
     hop = _t(0x22, A1.octets) + _t(0x23, A2.octets)
     route = _t(0x24, A2.octets) + _t(0x24, A3.octets)
+    commitment = (
+        _t(0x31, _u64(2)) + _t(0x32, _u64(0)) + _t(0x33, _u64(64)) + _t(0x34, b"\x3c" * 32)
+        + _t(0x35, b"\x5a" * 64)
+    )
     payment = (
-        _t(0x25, b"chan-a") + _t(0x26, _u64(15)) + _t(0x27, _u64(3)) + _t(0x28, b"\x5a" * 64)
+        _t(0x25, b"chan-a") + _t(0x26, _u64(15)) + _t(0x27, _u64(3)) + _t(0x28, b"\xa5" * 32)
+        + _t(0x30, commitment)
     )
     return (
         bytes([0x01])
@@ -296,7 +304,14 @@ _PROOF_FIELDS = [
     (0x29, _u64(0)), (0x2A, _u64(1)), (0x2B, b"\x03" * 32),
     (0x2C, b"".join(_t(t, v) for t, v in _HOP_SIG_FIELDS)),
 ]
-_PAYMENT_FIELDS = [(0x25, b"chan-a"), (0x26, _u64(15)), (0x27, _u64(3)), (0x28, b"\x5a" * 64)]
+_COMMITMENT_FIELDS = [
+    (0x31, _u64(2)), (0x32, _u64(0)), (0x33, _u64(64)), (0x34, b"\x3c" * 32),
+    (0x35, b"\x5a" * 64),
+]
+_PAYMENT_FIELDS = [
+    (0x25, b"chan-a"), (0x26, _u64(15)), (0x27, _u64(3)), (0x28, b"\xa5" * 32),
+    (0x30, b"".join(_t(t, v) for t, v in _COMMITMENT_FIELDS)),
+]
 _HOP_INFO_FIELDS = [(0x22, A1.octets), (0x23, A2.octets)]
 _FRAMES = {
     "Interest": (0x01, [
@@ -366,6 +381,14 @@ def _missing_field_cases():
         bytes([kind]) + _fields_bytes(doctored),
         _value_offset(proof, 0x2C, _value_offset(doctored, 0x18, 1)),
         "HopSignature missing required tag 0x2f", id="HopSignature-0x2f",
+    ))
+    kind, fields = _FRAMES["Interest"]
+    payment = _replace(_PAYMENT_FIELDS, 0x30, _fields_bytes(_drop(_COMMITMENT_FIELDS, 0x34)))
+    doctored = _replace(fields, 0x14, _fields_bytes(payment))
+    cases.append(pytest.param(
+        bytes([kind]) + _fields_bytes(doctored),
+        _value_offset(payment, 0x30, _value_offset(doctored, 0x14, 1)),
+        "ChainCommitment missing required tag 0x34", id="ChainCommitment-0x34",
     ))
     return cases
 
@@ -468,7 +491,33 @@ def _single_defect_cases():
         pytest.param(
             frame("Interest", _replace(interest, 0x14, _fields_bytes(
                 _replace(_PAYMENT_FIELDS, 0x28, b"")))),
-            _at(interest, 4), "payer signature must be 1..255 bytes", id="payer-sig-empty",
+            _at(interest, 4), "payment word must be 32 bytes", id="word-empty",
+        ),
+        pytest.param(
+            frame("Interest", _replace(interest, 0x14, _fields_bytes(
+                _replace(_PAYMENT_FIELDS, 0x28, b"\xa5" * 33)))),
+            _at(interest, 4), "payment word must be 32 bytes", id="word-33",
+        ),
+        pytest.param(
+            frame("Interest", _replace(interest, 0x14, _fields_bytes(_replace(
+                _PAYMENT_FIELDS, 0x30, _fields_bytes(
+                    _replace(_COMMITMENT_FIELDS, 0x34, b"\x3c" * 31)))))),
+            _at(_PAYMENT_FIELDS, 4, _at(interest, 4) + 3), "chain root must be 32 bytes",
+            id="chain-root-31",
+        ),
+        pytest.param(
+            frame("Interest", _replace(interest, 0x14, _fields_bytes(_replace(
+                _PAYMENT_FIELDS, 0x30, _fields_bytes(
+                    _replace(_COMMITMENT_FIELDS, 0x35, b"\x5a" * 63)))))),
+            _at(_PAYMENT_FIELDS, 4, _at(interest, 4) + 3),
+            "commitment signature must be 64 bytes", id="commitment-sig-63",
+        ),
+        pytest.param(
+            frame("Interest", _replace(interest, 0x14, _fields_bytes(_replace(
+                _PAYMENT_FIELDS, 0x30, _fields_bytes(
+                    _replace(_COMMITMENT_FIELDS, 0x33, _u64(64)[1:])))))),
+            _at(_COMMITMENT_FIELDS, 2, _at(_PAYMENT_FIELDS, 4, _at(interest, 4) + 3) + 3),
+            "integer field must be exactly 8 bytes", id="chain-length-7",
         ),
         pytest.param(
             frame("Data", _replace(data, 0x18, _fields_bytes(_replace(
@@ -497,6 +546,50 @@ class TestSingleDefect:
         with pytest.raises(DecodeError) as err:
             decode_packet(buf)
         assert (err.value.offset, err.value.reason) == (offset, reason)
+
+
+# Type invariants that no frame can break, because the decoder yields
+# only u64 integers and NackReason codes and refuses a frame that lacks
+# a required repeated field: only code that builds a value reaches them.
+# (value builder, exact message)
+CONSTRUCTOR_DEFECTS = {
+    "addr-non-hex": (
+        lambda: NodeAddr.parse("00-14-zz-00-00-01"),
+        "bad address '00-14-zz-00-00-01': non-hex octet",
+    ),
+    "chunk-index-negative": (lambda: Name((b"v",), -1), "chunk index out of range"),
+    "route-empty": (lambda: RouteStack(()), "route stack cannot be empty"),
+    "amount-negative": (
+        lambda: Payment(b"c", -1, 0, b"\x00" * 32), "payment amount out of range"),
+    "sequence-2**64": (
+        lambda: Payment(b"c", 0, 2**64, b"\x00" * 32), "payment sequence out of range"),
+    "proof-chain-empty": (
+        lambda: ChunkProof(0, 1, b"\x00" * 32, ()), "proof chain cannot be empty"),
+    "price-negative": (
+        lambda: Data(Name.parse("/v"), b"", HopInfo(A1), route=RouteStack((A2,)), price=-1),
+        "price out of range",
+    ),
+    "reason-int": (
+        lambda: Nack(Name.parse("/v"), b"\x00" * 8, 2), "reason must be a NackReason"),
+}
+
+
+class TestConstructorInvariants:
+    @pytest.mark.parametrize("case", list(CONSTRUCTOR_DEFECTS))
+    def test_exact_message(self, case) -> None:
+        build, message = CONSTRUCTOR_DEFECTS[case]
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_reprs_show_the_text_form(self) -> None:
+        assert repr(A1) == "NodeAddr('00-14-00-00-00-01')"
+        assert repr(Name.parse("/video/clip/seg=7")) == "Name('/video/clip/seg=7')"
+
+    def test_only_packets_encode(self) -> None:
+        with pytest.raises(EncodeError) as err:
+            encode_packet(HopInfo(A1))
+        assert str(err.value) == "not a packet: HopInfo"
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +687,18 @@ def random_packet(rng: random.Random):
             local = random_addr(rng)
         payment = None
         if route is not None and rng.random() < 0.5:
+            commitment = None
+            if rng.random() < 0.5:
+                commitment = ChainCommitment(
+                    rng.randrange(0, 2**32), rng.randrange(0, 2**40), rng.randrange(0, 2**12),
+                    rng.randbytes(32), rng.randbytes(64),
+                )
             payment = Payment(
                 channel_id=rng.randbytes(rng.randint(1, 16)),
                 amount=rng.randrange(0, 2**40),
                 sequence=rng.randrange(0, 2**32),
-                payer_sig=rng.randbytes(64),
+                word=rng.randbytes(32),
+                commitment=commitment,
             )
         return Interest(
             name=random_name(rng),

@@ -39,10 +39,10 @@ class KeyPair:
     _private: Ed25519PrivateKey = field(repr=False, compare=False)
     memo: VerifiedLinks | None = field(default=None, repr=False, compare=False)
     public: bytes = field(init=False)
-    # The live payment chain, as its commitment, its words and the
-    # highest total revealed on it, of each (channel id, direction) it
-    # pays over.
-    chains: dict[tuple[bytes, int], tuple[ChainCommitment, bytes, int]] = field(
+    # The live payment chain of each (channel id, direction) it pays
+    # over, as its commitment, its words from the total `start` on, the
+    # highest total revealed on it and `start`.
+    chains: dict[tuple[bytes, int], tuple[ChainCommitment, bytes, int, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 

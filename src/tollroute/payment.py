@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from hashlib import sha256
 from typing import Callable
 
@@ -88,7 +89,8 @@ class ChannelState:
 
     @property
     def sequence(self) -> int:
-        return max(self.paid[0].sequence, self.paid[1].sequence)
+        a, b = self.paid
+        return a.sequence if a.sequence > b.sequence else b.sequence
 
     @property
     def balance_a(self) -> int:
@@ -140,35 +142,43 @@ def _hashes_to(word: bytes, steps: int, target: bytes) -> bool:
     return word == target
 
 
+# Each paid hop asks for its channel's id; a run's node pairs bound the memo.
+@lru_cache(maxsize=1 << 14)
 def channel_id_for(a: NodeAddr, b: NodeAddr, kind: str = "ch") -> bytes:
     lo, hi = sorted((a, b))
     return f"{kind}:{lo}:{hi}".encode("ascii")
 
 
 def chain_word(
-    key: KeyPair, state: ChannelState, total: int, sequence: int
+    key: KeyPair, state: ChannelState, direction: int, total: int, sequence: int
 ) -> tuple[bytes, ChainCommitment]:
-    """The word by which `key.owner` pays `total` in all over the channel
-    at `sequence`, and its chain: the key's live chain for this
-    direction, or a new one signed now that starts at the committed total
-    and replaces it.  A new chain is needed when `total` passes the live
-    one's end, and when it is below the highest total revealed on it:
-    the payee may hold that word, and would collect it over the lower
-    one revealed later."""
-    direction = state.direction(key.owner)
+    """The word by which `key.owner`, paying into counter `direction`,
+    pays `total` in all over the channel at `sequence`, and its chain:
+    the key's live chain for this direction, or a new one signed now that
+    starts at the committed total and replaces it.  A new chain is needed
+    when `total` passes the live one's end, and when it is below the
+    highest total revealed on it: the payee may hold that word, and would
+    collect it over the lower one revealed later.  So no word below
+    `total` is revealed again, and the key drops them from its copy of a
+    live chain once they fill half of it."""
     base = state.paid[direction].total
     slot = (state.channel_id, direction)
-    commitment, words, revealed = key.chains.get(slot) or (None, b"", 0)
-    end = commitment.base + commitment.length if commitment else -1
-    if not (commitment and commitment.base <= base and revealed <= total <= end):
-        length = max(min(state.balance_of(key.owner), CHAIN_WORDS_MAX), total - base)
+    live = key.chains.get(slot)
+    if live and live[0].base <= base and live[2] <= total <= live[0].base + live[0].length:
+        commitment, words, _, start = live
+        spent = (total - start) * DIGEST_LEN
+        if 2 * spent > len(words):
+            words, start = words[spent:], total
+    else:
+        balance = state.balance_b if direction else state.balance_a
+        length = max(min(balance, CHAIN_WORDS_MAX), total - base)
         label = chain_label(state.channel_id, direction, sequence, base, length)
         words = key.hash_chain(label, length)
         root = words[:DIGEST_LEN]
-        sig = key.sign(label + root)
-        commitment = ChainCommitment(sequence, base, length, root, sig)
-    key.chains[slot] = (commitment, words, total)
-    at = (total - commitment.base) * DIGEST_LEN
+        commitment = ChainCommitment(sequence, base, length, root, key.sign(label + root))
+        start = base
+    key.chains[slot] = (commitment, words, total, start)
+    at = (total - start) * DIGEST_LEN
     return words[at : at + DIGEST_LEN], commitment
 
 
@@ -181,7 +191,7 @@ def channel_update(state: ChannelState, delta_to_b: int, key_a: KeyPair) -> Chan
     if key_a.owner != state.party_a:
         raise PaymentError("not-a-party", "key does not match party a")
     total = state.paid[0].total + delta_to_b
-    word, commitment = chain_word(key_a, state, total, state.sequence + 1)
+    word, commitment = chain_word(key_a, state, 0, total, state.sequence + 1)
     return state.moved(0, Counter(state.sequence + 1, total, word, commitment))
 
 
@@ -291,13 +301,15 @@ class Ledger:
         )
         return state
 
-    def note_update(self, state: ChannelState, payer: NodeAddr, amount: int) -> None:
-        """Record `state`, an off-chain update by `payer` that supersedes
-        the channel's committed state, as the new committed state."""
+    def note_update(self, state: ChannelState, direction: int, amount: int) -> None:
+        """Record `state`, an off-chain update that raised the counter of
+        `direction` by `amount` and supersedes the channel's committed
+        state, as the new committed state."""
         chan = self.channels.get(state.channel_id)
         if chan is None or chan.settled:
             raise PaymentError("unknown-channel", state.channel_id.decode("ascii", "replace"))
         chan.state = state
+        parties = (state.party_a, state.party_b)
         self.log.append(
             {
                 "op": "update",
@@ -305,8 +317,8 @@ class Ledger:
                 "sequence": state.sequence,
                 "balance_a": state.balance_a,
                 "balance_b": state.balance_b,
-                "payer": str(payer),
-                "payee": str(state.peer_of(payer)),
+                "payer": str(parties[direction]),
+                "payee": str(parties[1 - direction]),
                 "amount": amount,
             }
         )
@@ -366,7 +378,7 @@ class Ledger:
 @dataclass
 class PendingOffer:
     sequence: int
-    payer: NodeAddr
+    direction: int  # of the counter its payer pays into
     amount: int
     tag: OfferTag
     expires_us: int
@@ -379,7 +391,10 @@ class ChannelBook:
     Offers reserve the payer's balance so concurrent flows cannot promise
     the same tokens twice; the reservation dissolves on commit, on a Nack
     for the offer's flow tag, or when the offer outlives its Interest.
-    Committed state lives only on the ledger.
+    `reserved` keeps each payer's reserved total per channel, keyed by
+    (channel id, direction), as offers come and go, so checking a
+    balance never re-sums a queue.  Committed state lives only on the
+    ledger.
     """
 
     def __init__(self, ledger: Ledger, directory: KeyDirectory, memo: VerifiedLinks) -> None:
@@ -387,6 +402,7 @@ class ChannelBook:
         self.directory = directory
         self.memo = memo
         self.pending: dict[bytes, list[PendingOffer]] = {}
+        self.reserved: dict[tuple[bytes, int], int] = {}
         self._issued: dict[bytes, int] = {}
 
     def state(self, channel_id: bytes) -> ChannelState:
@@ -399,18 +415,10 @@ class ChannelBook:
     def projected_balance(self, channel_id: bytes, party: NodeAddr) -> int:
         """Committed balance minus what this party has promised in
         still-pending offers."""
-        committed = self.state(channel_id).balance_of(party)
-        reserved = sum(
-            o.amount for o in self.pending.get(channel_id, []) if o.payer == party
-        )
-        return committed - reserved
-
-    def _next_sequence(self, channel_id: bytes) -> int:
-        # Cancelled offers leave holes: a sequence, once issued, is never
-        # reused, so a stale offer can never pass for a new one.
-        nxt = max(self.state(channel_id).sequence, self._issued.get(channel_id, 0)) + 1
-        self._issued[channel_id] = nxt
-        return nxt
+        state = self.state(channel_id)
+        direction = state.direction(party)
+        reserved = self.reserved.get((channel_id, direction), 0)
+        return (state.balance_b if direction else state.balance_a) - reserved
 
     def make_offer(
         self,
@@ -427,20 +435,24 @@ class ChannelBook:
         if amount <= 0:
             raise PaymentError("bad-amount", "offers must move at least one token")
         state = self.state(channel_id)
-        if self.projected_balance(channel_id, payer) < amount:
-            raise PaymentError(
-                "insufficient-funds",
-                f"{payer} projected {self.projected_balance(channel_id, payer)} < {amount}",
-            )
-        seq = self._next_sequence(channel_id)
-        committed = state.paid[state.direction(payer)]
-        word, commitment = chain_word(key, state, committed.total + amount, seq)
+        direction = state.direction(payer)
+        reserved = self.reserved.get((channel_id, direction), 0)
+        projected = (state.balance_b if direction else state.balance_a) - reserved
+        if projected < amount:
+            raise PaymentError("insufficient-funds", f"{payer} projected {projected} < {amount}")
+        # Cancelled offers leave holes: a sequence, once issued, is never
+        # reused, so a stale offer can never pass for a new one.
+        seq = max(state.sequence, self._issued.get(channel_id, 0)) + 1
+        self._issued[channel_id] = seq
+        committed = state.paid[direction]
+        word, commitment = chain_word(key, state, direction, committed.total + amount, seq)
         # The commitment rides along until the payee holds a word on its chain.
         carried = None if committed.commitment == commitment else commitment
         payment = Payment(channel_id, amount, seq, word, carried)
         self.pending.setdefault(channel_id, []).append(
-            PendingOffer(seq, payer, amount, tag, now + lifetime_us)
+            PendingOffer(seq, direction, amount, tag, now + lifetime_us)
         )
+        self.reserved[channel_id, direction] = reserved + amount
         return payment
 
     def commit_offer(self, key: KeyPair, payer: NodeAddr, payment: Payment) -> ChannelState:
@@ -448,24 +460,28 @@ class ChannelBook:
         word pays its committed total plus the amount, and store it as the
         payer's counter.  Raises without mutating on any defect."""
         payee = key.owner
-        state = self.state(payment.channel_id)
-        if state.peer_of(payer) != payee:
-            raise PaymentError("not-a-party", f"{payee} on {payment.channel_id!r}")
+        cid = payment.channel_id
+        state = self.state(cid)
+        direction = state.direction(payer)
+        if (state.party_a if direction else state.party_b) != payee:
+            raise PaymentError("not-a-party", f"{payee} on {cid!r}")
         if payment.sequence <= state.sequence:
             raise PaymentError(
                 "stale-sequence", f"{payment.sequence} <= committed {state.sequence}"
             )
         if payment.amount <= 0:
             raise PaymentError("bad-amount", "zero payment")
-        if state.balance_of(payer) < payment.amount:
-            raise PaymentError(
-                "overdraw", f"{payer} holds {state.balance_of(payer)} < {payment.amount}"
-            )
-        direction = state.direction(payer)
+        balance = state.balance_b if direction else state.balance_a
+        if balance < payment.amount:
+            raise PaymentError("overdraw", f"{payer} holds {balance} < {payment.amount}")
         old = state.paid[direction]
         total = old.total + payment.amount
         chain = payment.commitment or old.commitment
-        committed = state.moved(direction, Counter(payment.sequence, total, payment.word, chain))
+        counter = Counter(payment.sequence, total, payment.word, chain)
+        paid = (state.paid[0], counter) if direction else (counter, state.paid[1])
+        committed = ChannelState(
+            cid, state.party_a, state.party_b, state.deposit_a, state.deposit_b, paid
+        )
         if payment.commitment is not None:
             valid = payer_committed(committed, direction, self.directory, self.memo)
         else:
@@ -478,16 +494,20 @@ class ChannelBook:
             )
         if not valid:
             raise PaymentError("bad-signature", f"offer seq {payment.sequence} by {payer}")
-        self.ledger.note_update(committed, payer, payment.amount)
-        if old.commitment is not None and old.commitment != chain:
+        self.ledger.note_update(committed, direction, payment.amount)
+        if old.commitment not in (None, chain):
             # The ledger refuses a superseded counter before it checks
             # commitments, so this one can never be checked again.
-            message = _message_of(payment.channel_id, direction, old.commitment)
+            message = _message_of(cid, direction, old.commitment)
             self.memo.discard(self.directory[payer], message, old.commitment.sig)
-        self._keep_queue(
-            payment.channel_id,
-            [o for o in self.pending.get(payment.channel_id, ()) if o.sequence != payment.sequence],
-        )
+        queue = self.pending.get(cid, ())
+        for i, offer in enumerate(queue):
+            if offer.sequence == payment.sequence:
+                del queue[i]
+                self.reserved[cid, offer.direction] -= offer.amount
+                break
+        if not queue:
+            self.pending.pop(cid, None)
         return committed
 
     def cancel_tag(self, tag: OfferTag) -> int:
@@ -502,17 +522,18 @@ class ChannelBook:
         """Drop every pending offer that `keep` rejects; returns how many."""
         dropped = 0
         for cid, queue in list(self.pending.items()):
-            kept = [o for o in queue if keep(o)]
+            kept = []
+            for offer in queue:
+                if keep(offer):
+                    kept.append(offer)
+                else:
+                    self.reserved[cid, offer.direction] -= offer.amount
             dropped += len(queue) - len(kept)
-            self._keep_queue(cid, kept)
+            # A channel with no pending offer has no entry.
+            queue[:] = kept
+            if not kept:
+                del self.pending[cid]
         return dropped
-
-    def _keep_queue(self, channel_id: bytes, queue: list[PendingOffer]) -> None:
-        """Store a channel's pending offers; a channel with none has no entry."""
-        if queue:
-            self.pending[channel_id] = queue
-        else:
-            self.pending.pop(channel_id, None)
 
     def settle_all(self) -> int:
         """Settle every still-open ledger channel at its committed state,
@@ -597,7 +618,7 @@ def consumer_pay_all(
         if amount <= 0:
             continue
         node = node_key.owner
-        cid = channel_id_for(consumer, node, kind="pay")
+        cid = channel_id_for(consumer, node, "pay")
         if cid not in book.ledger.channels:
             funding = max(deposit, amount)
             to_open.append((node, cid, funding))

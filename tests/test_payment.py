@@ -145,8 +145,8 @@ class TestLedger:
         old = book.state(cid)
         s1 = channel_update(old, 10, keys[CONSUMER])
         s2 = channel_update(s1, 5, keys[CONSUMER])
-        ledger.note_update(s1, CONSUMER, 10)
-        ledger.note_update(s2, CONSUMER, 5)
+        ledger.note_update(s1, 0, 10)
+        ledger.note_update(s2, 0, 5)
         #.. the payee tries to roll back to the state that favored it less,
         # or the payer replays the richer old state: both are stale.
         with pytest.raises(PaymentError) as err:
@@ -543,6 +543,20 @@ class TestChannelBook:
             Counter(9, 15, offer.word, offer.commitment))
         assert book.make_offer(keys[CONSUMER], cid, 5, TAG, 0, LIFETIME_US).sequence == 10
 
+    def test_a_commit_releases_the_reservation_of_the_offer_it_removes(self):
+        # The payee commits a payment the other party's book never issued,
+        # at the sequence of a pending offer of its own: the offer leaves
+        # the queue and its own payer's reservation goes with it.
+        _, book, keys = fresh_book()
+        cid = channel_id_for(CONSUMER, RELAY_A)
+        book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
+        commitment, words = _chain(RELAY_A, cid, 1, 0)
+        payment = Payment(cid, 5, 1, _word(words, 5), commitment)
+        state = book.commit_offer(keys[CONSUMER], RELAY_A, payment)
+        assert cid not in book.pending
+        assert book.projected_balance(cid, CONSUMER) == state.balance_of(CONSUMER) == 105
+        assert book.projected_balance(cid, RELAY_A) == state.balance_of(RELAY_A) == 95
+
     def test_offer_must_move_a_token(self):
         _, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
@@ -818,6 +832,88 @@ def test_honest_offers_commit_and_one_defect_is_refused(deposits, steps):
     assert ledger.log[-1]["balance_b"] == deposits[1] - paid[1] + paid[0]
 
 
+def _reservations_hold(book, cids):
+    """Whether the running reserved total of each payer on each channel
+    is the sum of its pending offers there, and its projected balance
+    its committed one less that sum."""
+    for cid in cids:
+        state = book.state(cid)
+        for direction, payer in enumerate((state.party_a, state.party_b)):
+            queue = book.pending.get(cid, [])
+            summed = sum(o.amount for o in queue if o.direction == direction)
+            if book.reserved.get((cid, direction), 0) != summed:
+                return False
+            if book.projected_balance(cid, payer) != state.balance_of(payer) - summed:
+                return False
+    return True
+
+
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(("offer", "commit", "tamper", "cancel", "purge")),
+            st.integers(0, 1),  # channel
+            st.integers(0, 1),  # direction
+            st.integers(0, 120),  # amount
+            st.integers(0, 2),  # flow tag
+            st.integers(0, 9),  # which offer; lifetime
+        ),
+        max_size=30,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_running_reservation_equals_the_resummed_queue(steps):
+    """Offers made, committed, refused, tampered with, cancelled and
+    expired on two channels both ways: after every step each payer's
+    running reserved total on each channel is the sum of its pending
+    offers there, and a refused offer or commit leaves it as it was."""
+    _, book, keys = fresh_book()
+    cids = [channel_id_for(CONSUMER, RELAY_A), channel_id_for(RELAY_A, RELAY_B)]
+    tags = [(Name((b"flow",)), bytes([t]) * 8) for t in range(3)]
+    offers = []
+    for now, (op, channel, direction, amount, t, pick) in enumerate(steps):
+        before = dict(book.reserved)
+        cid = cids[channel]
+        payer = (book.state(cid).party_a, book.state(cid).party_b)[direction]
+        try:
+            if op == "offer":
+                offer = book.make_offer(keys[payer], cid, amount, tags[t], now, 1 + pick)
+                offers.append((book.state(cid).peer_of(payer), payer, offer))
+            elif op == "purge":
+                book.purge_expired(now)
+            elif op == "cancel":
+                book.cancel_tag(tags[t])
+            elif offers:
+                payee, payer, offer = offers[pick % len(offers)]
+                if op == "tamper":
+                    offer = replace(offer, word=_flip(offer.word, pick))
+                book.commit_offer(keys[payee], payer, offer)
+        except PaymentError:
+            assert book.reserved == before
+        assert _reservations_hold(book, cids)
+    for tag in tags:
+        book.cancel_tag(tag)
+    assert not any(book.reserved.values()) and book.pending == {}
+
+
+def test_a_payer_keeps_only_the_unrevealed_part_of_its_chain():
+    """Over a long run of small paid offers, each checked by its payee,
+    the payer's copy of its live chain is never larger than twice the
+    words from its highest revealed total to its end."""
+    ledger, book, keys = fresh_book(balance=5_000)
+    cid = ledger.open_channel(CONSUMER, PRODUCER, 3_000, 0, channel_id=b"long").channel_id
+    trimmed = 0
+    for _ in range(700):
+        offer = book.make_offer(keys[CONSUMER], cid, 3, TAG, 0, LIFETIME_US)
+        book.commit_offer(keys[PRODUCER], CONSUMER, offer)
+        commitment, words, revealed, start = keys[CONSUMER].chains[(cid, 0)]
+        end = commitment.base + commitment.length
+        assert commitment.base <= start <= revealed
+        assert len(words) == 32 * (end - start + 1) <= 2 * 32 * (end - revealed + 1)
+        trimmed += start > commitment.base
+    assert trimmed and book.state(cid).balance_of(PRODUCER) == 2_100
+
+
 class TestHopPayments:
     def test_relay_commits_and_forwards_remainder(self):
         _, book, keys = fresh_book()
@@ -958,7 +1054,7 @@ class TestConservation:
                 state = live[cid]
                 delta = rng.randrange(0, state.balance_a + 1)
                 state = channel_update(state, delta, keys[state.party_a])
-                ledger.note_update(state, state.party_a, delta)
+                ledger.note_update(state, 0, delta)
                 live[cid] = state
             elif live:
                 cid = rng.choice(list(live))

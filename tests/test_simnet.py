@@ -725,6 +725,107 @@ SINGLE_DEFECTS = {
         lambda d: d["links"].append([R, "02-00-00-00-00"]),
         ["links[2][1]: bad address '02-00-00-00-00': want six dash-separated octets"],
     ),
+    "defaults-not-mapping": (
+        lambda d: d.update(defaults=[1]),
+        ["defaults must be a mapping"],
+    ),
+    "default-keepalive-timeout-below-period": (
+        lambda d: d["defaults"].update(keepalive_timeout_ms=50),
+        ["defaults: keepalive_timeout_ms must be >= keepalive_period_ms"],
+    ),
+    "serve-not-mapping": (
+        lambda d: (d["nodes"][2].update(serves=["x"]), d.update(schedule=[])),
+        ["nodes[2].serves[0] must be a mapping"],
+    ),
+    "serve-missing-field": (
+        lambda d: (d["nodes"][2]["serves"][0].pop("chunks"), d.update(schedule=[])),
+        ["nodes[2].serves[0].chunks must be an integer, got None"],
+    ),
+    "nodes-empty": (
+        lambda d: d.update(nodes=[], links=[], schedule=[]),
+        ["nodes must be a non-empty list"],
+    ),
+    "node-not-mapping": (
+        lambda d: d["nodes"].append(7),
+        ["nodes[3] must be a mapping"],
+    ),
+    "node-missing-addr": (
+        lambda d: d["nodes"].append({"cost": 1}),
+        ["nodes[3].addr must be a string address, got None"],
+    ),
+    "node-broadcast-addr": (
+        lambda d: d["nodes"].append({"addr": "ff-ff-ff-ff-ff-ff"}),
+        ["nodes[3].addr must not be the broadcast address"],
+    ),
+    "node-duplicate": (
+        lambda d: d["nodes"].append({"addr": R}),
+        [f"nodes[3]: duplicate node {R}"],
+    ),
+    "node-serves-not-list": (
+        lambda d: d["nodes"][1].update(serves="x"),
+        ["nodes[1].serves must be a list"],
+    ),
+    "links-not-list": (
+        # The link action then names a link nobody declared.
+        lambda d: d.update(links={}),
+        ["links must be a list", f"schedule[1]: no declared link {A} <-> {R}"],
+    ),
+    "link-bad-shape": (
+        lambda d: d["links"].append([A]),
+        ["links[2] must be [a, b], [a, b, latency_ms] or [a, b, latency_ms, drop]"],
+    ),
+    "link-unknown-node": (
+        lambda d: d["links"].append([A, "02-00-00-00-00-ff"]),
+        ["links[2]: unknown node 02-00-00-00-00-ff"],
+    ),
+    "link-bad-latency": (
+        lambda d: d["links"][1].append(0),
+        ["links[1] latency_ms must be >= 1, got 0"],
+    ),
+    "link-bad-drop": (
+        lambda d: d["links"][1].extend([5, 1.0]),
+        ["links[1] drop rate must be in [0, 1)"],
+    ),
+    "link-duplicate": (
+        lambda d: d["links"].append([R, A]),
+        [f"links[2]: duplicate link {R} <-> {A}"],
+    ),
+    "schedule-not-list": (
+        lambda d: d.update(schedule={}),
+        ["schedule must be a list"],
+    ),
+    "schedule-entry-not-mapping": (
+        lambda d: d["schedule"].append(3),
+        ["schedule[2] must be a mapping"],
+    ),
+    "schedule-missing-at": (
+        lambda d: d["schedule"][0].pop("at_ms"),
+        ["schedule[0].at_ms must be an integer, got None"],
+    ),
+    "fetch-unknown-node": (
+        lambda d: d["schedule"][0].update(node="02-00-00-00-00-ff"),
+        ["schedule[0]: unknown node 02-00-00-00-00-ff"],
+    ),
+    "fetch-single-packet": (
+        lambda d: d["schedule"][0].update(name="/line/data/seg=1"),
+        ["schedule[0].name must be a prefix, not a single packet"],
+    ),
+    "fetch-duplicate": (
+        lambda d: d["schedule"].append(dict(d["schedule"][0], at_ms=300)),
+        [f"schedule[2]: duplicate fetch of /line/data at {A}"],
+    ),
+    "link-action-up-not-bool": (
+        lambda d: d["schedule"][1].update(up="no"),
+        ["schedule[1].up must be true or false"],
+    ),
+    "link-action-undeclared-link": (
+        lambda d: d["schedule"][1].update(b=P),
+        [f"schedule[1]: no declared link {A} <-> {P}"],
+    ),
+    "schedule-bad-action": (
+        lambda d: d["schedule"][1].update(action="warp"),
+        ["schedule[1].action must be 'fetch' or 'link', got 'warp'"],
+    ),
 }
 
 
@@ -785,6 +886,29 @@ class TestValidation:
         with pytest.raises(ScenarioError) as err:
             replace(poor, defaults=replace(poor.defaults, payment_mode="hopbyhop"))
         assert len(err.value.problems) == 3
+
+    def test_a_document_must_be_a_mapping(self):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario([line_doc()])
+        assert err.value.problems == ["scenario must be a mapping"]
+
+    def test_links_and_schedule_may_be_absent(self):
+        doc = line_doc()
+        del doc["links"], doc["schedule"]
+        scenario = parse_scenario(doc)
+        assert (scenario.links, scenario.schedule) == ((), ())
+
+    def test_an_unreadable_or_malformed_file_is_one_problem(self, tmp_path):
+        missing = tmp_path / "missing.scn"
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(missing))
+        assert err.value.problems == [f"cannot read {missing}: No such file or directory"]
+        broken = tmp_path / "broken.scn"
+        broken.write_text("nodes: [unclosed\n", encoding="utf-8")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(broken))
+        [problem] = err.value.problems
+        assert problem.startswith(f"{broken}: not valid YAML: ")
 
 
 class TestAuditor:

@@ -22,11 +22,12 @@ def audit_run(scenario: Scenario, trace: Iterable[dict], ledger: list[dict]) -> 
 
     Reads each trace record once, so `trace` may be a one-shot iterator.
     Violations come in trace order, then the ledger's.  A discovery
-    reply's price must equal the summed costs of the nodes on its route,
-    excluding the addressee at the top; a silent neighbor must be
-    declared dead within timeout + one beacon period of its last sign of
-    life; a source-routed decision requires the named hop alive and a
-    min-cost decision requires it dead or absent.
+    reply's route must name only the scenario's nodes, and its price must
+    equal the summed costs of the nodes on that route, excluding the
+    addressee at the top; a silent neighbor must be declared dead within
+    timeout + one beacon period of its last sign of life; a source-routed
+    decision requires the named hop alive and a min-cost decision requires
+    it dead or absent.
     """
     broadcast = str(BROADCAST)
     cost = {str(spec.addr): spec.cost for spec in scenario.nodes}
@@ -45,10 +46,14 @@ def audit_run(scenario: Scenario, trace: Iterable[dict], ledger: list[dict]) -> 
                     flag(rec, f"data {rec['name']} sent to broadcast")
                 if rec.get("discovery"):
                     route = rec.get("route", [])
-                    expected = sum(cost[hop] for hop in route[1:])
-                    if rec.get("price") != expected:
-                        flag(rec, f"discovery {rec['name']} price {rec.get('price')} "
-                                  f"!= {expected} for route {route}")
+                    unknown = [hop for hop in route if hop not in cost]
+                    if unknown:
+                        flag(rec, f"discovery {rec['name']} route names unknown nodes {unknown}")
+                    else:
+                        expected = sum(cost[hop] for hop in route[1:])
+                        if rec.get("price") != expected:
+                            flag(rec, f"discovery {rec['name']} price {rec.get('price')} "
+                                      f"!= {expected} for route {route}")
             if "route" in rec and len(set(rec["route"])) != len(rec["route"]):
                 flag(rec, f"looping route {rec['route']} on {rec.get('kind')} {rec.get('name')}")
         elif event == "neighbor_dead":

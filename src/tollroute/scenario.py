@@ -114,6 +114,7 @@ class LinkSpec:
     b: NodeAddr
     latency_ms: int
     drop_rate: float = 0.0
+    corrupt_rate: float = 0.0
 
     @property
     def key(self) -> tuple[NodeAddr, NodeAddr]:
@@ -299,6 +300,14 @@ def _parse_nodes(check: _Check, raw) -> list[NodeSpec]:
     return nodes
 
 
+def _parse_rate(check: _Check, value, what: str) -> float | None:
+    """A per-frame probability in [0, 1); None after a problem."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 <= value < 1:
+        check.fail(f"{what} must be in [0, 1)")
+        return None
+    return float(value)
+
+
 def _parse_links(check: _Check, raw, known: set[NodeAddr], defaults: Defaults) -> list[LinkSpec]:
     if raw is None:
         return []
@@ -309,8 +318,9 @@ def _parse_links(check: _Check, raw, known: set[NodeAddr], defaults: Defaults) -
     seen_pairs: set[tuple[NodeAddr, NodeAddr]] = set()
     for i, entry in enumerate(raw):
         where = f"links[{i}]"
-        if not isinstance(entry, list) or not 2 <= len(entry) <= 4:
-            check.fail(f"{where} must be [a, b], [a, b, latency_ms] or [a, b, latency_ms, drop]")
+        if not isinstance(entry, list) or not 2 <= len(entry) <= 5:
+            check.fail(f"{where} must be [a, b], [a, b, latency_ms], [a, b, latency_ms, drop]"
+                       " or [a, b, latency_ms, drop, corrupt]")
             continue
         a = _parse_text(check, NodeAddr, entry[0], f"{where}[0]")
         b = _parse_text(check, NodeAddr, entry[1], f"{where}[1]")
@@ -329,14 +339,13 @@ def _parse_links(check: _Check, raw, known: set[NodeAddr], defaults: Defaults) -
             latency = check.expect_int(entry[2], f"{where} latency_ms", minimum=1)
             if latency is None:
                 continue
-        drop = 0.0
-        if len(entry) == 4:
-            drop = entry[3]
-            if not isinstance(drop, (int, float)) or isinstance(drop, bool) or not 0 <= drop < 1:
-                check.fail(f"{where} drop rate must be in [0, 1)")
-                continue
-            drop = float(drop)
-        link = LinkSpec(a, b, latency, drop)
+        rates = [
+            _parse_rate(check, rate, f"{where} {what} rate")
+            for rate, what in zip(entry[3:], ("drop", "corrupt"))
+        ]
+        if None in rates:
+            continue
+        link = LinkSpec(a, b, latency, *rates)
         if link.key in seen_pairs:
             check.fail(f"{where}: duplicate link {a} <-> {b}")
             continue

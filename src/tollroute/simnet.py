@@ -11,9 +11,10 @@ Determinism rules, enforced throughout:
 * every event carries a (time, seq) key, seq assigned at scheduling
 * all randomness flows from per-identity generators derived by hashing
   the scenario seed, never from shared or global state
-* every sent packet is encoded, so a packet the wire cannot carry fails
-  its send as it would in a deployment; the codec is canonical, so a
-  packet arrives as itself
+* a sent packet arrives as itself: every wire bound holds where a
+  packet is built, and the codec is canonical, so encoding it would
+  change nothing; only a frame that a corrupting link alters is encoded,
+  and its receiver decodes the altered bytes
 
 Run twice with the same scenario, the simulator produces byte-identical
 traces, reports, and ledger logs.
@@ -68,11 +69,22 @@ class Link:
     b: NodeAddr
     latency_us: int
     drop_rate: float
+    corrupt_rate: float
     up: bool
     rng: random.Random
 
     def drops(self) -> bool:
         return self.drop_rate > 0.0 and self.rng.random() < self.drop_rate
+
+    def corrupts(self) -> bool:
+        return self.corrupt_rate > 0.0 and self.rng.random() < self.corrupt_rate
+
+    def corrupt(self, pkt: Packet) -> bytes:
+        """pkt's frame with one byte XORed by a non-zero mask; the offset
+        and the mask come from the link's generator."""
+        frame = bytearray(encode_packet(pkt))
+        frame[self.rng.randrange(len(frame))] ^= self.rng.randrange(1, 256)
+        return bytes(frame)
 
 
 @dataclass
@@ -189,6 +201,7 @@ class Simulator:
                 b=ls.key[1],
                 latency_us=ls.latency_ms * MS,
                 drop_rate=ls.drop_rate,
+                corrupt_rate=ls.corrupt_rate,
                 up=True,
                 rng=derive_rng(scenario.seed, "link", str(ls.key[0]), str(ls.key[1])),
             )
@@ -238,10 +251,10 @@ class Simulator:
 
     def transmit(self, src: NodeAddr, action: Send) -> None:
         pkt = action.packet
-        # Encoded only as a check: a packet the wire cannot carry raises
-        # EncodeError here, as its send would in a deployment.
-        encode_packet(pkt)
-        self.emit(src, "tx", to=str(action.to), **_frame_fields(pkt))
+        # Every record of this frame, sent or received intact, shares one
+        # set of fields.
+        fields = _frame_fields(pkt)
+        self.emit(src, "tx", to=str(action.to), **fields)
         if action.to.is_broadcast:
             targets = self.neighbors[src]
         else:
@@ -250,13 +263,22 @@ class Simulator:
             link = self.link_between(src, action.to)
             targets = () if link is None else ((action.to, link),)
         for peer, link in targets:
-            if link.up and not link.drops():
-                self.at(self.now + link.latency_us, self._arrive, peer, src, pkt)
+            if not link.up or link.drops():
+                continue
+            arrival = self.now + link.latency_us
+            if link.corrupts():
+                self.at(arrival, self._arrive, peer, src, link.corrupt(pkt))
+            else:
+                self.at(arrival, self._arrive, peer, src, pkt, fields)
 
-    def _arrive(self, dst: NodeAddr, src: NodeAddr, pkt: Packet | bytes) -> None:
+    def _arrive(
+        self, dst: NodeAddr, src: NodeAddr, pkt: Packet | bytes, fields: dict | None = None
+    ) -> None:
+        """`fields` are the sender's trace fields of an intact frame; a
+        frame that a link altered arrives as bytes, without them."""
         if isinstance(pkt, bytes):
-            # Only a frame that may differ from the sent packet arrives as
-            # bytes, and only it is decoded.
+            # Whatever still decodes is delivered: proof chains and payment
+            # words are what catch an alteration.
             try:
                 pkt = decode_packet(pkt)
             except DecodeError as err:
@@ -264,7 +286,9 @@ class Simulator:
                 self.nodes[dst].counters["dropped_corrupt"] += 1
                 self.emit(dst, "rx_corrupt", src=str(src), offset=err.offset, reason=err.reason)
                 return
-        self.emit(dst, "rx", src=str(src), **_frame_fields(pkt))
+        if fields is None:
+            fields = _frame_fields(pkt)
+        self.emit(dst, "rx", src=str(src), **fields)
         for action in self.nodes[dst].on_packet(pkt, self.now):
             self.transmit(dst, action)
 
@@ -345,6 +369,10 @@ class Simulator:
             return False
         # The route below the consumer: next hop first, producer last.
         hops = pkt.route.hops[1:]
+        if not all(hop in self.nodes for hop in hops):
+            # Only an altered frame names a node the run does not have,
+            # and a route through one can be neither paid nor used.
+            return False
         if any(c.hops == hops for c in flow.candidates):
             return True
         if len(flow.candidates) < self.defaults.candidate_paths:

@@ -7,7 +7,8 @@ fields that are absent omit their TLV entirely, fields appear in strictly
 ascending tag order, and fixed-width values (addresses, nonces, integers,
 digests, chain words, signatures) have exact lengths.  Decoding enforces
 all of that, so any byte string the decoder accepts re-encodes to the
-identical bytes.
+identical bytes.  Each value type checks its size bound where it is
+built, so every packet that constructs also encodes.
 
 Each wire type's layout is written once, as a schema of rows at the end
 of this module, and both directions walk it.  docs/wire-format.md lists
@@ -29,8 +30,18 @@ DIGEST_LEN = 32
 PUBKEY_LEN = 32
 SIG_LEN = 64
 
-# A field value must fit the 2-byte TLV length.
+# A field value must fit the 2-byte TLV length.  Every type whose encoding
+# can grow checks this bound where it is built, so no value that
+# constructs is too large to encode; the limits below follow from it.
 MAX_FIELD_LEN = 0xFFFF
+TLV_HEADER_LEN = 3
+# A route hop is one address TLV.
+MAX_ROUTE_HOPS = MAX_FIELD_LEN // (TLV_HEADER_LEN + ADDR_LEN)
+# A proof is two u64 TLVs and a digest TLV, then one TLV per chain link
+# nesting the signer's address, public key and signature TLVs.
+_PROOF_FIXED_LEN = 3 * TLV_HEADER_LEN + 8 + 8 + DIGEST_LEN
+_PROOF_LINK_LEN = 4 * TLV_HEADER_LEN + ADDR_LEN + PUBKEY_LEN + SIG_LEN
+MAX_CHAIN_LINKS = (MAX_FIELD_LEN - _PROOF_FIXED_LEN) // _PROOF_LINK_LEN
 
 CHANNEL_ID_MAX = 64
 U64_MAX = 2**64 - 1
@@ -151,11 +162,17 @@ class Name:
     def __post_init__(self) -> None:
         if not self.components:
             raise ValueError("name needs at least one component")
+        size = TLV_HEADER_LEN * len(self.components)
         for comp in self.components:
             if not isinstance(comp, bytes) or not comp:
                 raise ValueError("name components must be non-empty byte strings")
-        if self.chunk_index is not None and not 0 <= self.chunk_index <= U64_MAX:
-            raise ValueError("chunk index out of range")
+            size += len(comp)
+        if self.chunk_index is not None:
+            if not 0 <= self.chunk_index <= U64_MAX:
+                raise ValueError("chunk index out of range")
+            size += TLV_HEADER_LEN + 8
+        if size > MAX_FIELD_LEN:
+            raise ValueError(f"name encodes to {size} bytes, over {MAX_FIELD_LEN}")
 
     @classmethod
     def parse(cls, uri: str) -> "Name":
@@ -218,6 +235,8 @@ class RouteStack:
     def __post_init__(self) -> None:
         if not self.hops:
             raise ValueError("route stack cannot be empty")
+        if len(self.hops) > MAX_ROUTE_HOPS:
+            raise ValueError(f"route stack of {len(self.hops)} hops exceeds {MAX_ROUTE_HOPS}")
         for a, b in zip(self.hops, self.hops[1:]):
             if a == b:
                 raise ValueError("route stack has two adjacent equal addresses")
@@ -319,6 +338,8 @@ class ChunkProof:
             raise ValueError("proof digest must be 32 bytes")
         if not self.chain:
             raise ValueError("proof chain cannot be empty")
+        if len(self.chain) > MAX_CHAIN_LINKS:
+            raise ValueError(f"proof chain of {len(self.chain)} links exceeds {MAX_CHAIN_LINKS}")
 
 
 class NackReason(IntEnum):
@@ -376,6 +397,8 @@ class Data:
     proof: ChunkProof | None = None
 
     def __post_init__(self) -> None:
+        if len(self.payload) > MAX_FIELD_LEN:
+            raise ValueError(f"payload of {len(self.payload)} bytes exceeds {MAX_FIELD_LEN}")
         if (self.route is None) != (self.price is None):
             raise ValueError("route and price travel together on discovery Data")
         if self.price is not None and not 0 <= self.price <= U64_MAX:
@@ -508,10 +531,6 @@ class _Schema:
                 continue
             for item in field if repeatable else (field,):
                 item = encode(item)
-                if len(item) > MAX_FIELD_LEN:
-                    raise EncodeError(
-                        f"field 0x{tag:02x} value of {len(item)} bytes exceeds 65535"
-                    )
                 parts.append(_HEADER.pack(tag, len(item)))
                 parts.append(item)
         return b"".join(parts)
@@ -648,7 +667,8 @@ def encode_hop_signature(hop_sig: HopSignature) -> bytes:
 def encode_packet(packet: Packet) -> bytes:
     """Deterministic canonical byte string for a packet.
 
-    Raises EncodeError if any single field value exceeds 65,535 bytes.
+    Every field fits its 2-byte TLV length by construction, so only a
+    value that is not a packet raises EncodeError.
     """
     tag = _PACKET_TAGS.get(type(packet))
     if tag is None:

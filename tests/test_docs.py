@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from tollroute.cli import _resolve_scenario
-from tollroute.scenario import Defaults, NodeSpec, ServeSpec
+from tollroute.scenario import Defaults, LinkSpec, NodeSpec, ServeSpec
 from tollroute.simnet import run_scenario
 from tollroute.tables import NodeTables
 from tollroute.wire import Name, NodeAddr
@@ -45,6 +45,14 @@ class TestScenarioDoc:
     def test_serve_keys(self):
         doc = [row[0] for row in _doc_table("scenario-format.md", "Each `serves` entry:")]
         assert doc == _names(ServeSpec)
+
+    def test_link_forms_add_one_field_each(self):
+        lines = (DOCS / "scenario-format.md").read_text(encoding="utf-8").splitlines()
+        section = lines[lines.index("## links") + 1:]
+        section = section[:next(i for i, line in enumerate(section) if line.startswith("## "))]
+        forms = [line.strip() for line in section if line.startswith("    [")]
+        names = _names(LinkSpec)
+        assert forms == [f"[{', '.join(names[:n])}]" for n in range(2, len(names) + 1)]
 
 
 class TestRunArtifactsDoc:

@@ -5,10 +5,11 @@ report, trace and ledger bytes for each bundled scenario, and for a few
 larger generated scenarios, under both payment modes.  A change that
 alters behaviour on purpose updates the table and says why.
 
-The simulator hands each receiver the packet object its sender sent.
-Every run here also decodes each sent packet's frame and checks that it
-is that packet, so the pins also prove that every packet survives the
-wire.
+The simulator hands each receiver the packet object its sender sent,
+and encodes only a frame that a corrupting link alters.  Every run here
+also encodes and decodes each packet handed to the medium and checks
+that it comes back as that packet, so the pins also prove that every
+packet survives the wire.
 """
 
 import hashlib
@@ -195,13 +196,14 @@ PINNED_GENERATED = {
 
 @pytest.fixture(autouse=True)
 def every_sent_packet_survives_the_wire(monkeypatch):
-    def encode_and_check(pkt):
-        frame = encode_packet(pkt)
-        decoded = decode_packet(frame)
-        assert decoded == pkt and type(decoded) is type(pkt)
-        return frame
+    transmit = simnet.Simulator.transmit
 
-    monkeypatch.setattr(simnet, "encode_packet", encode_and_check)
+    def check_and_transmit(sim, src, action):
+        decoded = decode_packet(encode_packet(action.packet))
+        assert decoded == action.packet and type(decoded) is type(action.packet)
+        transmit(sim, src, action)
+
+    monkeypatch.setattr(simnet.Simulator, "transmit", check_and_transmit)
 
 
 def _digests(result) -> tuple[str, str, str]:

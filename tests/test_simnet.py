@@ -15,7 +15,7 @@ from tollroute.keys import KeyPair
 from tollroute.scenario import ScenarioError, content_bytes, load_scenario, parse_scenario
 from tollroute.simnet import Simulator, run_scenario
 from tollroute.wire import (
-    Data, EncodeError, HopInfo, Interest, Nack, NackReason, Name, NodeAddr, encode_packet,
+    Data, HopInfo, Interest, Nack, NackReason, Name, NodeAddr, RouteStack, encode_packet,
 )
 
 BUNDLED = Path(str(resources.files("tollroute") / "scenarios"))
@@ -278,17 +278,77 @@ class TestLossAndChurn:
         assert audit_run(scenario, result.trace, result.ledger_records) == []
 
     def test_packet_the_wire_cannot_carry_fails_its_send(self):
-        # The medium delivers the packet object, but still encodes it, so a
-        # field over the 2-byte TLV length fails the send outright.
+        # The medium never encodes an intact frame: a payload over the
+        # 2-byte TLV length fails where its Data is built, so no such
+        # packet reaches a send, and the largest one goes out whole.
         sim = Simulator(parse_scenario(line_doc(), source="inline.scn"))
         a, r = NodeAddr.parse(A), NodeAddr.parse(R)
-        huge = Data(name=Name.parse("/line/data/seg=0"), payload=b"x" * 70_000,
-                    hop_info=HopInfo(a, r))
-        trace, heap = list(sim.trace), list(sim._heap)
-        with pytest.raises(EncodeError, match="field 0x16 value of 70000 bytes exceeds 65535"):
-            sim.transmit(a, forwarding.Send(r, huge))
-        assert sim.trace == trace
-        assert sim._heap == heap
+        name, hop_info = Name.parse("/line/data/seg=0"), HopInfo(a, r)
+        with pytest.raises(ValueError, match="payload of 70000 bytes exceeds 65535"):
+            Data(name=name, payload=b"x" * 70_000, hop_info=hop_info)
+        largest = Data(name=name, payload=b"x" * 65_535, hop_info=hop_info)
+        sim.transmit(a, forwarding.Send(r, largest))
+        assert sim.trace[-1]["event"] == "tx"
+        arrivals = [args for _t, _seq, fn, args in sim._heap if fn == sim._arrive]
+        assert [args[:3] for args in arrivals] == [(r, a, largest)]
+
+    @pytest.mark.parametrize("mode", ["hopbyhop", "payall"])
+    def test_corrupting_link_alters_frames_reproducibly(self, mode, monkeypatch):
+        encoded, altered = [], []
+        encode, corrupt = simnet.encode_packet, simnet.Link.corrupt
+
+        def counting_encode(pkt):
+            encoded.append(pkt)
+            return encode(pkt)
+
+        def recording_corrupt(link, pkt):
+            frame = corrupt(link, pkt)
+            altered.append((encode(pkt), frame))
+            return frame
+
+        monkeypatch.setattr(simnet, "encode_packet", counting_encode)
+        monkeypatch.setattr(simnet.Link, "corrupt", recording_corrupt)
+        doc = line_doc(duration_ms=10000)
+        doc["defaults"].update(interest_lifetime_ms=400, payment_mode=mode)
+        doc["links"] = [[A, R, 5, 0.0, 0.2], [R, P, 5, 0.0, 0.2]]
+        first = run_doc(doc)
+        assert len(encoded) == len(altered) > 0
+        for sent, frame in altered:
+            assert len(frame) == len(sent)
+            assert sum(x != y for x, y in zip(sent, frame)) == 1
+        second = run_doc(doc)
+        assert first.trace_bytes() == second.trace_bytes()
+        assert first.report_bytes() == second.report_bytes()
+        assert first.ledger_bytes() == second.ledger_bytes()
+        undecodable = [ev for ev in first.trace if ev["event"] == "rx_corrupt"]
+        counted = sum(n.get("dropped_corrupt", 0) for n in first.report["nodes"].values())
+        # Some altered frames fail to decode, and the rest are delivered.
+        assert 0 < len(undecodable) == counted < len(altered)
+        assert first.report["ledger"]["conserved"]
+
+    def test_zero_corrupt_rate_draws_nothing(self):
+        doc = line_doc()
+        doc["links"] = [[A, R, 5, 0, 0], [R, P, 5, 0.0, 0.0]]
+        sim = Simulator(parse_scenario(doc, source="inline.scn"))
+        fresh = [link.rng.getstate() for link in sim.links.values()]
+        result = sim.run()
+        assert [link.rng.getstate() for link in sim.links.values()] == fresh
+        assert result.trace_bytes() == run_doc(line_doc()).trace_bytes()
+
+    def test_altered_route_through_an_unknown_node_is_no_candidate(self):
+        # Pay-all pays every hop with that node's key, so a route naming
+        # a node the run does not have cannot be paid.
+        doc = line_doc()
+        doc["defaults"]["payment_mode"] = "payall"
+        sim = Simulator(parse_scenario(doc, source="inline.scn"))
+        flow = simnet.Flow(NodeAddr.parse(A), Name.parse("/line/data"), 8,
+                           sim.nodes[NodeAddr.parse(P)].serves[0], 0)
+        ghost = NodeAddr.parse("02-00-00-00-00-ff")
+        answer = Data(name=flow.name, payload=b"", hop_info=HopInfo(NodeAddr.parse(R)),
+                      route=RouteStack((NodeAddr.parse(A), NodeAddr.parse(R), ghost)),
+                      price=3)
+        assert sim._on_path(flow, answer) is False
+        assert flow.candidates == []
 
     def test_downed_link_loses_frames_silently(self):
         # Cut the link mid-flow: Interests already committed to it are
@@ -772,7 +832,8 @@ SINGLE_DEFECTS = {
     ),
     "link-bad-shape": (
         lambda d: d["links"].append([A]),
-        ["links[2] must be [a, b], [a, b, latency_ms] or [a, b, latency_ms, drop]"],
+        ["links[2] must be [a, b], [a, b, latency_ms], [a, b, latency_ms, drop]"
+         " or [a, b, latency_ms, drop, corrupt]"],
     ),
     "link-unknown-node": (
         lambda d: d["links"].append([A, "02-00-00-00-00-ff"]),
@@ -785,6 +846,10 @@ SINGLE_DEFECTS = {
     "link-bad-drop": (
         lambda d: d["links"][1].extend([5, 1.0]),
         ["links[1] drop rate must be in [0, 1)"],
+    ),
+    "link-bad-corrupt": (
+        lambda d: d["links"][1].extend([5, 0.0, 1.0]),
+        ["links[1] corrupt rate must be in [0, 1)"],
     ),
     "link-duplicate": (
         lambda d: d["links"].append([R, A]),
@@ -943,6 +1008,15 @@ class TestAuditor:
                 )
         assert expected
         assert audit_run(scenario, trace, []) == expected
+
+    def test_discovery_route_through_an_unknown_node_is_flagged(self):
+        # A corrupting link can alter a route hop into an address no node has.
+        ghost = "02-00-00-00-00-ff"
+        reply = {"t": 4, "node": R, "event": "tx", "kind": "data", "name": "/line/data",
+                 "discovery": True, "to": A, "route": [A, R, ghost], "price": 3}
+        assert audit_run(self.scenario(), [reply], []) == [
+            f"t=4 node={R}: discovery /line/data route names unknown nodes {[ghost]}"
+        ]
 
     def test_looping_route_is_flagged(self):
         trace = [LOOPING_INTEREST]

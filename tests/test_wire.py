@@ -204,6 +204,37 @@ class TestPacketInvariants:
 # encoding limits
 
 
+_LINK = HopSignature(A3, b"\x01" * 32, b"\x02" * 64)
+
+# Each bound on a field's size, held where its value is built: a packet
+# whose bounded field is n bytes, hops or links, the largest n the 2-byte
+# TLV length carries, and the error one more gives.
+FIELD_BOUNDS = {
+    "payload": (
+        lambda n: Data(Name.parse("/big"), b"\xab" * n, HopInfo(A1, A2)),
+        65_535, "payload of 65536 bytes exceeds 65535",
+    ),
+    "name": (
+        lambda n: Data(Name((b"v", b"c" * (n - 7))), b"", HopInfo(A1, A2)),
+        65_535, "name encodes to 65536 bytes, over 65535",
+    ),
+    "name-with-index": (
+        lambda n: Data(Name((b"c" * (n - 14),), 7), b"", HopInfo(A1, A2)),
+        65_535, "name encodes to 65536 bytes, over 65535",
+    ),
+    "route-hops": (
+        lambda n: Data(Name.parse("/v"), b"", HopInfo(A1),
+                       route=RouteStack(((A2, A3) * n)[:n]), price=0),
+        7_281, "route stack of 7282 hops exceeds 7281",
+    ),
+    "proof-chain-links": (
+        lambda n: Data(Name.parse("/v"), b"", HopInfo(A1, A2),
+                       proof=ChunkProof(0, 1, b"\x00" * 32, (_LINK,) * n)),
+        574, "proof chain of 575 links exceeds 574",
+    ),
+}
+
+
 class TestEncodeLimits:
     def test_overlay_maximum_payload_encodes(self) -> None:
         # 65,507 bytes: the largest payload one UDP datagram can carry.
@@ -212,9 +243,20 @@ class TestEncodeLimits:
         assert decode_packet(buf) == d
 
     def test_oversized_field_raises(self) -> None:
-        d = Data(Name.parse("/big"), b"\xab" * 65_536, HopInfo(A1, A2))
-        with pytest.raises(EncodeError):
-            encode_packet(d)
+        # The bound holds where the value is built, so encoding never meets it.
+        with pytest.raises(ValueError, match="payload of 65536 bytes exceeds 65535"):
+            Data(Name.parse("/big"), b"\xab" * 65_536, HopInfo(A1, A2))
+
+    @pytest.mark.parametrize("case", list(FIELD_BOUNDS))
+    def test_largest_value_round_trips_and_one_more_raises(self, case) -> None:
+        build, largest, message = FIELD_BOUNDS[case]
+        packet = build(largest)
+        buf = encode_packet(packet)
+        assert decode_packet(buf) == packet
+        assert encode_packet(decode_packet(buf)) == buf
+        with pytest.raises(ValueError) as err:
+            build(largest + 1)
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -446,8 +446,10 @@ class ChannelBook:
         self._issued[channel_id] = seq
         committed = state.paid[direction]
         word, commitment = chain_word(key, state, direction, committed.total + amount, seq)
-        # The commitment rides along until the payee holds a word on its chain.
-        carried = None if committed.commitment == commitment else commitment
+        # The commitment rides along until the payee holds a word on its
+        # chain.  Honest paths hold the very object; a decoded copy compares.
+        held = committed.commitment
+        carried = None if held is commitment or held == commitment else commitment
         payment = Payment(channel_id, amount, seq, word, carried)
         self.pending.setdefault(channel_id, []).append(
             PendingOffer(seq, direction, amount, tag, now + lifetime_us)

@@ -15,6 +15,9 @@ Determinism rules, enforced throughout:
   packet is built, and the codec is canonical, so encoding it would
   change nothing; only a frame that a corrupting link alters is encoded,
   and its receiver decodes the altered bytes
+* no artifact depends on hash or set order: addresses and names hash
+  as their bytes and fields, which PYTHONHASHSEED varies, and
+  tests/test_hashseed.py runs bundled scenarios under two seeds
 
 Run twice with the same scenario, the simulator produces byte-identical
 traces, reports, and ledger logs.
@@ -56,6 +59,7 @@ from .wire import (
 )
 
 MS = 1_000  # microseconds per millisecond
+_NO_FRAME: dict = {}  # the frame fields of a record that is not a frame's; never written
 
 
 def derive_rng(seed: int, *parts: str) -> random.Random:
@@ -234,12 +238,12 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap, (time_us, self._seq, fn, args))
 
-    def emit(self, origin: NodeAddr | str, event: str, **fields) -> None:
+    def emit(self, origin: NodeAddr | str, event: str, frame: dict = _NO_FRAME, /,
+             **fields) -> None:
         # Events about a specific node pass node=... in fields, which
-        # wins over the origin tag; "sim" marks global happenings.
-        record = {"t": self.now, "node": str(origin), "event": event}
-        record.update(fields)
-        self.trace.append(record)
+        # wins over the origin tag; "sim" marks global happenings.  A
+        # frame's tx and rx records also carry its shared `frame` fields.
+        self.trace.append({"t": self.now, "node": str(origin), "event": event, **fields, **frame})
 
     def link_between(self, a: NodeAddr, b: NodeAddr) -> Link | None:
         return self.links.get((a, b) if a < b else (b, a))
@@ -254,7 +258,7 @@ class Simulator:
         # Every record of this frame, sent or received intact, shares one
         # set of fields.
         fields = _frame_fields(pkt)
-        self.emit(src, "tx", to=str(action.to), **fields)
+        self.emit(src, "tx", fields, to=str(action.to))
         if action.to.is_broadcast:
             targets = self.neighbors[src]
         else:
@@ -288,7 +292,7 @@ class Simulator:
                 return
         if fields is None:
             fields = _frame_fields(pkt)
-        self.emit(dst, "rx", src=str(src), **fields)
+        self.emit(dst, "rx", fields, src=str(src))
         for action in self.nodes[dst].on_packet(pkt, self.now):
             self.transmit(dst, action)
 

@@ -21,7 +21,6 @@ import struct
 from dataclasses import dataclass, fields
 from enum import IntEnum
 from functools import cached_property
-from operator import attrgetter
 from typing import Any, Callable, NamedTuple
 
 ADDR_LEN = 6
@@ -109,16 +108,21 @@ class DecodeError(WireError):
 # value types
 
 
-@dataclass(frozen=True, order=True)
-class NodeAddr:
+class NodeAddr(bytes):
     """Six-octet link address.  All-0xFF is the broadcast sentinel and is
-    never a node's own address.  Ordering is plain byte order."""
+    never a node's own address.
 
-    octets: bytes
+    An address value is its six octets: it compares, hashes and orders as
+    those bytes (in C), so ordering is plain byte order and an address
+    equals its `octets`.  No table mixes addresses with other 6-byte keys:
+    nonces are 8 bytes and channel ids longer."""
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.octets, bytes) or len(self.octets) != ADDR_LEN:
+    def __new__(cls, octets: bytes) -> "NodeAddr":
+        if not isinstance(octets, bytes) or len(octets) != ADDR_LEN:
             raise ValueError("address must be exactly 6 octets")
+        return super().__new__(cls, octets)
+
+    octets = property(bytes)  # read-only, as plain bytes
 
     @classmethod
     def parse(cls, text: str) -> "NodeAddr":
@@ -135,14 +139,14 @@ class NodeAddr:
 
     @cached_property
     def _text(self) -> str:
-        return self.octets.hex("-")
+        return self.hex("-")
 
     def __repr__(self) -> str:
         return f"NodeAddr({str(self)!r})"
 
     @property
     def is_broadcast(self) -> bool:
-        return self.octets == b"\xff" * ADDR_LEN
+        return self == BROADCAST
 
 
 BROADCAST = NodeAddr(b"\xff" * ADDR_LEN)
@@ -199,6 +203,22 @@ class Name:
 
     def __repr__(self) -> str:
         return f"Name({str(self)!r})"
+
+    # Names key the PIT, the FIB, content stores and flows: hash once, and
+    # compare the fields directly rather than as dataclass-built tuples.
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Name:
+            return NotImplemented
+        return self.chunk_index == other.chunk_index and self.components == other.components
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.components, self.chunk_index))
 
     @property
     def prefix(self) -> "Name":
@@ -488,7 +508,7 @@ def _dec_reason(buf: bytes, vstart: int, vend: int, off: int) -> NackReason:
 
 
 _U64 = _Kind(_U64_STRUCT.pack, _dec_u64)
-_ADDR = _Kind(attrgetter("octets"), _dec_addr)
+_ADDR = _Kind(_raw, _dec_addr)
 _BYTES = _Kind(_raw, _dec_bytes)
 _COMPONENT = _Kind(_raw, _dec_component)
 _NONCE = _Kind(_raw, _dec_nonce)

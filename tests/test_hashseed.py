@@ -55,12 +55,17 @@ def test_bad_defaults_are_reported_in_field_order():
 
 
 def test_run_artifacts_are_identical_across_hash_seeds(tmp_path):
-    outs = []
-    for seed in HASH_SEEDS:
-        out = tmp_path / f"hash-{seed}"
-        _python(seed, "-m", "tollroute.cli", "run", "diamond.scn", "--out", str(out),
-                cwd=tmp_path)
-        outs.append(out)
-    for artifact in ("report.json", "trace.jsonl", "ledger.jsonl"):
-        first, second = ((out / artifact).read_bytes() for out in outs)
-        assert first and first == second, artifact
+    # Addresses hash as their bytes and names as their fields, so any set
+    # or dict of them iterates in a seed-dependent order; no artifact may
+    # follow it.  mesh10 spreads flows over many relays, churn takes
+    # links down and up.
+    for scenario in ("diamond.scn", "mesh10.scn", "churn.scn"):
+        outs = []
+        for seed in HASH_SEEDS:
+            out = tmp_path / f"{scenario}-hash-{seed}"
+            _python(seed, "-m", "tollroute.cli", "run", scenario, "--out", str(out),
+                    cwd=tmp_path)
+            outs.append(out)
+        for artifact in ("report.json", "trace.jsonl", "ledger.jsonl"):
+            first, second = ((out / artifact).read_bytes() for out in outs)
+            assert first and first == second, f"{scenario} {artifact}"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from pathlib import Path
 
@@ -122,6 +124,35 @@ class TestNodeAddr:
         assert A1 < A3 < A2
         assert min([A2, A3, A1]) == A1
 
+    @given(st.binary(min_size=6, max_size=6), st.binary(min_size=6, max_size=6))
+    @settings(max_examples=200)
+    def test_value_is_its_octets(self, x: bytes, y: bytes) -> None:
+        a, b = NodeAddr(x), NodeAddr(y)
+        assert (a == b) == (x == y)
+        assert hash(a) == hash(x)
+        assert (a < b) == (x < y)
+        assert [s.octets for s in sorted([a, b])] == sorted([x, y])
+        assert NodeAddr.parse(str(a)) == a
+        assert a == a.octets == x
+
+    @pytest.mark.parametrize("bad", [bytearray(6), "abcdef", b"\x00" * 5, b"\x00" * 7])
+    def test_only_six_bytes_construct(self, bad) -> None:
+        with pytest.raises(ValueError, match="^address must be exactly 6 octets$"):
+            NodeAddr(bad)
+
+    @pytest.mark.parametrize("clone", [lambda a: pickle.loads(pickle.dumps(a)), copy.deepcopy])
+    def test_copies_stay_addresses(self, clone) -> None:
+        str(A1)  # a cached text form travels with the copy
+        copied = clone(A1)
+        assert type(copied) is NodeAddr
+        assert copied == A1
+        assert str(copied) == str(A1) == "00-14-00-00-00-01"
+
+    def test_octets_are_read_only(self) -> None:
+        with pytest.raises(AttributeError):
+            A1.octets = A2.octets
+        assert A1.octets == bytes.fromhex("001400000001")
+
 
 class TestName:
     def test_uri_round_trip(self) -> None:
@@ -134,6 +165,28 @@ class TestName:
         n = Name.parse("/a/b/seg=3")
         assert n.prefix == Name.parse("/a/b")
         assert n.prefix.prefix == n.prefix
+
+    def test_equal_fields_equal_names(self) -> None:
+        indexed = Interest(Name.parse("/v/c/seg=4"), b"n" * 8, HopInfo(A1), 4000)
+        decoded = decode_packet(encode_packet(indexed)).name
+        built = [Name.parse("/v/c/seg=4"), Name.parse("/v/c").with_index(4),
+                 Name((b"v", b"c"), 9).with_index(4), decoded]
+        for name in built:
+            assert name == built[0] and hash(name) == hash(built[0])
+        bare = [Name.parse("/v/c"), built[0].prefix, decoded.prefix, Name((b"v", b"c"))]
+        for name in bare:
+            assert name == bare[0] and hash(name) == hash(bare[0])
+        assert built[0] != bare[0]
+        assert built[0] != Name.parse("/v/c/seg=5")
+        assert built[0] != Name.parse("/v/d/seg=4")
+        assert bare[0] != Name.parse("/v/c/d")
+        assert len({*built, *bare}) == 2
+
+    def test_never_equals_other_types(self) -> None:
+        n = Name.parse("/v/c")
+        assert n != (b"v", b"c")
+        assert not n == ((b"v", b"c"), None)
+        assert n != "/v/c"
 
     def test_empty_rejected(self) -> None:
         with pytest.raises(ValueError):

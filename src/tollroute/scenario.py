@@ -19,6 +19,11 @@ from .wire import Name, NodeAddr
 
 SCHEMA_VERSION = 1
 
+# libyaml scans and parses in C where PyYAML was built with it; both
+# loaders construct with the same SafeConstructor and Resolver, so they
+# give the same document.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 RELAY_MODES = ("cutthrough", "storeforward")
 PAYMENT_MODES = ("hopbyhop", "payall")
 _MODES = {"relay_mode": RELAY_MODES, "payment_mode": PAYMENT_MODES}
@@ -468,7 +473,7 @@ def parse_scenario(doc, source: str = "<inline>") -> Scenario:
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, _LOADER)
     except OSError as exc:
         raise ScenarioError([f"cannot read {path}: {exc.strerror or exc}"]) from exc
     except yaml.YAMLError as exc:

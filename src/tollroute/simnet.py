@@ -30,7 +30,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 from .forwarding import ForwardingEngine, Send
 from .keys import KeyPair, VerifiedLinks
@@ -75,7 +75,13 @@ class Link:
     drop_rate: float
     corrupt_rate: float
     up: bool
-    rng: random.Random
+    seed: int  # the scenario's
+
+    @cached_property
+    def rng(self) -> random.Random:
+        # Seeded on the first draw, so a link that never drops or
+        # corrupts never seeds a generator.
+        return derive_rng(self.seed, "link", str(self.a), str(self.b))
 
     def drops(self) -> bool:
         return self.drop_rate > 0.0 and self.rng.random() < self.drop_rate
@@ -159,12 +165,17 @@ class RunResult:
         return _json_lines(self.ledger_records)
 
 
-# One encoder for every JSON line; json.dumps would build one per record.
-_json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# One C encoder for every JSON line, built as json.dumps(sort_keys=True,
+# separators=(",", ":")) builds one per call.  No cycle markers: a record
+# is a tree the simulator built.
+_json_line = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+    ":", ",", True, False, True,
+)
 
 
 def _json_lines(records: list[dict]) -> bytes:
-    return "".join([_json_line(rec) + "\n" for rec in records]).encode()
+    return "".join(["".join(_json_line(rec, 0)) + "\n" for rec in records]).encode()
 
 
 class Simulator:
@@ -184,7 +195,7 @@ class Simulator:
         self.book = ChannelBook(self.ledger, self.directory, self.verified_links)
 
         self.nodes: dict[NodeAddr, ForwardingEngine] = {}
-        self._rngs: dict[NodeAddr, random.Random] = {}
+        self._rngs: dict[NodeAddr, random.Random] = {}  # seeded on a node's first nonce
         for spec in scenario.nodes:
             self.ledger.mint(spec.addr, self.defaults.account_balance)
             key = KeyPair.from_seed(spec.addr, str(scenario.seed).encode(), self.verified_links)
@@ -193,7 +204,6 @@ class Simulator:
                 spec, self.defaults, key, self.book, partial(self.emit, str(spec.addr)),
                 partial(self._deliver, spec.addr),
             )
-            self._rngs[spec.addr] = derive_rng(scenario.seed, "node", str(spec.addr))
 
         self.links: dict[tuple[NodeAddr, NodeAddr], Link] = {}
         self.neighbors: dict[NodeAddr, list[tuple[NodeAddr, Link]]] = {
@@ -207,7 +217,7 @@ class Simulator:
                 drop_rate=ls.drop_rate,
                 corrupt_rate=ls.corrupt_rate,
                 up=True,
-                rng=derive_rng(scenario.seed, "link", str(ls.key[0]), str(ls.key[1])),
+                seed=scenario.seed,
             )
             self.links[ls.key] = link
             self.neighbors[link.a].append((link.b, link))
@@ -249,7 +259,10 @@ class Simulator:
         return self.links.get((a, b) if a < b else (b, a))
 
     def fresh_nonce(self, addr: NodeAddr) -> bytes:
-        return self._rngs[addr].getrandbits(64).to_bytes(8, "big")
+        rng = self._rngs.get(addr)
+        if rng is None:
+            rng = self._rngs[addr] = derive_rng(self.scenario.seed, "node", str(addr))
+        return rng.getrandbits(64).to_bytes(8, "big")
 
     # -- the medium ----------------------------------------------------
 

@@ -107,6 +107,8 @@ class DecodeError(WireError):
 # ---------------------------------------------------------------------------
 # value types
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
 
 class NodeAddr(bytes):
     """Six-octet link address.  All-0xFF is the broadcast sentinel and is
@@ -129,10 +131,12 @@ class NodeAddr(bytes):
         parts = text.split("-")
         if len(parts) != ADDR_LEN or not all(len(p) == 2 for p in parts):
             raise ValueError(f"bad address {text!r}: want six dash-separated octets")
-        try:
-            return cls(bytes(int(p, 16) for p in parts))
-        except ValueError:
-            raise ValueError(f"bad address {text!r}: non-hex octet") from None
+        digits = "".join(parts)
+        # bytes.fromhex alone would skip whitespace, and int() takes signs
+        # and non-ASCII digits.
+        if not _HEX_DIGITS.issuperset(digits):
+            raise ValueError(f"bad address {text!r}: non-hex octet")
+        return cls(bytes.fromhex(digits))
 
     def __str__(self) -> str:
         return self._text

@@ -85,9 +85,16 @@ class TestDeterminism:
         assert all(isinstance(ev["t"], int) for ev in result.trace)
 
     def test_json_lines_match_one_dumps_per_record(self):
-        records = run_doc(line_doc()).trace + [
+        payall = line_doc()
+        payall["defaults"]["payment_mode"] = "payall"
+        records = run_doc(line_doc()).trace + run_doc(payall).ledger_records + [
             {"z": [1, 2.5, None], "a": {"y": True, "b": "é\u2028\n"}, "m": -0.0},
             {},
+            {2: "two", True: "yes", False: [False]},
+            {"big": 2**70, "neg": -(2**70)},
+            {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")},
+            {"hops": [{"b": 1, "a": [{}]}, {"c": None}]},
+            {"näme": "/vidéo", "\u6f22": 1},
         ]
         expected = b"".join(
             json.dumps(rec, sort_keys=True, separators=(",", ":")).encode() + b"\n"
@@ -95,6 +102,14 @@ class TestDeterminism:
         )
         assert simnet._json_lines(records) == expected
         assert simnet._json_lines([]) == b""
+
+    def test_json_lines_refuse_an_unserializable_value_as_json_does(self):
+        record = {"ok": 1, "bad": {1, 2}}
+        with pytest.raises(TypeError) as ours:
+            simnet._json_lines([record])
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(record, sort_keys=True, separators=(",", ":"))
+        assert str(ours.value) == str(theirs.value) == "Object of type set is not JSON serializable"
 
 
 class TestVerifiedLinks:
@@ -330,10 +345,26 @@ class TestLossAndChurn:
         doc = line_doc()
         doc["links"] = [[A, R, 5, 0, 0], [R, P, 5, 0.0, 0.0]]
         sim = Simulator(parse_scenario(doc, source="inline.scn"))
-        fresh = [link.rng.getstate() for link in sim.links.values()]
         result = sim.run()
-        assert [link.rng.getstate() for link in sim.links.values()] == fresh
+        # A generator is seeded on its first draw: no link here ever
+        # seeds one, and only the consumer draws nonces.
+        assert not any("rng" in vars(link) for link in sim.links.values())
+        assert list(sim._rngs) == [NodeAddr.parse(A)]
         assert result.trace_bytes() == run_doc(line_doc()).trace_bytes()
+
+    def test_a_generator_seeded_on_first_draw_is_the_derived_one(self):
+        doc = line_doc()
+        doc["links"] = [[A, R, 5, 0.2, 0.1], [R, P, 5]]
+        sim = Simulator(parse_scenario(doc, source="inline.scn"))
+        sim.run()
+        lossy, clean = sim.links.values()
+        assert "rng" in vars(lossy) and "rng" not in vars(clean)
+        fresh = Simulator(parse_scenario(doc, source="inline.scn"))
+        a = NodeAddr.parse(A)
+        assert fresh.fresh_nonce(a) == (
+            simnet.derive_rng(7, "node", A).getrandbits(64).to_bytes(8, "big"))
+        assert fresh.link_between(a, NodeAddr.parse(R)).rng.getstate() == (
+            simnet.derive_rng(7, "link", A, R).getstate())
 
     def test_altered_route_through_an_unknown_node_is_no_candidate(self):
         # Pay-all pays every hop with that node's key, so a route naming
@@ -780,6 +811,10 @@ SINGLE_DEFECTS = {
     "link-action-bad-address": (
         lambda d: d["schedule"][1].update(a="zz-00"),
         ["schedule[1].a: bad address 'zz-00': want six dash-separated octets"],
+    ),
+    "link-action-signed-octet": (
+        lambda d: d["schedule"][1].update(a="+2-00-00-00-00-aa"),
+        ["schedule[1].a: bad address '+2-00-00-00-00-aa': non-hex octet"],
     ),
     "link-bad-address": (
         lambda d: d["links"].append([R, "02-00-00-00-00"]),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,14 @@ class TestNodeAddr:
             NodeAddr(b"\x00" * 5)
         with pytest.raises(ValueError):
             NodeAddr.parse("00-14-00-00-01")
+
+    @pytest.mark.parametrize("octet", ["+1", " 1", "1 ", "\t1", "0\uff11"])
+    def test_only_ascii_hex_digits_parse(self, octet: str) -> None:
+        # int(octet, 16) takes a sign, surrounding whitespace and any
+        # Unicode digit, and bytes.fromhex skips whitespace.
+        text = f"{octet}-00-00-00-00-01"
+        with pytest.raises(ValueError, match=f"^bad address {re.escape(repr(text))}: non-hex octet$"):
+            NodeAddr.parse(text)
 
     def test_broadcast_sentinel(self) -> None:
         assert BROADCAST.is_broadcast

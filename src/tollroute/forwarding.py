@@ -514,7 +514,7 @@ class ForwardingEngine:
                     if part is None:
                         raise ProofError(f"packet {index} not in content store")
                 parts.append(part)
-            extended = sign_chunk(self.key, proof, b"".join(parts), self.book.memo)
+            extended = sign_chunk(self.key, proof, b"".join(parts))
         except ProofError as err:
             self.counters["proof_forwarded_unsigned"] += 1
             self.trace("proof_pass_through", name=str(pkt.name), reason=str(err))

@@ -1,18 +1,19 @@
-"""Node identity keys, payment hash chains and the run's memo of valid
-signatures.
+"""Node identity keys, payment hash chains and the run's key directory.
 
 Each node holds one Ed25519 keypair used both for forwarding-proof chain
 links and for the commitments to its payment hash chains.  Key
 derivation is deterministic from a seed so simulation runs are
-reproducible; public keys are assumed to be pre-distributed (the key
-directory is a plain address-to-key map).  A chain's secret end derives
-from the private key, so only the key's owner can extend its chains.
+reproducible, and public keys are assumed to be pre-distributed.  A
+chain's secret end derives from the private key, so only the key's
+owner can extend its chains.
 
-A run's keys share one `VerifiedLinks` memo and record every signature
-they make in it.  Ed25519 is deterministic and a signature always
-verifies under the public half of the key that made it, so a checker
-that finds a triple in the memo gets the answer Ed25519 would give
-without verifying it.  Any other triple is verified for real.
+A run has one `KeyDirectory`: the public key of every node, which a
+consumer and the ledger trust, and the memo of signatures known valid.
+Every key of the run records the signatures it makes in the memo.
+Ed25519 is deterministic and a signature always verifies under the
+public half of the key that made it, so a checker that finds a triple in
+the memo gets the answer Ed25519 would give without verifying it.  Any
+other triple is verified for real.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ from .wire import ChainCommitment, NodeAddr
 @dataclass(frozen=True)
 class KeyPair:
     """A node's signing identity.  The public half is always derived from
-    the private key, so every signature recorded in `memo` is valid."""
+    the private key, so every signature it records in `memo` is valid."""
 
     owner: NodeAddr
     _private: Ed25519PrivateKey = field(repr=False, compare=False)
-    memo: VerifiedLinks | None = field(default=None, repr=False, compare=False)
+    memo: KeyDirectory = field(repr=False, compare=False)
     public: bytes = field(init=False)
     # The live payment chain of each (channel id, direction) it pays
     # over, as its commitment, its words from the total `start` on, the
@@ -51,17 +52,17 @@ class KeyPair:
 
     @classmethod
     def from_seed(
-        cls, owner: NodeAddr, seed: bytes, memo: VerifiedLinks | None = None
+        cls, owner: NodeAddr, seed: bytes, memo: KeyDirectory | None = None
     ) -> "KeyPair":
         """Derive the node's keypair from an arbitrary seed string; its
-        signatures feed `memo` when one is given."""
+        signatures feed `memo`, or else a directory of its own."""
         material = hashlib.sha256(b"tollroute-key:" + seed + owner.octets).digest()
-        return cls(owner, Ed25519PrivateKey.from_private_bytes(material), memo)
+        private = Ed25519PrivateKey.from_private_bytes(material)
+        return cls(owner, private, KeyDirectory() if memo is None else memo)
 
     def sign(self, message: bytes) -> bytes:
         sig = self._private.sign(message)
-        if self.memo is not None:
-            self.memo.add(self.public, message, sig)
+        self.memo.add(self.public, message, sig)
         return sig
 
     def hash_chain(self, label: bytes, length: int) -> bytes:
@@ -91,16 +92,19 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
 Verifier = Callable[[bytes, bytes, bytes], bool]
 
 
-class VerifiedLinks:
-    """(public key, message, signature) triples known valid in one run,
-    shared by all its nodes: the signatures its keys made, and those a
-    real verify accepted.  A failure is never stored.  Past CAPACITY the
-    least recently used triple is dropped, so a chain link that every
-    consumer checks outlives channel updates that are checked once."""
+class KeyDirectory:
+    """One run's trust root, shared by all its nodes: `public`, each
+    node's public key, and the memo of (public key, message, signature)
+    triples known valid, which are the signatures the run's keys made
+    and those a real verify accepted.  A failure is never stored.  Past
+    CAPACITY the least recently used triple is dropped, so a chain link
+    that every consumer checks outlives channel updates that are checked
+    once."""
 
     CAPACITY = 1024
 
-    def __init__(self) -> None:
+    def __init__(self, public: dict[NodeAddr, bytes] | None = None) -> None:
+        self.public: dict[NodeAddr, bytes] = {} if public is None else public
         self._seen: dict[tuple[bytes, bytes, bytes], None] = {}
 
     def add(self, public: bytes, message: bytes, signature: bytes) -> None:
@@ -123,6 +127,3 @@ class VerifiedLinks:
             return False
         self.add(public, message, signature)
         return True
-
-
-KeyDirectory = dict[NodeAddr, bytes]

@@ -24,9 +24,11 @@ The Ledger holds the one record of each channel: its committed state,
 which the next offer builds on and below which settlement refuses to
 go.  The ChannelBook holds only what is in flight: offers stay pending
 (reserving the payer's funds) until the payee commits them to the
-ledger or a Nack cancels them.  The simulator keeps one book; it holds
-only public keys, and a node acts on it by passing its own KeyPair,
-whose owner is the payer or payee and which keeps the payer's chains.
+ledger or a Nack cancels them.  The ledger holds the run's key
+directory, as a chain knows its accounts' keys, and checks every
+commitment against it.  The simulator keeps one book; a node acts on it
+by passing its own KeyPair, whose owner is the payer or payee and which
+keeps the payer's chains.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from functools import lru_cache
 from hashlib import sha256
 from typing import Callable
 
-from .keys import KeyDirectory, KeyPair, VerifiedLinks, verify
+from .keys import KeyDirectory, KeyPair, verify
 from .wire import CHANNEL_ID_MAX, DIGEST_LEN, ChainCommitment, Name, NodeAddr, Payment
 
 # Tag identifying the flow a pending offer belongs to: (name, nonce).
@@ -108,16 +110,9 @@ class ChannelState:
             return 1
         raise PaymentError("not-a-party", str(payer))
 
-    def balance_of(self, party: NodeAddr) -> int:
-        return self.balance_b if self.direction(party) else self.balance_a
-
-    def peer_of(self, party: NodeAddr) -> NodeAddr:
-        return self.party_a if self.direction(party) else self.party_b
-
-    def moved(self, direction: int, counter: Counter) -> ChannelState:
-        """This state with the counter of `direction` replaced."""
-        paid = (counter, self.paid[1]) if direction == 0 else (self.paid[0], counter)
-        return replace(self, paid=paid)
+    def balance(self, direction: int) -> int:
+        """The balance of the party that pays into counter `direction`."""
+        return self.balance_b if direction else self.balance_a
 
 
 def chain_label(channel_id: bytes, direction: int, sequence: int, base: int, length: int) -> bytes:
@@ -170,8 +165,7 @@ def chain_word(
         if 2 * spent > len(words):
             words, start = words[spent:], total
     else:
-        balance = state.balance_b if direction else state.balance_a
-        length = max(min(balance, CHAIN_WORDS_MAX), total - base)
+        length = max(min(state.balance(direction), CHAIN_WORDS_MAX), total - base)
         label = chain_label(state.channel_id, direction, sequence, base, length)
         words = key.hash_chain(label, length)
         root = words[:DIGEST_LEN]
@@ -182,35 +176,21 @@ def chain_word(
     return words[at : at + DIGEST_LEN], commitment
 
 
-def channel_update(state: ChannelState, delta_to_b: int, key_a: KeyPair) -> ChannelState:
-    """Move delta_to_b tokens from party a to party b: a reveals the word
-    of its new total paid.  A zero delta still advances the sequence
-    (useful as a liveness ping)."""
-    if not (0 <= delta_to_b <= state.balance_a):
-        raise PaymentError("overdraw", f"delta {delta_to_b} vs balance {state.balance_a}")
-    if key_a.owner != state.party_a:
-        raise PaymentError("not-a-party", "key does not match party a")
-    total = state.paid[0].total + delta_to_b
-    word, commitment = chain_word(key_a, state, 0, total, state.sequence + 1)
-    return state.moved(0, Counter(state.sequence + 1, total, word, commitment))
-
-
-def payer_committed(
-    state: ChannelState, direction: int, directory: KeyDirectory, memo: VerifiedLinks
-) -> bool:
+def payer_committed(state: ChannelState, direction: int, keys: KeyDirectory) -> bool:
     """Whether the counter of `direction` holds the word for its total on
     a chain its payer committed to: the commitment's signature, checked
-    through the run's memo, and the word, hashed back to the root."""
+    against the payer's key in `keys` and through its memo, and the word,
+    hashed back to the root."""
     counter = state.paid[direction]
     commitment = counter.commitment
-    pub = directory.get(state.party_b if direction else state.party_a)
+    pub = keys.public.get(state.party_b if direction else state.party_a)
     if commitment is None or counter.word is None or pub is None:
         return False
     steps = counter.total - commitment.base
     message = _message_of(state.channel_id, direction, commitment)
     return (
         0 <= steps <= commitment.length
-        and memo.check(pub, message, commitment.sig, verify)
+        and keys.check(pub, message, commitment.sig, verify)
         and _hashes_to(counter.word, steps, commitment.root)
     )
 
@@ -219,12 +199,10 @@ def _message_of(channel_id: bytes, direction: int, c: ChainCommitment) -> bytes:
     return commitment_message(channel_id, direction, c.sequence, c.base, c.length, c.root)
 
 
-def verify_state(state: ChannelState, directory: KeyDirectory, memo: VerifiedLinks) -> bool:
+def verify_state(state: ChannelState, keys: KeyDirectory) -> bool:
     """Each counter that has moved must be payer-committed; unpaid
     counters need no word."""
-    return all(
-        state.paid[d] == UNPAID or payer_committed(state, d, directory, memo) for d in (0, 1)
-    )
+    return all(state.paid[d] == UNPAID or payer_committed(state, d, keys) for d in (0, 1))
 
 
 @dataclass
@@ -243,10 +221,12 @@ class Ledger:
 
         sum(accounts) + sum(open channel pools) == sum(mints)
 
-    holds after every operation.
+    holds after every operation.  `keys` holds the accounts' public keys
+    that settlement checks commitments against.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, keys: KeyDirectory) -> None:
+        self.keys = keys
         self.accounts: dict[NodeAddr, int] = {}
         self.channels: dict[bytes, LedgerChannel] = {}
         self.minted = 0
@@ -323,7 +303,7 @@ class Ledger:
             }
         )
 
-    def settle(self, state: ChannelState, directory: KeyDirectory, memo: VerifiedLinks) -> None:
+    def settle(self, state: ChannelState) -> None:
         """Close a channel at the given state and credit the accounts.
 
         Rejected: unknown or already settled channels, a counter below
@@ -352,7 +332,7 @@ class Ledger:
         final = replace(state, deposit_a=committed.deposit_a, deposit_b=committed.deposit_b)
         if min(final.balance_a, final.balance_b) < 0:
             raise PaymentError("conservation", f"{cid}: pays {final.balance_a}/{final.balance_b}")
-        if not verify_state(final, directory, memo):
+        if not verify_state(final, self.keys):
             raise PaymentError("bad-signature", cid)
         chan.settled = True
         self.accounts[state.party_a] = self.balance(state.party_a) + final.balance_a
@@ -385,8 +365,8 @@ class PendingOffer:
 
 
 class ChannelBook:
-    """In-flight payment offers over the ledger's channels, and the
-    public keys and memo that the payee checks them with.
+    """In-flight payment offers over the ledger's channels, which a payee
+    checks against the ledger's keys.
 
     Offers reserve the payer's balance so concurrent flows cannot promise
     the same tokens twice; the reservation dissolves on commit, on a Nack
@@ -397,10 +377,8 @@ class ChannelBook:
     ledger.
     """
 
-    def __init__(self, ledger: Ledger, directory: KeyDirectory, memo: VerifiedLinks) -> None:
+    def __init__(self, ledger: Ledger) -> None:
         self.ledger = ledger
-        self.directory = directory
-        self.memo = memo
         self.pending: dict[bytes, list[PendingOffer]] = {}
         self.reserved: dict[tuple[bytes, int], int] = {}
         self._issued: dict[bytes, int] = {}
@@ -417,8 +395,7 @@ class ChannelBook:
         still-pending offers."""
         state = self.state(channel_id)
         direction = state.direction(party)
-        reserved = self.reserved.get((channel_id, direction), 0)
-        return (state.balance_b if direction else state.balance_a) - reserved
+        return state.balance(direction) - self.reserved.get((channel_id, direction), 0)
 
     def make_offer(
         self,
@@ -437,7 +414,7 @@ class ChannelBook:
         state = self.state(channel_id)
         direction = state.direction(payer)
         reserved = self.reserved.get((channel_id, direction), 0)
-        projected = (state.balance_b if direction else state.balance_a) - reserved
+        projected = state.balance(direction) - reserved
         if projected < amount:
             raise PaymentError("insufficient-funds", f"{payer} projected {projected} < {amount}")
         # Cancelled offers leave holes: a sequence, once issued, is never
@@ -473,7 +450,7 @@ class ChannelBook:
             )
         if payment.amount <= 0:
             raise PaymentError("bad-amount", "zero payment")
-        balance = state.balance_b if direction else state.balance_a
+        balance = state.balance(direction)
         if balance < payment.amount:
             raise PaymentError("overdraw", f"{payer} holds {balance} < {payment.amount}")
         old = state.paid[direction]
@@ -485,7 +462,7 @@ class ChannelBook:
             cid, state.party_a, state.party_b, state.deposit_a, state.deposit_b, paid
         )
         if payment.commitment is not None:
-            valid = payer_committed(committed, direction, self.directory, self.memo)
+            valid = payer_committed(committed, direction, self.ledger.keys)
         else:
             # The word the payee holds vouches for the new one, on the same
             # chain and no further than its end.
@@ -500,8 +477,9 @@ class ChannelBook:
         if old.commitment not in (None, chain):
             # The ledger refuses a superseded counter before it checks
             # commitments, so this one can never be checked again.
+            keys = self.ledger.keys
             message = _message_of(cid, direction, old.commitment)
-            self.memo.discard(self.directory[payer], message, old.commitment.sig)
+            keys.discard(keys.public[payer], message, old.commitment.sig)
         queue = self.pending.get(cid, ())
         for i, offer in enumerate(queue):
             if offer.sequence == payment.sequence:
@@ -543,7 +521,7 @@ class ChannelBook:
         settled = 0
         for chan in self.ledger.channels.values():
             if not chan.settled:
-                self.ledger.settle(chan.state, self.directory, self.memo)
+                self.ledger.settle(chan.state)
                 settled += 1
         return settled
 

@@ -20,7 +20,7 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 
-from .keys import KeyDirectory, KeyPair, VerifiedLinks, verify
+from .keys import KeyDirectory, KeyPair, verify
 from .wire import ChunkProof, HopSignature, NodeAddr, encode_hop_signature
 
 
@@ -46,20 +46,16 @@ def make_chunk(key: KeyPair, first: int, payload: bytes, packet_size: int) -> Ch
     return ChunkProof(first=first, count=count, digest=digest, chain=(hop,))
 
 
-def sign_chunk(
-    key: KeyPair, proof: ChunkProof, payload: bytes, links: VerifiedLinks | None = None
-) -> ChunkProof:
+def sign_chunk(key: KeyPair, proof: ChunkProof, payload: bytes) -> ChunkProof:
     """Relay-side: append a signature.  Refuses to extend a chain it
     cannot itself validate, so a relay never vouches for garbage.  A relay
-    holds no key directory, so each earlier link is checked against the
-    public key it carries.  Without links every link is verified afresh."""
+    reads only the memo of its directory `key.memo`, never its public keys:
+    each earlier link is checked against the public key it carries."""
     if chunk_digest(payload) != proof.digest:
         raise ProofError("digest does not match payload")
-    if links is None:
-        links = VerifiedLinks()
     message = proof.digest
     for i, hop in enumerate(proof.chain):
-        if not links.check(hop.signer_pub, message, hop.sig, verify):
+        if not key.memo.check(hop.signer_pub, message, hop.sig, verify):
             raise ProofError(f"existing signature {i} by {hop.signer} does not verify")
         if hop.signer == key.owner:
             raise ProofError("refusing to sign the same chunk twice")
@@ -93,24 +89,18 @@ VALID = VerifyResult(valid=True)
 
 
 def verify_chain(
-    proof: ChunkProof,
-    payload: bytes,
-    expected_path: tuple[NodeAddr, ...],
-    directory: KeyDirectory,
-    links: VerifiedLinks | None = None,
+    proof: ChunkProof, payload: bytes, expected_path: tuple[NodeAddr, ...], keys: KeyDirectory
 ) -> VerifyResult:
     """Consumer-side verdict on a chunk payload and its proof against the
     path it paid for.
 
     expected_path runs producer first, consumer-side relay last.  Keys
-    come from the trusted directory; the pubkeys embedded in the chain
-    only have to agree with it, they are never trusted on their own.
-    Without links every link is verified afresh.
+    come from the trusted `keys.public`; the pubkeys embedded in the chain
+    only have to agree with it, they are never trusted on their own.  A
+    fresh `KeyDirectory(public)` verifies every link afresh.
     """
     if not expected_path:
         raise ProofError("expected path cannot be empty")
-    if links is None:
-        links = VerifiedLinks()
     if chunk_digest(payload) != proof.digest:
         return VerifyResult(False, ChainFault.PAYLOAD_TAMPERED, 0)
     signers_present = {hop.signer for hop in proof.chain}
@@ -123,10 +113,10 @@ def verify_chain(
             if expected not in signers_present:
                 return VerifyResult(False, ChainFault.MISSING_SIGNER, i, expected)
             return VerifyResult(False, ChainFault.UNEXPECTED_SIGNER, i, hop.signer)
-        trusted_pub = directory.get(expected)
+        trusted_pub = keys.public.get(expected)
         if trusted_pub is None or hop.signer_pub != trusted_pub:
             return VerifyResult(False, ChainFault.UNEXPECTED_SIGNER, i, hop.signer)
-        if not links.check(trusted_pub, message, hop.sig, verify):
+        if not keys.check(trusted_pub, message, hop.sig, verify):
             return VerifyResult(False, ChainFault.BAD_SIGNATURE, i, hop.signer)
         message += encode_hop_signature(hop)
     if len(proof.chain) > len(expected_path):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 from .forwarding import ForwardingEngine, Send
-from .keys import KeyPair, VerifiedLinks
+from .keys import KeyDirectory, KeyPair
 from .payment import (
     ChannelBook,
     Ledger,
@@ -187,19 +187,18 @@ class Simulator:
         self._heap: list = []
         self.trace: list[dict] = []
 
-        self.ledger = Ledger()
-        self.directory: dict[NodeAddr, bytes] = {}
-        # Signatures known valid in this run: every node's key records the
-        # ones it makes, and every check consults it.
-        self.verified_links = VerifiedLinks()
-        self.book = ChannelBook(self.ledger, self.directory, self.verified_links)
+        # The nodes' public keys and the signatures known valid in this run:
+        # every node's key records the ones it makes, and every check reads it.
+        self.keys = KeyDirectory()
+        self.ledger = Ledger(self.keys)
+        self.book = ChannelBook(self.ledger)
 
         self.nodes: dict[NodeAddr, ForwardingEngine] = {}
         self._rngs: dict[NodeAddr, random.Random] = {}  # seeded on a node's first nonce
         for spec in scenario.nodes:
             self.ledger.mint(spec.addr, self.defaults.account_balance)
-            key = KeyPair.from_seed(spec.addr, str(scenario.seed).encode(), self.verified_links)
-            self.directory[spec.addr] = key.public
+            key = KeyPair.from_seed(spec.addr, str(scenario.seed).encode(), self.keys)
+            self.keys.public[spec.addr] = key.public
             self.nodes[spec.addr] = ForwardingEngine(
                 spec, self.defaults, key, self.book, partial(self.emit, str(spec.addr)),
                 partial(self._deliver, spec.addr),
@@ -561,7 +560,7 @@ class Simulator:
                 continue
             payload = b"".join(flow.received[i] for i in span)
             expected = tuple(reversed(route))
-            result = verify_chain(proof, payload, expected, self.directory, self.verified_links)
+            result = verify_chain(proof, payload, expected, self.keys)
             flow.signatures_verified += len(proof.chain)
             how = "strict"
             if not result.valid:
@@ -570,9 +569,7 @@ class Simulator:
                 # producer and every signature checks out.
                 observed = tuple(h.signer for h in proof.chain)
                 if observed and expected and observed[0] == expected[0]:
-                    result = verify_chain(
-                        proof, payload, observed, self.directory, self.verified_links
-                    )
+                    result = verify_chain(proof, payload, observed, self.keys)
                     flow.signatures_verified += len(proof.chain)
                     how = "rerouted"
             if result.valid:

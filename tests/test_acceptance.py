@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from tollroute.cli import main as cli_main
-from tollroute.keys import KeyPair, VerifiedLinks
+from tollroute.keys import KeyDirectory, KeyPair
 from tollroute.payment import ChannelBook, Ledger, PaymentError
 from tollroute.proof import make_chunk, sign_chunk, verify_chain
 from tollroute.scenario import load_scenario, parse_scenario
@@ -154,18 +154,18 @@ class TestAcceptance:
         path = tuple(
             NodeAddr.parse(f"02-00-00-00-00-{o}") for o in ("10", "20", "30")
         )
-        # The keys record their signatures in the memo the checks use, as
-        # in a run, so every mutation attacks the memo's fast path.
-        memo = VerifiedLinks()
-        keys = {addr: KeyPair.from_seed(addr, b"acceptance", memo) for addr in path}
-        directory = {addr: key.public for addr, key in keys.items()}
+        # The keys record their signatures in the directory the checks
+        # use, as in a run, so every mutation attacks the memo's fast path.
+        directory = KeyDirectory()
+        keys = {addr: KeyPair.from_seed(addr, b"acceptance", directory) for addr in path}
+        directory.public.update((addr, key.public) for addr, key in keys.items())
 
         rng = random.Random(4)
         payload = rng.randbytes(4 * 1500)
         proof = make_chunk(keys[path[0]], 0, payload, 1500)
         for relay in path[1:]:
-            proof = sign_chunk(keys[relay], proof, payload, memo)
-        honest_ok = bool(verify_chain(proof, payload, path, directory, memo))
+            proof = sign_chunk(keys[relay], proof, payload)
+        honest_ok = bool(verify_chain(proof, payload, path, directory))
 
         mutations = 0
         false_valids = 0
@@ -173,7 +173,7 @@ class TestAcceptance:
         def check(mutated, mutated_payload=payload) -> None:
             nonlocal mutations, false_valids
             mutations += 1
-            if verify_chain(mutated, mutated_payload, path, directory, memo):
+            if verify_chain(mutated, mutated_payload, path, directory):
                 false_valids += 1
 
         def flip(blob: bytes, i: int) -> bytes:
@@ -309,11 +309,10 @@ class TestAcceptance:
     def test_6_random_channel_storm_conserves_tokens(self, capsys):
         rng = random.Random(0xC6)
         parties = [NodeAddr.parse(f"02-00-00-00-06-{i:02x}") for i in range(1, 9)]
-        ledger = Ledger()
-        memo = VerifiedLinks()
-        keys = {party: KeyPair.from_seed(party, b"storm", memo) for party in parties}
-        directory = {party: key.public for party, key in keys.items()}
-        book = ChannelBook(ledger, directory, memo)
+        ledger = Ledger(KeyDirectory())
+        keys = {party: KeyPair.from_seed(party, b"storm", ledger.keys) for party in parties}
+        ledger.keys.public.update((party, key.public) for party, key in keys.items())
+        book = ChannelBook(ledger)
         for party in parties:
             ledger.mint(party, 100_000)
 
@@ -338,7 +337,9 @@ class TestAcceptance:
                 elif kind == "update":
                     cid = rng.choice(open_cids)
                     state = book.state(cid)
-                    payer = rng.choice((state.party_a, state.party_b))
+                    payer, payee = rng.choice(
+                        ((state.party_a, state.party_b), (state.party_b, state.party_a))
+                    )
                     tag = (Name.parse("/storm"), op_index.to_bytes(8, "big"))
                     offer = book.make_offer(
                         keys[payer], cid, rng.randint(1, 40), tag, now, lifetime_us=30_000
@@ -348,9 +349,7 @@ class TestAcceptance:
                         # the payee and must dissolve without trace.
                         pass
                     else:
-                        committed = book.commit_offer(
-                            keys[state.peer_of(payer)], payer, offer
-                        )
+                        committed = book.commit_offer(keys[payee], payer, offer)
                         snapshots.setdefault(cid, committed)
                 else:
                     cid = rng.choice(open_cids)
@@ -359,9 +358,9 @@ class TestAcceptance:
                     if snapshot is not None and snapshot.sequence < current.sequence:
                         stale_attempts += 1
                         with pytest.raises(PaymentError, match="stale-sequence"):
-                            ledger.settle(snapshot, directory, memo)
+                            ledger.settle(snapshot)
                         stale_rejections += 1
-                    ledger.settle(current, directory, memo)
+                    ledger.settle(current)
                     open_cids.remove(cid)
                     book.pending.pop(cid, None)
                 counts[kind] += 1
@@ -370,11 +369,11 @@ class TestAcceptance:
             assert ledger.conserved(), f"drift after op {op_index} ({kind})"
 
         for cid in open_cids:
-            ledger.settle(book.state(cid), directory, memo)
+            ledger.settle(book.state(cid))
         replayed = 0
         for cid, snapshot in snapshots.items():
             with pytest.raises(PaymentError):
-                ledger.settle(snapshot, directory, memo)
+                ledger.settle(snapshot)
             replayed += 1
 
         total = sum(ledger.balance(p) for p in parties)

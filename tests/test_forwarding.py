@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tollroute.forwarding import ForwardingEngine, RediscoveryScheduler, Send
-from tollroute.keys import KeyPair, VerifiedLinks
+from tollroute.keys import KeyDirectory, KeyPair
 from tollroute.payment import ChannelBook, Ledger, channel_id_for
 from tollroute.proof import verify_chain
 from tollroute.scenario import Defaults, NodeSpec, ServeSpec
@@ -69,21 +69,21 @@ def make_node(
     """An engine for one node; without a shared book it gets a private one.
     Extra keywords override scenario defaults."""
     if book is None:
-        book = ChannelBook(Ledger(), {}, VerifiedLinks())
-    key = KeyPair.from_seed(addr, b"fwd-tests", book.memo)
+        book = ChannelBook(Ledger(KeyDirectory()))
+    key = KeyPair.from_seed(addr, b"fwd-tests", book.ledger.keys)
     cap = Capture()
     engine = ForwardingEngine(
         NodeSpec(addr, cost, relay_mode, serves),
         Defaults(payment_mode=payment_mode, **defaults), key, book,
         cap.trace, cap.deliver,
     )
-    book.directory[addr] = key.public
+    book.ledger.keys.public[addr] = key.public
     return engine, cap
 
 
 def payment_fabric(*addrs, balance=1_000):
-    ledger = Ledger()
-    book = ChannelBook(ledger, {}, VerifiedLinks())
+    ledger = Ledger(KeyDirectory())
+    book = ChannelBook(ledger)
     for addr in addrs:
         ledger.mint(addr, balance)
     return ledger, book
@@ -309,8 +309,8 @@ class TestPaymentsOnPath:
         (data,) = producer.on_interest(to_producer.packet, now=2)
         assert isinstance(data.packet, Data)
         # Committed balances: A paid 15 to B, B paid 12 on to C.
-        assert book.state(channel_id_for(A, B)).balance_of(B) == 215
-        assert book.state(channel_id_for(B, C)).balance_of(C) == 212
+        assert book.state(channel_id_for(A, B)).balance_b == 215
+        assert book.state(channel_id_for(B, C)).balance_b == 212
         assert book.settle_all() == 2
         assert ledger.balance(A) == 1_000 - 15
         assert ledger.balance(B) == 1_000 + 3
@@ -389,7 +389,7 @@ class TestPaymentsOnPath:
         pkt = interest(name, NONCE, D, remote=B, route=RouteStack((B, C)), payment=offer)
         assert relay.on_interest(pkt, now=1) == []
         assert relay.counters["aggregated"] == 1
-        assert book.state(channel_id_for(D, B)).balance_of(B) == 215
+        assert book.state(channel_id_for(D, B)).balance_b == 215
 
     def test_refused_interest_leaves_no_pit_slot_at_the_producer(self):
         ledger, book = payment_fabric(A, C)
@@ -482,7 +482,7 @@ class TestContentPlane:
         assert final.proof is not None
         assert [h.signer for h in final.proof.chain] == [C, B]
         # Consumer-side verification over its own received payloads.
-        directory = {C: producer.key.public, B: relay.key.public}
+        directory = KeyDirectory({C: producer.key.public, B: relay.key.public})
         assert [pkt.name.chunk_index for pkt in cap.delivered] == [0, 1, 2, 3]
         payload = b"".join(pkt.payload for pkt in cap.delivered)
         assert verify_chain(final.proof, payload, (C, B), directory).valid

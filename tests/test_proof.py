@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tollroute import keys as keys_module
 from tollroute import proof as proof_module
-from tollroute.keys import KeyPair, VerifiedLinks
+from tollroute.keys import KeyDirectory, KeyPair
 from tollroute.payment import commitment_message
 from tollroute.proof import (
     ChainFault,
@@ -40,28 +40,28 @@ OUTSIDER = NodeAddr.parse("00-aa-00-00-00-99")
 NAME = Name((b"video", b"clip"))
 
 
-def _keys(memo=None):
-    return {
-        addr: KeyPair.from_seed(addr, b"proof-tests", memo)
+def _keys(directory):
+    """The module's keys, which record their signatures in `directory`
+    and whose public halves it holds, as a run's keys do."""
+    keys = {
+        addr: KeyPair.from_seed(addr, b"proof-tests", directory)
         for addr in (PRODUCER, RELAY1, RELAY2, OUTSIDER)
     }
+    directory.public.update((addr, key.public) for addr, key in keys.items())
+    return keys
 
 
 @pytest.fixture(scope="module")
-def memo():
-    """The memo the module's keys record their signatures in, as a run's
-    keys do: checks given it take the memo's fast path on honest links."""
-    return VerifiedLinks()
+def directory():
+    """The module keys' directory: checks given it take the memo's fast
+    path on honest links.  `KeyDirectory(directory.public)` checks every
+    link afresh."""
+    return KeyDirectory()
 
 
 @pytest.fixture(scope="module")
-def keys(memo):
-    return _keys(memo)
-
-
-@pytest.fixture(scope="module")
-def directory(keys):
-    return {addr: kp.public for addr, kp in keys.items()}
+def keys(directory):
+    return _keys(directory)
 
 
 PAYLOAD = b"x" * 3000 + b"tail"
@@ -79,11 +79,12 @@ PATH = (PRODUCER, RELAY1, RELAY2)
 class TestChainBuild:
     def test_full_chain_is_valid(self, keys, directory):
         proof = build_chain(keys)
-        assert verify_chain(proof, PAYLOAD, PATH, directory) == VerifyResult(valid=True)
+        fresh = KeyDirectory(directory.public)
+        assert verify_chain(proof, PAYLOAD, PATH, fresh) == VerifyResult(valid=True)
 
     def test_producer_only_chain_is_valid_for_one_hop_path(self, keys, directory):
         proof = make_chunk(keys[PRODUCER], 0, b"solo", 1500)
-        assert verify_chain(proof, b"solo", (PRODUCER,), directory).valid
+        assert verify_chain(proof, b"solo", (PRODUCER,), KeyDirectory(directory.public)).valid
 
     def test_each_signature_commits_to_prior_chain(self, keys):
         proof = build_chain(keys)
@@ -104,12 +105,12 @@ class TestChainBuild:
         with pytest.raises(ValueError, match="proof first index out of range"):
             make_chunk(keys[PRODUCER], -1, b"a", 1500)
 
-    def test_sign_chunk_refuses_tampered_payload(self, keys, memo):
+    def test_sign_chunk_refuses_tampered_payload(self, keys):
         proof = build_chain(keys)
         with pytest.raises(ProofError, match="digest does not match payload"):
-            sign_chunk(keys[OUTSIDER], proof, b"?" + PAYLOAD[1:], memo)
+            sign_chunk(keys[OUTSIDER], proof, b"?" + PAYLOAD[1:])
 
-    def test_sign_chunk_refuses_broken_prior_signature(self, keys, memo):
+    def test_sign_chunk_refuses_broken_prior_signature(self, keys):
         proof = build_chain(keys)
         bad_sig = bytes(64)
         broken = replace(
@@ -117,19 +118,19 @@ class TestChainBuild:
             chain=(proof.chain[0], HopSignature(RELAY1, keys[RELAY1].public, bad_sig), proof.chain[2]),
         )
         with pytest.raises(ProofError, match=f"existing signature 1 by {RELAY1} does not verify"):
-            sign_chunk(keys[OUTSIDER], broken, PAYLOAD, memo)
+            sign_chunk(keys[OUTSIDER], broken, PAYLOAD)
 
-    def test_sign_chunk_refuses_double_signing(self, keys, memo):
+    def test_sign_chunk_refuses_double_signing(self, keys):
         proof = build_chain(keys)
         with pytest.raises(ProofError, match="refusing to sign the same chunk twice"):
-            sign_chunk(keys[RELAY1], proof, PAYLOAD, memo)
+            sign_chunk(keys[RELAY1], proof, PAYLOAD)
 
     def test_a_chain_of_n_links_costs_n_encodes(self, monkeypatch):
-        memo = VerifiedLinks()
+        directory = KeyDirectory()
         path = tuple(NodeAddr(bytes([0, 0xBB, 0, 0, 0, i])) for i in range(1, 10))
-        signers = {addr: KeyPair.from_seed(addr, b"proof-tests", memo) for addr in path}
-        directory = {addr: key.public for addr, key in signers.items()}
-        outsider = KeyPair.from_seed(OUTSIDER, b"proof-tests", memo)
+        signers = {addr: KeyPair.from_seed(addr, b"proof-tests", directory) for addr in path}
+        directory.public.update((addr, key.public) for addr, key in signers.items())
+        outsider = KeyPair.from_seed(OUTSIDER, b"proof-tests", directory)
         encodes = []
 
         def counting(hop):
@@ -140,67 +141,67 @@ class TestChainBuild:
         proof = make_chunk(signers[path[0]], 0, PAYLOAD, 1500)
         for n, addr in enumerate(path[1:], start=1):
             encodes.clear()
-            proof = sign_chunk(signers[addr], proof, PAYLOAD, memo)
+            proof = sign_chunk(signers[addr], proof, PAYLOAD)
             assert encodes == list(proof.chain[:n])
             # The new link signs the chain it extends, as chain_message defines it.
             hop, message = proof.chain[n], chain_message(proof.digest, proof.chain[:n])
             assert keys_module.verify(hop.signer_pub, message, hop.sig)
         encodes.clear()
-        assert verify_chain(proof, PAYLOAD, path, directory, memo).valid
+        assert verify_chain(proof, PAYLOAD, path, directory).valid
         assert encodes == list(proof.chain)
         for i, hop in enumerate(proof.chain):
             chain = proof.chain[:i] + (replace(hop, sig=bytes(64)),) + proof.chain[i + 1 :]
             forged = replace(proof, chain=chain)
             encodes.clear()
-            verdict = verify_chain(forged, PAYLOAD, path, directory, memo)
+            verdict = verify_chain(forged, PAYLOAD, path, directory)
             assert verdict == VerifyResult(False, ChainFault.BAD_SIGNATURE, i, hop.signer)
             assert len(encodes) == i
             with pytest.raises(ProofError, match=f"existing signature {i} by {hop.signer} "):
-                sign_chunk(outsider, forged, PAYLOAD, memo)
+                sign_chunk(outsider, forged, PAYLOAD)
 
 
 class TestVerdicts:
-    def test_payload_tamper_classified_first(self, keys, directory, memo):
+    def test_payload_tamper_classified_first(self, keys, directory):
         proof = build_chain(keys)
-        got = verify_chain(proof, PAYLOAD[:-1] + b"!", PATH, directory, memo)
+        got = verify_chain(proof, PAYLOAD[:-1] + b"!", PATH, directory)
         assert (got.valid, got.fault, got.at_index) == (False, ChainFault.PAYLOAD_TAMPERED, 0)
 
-    def test_digest_swap_counts_as_tamper(self, keys, directory, memo):
+    def test_digest_swap_counts_as_tamper(self, keys, directory):
         swapped = replace(build_chain(keys), digest=bytes(32))
-        got = verify_chain(swapped, PAYLOAD, PATH, directory, memo)
+        got = verify_chain(swapped, PAYLOAD, PATH, directory)
         assert got.fault is ChainFault.PAYLOAD_TAMPERED
 
-    def test_dropped_relay_is_missing_signer(self, keys, directory, memo):
+    def test_dropped_relay_is_missing_signer(self, keys, directory):
         proof = build_chain(keys)
         pruned = replace(proof, chain=(proof.chain[0], proof.chain[2]))
-        got = verify_chain(pruned, PAYLOAD, PATH, directory, memo)
+        got = verify_chain(pruned, PAYLOAD, PATH, directory)
         assert (got.fault, got.at_index, got.signer) == (ChainFault.MISSING_SIGNER, 1, RELAY1)
 
-    def test_short_chain_is_missing_signer_at_gap(self, keys, directory, memo):
+    def test_short_chain_is_missing_signer_at_gap(self, keys, directory):
         proof = make_chunk(keys[PRODUCER], 0, b"solo", 1500)
-        got = verify_chain(proof, b"solo", (PRODUCER, RELAY1), directory, memo)
+        got = verify_chain(proof, b"solo", (PRODUCER, RELAY1), directory)
         assert (got.fault, got.at_index, got.signer) == (ChainFault.MISSING_SIGNER, 1, RELAY1)
 
-    def test_swapped_order_is_unexpected_signer(self, keys, directory, memo):
+    def test_swapped_order_is_unexpected_signer(self, keys, directory):
         proof = build_chain(keys)
         shuffled = replace(proof, chain=(proof.chain[0], proof.chain[2], proof.chain[1]))
-        got = verify_chain(shuffled, PAYLOAD, PATH, directory, memo)
+        got = verify_chain(shuffled, PAYLOAD, PATH, directory)
         assert (got.fault, got.at_index, got.signer) == (ChainFault.UNEXPECTED_SIGNER, 1, RELAY2)
 
-    def test_extra_trailing_signer_is_unexpected(self, keys, directory, memo):
-        proof = sign_chunk(keys[OUTSIDER], build_chain(keys), PAYLOAD, memo)
-        got = verify_chain(proof, PAYLOAD, PATH, directory, memo)
+    def test_extra_trailing_signer_is_unexpected(self, keys, directory):
+        proof = sign_chunk(keys[OUTSIDER], build_chain(keys), PAYLOAD)
+        got = verify_chain(proof, PAYLOAD, PATH, directory)
         assert (got.fault, got.at_index, got.signer) == (ChainFault.UNEXPECTED_SIGNER, 3, OUTSIDER)
 
-    def test_flipped_signature_bit_is_bad_signature(self, keys, directory, memo):
+    def test_flipped_signature_bit_is_bad_signature(self, keys, directory):
         proof = build_chain(keys)
         hop = proof.chain[1]
         mangled = HopSignature(hop.signer, hop.signer_pub, hop.sig[:-1] + bytes([hop.sig[-1] ^ 1]))
         forged = replace(proof, chain=(proof.chain[0], mangled, proof.chain[2]))
-        got = verify_chain(forged, PAYLOAD, PATH, directory, memo)
+        got = verify_chain(forged, PAYLOAD, PATH, directory)
         assert (got.fault, got.at_index, got.signer) == (ChainFault.BAD_SIGNATURE, 1, RELAY1)
 
-    def test_key_substitution_is_unexpected_signer(self, keys, directory, memo):
+    def test_key_substitution_is_unexpected_signer(self, keys, directory):
         # An impostor signs correctly with its own key but claims the
         # relay's address; the embedded pubkey betrays it.
         proof = sign_chunk(keys[RELAY1], make_chunk(keys[PRODUCER], 0, b"pay", 1500), b"pay")
@@ -208,20 +209,20 @@ class TestVerdicts:
         msg = chain_message(proof.digest, proof.chain)
         fake = HopSignature(signer=RELAY2, signer_pub=impostor.public, sig=impostor.sign(msg))
         forged = replace(proof, chain=proof.chain + (fake,))
-        got = verify_chain(forged, b"pay", PATH, directory, memo)
+        got = verify_chain(forged, b"pay", PATH, directory)
         assert (got.fault, got.at_index, got.signer) == (ChainFault.UNEXPECTED_SIGNER, 2, RELAY2)
 
-    def test_signer_absent_from_directory_is_unexpected(self, keys, directory, memo):
+    def test_signer_absent_from_directory_is_unexpected(self, keys, directory):
         proof = build_chain(keys)
-        trimmed = {addr: pub for addr, pub in directory.items() if addr != RELAY1}
-        got = verify_chain(proof, PAYLOAD, PATH, trimmed, memo)
+        trimmed = KeyDirectory({a: pub for a, pub in directory.public.items() if a != RELAY1})
+        got = verify_chain(proof, PAYLOAD, PATH, trimmed)
         assert (got.fault, got.at_index) == (ChainFault.UNEXPECTED_SIGNER, 1)
 
-    def test_empty_expected_path_rejected(self, keys, directory, memo):
+    def test_empty_expected_path_rejected(self, keys, directory):
         with pytest.raises(ProofError):
-            verify_chain(build_chain(keys), PAYLOAD, (), directory, memo)
+            verify_chain(build_chain(keys), PAYLOAD, (), directory)
 
-    def test_mutation_mini_sweep_never_validates(self, keys, directory, memo):
+    def test_mutation_mini_sweep_never_validates(self, keys, directory):
         # Flip every byte of the payload and of every signature; nothing
         # may come back Valid.  The full-size sweep lives in acceptance.
         payload = b"m" * 120
@@ -230,7 +231,7 @@ class TestVerdicts:
         for i in range(len(payload)):
             mutated = bytearray(payload)
             mutated[i] ^= 0xFF
-            assert not verify_chain(proof, bytes(mutated), path, directory, memo).valid
+            assert not verify_chain(proof, bytes(mutated), path, directory).valid
         for h, hop in enumerate(proof.chain):
             for i in range(len(hop.sig)):
                 mutated = bytearray(hop.sig)
@@ -238,7 +239,7 @@ class TestVerdicts:
                 chain = list(proof.chain)
                 chain[h] = HopSignature(hop.signer, hop.signer_pub, bytes(mutated))
                 forged = replace(proof, chain=tuple(chain))
-                assert not verify_chain(forged, payload, path, directory, memo).valid
+                assert not verify_chain(forged, payload, path, directory).valid
 
 
 def _flip(data: bytes, at: int = -1) -> bytes:
@@ -262,29 +263,30 @@ def _one_byte_mutants(proof):
     yield replace(proof, digest=chunk_digest(other)), other
 
 
-def _relay_verdict(keys, proof, payload, links=None):
+def _relay_verdict(signer, proof, payload):
     try:
-        sign_chunk(keys[OUTSIDER], proof, payload, links)
+        sign_chunk(signer, proof, payload)
     except ProofError as err:
         return str(err)
     return None
 
 
-class TestVerifiedLinks:
-    def test_memo_keeps_every_one_byte_fault(self, keys, directory, memo):
+class TestKeyDirectory:
+    def test_memo_keeps_every_one_byte_fault(self, keys, directory):
         honest = build_chain(keys)
-        assert verify_chain(honest, PAYLOAD, PATH, directory, memo).valid
-        assert _relay_verdict(keys, honest, PAYLOAD, memo) is None
+        assert verify_chain(honest, PAYLOAD, PATH, directory).valid
+        assert _relay_verdict(keys[OUTSIDER], honest, PAYLOAD) is None
         mutants = list(_one_byte_mutants(honest))
         assert len(mutants) == 2 * len(honest.chain) + 1
         for proof, payload in mutants:
-            fresh = verify_chain(proof, payload, PATH, directory)
+            fresh = verify_chain(proof, payload, PATH, KeyDirectory(directory.public))
             assert not fresh.valid
-            assert verify_chain(proof, payload, PATH, directory, memo) == fresh
-            # A relay checks against the embedded keys, not the directory.
-            refused = _relay_verdict(keys, proof, payload)
+            assert verify_chain(proof, payload, PATH, directory) == fresh
+            # A relay checks against the embedded keys, not the directory;
+            # a key of its own directory checks every link afresh.
+            refused = _relay_verdict(KeyPair.from_seed(OUTSIDER, b"proof-tests"), proof, payload)
             assert refused is not None
-            assert _relay_verdict(keys, proof, payload, memo) == refused
+            assert _relay_verdict(keys[OUTSIDER], proof, payload) == refused
 
     def test_failed_check_is_not_stored(self, keys, monkeypatch):
         calls = []
@@ -297,7 +299,7 @@ class TestVerifiedLinks:
         monkeypatch.setattr(proof_module, "verify", counting)
         signer = keys[PRODUCER]
         sig = signer.sign(b"message")
-        links = VerifiedLinks()
+        links = KeyDirectory()
         assert not links.check(signer.public, b"message", _flip(sig), proof_module.verify)
         assert not links.check(signer.public, b"message", _flip(sig), proof_module.verify)
         assert len(calls) == 2
@@ -306,7 +308,7 @@ class TestVerifiedLinks:
         assert len(calls) == 3
 
     def test_signed_triples_answer_as_ed25519_under_every_one_byte_mutant(self):
-        memo = VerifiedLinks()
+        memo = KeyDirectory()
         keys = _keys(memo)
         proof = build_chain(keys)
         triples = [
@@ -335,7 +337,7 @@ class TestVerifiedLinks:
         assert len(real) == mutants
 
     def test_a_key_seeds_only_its_own_public_half(self, keys):
-        memo = VerifiedLinks()
+        memo = KeyDirectory()
         key = KeyPair.from_seed(PRODUCER, b"proof-tests", memo)
         other = keys[RELAY1].public
         with pytest.raises(TypeError):
@@ -348,31 +350,31 @@ class TestVerifiedLinks:
         assert list(memo._seen) == [(key.public, b"message", sig)]
         assert keys_module.verify(key.public, b"message", sig)
 
-    def test_capacity_bounds_size_and_changes_no_outcome(self, directory, monkeypatch):
-        links = VerifiedLinks()
+    def test_capacity_bounds_size_and_changes_no_outcome(self, monkeypatch):
+        links = KeyDirectory()
         keys = _keys(links)
         honest = build_chain(keys)
         proof, payload = next(_one_byte_mutants(honest))
-        expected = verify_chain(proof, payload, PATH, directory)
+        expected = verify_chain(proof, payload, PATH, KeyDirectory(links.public))
 
         def outcomes_hold():
             for _ in range(2):
-                assert verify_chain(honest, PAYLOAD, PATH, directory, links).valid
-                assert verify_chain(proof, payload, PATH, directory, links) == expected
-                assert len(links._seen) <= VerifiedLinks.CAPACITY
+                assert verify_chain(honest, PAYLOAD, PATH, links).valid
+                assert verify_chain(proof, payload, PATH, links) == expected
+                assert len(links._seen) <= KeyDirectory.CAPACITY
 
-        assert verify_chain(honest, PAYLOAD, PATH, directory, links).valid
+        assert verify_chain(honest, PAYLOAD, PATH, links).valid
         with monkeypatch.context() as m:
             m.setattr(proof_module, "verify", lambda *args: True)
-            for i in range(VerifiedLinks.CAPACITY + 10):
+            for i in range(KeyDirectory.CAPACITY + 10):
                 assert links.check(b"key", i.to_bytes(4, "big"), b"sig", proof_module.verify)
-                assert len(links._seen) <= VerifiedLinks.CAPACITY
+                assert len(links._seen) <= KeyDirectory.CAPACITY
         outcomes_hold()
         # Signing seeds the memo under the same bound and evicts the
         # honest chain's links, which are then verified for real.
-        for i in range(VerifiedLinks.CAPACITY + 10):
+        for i in range(KeyDirectory.CAPACITY + 10):
             keys[OUTSIDER].sign(i.to_bytes(4, "big"))
-            assert len(links._seen) <= VerifiedLinks.CAPACITY
+            assert len(links._seen) <= KeyDirectory.CAPACITY
         assert all(link[0] == keys[OUTSIDER].public for link in links._seen)
         outcomes_hold()
 
@@ -389,7 +391,7 @@ class TestWireRoundTrip:
         )
         decoded = decode_packet(encode_packet(pkt))
         assert decoded.proof == proof
-        assert verify_chain(decoded.proof, PAYLOAD, PATH, directory).valid
+        assert verify_chain(decoded.proof, PAYLOAD, PATH, KeyDirectory(directory.public)).valid
 
 
 class TestSignatureBudget:

@@ -112,7 +112,7 @@ class TestDeterminism:
         assert str(ours.value) == str(theirs.value) == "Object of type set is not JSON serializable"
 
 
-class TestVerifiedLinks:
+class TestKeyDirectory:
     def test_honest_run_verifies_no_signature_by_hand(self, monkeypatch):
         # Every signature of an honest run was made by one of its keys,
         # which recorded it in the run's memo, so no check reaches Ed25519.
@@ -140,7 +140,7 @@ class TestVerifiedLinks:
         sim = Simulator(parse_scenario(line_doc(), source="inline.scn"))
         result = sim.run()
         assert any(ev["event"] == "chunk_signed" and ev["node"] == R for ev in result.trace)
-        assert any(link[0] == impostor.public for link in sim.verified_links._seen)
+        assert any(link[0] == impostor.public for link in sim.keys._seen)
         faults = [ev["fault"] for ev in result.trace if ev["event"] == "chunk_verify_failed"]
         assert faults and set(faults) == {"unexpected-signer"}
         assert flow_of(result)["fail_reason"] == "proof"

@@ -375,6 +375,22 @@ class TestChannelUpdate:
         assert err.value.reason == "insufficient-funds"
         assert not book.pending and not ledger.keys._seen
 
+    def test_only_party_a_can_sign(self):
+        """Only party a's key moves party a's tokens: a key of neither
+        party signs nothing, and a's offer does not pass as b's."""
+        ledger, book, keys = fresh_book()
+        cid = channel_id_for(CONSUMER, RELAY_A)
+        with pytest.raises(PaymentError) as err:
+            book.make_offer(keys[RELAY_B], cid, 5, TAG, 0, LIFETIME_US)
+        assert err.value.reason == "not-a-party"
+        assert not book.pending and not ledger.keys._seen
+        offer = book.make_offer(keys[CONSUMER], cid, 5, TAG, 0, LIFETIME_US)
+        before = book.state(cid)
+        with pytest.raises(PaymentError) as err:
+            book.commit_offer(keys[CONSUMER], RELAY_A, offer)
+        assert err.value.reason == "bad-signature"
+        assert book.state(cid) is before
+
     def test_tampered_signature_fails_verification(self):
         ledger, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
@@ -558,10 +574,6 @@ class TestChannelBook:
         with pytest.raises(PaymentError) as err:
             book.make_offer(keys[CONSUMER], cid, 0, TAG, 0, LIFETIME_US)
         assert err.value.reason == "bad-amount"
-        # Nor can a key of neither party pay over the channel.
-        with pytest.raises(PaymentError) as err:
-            book.make_offer(keys[RELAY_B], cid, 5, TAG, 0, LIFETIME_US)
-        assert err.value.reason == "not-a-party"
         assert not book.pending and not ledger.keys._seen
 
     def test_commit_on_a_settled_channel_changes_nothing(self):

@@ -113,6 +113,9 @@ def _cmd_audit_ledger(args: argparse.Namespace) -> int:
     except OSError as exc:
         _err("io", f"cannot read {path}: {exc.strerror or exc}")
         return 1
+    except UnicodeDecodeError as exc:
+        _err("io", f"cannot read {path}: not UTF-8: {exc.reason}")
+        return 1
     records = []
     for i, line in enumerate(lines):
         if not line.strip():

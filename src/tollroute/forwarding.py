@@ -481,27 +481,25 @@ class ForwardingEngine:
                 return []
             self.counters["dropped_unsolicited"] += 1
             return []
-        outgoing = pkt
-        if pkt.proof is not None:
-            outgoing = self._extend_proof(pkt)
+        proof = None if pkt.proof is None else self._extend_proof(pkt)
         self.tables.cs.insert(pkt.name, pkt.payload)
         once = _each_once(downstreams)
         self.counters["data_forwarded"] += len(once)
         return [
             Send(downstream, Data(
-                name=outgoing.name,
+                name=pkt.name,
                 hop_info=HopInfo(self.addr, downstream),
-                payload=outgoing.payload,
-                proof=outgoing.proof,
+                payload=pkt.payload,
+                proof=proof,
             ))
             for downstream in once
         ]
 
-    def _extend_proof(self, pkt: Data) -> Data:
+    def _extend_proof(self, pkt: Data) -> ChunkProof:
         """Cut-through signing: pull the chunk's earlier packets from the
         content store, reassemble, and append our signature.  If the
-        chunk cannot be reassembled or fails validation the proof is
-        forwarded untouched (the consumer will notice the gap)."""
+        chunk cannot be reassembled or fails validation the arriving
+        proof is returned untouched (the consumer will notice the gap)."""
         proof = pkt.proof
         last = proof.first + proof.count - 1
         parts: list[bytes] = []
@@ -518,7 +516,7 @@ class ForwardingEngine:
         except ProofError as err:
             self.counters["proof_forwarded_unsigned"] += 1
             self.trace("proof_pass_through", name=str(pkt.name), reason=str(err))
-            return pkt
+            return proof
         self.counters["signatures_produced"] += 1
         self.trace(
             "chunk_signed", prefix=str(pkt.name.prefix), first=proof.first, count=proof.count
@@ -526,7 +524,7 @@ class ForwardingEngine:
         # Remember the extended chain so a later cache hit on this chunk
         # can hand out the same proof.
         self._proofs[(pkt.name.components, last)] = extended
-        return Data(name=pkt.name, hop_info=pkt.hop_info, payload=pkt.payload, proof=extended)
+        return extended
 
     def _store_and_forward(self, pkt: Data, now: int) -> list[Send]:
         """Hold content packets until their chunk's proof packet arrives,

@@ -650,7 +650,8 @@ def ledger_record_problem(rec) -> str | None:
         return "not a JSON object"
     op = rec.get("op")
     for name, kind in (_LEDGER_FIELDS.get(op, {}) if isinstance(op, str) else {}).items():
-        if not isinstance(rec.get(name), kind):
+        value = rec.get(name)
+        if not isinstance(value, kind) or isinstance(value, bool):  # isinstance(True, int) holds
             return f"{op} record needs {kind.__name__} field {name!r}"
     return None
 

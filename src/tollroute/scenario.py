@@ -476,6 +476,8 @@ def load_scenario(path: str) -> Scenario:
             doc = yaml.load(fh, _LOADER)
     except OSError as exc:
         raise ScenarioError([f"cannot read {path}: {exc.strerror or exc}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError([f"cannot read {path}: not UTF-8: {exc.reason}"]) from exc
     except yaml.YAMLError as exc:
         raise ScenarioError([f"{path}: not valid YAML: {exc}"]) from exc
     return parse_scenario(doc, source=path)

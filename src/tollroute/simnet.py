@@ -204,31 +204,27 @@ class Simulator:
                 partial(self._deliver, spec.addr),
             )
 
-        self.links: dict[tuple[NodeAddr, NodeAddr], Link] = {}
-        self.neighbors: dict[NodeAddr, list[tuple[NodeAddr, Link]]] = {
-            spec.addr: [] for spec in scenario.nodes
+        # Each node's links by peer, in address order: in key order, a node's
+        # links to lower peers come first, each in order, then its higher ones.
+        self.neighbors: dict[NodeAddr, dict[NodeAddr, Link]] = {
+            spec.addr: {} for spec in scenario.nodes
         }
-        for ls in sorted(scenario.links, key=lambda l: (str(l.key[0]), str(l.key[1]))):
-            link = Link(
-                a=ls.key[0],
-                b=ls.key[1],
+        hopbyhop = self.defaults.payment_mode == "hopbyhop"
+        deposit = self.defaults.channel_deposit
+        for ls in sorted(scenario.links, key=lambda l: l.key):
+            a, b = ls.key
+            self.neighbors[a][b] = self.neighbors[b][a] = Link(
+                a=a,
+                b=b,
                 latency_us=ls.latency_ms * MS,
                 drop_rate=ls.drop_rate,
                 corrupt_rate=ls.corrupt_rate,
                 up=True,
                 seed=scenario.seed,
             )
-            self.links[ls.key] = link
-            self.neighbors[link.a].append((link.b, link))
-            self.neighbors[link.b].append((link.a, link))
-        for addr in self.neighbors:
-            self.neighbors[addr].sort(key=lambda pair: pair[0])
-
-        if self.defaults.payment_mode == "hopbyhop":
-            # The scenario has checked that every node can fund these.
-            deposit = self.defaults.channel_deposit
-            for link in self.links.values():
-                self.ledger.open_channel(link.a, link.b, deposit, deposit)
+            if hopbyhop:
+                # The scenario has checked that every node can fund these.
+                self.ledger.open_channel(a, b, deposit, deposit)
 
         self.flows: dict[tuple[NodeAddr, tuple[bytes, ...]], Flow] = {}
 
@@ -255,7 +251,7 @@ class Simulator:
         self.trace.append({"t": self.now, "node": str(origin), "event": event, **fields, **frame})
 
     def link_between(self, a: NodeAddr, b: NodeAddr) -> Link | None:
-        return self.links.get((a, b) if a < b else (b, a))
+        return self.neighbors[a].get(b)
 
     def fresh_nonce(self, addr: NodeAddr) -> bytes:
         rng = self._rngs.get(addr)
@@ -272,7 +268,7 @@ class Simulator:
         fields = _frame_fields(pkt)
         self.emit(src, "tx", fields, to=str(action.to))
         if action.to.is_broadcast:
-            targets = self.neighbors[src]
+            targets = self.neighbors[src].items()
         else:
             # No link, or a link that is down, loses the frame silently:
             # exactly the failure keep-alives exist to surface.
@@ -310,7 +306,7 @@ class Simulator:
 
     def _tick_keepalive(self, addr: NodeAddr) -> None:
         self.nodes[addr].keepalive_tick(self.now)
-        for peer, link in self.neighbors[addr]:
+        for peer, link in self.neighbors[addr].items():
             if link.up and not link.drops():
                 arrival = self.now + link.latency_us
                 self.at(arrival, self.nodes[peer].on_keepalive, addr, arrival)
@@ -400,7 +396,7 @@ class Simulator:
         if not live:
             self._rediscover(flow)
             return
-        flow.active = min(live, key=lambda c: (c.price, tuple(str(h) for h in c.hops)))
+        flow.active = min(live, key=lambda c: (c.price, c.hops))
         flow.state = "fetching"
         flow.generation += 1
         flow.send_queue = []
@@ -627,7 +623,7 @@ class Simulator:
         while self._heap:
             time_us, _seq, fn, args = heapq.heappop(self._heap)
             if time_us > horizon:
-                continue
+                break
             self.now = time_us
             fn(*args)
         self.now = horizon
@@ -641,8 +637,7 @@ class Simulator:
 
     def _report(self) -> dict:
         flows = []
-        for key in sorted(self.flows, key=lambda k: (str(k[0]), str(Name(k[1])))):
-            flow = self.flows[key]
+        for flow in sorted(self.flows.values(), key=lambda f: (str(f.node), str(f.name))):
             complete = flow.state == "done"
             flows.append({
                 "node": str(flow.node),

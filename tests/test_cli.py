@@ -119,6 +119,15 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.count("error[scenario]:") >= 2
 
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_scenario_not_utf8_exits_one(self, tmp_path, capsys, verb):
+        bad = tmp_path / "bad.scn"
+        bad.write_bytes(b"version: 1\nseed: \xff\xfe\n")
+        assert main([verb, str(bad)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error[scenario]: cannot read {bad}: not UTF-8: invalid start byte\n"
+
     def test_scenario_dir_env_resolution(self, tmp_path, capsys, monkeypatch):
         shutil.copy(BUNDLED / "fig1.scn", tmp_path / "renamed.scn")
         monkeypatch.setenv("TOLLROUTE_SCENARIO_DIR", str(tmp_path))
@@ -238,6 +247,7 @@ class TestAuditLedger:
         "line, problem",
         [
             ('{"op":"mint","account":"a"}', "mint record needs int field 'amount'"),
+            ('{"op":"mint","account":"a","amount":true}', "mint record needs int field 'amount'"),
             ('{"op":"settle","channel":"c","sequence":1,"balance_a":"9","balance_b":1}',
              "settle record needs int field 'balance_a'"),
             ("[1,2]", "not a JSON object"),
@@ -258,6 +268,14 @@ class TestAuditLedger:
     def test_missing_file_exits_one(self, capsys):
         assert main(["audit-ledger", "/nonexistent/ledger.jsonl"]) == 1
         assert capsys.readouterr().err.startswith("error[io]:")
+
+    def test_file_not_utf8_exits_one(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_bytes(b'\xff\xfe{"op":"mint","account":"a","amount":5}\n')
+        assert main(["audit-ledger", str(ledger)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error[io]: cannot read {ledger}: not UTF-8: invalid start byte\n"
 
     def test_negative_balance_exits_two(self, tmp_path, capsys):
         ledger = tmp_path / "ledger.jsonl"

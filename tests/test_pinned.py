@@ -105,10 +105,11 @@ def _doc(seed, duration_ms, defaults, nodes, links, fetches):
     }
 
 
-def _line(packets: int, drop_rate: float) -> dict:
+def _line(packets: int, *rates: float) -> dict:
     """Consumer, relay and producer (costs 1/2/3); 100 B packets, 8 per
-    chunk.  A short Interest lifetime keeps a lossy run's retransmits
-    inside the run."""
+    chunk.  `rates` are both links' drop rate and then corrupt rate.  A
+    short Interest lifetime keeps a lossy run's retransmits inside the
+    run."""
     consumer, relay, producer = _addr(1, 1), _addr(1, 2), _addr(1, 3)
     deposit = 6 * packets
     serve = {"prefix": "/line/bulk", "packet_size": 100, "packets_per_chunk": 8,
@@ -120,7 +121,7 @@ def _line(packets: int, drop_rate: float) -> dict:
          "account_balance": 2 * deposit},
         [{"addr": consumer, "cost": 1}, {"addr": relay, "cost": 2},
          {"addr": producer, "cost": 3, "serves": [serve]}],
-        [pair + [1, drop_rate] for pair in pairs] if drop_rate else pairs,
+        [pair + [1, *rates] for pair in pairs] if rates else pairs,
         [(100, consumer, "/line/bulk", packets)],
     )
 
@@ -153,9 +154,20 @@ def _grid(n: int = 4) -> dict:
 # through, the proof-carrying Data was then lost, and the retransmit was
 # answered from the relay's content store without a proof, so those
 # chunks never verify.
+# line-256-corrupt alters about one frame in twenty on each link, and
+# the relay caches an altered payload before any proof check (the
+# poisoned-store FOUND: line in CHANGES.md), so a chunk that fails its
+# check is refetched from that store and fails again.  Under hop-by-hop
+# each refetch pays again until the consumer's channel deposit runs
+# out, and the flow ends failed with payment:insufficient-funds.  Under
+# pay-all the flow ends still fetching, all 256 packets received: a
+# refetch answered from the relay's store carries no proof when the
+# relay passed that chunk's proof through unsigned (the unsigned
+# pass-through FOUND: line), so those chunks never verify.
 GENERATED = {
-    "line-512": lambda: _line(512, 0.0),
+    "line-512": lambda: _line(512),
     "line-256-lossy": lambda: _line(256, 0.05),
+    "line-256-corrupt": lambda: _line(256, 0.0, 0.05),
     "grid-4x4": _grid,
 }
 
@@ -180,6 +192,16 @@ PINNED_GENERATED = {
         "9beeaf52ab7b74fc2756594bbbf0c3b34c9b8092e21930453f0367fe7af2e885",
         "f5e46aa9fbae7f2e1a371ddb7f7f43879cb9053e55b1f834abcb7c2d5d09f209",
         "6199b06918b5f9a15b28f36a6091809ed9977db07304f48120cb6bf79edd9aca",
+    ),
+    ("line-256-corrupt", "hopbyhop"): (
+        "9c10cfbca69d97c7b96ffcd7a57df6eeec42a7f0670177c1957804583015142c",
+        "85d753661b08eb1940af1151aef1898a0b1a0182e662fc397b1af430ae467642",
+        "9553456b2e8d6c6c269cf04a7e998178515f81ea1962aff3fd20e4315d7d7012",
+    ),
+    ("line-256-corrupt", "payall"): (
+        "a64b59884843349e76d08225ebc2bc8cdbb71bbc87d79715b70b927ed08b6dde",
+        "c6e9186d6623934baaae5abc3f0143faa26efc8fbf11368a4b8b20e44b4852ec",
+        "c4c51d45664a0e2ee6b0a25bda03e00a4c5aa6623fa653340c8ad1e3a7b6eac0",
     ),
     ("grid-4x4", "hopbyhop"): (
         "0e6d2509ee8edde7112542c6ee2d136059e76ef2069cec5f1562821c0c855208",

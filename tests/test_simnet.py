@@ -348,7 +348,9 @@ class TestLossAndChurn:
         result = sim.run()
         # A generator is seeded on its first draw: no link here ever
         # seeds one, and only the consumer draws nonces.
-        assert not any("rng" in vars(link) for link in sim.links.values())
+        assert not any(
+            "rng" in vars(link) for peers in sim.neighbors.values() for link in peers.values()
+        )
         assert list(sim._rngs) == [NodeAddr.parse(A)]
         assert result.trace_bytes() == run_doc(line_doc()).trace_bytes()
 
@@ -357,13 +359,13 @@ class TestLossAndChurn:
         doc["links"] = [[A, R, 5, 0.2, 0.1], [R, P, 5]]
         sim = Simulator(parse_scenario(doc, source="inline.scn"))
         sim.run()
-        lossy, clean = sim.links.values()
+        a, r = NodeAddr.parse(A), NodeAddr.parse(R)
+        lossy, clean = sim.link_between(a, r), sim.link_between(r, NodeAddr.parse(P))
         assert "rng" in vars(lossy) and "rng" not in vars(clean)
         fresh = Simulator(parse_scenario(doc, source="inline.scn"))
-        a = NodeAddr.parse(A)
         assert fresh.fresh_nonce(a) == (
             simnet.derive_rng(7, "node", A).getrandbits(64).to_bytes(8, "big"))
-        assert fresh.link_between(a, NodeAddr.parse(R)).rng.getstate() == (
+        assert fresh.link_between(a, r).rng.getstate() == (
             simnet.derive_rng(7, "link", A, R).getstate())
 
     def test_altered_route_through_an_unknown_node_is_no_candidate(self):

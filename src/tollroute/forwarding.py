@@ -93,6 +93,8 @@ class ForwardingEngine:
     packet that ends at this node's own application and returns True when
     the node was waiting for it."""
 
+    PAYLOAD_MEMO_BYTES = 1 << 20
+
     def __init__(
         self,
         spec: NodeSpec,
@@ -125,6 +127,10 @@ class ForwardingEngine:
         # Store-and-forward: content Data held back until the chunk's
         # proof packet arrives, keyed by prefix.
         self._sf_buffers: dict[tuple[bytes, ...], dict[int, Data]] = {}
+        # Payloads this node generated as a producer, keyed by (prefix
+        # components, packet index), oldest first out past PAYLOAD_MEMO_BYTES.
+        self._payloads: dict[tuple[tuple[bytes, ...], int], bytes] = {}
+        self._payload_bytes = 0
 
     # -- helpers -----------------------------------------------------
 
@@ -136,6 +142,17 @@ class ForwardingEngine:
 
     def _serves_prefix(self, name: Name) -> bool:
         return any(s.owns(name) for s in self.serves)
+
+    def _payload(self, serve: ServeSpec, index: int) -> bytes:
+        """Packet `index` of `serve`, generated once while the memo holds it."""
+        key = (serve.prefix.components, index)
+        payload = self._payloads.get(key)
+        if payload is None:
+            payload = self._payloads[key] = serve.payload(index)
+            self._payload_bytes += len(payload)
+            while self._payload_bytes > self.PAYLOAD_MEMO_BYTES:
+                self._payload_bytes -= len(self._payloads.pop(next(iter(self._payloads))))
+        return payload
 
     def _nack(self, to: NodeAddr, name: Name, nonce: bytes, reason: NackReason) -> Send:
         """Refuse one Interest.  Its PIT slot goes too, so a retry from
@@ -387,7 +404,7 @@ class ForwardingEngine:
     def _build_content(self, name: Name, downstream: NodeAddr) -> Data | None:
         serve = self._source_for(name)
         if serve is not None:
-            payload = serve.payload(name.chunk_index)
+            payload = self._payload(serve, name.chunk_index)
             proof = self._producer_proof(serve, name.chunk_index)
         else:
             payload = self.tables.cs.lookup(name)
@@ -409,7 +426,7 @@ class ForwardingEngine:
         key = (serve.prefix.components, index)
         proof = self._proofs.get(key)
         if proof is None:
-            payload = b"".join(serve.payload(i) for i in range(first, first + count))
+            payload = b"".join(self._payload(serve, i) for i in range(first, first + count))
             proof = make_chunk(self.key, first, payload, serve.packet_size)
             self._proofs[key] = proof
             self.counters["signatures_produced"] += 1

@@ -8,12 +8,15 @@ chain's secret end derives from the private key, so only the key's
 owner can extend its chains.
 
 A run has one `KeyDirectory`: the public key of every node, which a
-consumer and the ledger trust, and the memo of signatures known valid.
-Every key of the run records the signatures it makes in the memo.
-Ed25519 is deterministic and a signature always verifies under the
-public half of the key that made it, so a checker that finds a triple in
-the memo gets the answer Ed25519 would give without verifying it.  Any
-other triple is verified for real.
+consumer and the ledger trust, and memos of what the run's keys made:
+their signatures, and the live tail of each payment chain they pay
+over.  Ed25519 is deterministic (RFC 8032 5.1.6) and a signature always
+verifies under the public half of the key that made it, so a key asked
+to sign again returns the memo's signature, and a checker that finds a
+signature there gets the answer Ed25519 would give without verifying
+it.  Likewise a word that a tail holds at the position a check names
+hashes to the chain's root in that many steps, so the check needs no
+hashing.  Anything else is verified or hashed for real.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .wire import ChainCommitment, NodeAddr
+from .wire import DIGEST_LEN, ChainCommitment, NodeAddr
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,10 @@ class KeyPair:
         return cls(owner, private, KeyDirectory() if memo is None else memo)
 
     def sign(self, message: bytes) -> bytes:
-        sig = self._private.sign(message)
-        self.memo.add(self.public, message, sig)
+        sig = self.memo._seen.get((self.public, message))
+        if sig is None:
+            sig = self._private.sign(message)
+            self.memo.add(self.public, message, sig)
         return sig
 
     def hash_chain(self, label: bytes, length: int) -> bytes:
@@ -94,36 +99,48 @@ Verifier = Callable[[bytes, bytes, bytes], bool]
 
 class KeyDirectory:
     """One run's trust root, shared by all its nodes: `public`, each
-    node's public key, and the memo of (public key, message, signature)
-    triples known valid, which are the signatures the run's keys made
-    and those a real verify accepted.  A failure is never stored.  Past
-    CAPACITY the least recently used triple is dropped, so a chain link
-    that every consumer checks outlives channel updates that are checked
-    once."""
+    node's public key; the memo of signatures known valid, by (public
+    key, message), which are the signatures the run's keys made and
+    those a real verify accepted; and `tails`, the live tail of each
+    chain the run's keys pay over, by root, as its words and the
+    position of the first one (the root's is 0).  A failure is never
+    stored.  Past CAPACITY the least recently used signature is dropped,
+    so a chain link that every consumer checks outlives channel updates
+    that are checked once."""
 
     CAPACITY = 1024
 
     def __init__(self, public: dict[NodeAddr, bytes] | None = None) -> None:
         self.public: dict[NodeAddr, bytes] = {} if public is None else public
-        self._seen: dict[tuple[bytes, bytes, bytes], None] = {}
+        self._seen: dict[tuple[bytes, bytes], bytes] = {}
+        self.tails: dict[bytes, tuple[bytes, int]] = {}
 
     def add(self, public: bytes, message: bytes, signature: bytes) -> None:
         seen = self._seen
-        seen[(public, message, signature)] = None
+        seen[public, message] = signature
         if len(seen) > self.CAPACITY:
             del seen[next(iter(seen))]
 
     def discard(self, public: bytes, message: bytes, signature: bytes) -> None:
-        """Forget a triple that no check will ask about again."""
-        self._seen.pop((public, message, signature), None)
+        """Forget a signature that no check will ask about again."""
+        if self._seen.get((public, message)) == signature:
+            del self._seen[public, message]
 
     def check(self, public: bytes, message: bytes, signature: bytes, verify: Verifier) -> bool:
-        """The memo's answer when it holds the triple, else `verify`'s."""
-        triple = (public, message, signature)
-        if triple in self._seen:
-            self._seen[triple] = self._seen.pop(triple)
+        """The memo's answer when it holds this signature, else `verify`'s."""
+        pair = (public, message)
+        if self._seen.get(pair) == signature:
+            self._seen[pair] = self._seen.pop(pair)
             return True
         if not verify(public, message, signature):
             return False
         self.add(public, message, signature)
         return True
+
+    def on_chain(self, root: bytes, position: int, word: bytes) -> bool:
+        """Whether a live tail of the chain with `root` holds `word` at
+        `position`, so that hashing `word` `position` times gives `root`.
+        False says only that the tail cannot tell."""
+        words, first = self.tails.get(root, (b"", 0))
+        at = (position - first) * DIGEST_LEN
+        return 0 <= at < len(words) and words[at : at + DIGEST_LEN] == word

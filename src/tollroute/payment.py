@@ -11,14 +11,17 @@ the word T - base hashes from the root.  A payer never reveals a word
 of one chain below one it revealed before, and opens its chains in
 sequence order, so a word on an older chain, or below the committed
 total on its own, is an earlier promise than the committed one.  The
-payee hashes a new word `amount` times into the word it holds, or into
-the root when the offer carries the chain's commitment, and signs
-nothing.  A balance is the party's deposit minus what it paid plus what
-it was paid.  Both directions share one strictly increasing sequence;
-a rejected offer simply leaves a hole.  Settlement checks each
-counter's commitment against its payer's key and hashes its word back
-to the root, pays the balances out to the ledger accounts and is
-terminal.
+payee checks that a new word hashes `amount` times into the word it
+holds, or into the root when the offer carries the chain's commitment,
+and signs nothing.  A balance is the party's deposit minus what it paid
+plus what it was paid.  Both directions share one strictly increasing
+sequence; a rejected offer simply leaves a hole.  Settlement checks each
+counter's commitment against its payer's key and its word against the
+root, pays the balances out to the ledger accounts and is terminal.
+Every word check asks the key directory first: a word its payer's live
+copy of the chain holds at the place the check needs is answered as
+hashing would answer, without hashing, as a signature the payer's key
+made is answered without verifying.  Any other word is hashed.
 
 The Ledger holds the one record of each channel: its committed state,
 which the next offer builds on and below which settlement refuses to
@@ -155,22 +158,28 @@ def chain_word(
     highest total revealed on it: the payee may hold that word, and would
     collect it over the lower one revealed later.  So no word below
     `total` is revealed again, and the key drops them from its copy of a
-    live chain once they fill half of it."""
+    live chain once they fill half of it.  The key's directory holds that
+    copy by the chain's root, and forgets a chain it replaces."""
     base = state.paid[direction].total
     slot = (state.channel_id, direction)
     live = key.chains.get(slot)
+    tails = key.memo.tails
     if live and live[0].base <= base and live[2] <= total <= live[0].base + live[0].length:
         commitment, words, _, start = live
         spent = (total - start) * DIGEST_LEN
         if 2 * spent > len(words):
             words, start = words[spent:], total
+            tails[commitment.root] = (words, start - commitment.base)
     else:
+        if live:
+            tails.pop(live[0].root, None)
         length = max(min(state.balance(direction), CHAIN_WORDS_MAX), total - base)
         label = chain_label(state.channel_id, direction, sequence, base, length)
         words = key.hash_chain(label, length)
         root = words[:DIGEST_LEN]
         commitment = ChainCommitment(sequence, base, length, root, key.sign(label + root))
         start = base
+        tails[root] = (words, 0)
     key.chains[slot] = (commitment, words, total, start)
     at = (total - start) * DIGEST_LEN
     return words[at : at + DIGEST_LEN], commitment
@@ -188,10 +197,11 @@ def payer_committed(state: ChannelState, direction: int, keys: KeyDirectory) -> 
         return False
     steps = counter.total - commitment.base
     message = _message_of(state.channel_id, direction, commitment)
+    root = commitment.root
     return (
         0 <= steps <= commitment.length
         and keys.check(pub, message, commitment.sig, verify)
-        and _hashes_to(counter.word, steps, commitment.root)
+        and (keys.on_chain(root, steps, counter.word) or _hashes_to(counter.word, steps, root))
     )
 
 
@@ -461,15 +471,20 @@ class ChannelBook:
         committed = ChannelState(
             cid, state.party_a, state.party_b, state.deposit_a, state.deposit_b, paid
         )
+        keys = self.ledger.keys
         if payment.commitment is not None:
-            valid = payer_committed(committed, direction, self.ledger.keys)
+            valid = payer_committed(committed, direction, keys)
         else:
             # The word the payee holds vouches for the new one, on the same
             # chain and no further than its end.
             valid = (
                 chain is not None
                 and total <= chain.base + chain.length
-                and _hashes_to(payment.word, payment.amount, old.word)
+                and (
+                    keys.on_chain(chain.root, total - chain.base, payment.word)
+                    and keys.on_chain(chain.root, old.total - chain.base, old.word)
+                    or _hashes_to(payment.word, payment.amount, old.word)
+                )
             )
         if not valid:
             raise PaymentError("bad-signature", f"offer seq {payment.sequence} by {payer}")
@@ -477,7 +492,6 @@ class ChannelBook:
         if old.commitment not in (None, chain):
             # The ledger refuses a superseded counter before it checks
             # commitments, so this one can never be checked again.
-            keys = self.ledger.keys
             message = _message_of(cid, direction, old.commitment)
             keys.discard(keys.public[payer], message, old.commitment.sig)
         queue = self.pending.get(cid, ())

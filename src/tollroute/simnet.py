@@ -535,9 +535,12 @@ class Simulator:
         if flow.state in ("done", "failed") or idx in flow.received:
             return True
         flow.received[idx] = pkt.payload
-        if pkt.proof is not None:
-            flow.proofs[pkt.proof.first] = (pkt.proof, route)
-        self._try_verify(flow, idx, pkt.proof)
+        proof = pkt.proof
+        # A proof rides only its chunk's final packet; one that claims
+        # another span was altered on the way and is not held.
+        if proof is not None and idx == proof.first + proof.count - 1:
+            flow.proofs[proof.first] = (proof, route)
+        self._try_verify(flow, idx, proof)
         self._check_complete(flow)
         return True
 

@@ -214,6 +214,12 @@ def _paid_by(payer, direction, sequence, total, short=0, word_by=None, **chain):
     return change
 
 
+def _memo(keys):
+    """The signatures in a directory's memo, as (public key, message,
+    signature) triples."""
+    return {(p, m, s) for (p, m), s in keys._seen.items()}
+
+
 def _triple(book, state, direction):
     """The memo triple of the commitment on the counter of `direction`."""
     c = state.paid[direction].commitment
@@ -274,7 +280,7 @@ class TestSettleRefusals:
             offer = book.make_offer(keys[payer], cid, amount, TAG, 0, LIFETIME_US)
             honest = book.commit_offer(keys[payee], payer, offer)
         # Each payer's commitment to its own chain, and nothing else.
-        assert set(ledger.keys._seen) == {_triple(book, honest, d) for d in (0, 1)}
+        assert _memo(ledger.keys) == {_triple(book, honest, d) for d in (0, 1)}
         return ledger, book, honest
 
     @pytest.mark.parametrize("case", list(SETTLE_REFUSALS))
@@ -338,7 +344,7 @@ class TestSettleRefusals:
                 superseded.append(book.state(busy))
                 book.commit_offer(keys[payee], payer, offer)
         # The memo holds the three live counters' commitments and nothing else.
-        assert set(ledger.keys._seen) == {
+        assert _memo(ledger.keys) == {
             _triple(book, book.state(idle), 0),
             _triple(book, book.state(busy), 0),
             _triple(book, book.state(busy), 1),
@@ -364,7 +370,7 @@ class TestChannelUpdate:
         assert nxt.paid == (Counter(1, 25, paid.word, paid.commitment), UNPAID)
         assert (paid.commitment.base, paid.commitment.length) == (0, 100)
         # Committed by the payer only: the payee's key is not needed.
-        assert set(ledger.keys._seen) == {_triple(book, nxt, 0)}
+        assert _memo(ledger.keys) == {_triple(book, nxt, 0)}
         assert verify_state(nxt, KeyDirectory(_drop(ledger.keys.public, RELAY_A)))
 
     def test_overdraw_rejected(self):
@@ -373,7 +379,7 @@ class TestChannelUpdate:
         with pytest.raises(PaymentError) as err:
             book.make_offer(keys[CONSUMER], cid, book.state(cid).balance_a + 1, TAG, 0, LIFETIME_US)
         assert err.value.reason == "insufficient-funds"
-        assert not book.pending and not ledger.keys._seen
+        assert not book.pending and not _memo(ledger.keys)
 
     def test_only_party_a_can_sign(self):
         """Only party a's key moves party a's tokens: a key of neither
@@ -383,7 +389,7 @@ class TestChannelUpdate:
         with pytest.raises(PaymentError) as err:
             book.make_offer(keys[RELAY_B], cid, 5, TAG, 0, LIFETIME_US)
         assert err.value.reason == "not-a-party"
-        assert not book.pending and not ledger.keys._seen
+        assert not book.pending and not _memo(ledger.keys)
         offer = book.make_offer(keys[CONSUMER], cid, 5, TAG, 0, LIFETIME_US)
         before = book.state(cid)
         with pytest.raises(PaymentError) as err:
@@ -574,7 +580,7 @@ class TestChannelBook:
         with pytest.raises(PaymentError) as err:
             book.make_offer(keys[CONSUMER], cid, 0, TAG, 0, LIFETIME_US)
         assert err.value.reason == "bad-amount"
-        assert not book.pending and not ledger.keys._seen
+        assert not book.pending and not _memo(ledger.keys)
 
     def test_commit_on_a_settled_channel_changes_nothing(self):
         ledger, book, keys = fresh_book()
@@ -924,6 +930,103 @@ def test_a_payer_keeps_only_the_unrevealed_part_of_its_chain():
         assert len(words) == 32 * (end - start + 1) <= 2 * 32 * (end - revealed + 1)
         trimmed += start > commitment.base
     assert trimmed and book.state(cid).balance_b == 2_100
+
+
+@given(
+    length=st.integers(1, 64),
+    case=st.sampled_from(("on-chain", "bit-flipped", "other-chain", "one-off", "elsewhere")),
+    data=st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_a_word_checked_by_its_place_answers_as_hashing(length, case, data):
+    """On a payer's chain of `length` words, a word shown for any total
+    is judged by the memo-first checks as hashing judges it: by the
+    commit, against the word the payee holds, which the payer's copy may
+    have dropped, and by settlement's check, against the root.  A word
+    the payer's live copy holds, shown where it holds it, is not hashed."""
+    hashes_to = payment._hashes_to
+    ledger, book, keys = fresh_book()
+    cid = ledger.open_channel(CONSUMER, PRODUCER, length, 0, channel_id=b"memo").channel_id
+    held = data.draw(st.integers(1, length), label="held")
+    first = book.make_offer(keys[CONSUMER], cid, held, TAG, 0, LIFETIME_US)
+    state = book.commit_offer(keys[PRODUCER], CONSUMER, first)
+    # An offer made and cancelled may cut the payer's copy past the held word.
+    ahead = data.draw(st.integers(0, length - held), label="ahead")
+    if ahead:
+        book.make_offer(keys[CONSUMER], cid, ahead, TAG, 0, LIFETIME_US)
+        book.cancel_tag(TAG)
+    chain = first.commitment
+    label = payment.chain_label(cid, 0, chain.sequence, chain.base, chain.length)
+    words = keys[CONSUMER].hash_chain(label, chain.length)
+    assert chain.length == length and _word(words, 0) == chain.root
+
+    amount = data.draw(st.integers(1, length), label="amount")
+    total = held + amount
+    at = min(total, length)
+    if case == "one-off":
+        at += -1 if at == length or data.draw(st.booleans(), label="below") else 1
+    elif case == "elsewhere":
+        at = data.draw(st.integers(0, length), label="at")
+    word = _word(words, at)
+    if case == "bit-flipped":
+        word = _flip(word, data.draw(st.integers(0, 31), label="byte"))
+    elif case == "other-chain":
+        word = _word(_chain(CONSUMER, cid, 0, 0, length)[1], at)
+    _tail, tail_first = ledger.keys.tails[chain.root]
+    from_tail = case == "on-chain" and tail_first <= held and total <= length
+
+    steps = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(payment, "_hashes_to", lambda *args: steps.append(args) or hashes_to(*args))
+        expected = (
+            "overdraw" if total > length
+            else None if hashes_to(word, amount, state.paid[0].word)
+            else "bad-signature"
+        )
+        try:
+            book.commit_offer(keys[PRODUCER], CONSUMER, Payment(cid, amount, 9, word, None))
+            reason = None
+        except PaymentError as err:
+            reason = err.reason
+        assert reason == expected
+        assert not (from_tail and steps)
+
+        shown = _with_counter(state, 0, Counter(9, total, word, chain))
+        expected = total <= length and hashes_to(word, total, chain.root)
+        steps.clear()
+        assert payment.payer_committed(shown, 0, ledger.keys) == expected
+        assert not (case == "on-chain" and tail_first <= total <= length and steps)
+
+
+def test_a_tail_answers_only_for_the_positions_it_holds():
+    memo = KeyDirectory()
+    tail = [bytes([i]) * 32 for i in range(4)]
+    memo.tails[b"root"] = (b"".join(tail), 3)
+    assert all(memo.on_chain(b"root", 3 + i, word) for i, word in enumerate(tail))
+    # Below the tail, past it, and under another root, it knows nothing.
+    for word in tail + [b""]:
+        assert not any(memo.on_chain(b"root", at, word) for at in (0, 1, 2, 7, 8))
+        assert not memo.on_chain(b"other", 3, word)
+
+
+def test_a_ledger_that_never_saw_the_chain_hashes_honest_words():
+    """Keys outside the ledger's directory leave it no tail to look a
+    word up in: honest offers, with a commitment and without, still
+    commit, and the channel settles, by hashing alone."""
+    keys = {addr: KeyPair.from_seed(addr, b"payment-tests") for addr in (CONSUMER, RELAY_A)}
+    ledger = Ledger(KeyDirectory({addr: key.public for addr, key in keys.items()}))
+    book = ChannelBook(ledger)
+    for addr in keys:
+        ledger.mint(addr, 1_000)
+    cid = ledger.open_channel(CONSUMER, RELAY_A, 100, 100).channel_id
+    for amount in (10, 5, 7):
+        offer = book.make_offer(keys[CONSUMER], cid, amount, TAG, 0, LIFETIME_US)
+        state = book.commit_offer(keys[RELAY_A], CONSUMER, offer)
+    assert not ledger.keys.tails and keys[CONSUMER].memo.tails
+    assert state.paid[0].total == 22 and not ledger.keys.on_chain(
+        state.paid[0].commitment.root, 22, state.paid[0].word)
+    ledger.settle(state)
+    assert ledger.balance(CONSUMER) == 1_000 - 100 + 78 and ledger.conserved()
 
 
 class TestHopPayments:

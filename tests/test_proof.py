@@ -4,6 +4,7 @@ the signature budget arithmetic."""
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -347,8 +348,41 @@ class TestKeyDirectory:
         with pytest.raises(FrozenInstanceError):
             key.public = other
         sig = key.sign(b"message")
-        assert list(memo._seen) == [(key.public, b"message", sig)]
+        assert [(p, m, s) for (p, m), s in memo._seen.items()] == [(key.public, b"message", sig)]
         assert keys_module.verify(key.public, b"message", sig)
+
+    def test_a_reused_signature_is_the_one_ed25519_makes(self):
+        """A key asked to sign a message again returns the signature it
+        made without signing, byte for byte a fresh Ed25519 signature."""
+
+        class Counting:
+            def __init__(self, private):
+                self.private, self.signed = private, []
+
+            def sign(self, message):
+                self.signed.append(message)
+                return self.private.sign(message)
+
+            def public_key(self):
+                return self.private.public_key()
+
+        seeded = KeyPair.from_seed(PRODUCER, b"proof-tests")
+        private = Counting(seeded._private)
+        key = KeyPair(PRODUCER, private, KeyDirectory())
+        first = key.sign(b"message")
+        again = key.sign(b"message")
+        assert private.signed == [b"message"]
+        fresh = Ed25519PrivateKey.from_private_bytes(seeded._private.private_bytes_raw())
+        assert again == first == fresh.sign(b"message")
+
+    def test_discard_drops_only_the_signature_it_names(self):
+        memo = KeyDirectory()
+        key = KeyPair.from_seed(PRODUCER, b"proof-tests", memo)
+        sig = key.sign(b"message")
+        memo.discard(key.public, b"message", _flip(sig))
+        assert memo._seen == {(key.public, b"message"): sig}
+        memo.discard(key.public, b"message", sig)
+        assert memo._seen == {}
 
     def test_capacity_bounds_size_and_changes_no_outcome(self, monkeypatch):
         links = KeyDirectory()
@@ -375,7 +409,7 @@ class TestKeyDirectory:
         for i in range(KeyDirectory.CAPACITY + 10):
             keys[OUTSIDER].sign(i.to_bytes(4, "big"))
             assert len(links._seen) <= KeyDirectory.CAPACITY
-        assert all(link[0] == keys[OUTSIDER].public for link in links._seen)
+        assert all(p == keys[OUTSIDER].public for (p, _m), _s in links._seen.items())
         outcomes_hold()
 
 

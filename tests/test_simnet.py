@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from tollroute import forwarding, payment, proof, simnet
+from tollroute import scenario as scenario_module
 from tollroute.audit import audit_run
 from tollroute.keys import KeyPair
 from tollroute.scenario import ScenarioError, content_bytes, load_scenario, parse_scenario
@@ -140,10 +141,70 @@ class TestKeyDirectory:
         sim = Simulator(parse_scenario(line_doc(), source="inline.scn"))
         result = sim.run()
         assert any(ev["event"] == "chunk_signed" and ev["node"] == R for ev in result.trace)
-        assert any(link[0] == impostor.public for link in sim.keys._seen)
+        assert any(p == impostor.public for (p, _m), _s in sim.keys._seen.items())
         faults = [ev["fault"] for ev in result.trace if ev["event"] == "chunk_verify_failed"]
         assert faults and set(faults) == {"unexpected-signer"}
         assert flow_of(result)["fail_reason"] == "proof"
+
+
+    def test_two_runs_of_one_scenario_share_no_memo(self):
+        """Each Simulator keeps its own memos, so a second run of the same
+        scenario in one process starts cold and makes the same artifacts."""
+        scenario = load_scenario(str(BUNDLED / "diamond.scn"))
+        first, second = Simulator(scenario), Simulator(scenario)
+        one = first.run()
+        assert second.keys._seen == {} and second.keys.tails == {}
+        assert not any(engine._payloads for engine in second.nodes.values())
+        two = second.run()
+        assert (one.report, one.trace, one.ledger_records) == (
+            two.report, two.trace, two.ledger_records)
+
+    def test_the_chain_table_holds_each_live_chain_once(self, monkeypatch):
+        """After a run the directory holds one tail per (payer, channel,
+        direction): the words its payer's key keeps, by root, and no root
+        of a chain the payer replaced."""
+        built = []
+        real = KeyPair.hash_chain
+        monkeypatch.setattr(
+            KeyPair, "hash_chain", lambda key, *args: built.append(real(key, *args)) or built[-1]
+        )
+        sim = Simulator(load_scenario(str(BUNDLED / "diamond.scn")))
+        sim.run()
+        live = {
+            chain.root: (words, start - chain.base)
+            for engine in sim.nodes.values()
+            for chain, words, _revealed, start in engine.key.chains.values()
+        }
+        assert sim.keys.tails == live
+        assert all(sim.keys.tails[root][0] is words for root, (words, _) in live.items())
+        assert {words[:32] for words in built} - set(live)
+
+    def test_the_payload_memo_stays_within_its_bound(self, monkeypatch):
+        """A producer generates each payload once while its memo holds it.
+        Past its bound the oldest payloads go first and are generated again,
+        with the same bytes."""
+        generated = []
+        real_content = content_bytes
+        monkeypatch.setattr(
+            scenario_module, "content_bytes", lambda *args: generated.append(args) or real_content(*args)
+        )
+        clean = run_doc(line_doc())
+        assert forwarding.ForwardingEngine.PAYLOAD_MEMO_BYTES == 1 << 20
+        assert len(generated) == len(set(generated)) == 8
+        held = []
+        real = forwarding.ForwardingEngine._payload
+
+        def payload(engine, serve, index):
+            out = real(engine, serve, index)
+            held.append((engine._payload_bytes, sum(map(len, engine._payloads.values()))))
+            return out
+
+        monkeypatch.setattr(forwarding.ForwardingEngine, "PAYLOAD_MEMO_BYTES", 1_500)
+        monkeypatch.setattr(forwarding.ForwardingEngine, "_payload", payload)
+        bounded = run_doc(line_doc())
+        assert (bounded.report, bounded.trace) == (clean.report, clean.trace)
+        assert held and all(size == summed <= 1_500 for size, summed in held)
+        assert len(generated) > 16
 
 
 class TestFlows:
@@ -560,6 +621,26 @@ class TestUnsolicited:
             "discovery_originated", "path_selected", "route_exhausted",
             "discovery_originated", "flow_failed",
         ]
+
+
+    def test_a_proof_that_claims_another_span_is_not_held(self, monkeypatch):
+        """A corrupting link may alter a proof's `first`.  The consumer
+        files a proof only from its chunk's final packet, the one packet a
+        proof rides, so the altered proof is not held for the run."""
+        altered = []
+        real = Simulator._on_flow_data
+
+        def alter_first_proof(sim, flow, pkt):
+            if pkt.proof is not None and not altered:
+                pkt = replace(pkt, proof=replace(pkt.proof, first=pkt.proof.first + 1_000))
+                altered.append(pkt)
+            return real(sim, flow, pkt)
+
+        monkeypatch.setattr(Simulator, "_on_flow_data", alter_first_proof)
+        sim = Simulator(parse_scenario(line_doc(), source="inline.scn"))
+        sim.run()
+        (flow,) = sim.flows.values()
+        assert altered and flow.proofs == {}
 
 
 class TestNestedPrefixes:

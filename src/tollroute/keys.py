@@ -8,15 +8,16 @@ chain's secret end derives from the private key, so only the key's
 owner can extend its chains.
 
 A run has one `KeyDirectory`: the public key of every node, which a
-consumer and the ledger trust, and memos of what the run's keys made:
-their signatures, and the live tail of each payment chain they pay
-over.  Ed25519 is deterministic (RFC 8032 5.1.6) and a signature always
-verifies under the public half of the key that made it, so a key asked
-to sign again returns the memo's signature, and a checker that finds a
-signature there gets the answer Ed25519 would give without verifying
-it.  Likewise a word that a tail holds at the position a check names
-hashes to the chain's root in that many steps, so the check needs no
-hashing.  Anything else is verified or hashed for real.
+consumer and the ledger trust, and what the run's keys made: a memo of
+their signatures, and the live payment chain of each channel direction
+they pay over.  Ed25519 is deterministic (RFC 8032 5.1.6) and a
+signature always verifies under the public half of the key that made
+it, so a key asked to sign again returns the memo's signature, and a
+checker that finds a signature there gets the answer Ed25519 would give
+without verifying it.  Likewise a word that a live chain holds at the
+position a check names hashes to the chain's root in that many steps,
+so the check needs no hashing.  Anything else is verified or hashed for
+real.
 """
 
 from __future__ import annotations
@@ -36,19 +37,14 @@ from .wire import DIGEST_LEN, ChainCommitment, NodeAddr
 
 @dataclass(frozen=True)
 class KeyPair:
-    """A node's signing identity.  The public half is always derived from
-    the private key, so every signature it records in `memo` is valid."""
+    """A node's signing identity.  What it makes goes into its directory
+    `memo`: its signatures, always valid because the public half derives
+    from the private key, and its live payment chains."""
 
     owner: NodeAddr
     _private: Ed25519PrivateKey = field(repr=False, compare=False)
     memo: KeyDirectory = field(repr=False, compare=False)
     public: bytes = field(init=False)
-    # The live payment chain of each (channel id, direction) it pays
-    # over, as its commitment, its words from the total `start` on, the
-    # highest total revealed on it and `start`.
-    chains: dict[tuple[bytes, int], tuple[ChainCommitment, bytes, int, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "public", self._private.public_key().public_bytes_raw())
@@ -101,19 +97,20 @@ class KeyDirectory:
     """One run's trust root, shared by all its nodes: `public`, each
     node's public key; the memo of signatures known valid, by (public
     key, message), which are the signatures the run's keys made and
-    those a real verify accepted; and `tails`, the live tail of each
-    chain the run's keys pay over, by root, as its words and the
-    position of the first one (the root's is 0).  A failure is never
-    stored.  Past CAPACITY the least recently used signature is dropped,
-    so a chain link that every consumer checks outlives channel updates
-    that are checked once."""
+    those a real verify accepted; and `chains`, the live payment chain
+    of each (channel id, direction) the run's keys pay over, as its
+    commitment, its words from the total `start` on, the highest total
+    revealed on it and `start`.  A failure is never stored.  Past
+    CAPACITY the least recently used signature is dropped, so a chain
+    link that every consumer checks outlives channel updates that are
+    checked once."""
 
     CAPACITY = 1024
 
     def __init__(self, public: dict[NodeAddr, bytes] | None = None) -> None:
         self.public: dict[NodeAddr, bytes] = {} if public is None else public
         self._seen: dict[tuple[bytes, bytes], bytes] = {}
-        self.tails: dict[bytes, tuple[bytes, int]] = {}
+        self.chains: dict[tuple[bytes, int], tuple[ChainCommitment, bytes, int, int]] = {}
 
     def add(self, public: bytes, message: bytes, signature: bytes) -> None:
         seen = self._seen
@@ -137,10 +134,13 @@ class KeyDirectory:
         self.add(public, message, signature)
         return True
 
-    def on_chain(self, root: bytes, position: int, word: bytes) -> bool:
-        """Whether a live tail of the chain with `root` holds `word` at
-        `position`, so that hashing `word` `position` times gives `root`.
-        False says only that the tail cannot tell."""
-        words, first = self.tails.get(root, (b"", 0))
-        at = (position - first) * DIGEST_LEN
+    def on_chain(self, slot: tuple[bytes, int], root: bytes, position: int, word: bytes) -> bool:
+        """Whether the live chain of `slot` has `root` and holds `word`
+        `position` words past it, so that hashing `word` `position` times
+        gives `root`.  False says only that the live chain cannot tell."""
+        live = self.chains.get(slot)
+        if live is None or live[0].root != root:
+            return False
+        commitment, words, _, start = live
+        at = (commitment.base + position - start) * DIGEST_LEN
         return 0 <= at < len(words) and words[at : at + DIGEST_LEN] == word

@@ -10,18 +10,19 @@ opening sequence, base total and length, and paying a total T reveals
 the word T - base hashes from the root.  A payer never reveals a word
 of one chain below one it revealed before, and opens its chains in
 sequence order, so a word on an older chain, or below the committed
-total on its own, is an earlier promise than the committed one.  The
-payee checks that a new word hashes `amount` times into the word it
-holds, or into the root when the offer carries the chain's commitment,
-and signs nothing.  A balance is the party's deposit minus what it paid
-plus what it was paid.  Both directions share one strictly increasing
-sequence; a rejected offer simply leaves a hole.  Settlement checks each
-counter's commitment against its payer's key and its word against the
-root, pays the balances out to the ledger accounts and is terminal.
-Every word check asks the key directory first: a word its payer's live
-copy of the chain holds at the place the check needs is answered as
-hashing would answer, without hashing, as a signature the payer's key
-made is answered without verifying.  Any other word is hashed.
+total on its own, is an earlier promise than the committed one.  One
+rule judges every word: it pays a total T on a chain when it hashes to
+the chain's root in T - base steps.  The payee checks a new word by it,
+and the commitment's signature when the offer carries one, and signs
+nothing.  A balance is the party's deposit minus what it paid plus what
+it was paid.  Both directions share one strictly increasing sequence; a
+rejected offer simply leaves a hole.  Settlement checks each counter's
+commitment against its payer's key and its word by the same rule, pays
+the balances out to the ledger accounts and is terminal.  Every word
+check asks the key directory first: a word its payer's live chain holds
+at the place the check needs is answered as hashing would answer,
+without hashing, as a signature the payer's key made is answered
+without verifying.  Any other word is hashed.
 
 The Ledger holds the one record of each channel: its committed state,
 which the next offer builds on and below which settlement refuses to
@@ -30,8 +31,8 @@ go.  The ChannelBook holds only what is in flight: offers stay pending
 ledger or a Nack cancels them.  The ledger holds the run's key
 directory, as a chain knows its accounts' keys, and checks every
 commitment against it.  The simulator keeps one book; a node acts on it
-by passing its own KeyPair, whose owner is the payer or payee and which
-keeps the payer's chains.
+by passing its own KeyPair, whose owner is the payer or payee and whose
+directory keeps the payer's live chains.
 """
 
 from __future__ import annotations
@@ -126,11 +127,9 @@ def chain_label(channel_id: bytes, direction: int, sequence: int, base: int, len
     return b"payword-chain" + channel_id + struct.pack(">BQQQ", direction, sequence, base, length)
 
 
-def commitment_message(
-    channel_id: bytes, direction: int, sequence: int, base: int, length: int, root: bytes
-) -> bytes:
-    """What a payer signs to open a chain: its label and its `root`."""
-    return chain_label(channel_id, direction, sequence, base, length) + root
+def commitment_message(channel_id: bytes, direction: int, c: ChainCommitment) -> bytes:
+    """What a payer signs to open chain `c`: its label and its root."""
+    return chain_label(channel_id, direction, c.sequence, c.base, c.length) + c.root
 
 
 def _hashes_to(word: bytes, steps: int, target: bytes) -> bool:
@@ -152,35 +151,29 @@ def chain_word(
 ) -> tuple[bytes, ChainCommitment]:
     """The word by which `key.owner`, paying into counter `direction`,
     pays `total` in all over the channel at `sequence`, and its chain:
-    the key's live chain for this direction, or a new one signed now that
-    starts at the committed total and replaces it.  A new chain is needed
-    when `total` passes the live one's end, and when it is below the
-    highest total revealed on it: the payee may hold that word, and would
-    collect it over the lower one revealed later.  So no word below
-    `total` is revealed again, and the key drops them from its copy of a
-    live chain once they fill half of it.  The key's directory holds that
-    copy by the chain's root, and forgets a chain it replaces."""
+    the live chain of this channel direction in the key's directory, or a
+    new one signed now that starts at the committed total and replaces it
+    there.  A new chain is needed when `total` passes the live one's end,
+    and when it is below the highest total revealed on it: the payee may
+    hold that word, and would collect it over the lower one revealed
+    later.  So no word below `total` is revealed again, and the key drops
+    them from its copy of a live chain once they fill half of it."""
     base = state.paid[direction].total
     slot = (state.channel_id, direction)
-    live = key.chains.get(slot)
-    tails = key.memo.tails
+    live = key.memo.chains.get(slot)
     if live and live[0].base <= base and live[2] <= total <= live[0].base + live[0].length:
         commitment, words, _, start = live
         spent = (total - start) * DIGEST_LEN
         if 2 * spent > len(words):
             words, start = words[spent:], total
-            tails[commitment.root] = (words, start - commitment.base)
     else:
-        if live:
-            tails.pop(live[0].root, None)
         length = max(min(state.balance(direction), CHAIN_WORDS_MAX), total - base)
         label = chain_label(state.channel_id, direction, sequence, base, length)
         words = key.hash_chain(label, length)
         root = words[:DIGEST_LEN]
         commitment = ChainCommitment(sequence, base, length, root, key.sign(label + root))
         start = base
-        tails[root] = (words, 0)
-    key.chains[slot] = (commitment, words, total, start)
+    key.memo.chains[slot] = (commitment, words, total, start)
     at = (total - start) * DIGEST_LEN
     return words[at : at + DIGEST_LEN], commitment
 
@@ -189,24 +182,29 @@ def payer_committed(state: ChannelState, direction: int, keys: KeyDirectory) -> 
     """Whether the counter of `direction` holds the word for its total on
     a chain its payer committed to: the commitment's signature, checked
     against the payer's key in `keys` and through its memo, and the word,
-    hashed back to the root."""
+    by `_pays`."""
     counter = state.paid[direction]
     commitment = counter.commitment
     pub = keys.public.get(state.party_b if direction else state.party_a)
     if commitment is None or counter.word is None or pub is None:
         return False
-    steps = counter.total - commitment.base
-    message = _message_of(state.channel_id, direction, commitment)
-    root = commitment.root
+    message = commitment_message(state.channel_id, direction, commitment)
     return (
-        0 <= steps <= commitment.length
+        0 <= counter.total - commitment.base <= commitment.length
         and keys.check(pub, message, commitment.sig, verify)
-        and (keys.on_chain(root, steps, counter.word) or _hashes_to(counter.word, steps, root))
+        and _pays(keys, (state.channel_id, direction), commitment, counter.total, counter.word)
     )
 
 
-def _message_of(channel_id: bytes, direction: int, c: ChainCommitment) -> bytes:
-    return commitment_message(channel_id, direction, c.sequence, c.base, c.length, c.root)
+def _pays(
+    keys: KeyDirectory, slot: tuple[bytes, int], c: ChainCommitment, total: int, word: bytes
+) -> bool:
+    """Whether `word` pays `total` on chain `c` of `slot`: it hashes to
+    `c.root` in `total - c.base` steps, at most `c.length`."""
+    steps = total - c.base
+    return keys.on_chain(slot, c.root, steps, word) or (
+        0 <= steps <= c.length and _hashes_to(word, steps, c.root)
+    )
 
 
 def verify_state(state: ChannelState, keys: KeyDirectory) -> bool:
@@ -367,7 +365,6 @@ class Ledger:
 
 @dataclass
 class PendingOffer:
-    sequence: int
     direction: int  # of the counter its payer pays into
     amount: int
     tag: OfferTag
@@ -381,15 +378,15 @@ class ChannelBook:
     Offers reserve the payer's balance so concurrent flows cannot promise
     the same tokens twice; the reservation dissolves on commit, on a Nack
     for the offer's flow tag, or when the offer outlives its Interest.
-    `reserved` keeps each payer's reserved total per channel, keyed by
-    (channel id, direction), as offers come and go, so checking a
-    balance never re-sums a queue.  Committed state lives only on the
-    ledger.
+    `pending` holds each offer by (channel id, sequence), and `reserved`
+    keeps each payer's reserved total per channel, keyed by (channel id,
+    direction), as offers come and go, so checking a balance never
+    re-sums the offers.  Committed state lives only on the ledger.
     """
 
     def __init__(self, ledger: Ledger) -> None:
         self.ledger = ledger
-        self.pending: dict[bytes, list[PendingOffer]] = {}
+        self.pending: dict[tuple[bytes, int], PendingOffer] = {}
         self.reserved: dict[tuple[bytes, int], int] = {}
         self._issued: dict[bytes, int] = {}
 
@@ -438,9 +435,7 @@ class ChannelBook:
         held = committed.commitment
         carried = None if held is commitment or held == commitment else commitment
         payment = Payment(channel_id, amount, seq, word, carried)
-        self.pending.setdefault(channel_id, []).append(
-            PendingOffer(seq, direction, amount, tag, now + lifetime_us)
-        )
+        self.pending[channel_id, seq] = PendingOffer(direction, amount, tag, now + lifetime_us)
         self.reserved[channel_id, direction] = reserved + amount
         return payment
 
@@ -475,33 +470,20 @@ class ChannelBook:
         if payment.commitment is not None:
             valid = payer_committed(committed, direction, keys)
         else:
-            # The word the payee holds vouches for the new one, on the same
-            # chain and no further than its end.
-            valid = (
-                chain is not None
-                and total <= chain.base + chain.length
-                and (
-                    keys.on_chain(chain.root, total - chain.base, payment.word)
-                    and keys.on_chain(chain.root, old.total - chain.base, old.word)
-                    or _hashes_to(payment.word, payment.amount, old.word)
-                )
-            )
+            # The chain of the word the payee holds, whose commitment it
+            # checked when it committed that word.
+            valid = chain is not None and _pays(keys, (cid, direction), chain, total, payment.word)
         if not valid:
             raise PaymentError("bad-signature", f"offer seq {payment.sequence} by {payer}")
         self.ledger.note_update(committed, direction, payment.amount)
         if old.commitment not in (None, chain):
             # The ledger refuses a superseded counter before it checks
             # commitments, so this one can never be checked again.
-            message = _message_of(cid, direction, old.commitment)
+            message = commitment_message(cid, direction, old.commitment)
             keys.discard(keys.public[payer], message, old.commitment.sig)
-        queue = self.pending.get(cid, ())
-        for i, offer in enumerate(queue):
-            if offer.sequence == payment.sequence:
-                del queue[i]
-                self.reserved[cid, offer.direction] -= offer.amount
-                break
-        if not queue:
-            self.pending.pop(cid, None)
+        offer = self.pending.pop((cid, payment.sequence), None)
+        if offer is not None:
+            self.reserved[cid, offer.direction] -= offer.amount
         return committed
 
     def cancel_tag(self, tag: OfferTag) -> int:
@@ -514,20 +496,11 @@ class ChannelBook:
 
     def _keep_pending(self, keep: Callable[[PendingOffer], bool]) -> int:
         """Drop every pending offer that `keep` rejects; returns how many."""
-        dropped = 0
-        for cid, queue in list(self.pending.items()):
-            kept = []
-            for offer in queue:
-                if keep(offer):
-                    kept.append(offer)
-                else:
-                    self.reserved[cid, offer.direction] -= offer.amount
-            dropped += len(queue) - len(kept)
-            # A channel with no pending offer has no entry.
-            queue[:] = kept
-            if not kept:
-                del self.pending[cid]
-        return dropped
+        dropped = [at for at, offer in self.pending.items() if not keep(offer)]
+        for at in dropped:
+            offer = self.pending.pop(at)
+            self.reserved[at[0], offer.direction] -= offer.amount
+        return len(dropped)
 
     def settle_all(self) -> int:
         """Settle every still-open ledger channel at its committed state,

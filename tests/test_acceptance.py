@@ -362,7 +362,10 @@ class TestAcceptance:
                         stale_rejections += 1
                     ledger.settle(current)
                     open_cids.remove(cid)
-                    book.pending.pop(cid, None)
+                    # Its offers die with it, reservations and all.
+                    for at in [at for at in book.pending if at[0] == cid]:
+                        offer = book.pending.pop(at)
+                        book.reserved[cid, offer.direction] -= offer.amount
                 counts[kind] += 1
             except PaymentError:
                 counts["rejected"] += 1

@@ -446,9 +446,9 @@ class TestPaymentsOnPath:
         ledger.open_channel(A, B, 200, 200)
         name = PREFIX.with_index(0)
         book.make_offer(consumer.key, channel_id_for(A, B), 15, (name, NONCE), 0, LIFETIME_US)
-        assert len(book.pending[channel_id_for(A, B)]) == 1
+        assert [cid for cid, _sequence in book.pending] == [channel_id_for(A, B)]
         consumer.on_nack(Nack(name=name, nonce=NONCE, reason=NackReason.NO_ROUTE), now=5)
-        assert channel_id_for(A, B) not in book.pending
+        assert not book.pending and not any(book.reserved.values())
         assert cap.delivered and cap.delivered[0].reason is NackReason.NO_ROUTE
 
 

@@ -193,7 +193,7 @@ def _chain(payer, cid, direction, base, length=100, signed_length=None, opened=1
     label = b"test:" + cid + bytes([direction]) + struct.pack(">QQ", opened, base)
     words = key.hash_chain(label, length)
     signed = length if signed_length is None else signed_length
-    sig = key.sign(commitment_message(cid, direction, opened, base, signed, words[:32]))
+    sig = key.sign(payment.chain_label(cid, direction, opened, base, signed) + words[:32])
     return ChainCommitment(opened, base, signed, words[:32], sig), words
 
 
@@ -224,7 +224,7 @@ def _triple(book, state, direction):
     """The memo triple of the commitment on the counter of `direction`."""
     c = state.paid[direction].commitment
     payer = (state.party_a, state.party_b)[direction]
-    message = commitment_message(state.channel_id, direction, c.sequence, c.base, c.length, c.root)
+    message = commitment_message(state.channel_id, direction, c)
     return book.ledger.keys.public[payer], message, c.sig
 
 
@@ -459,7 +459,7 @@ class TestChannelBook:
         state = book.commit_offer(keys[RELAY_A], CONSUMER, offer)
         assert (state.balance_a, state.balance_b) == (85, 115)
         assert verify_state(state, book.ledger.keys)
-        assert cid not in book.pending
+        assert not book.pending
 
     def test_pending_offers_reserve_balance(self):
         _, book, keys = fresh_book()
@@ -531,12 +531,12 @@ class TestChannelBook:
         book.commit_offer(keys[RELAY_A], CONSUMER, first)
         offer = book.make_offer(keys[CONSUMER], cid, 20, TAG, 0, LIFETIME_US)
         assert first.commitment is not None and offer.commitment is None
-        before = (book.state(cid), list(book.pending[cid]), list(ledger.log))
-        payee, payer, payment = change(offer, first, keys[CONSUMER].chains[(cid, 0)][1])
+        before = (book.state(cid), dict(book.pending), list(ledger.log))
+        payee, payer, payment = change(offer, first, ledger.keys.chains[(cid, 0)][1])
         with pytest.raises(PaymentError) as err:
             book.commit_offer(keys[payee], payer, payment)
         assert err.value.reason == reason
-        assert (book.state(cid), book.pending[cid], ledger.log) == before
+        assert (book.state(cid), book.pending, ledger.log) == before
         assert book.commit_offer(keys[RELAY_A], CONSUMER, offer).paid[0].total == 30
 
     def test_sequences_follow_a_commit_the_book_never_issued(self):
@@ -563,14 +563,14 @@ class TestChannelBook:
     def test_a_commit_releases_the_reservation_of_the_offer_it_removes(self):
         # The payee commits a payment the other party's book never issued,
         # at the sequence of a pending offer of its own: the offer leaves
-        # the queue and its own payer's reservation goes with it.
+        # the book and its own payer's reservation goes with it.
         _, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
         book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
         commitment, words = _chain(RELAY_A, cid, 1, 0)
         payment = Payment(cid, 5, 1, _word(words, 5), commitment)
         state = book.commit_offer(keys[CONSUMER], RELAY_A, payment)
-        assert cid not in book.pending
+        assert not book.pending
         assert book.projected_balance(cid, CONSUMER) == state.balance_a == 105
         assert book.projected_balance(cid, RELAY_A) == state.balance_b == 95
 
@@ -587,11 +587,11 @@ class TestChannelBook:
         cid = channel_id_for(CONSUMER, RELAY_A)
         ledger.settle(book.state(cid))
         offer = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
-        before = (book.state(cid), list(book.pending[cid]), list(ledger.log))
+        before = (book.state(cid), dict(book.pending), list(ledger.log))
         with pytest.raises(PaymentError) as err:
             book.commit_offer(keys[RELAY_A], CONSUMER, offer)
         assert err.value.reason == "unknown-channel"
-        assert (book.state(cid), book.pending[cid], ledger.log) == before
+        assert (book.state(cid), book.pending, ledger.log) == before
 
     def test_payments_both_ways_settle_to_deposit_minus_paid_out_plus_paid_in(self):
         ledger, book, keys = fresh_book()
@@ -641,13 +641,15 @@ class TestChannelBook:
         _, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
         other_tag = (Name((b"other",)), b"\x01" * 8)
+        onward = channel_id_for(RELAY_A, RELAY_B)
         offer = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, 1_000)
         book.make_offer(keys[CONSUMER], cid, 10, other_tag, 0, 2_000)
-        book.make_offer(keys[RELAY_A], channel_id_for(RELAY_A, RELAY_B), 5, TAG, 0, 1_000)
+        book.make_offer(keys[RELAY_A], onward, 5, TAG, 0, 1_000)
         book.commit_offer(keys[RELAY_A], CONSUMER, offer)
-        assert [o.tag for o in book.pending[cid]] == [other_tag]
+        assert {at: o.tag for at, o in book.pending.items()} == {
+            (cid, 2): other_tag, (onward, 1): TAG}
         assert book.purge_expired(now=1_500) == 1
-        assert list(book.pending) == [cid]
+        assert list(book.pending) == [(cid, 2)]
         assert book.cancel_tag(other_tag) == 1
         assert book.pending == {}
 
@@ -701,7 +703,7 @@ class TestPayWordChains:
         # 50, it pays up to 120 on a second chain from 60, which holds
         # its balance of 90 then, and keeps that chain for the last 20.
         assert chains == [(0, 100), (0, 160), (60, 90), None]
-        assert keys[CONSUMER].chains[(cid, 0)][0] == state.paid[0].commitment
+        assert ledger.keys.chains[(cid, 0)][0] == state.paid[0].commitment
         ledger.settle(state)
         assert (ledger.log[-1]["balance_a"], ledger.log[-1]["balance_b"]) == (10, 190)
 
@@ -713,7 +715,7 @@ class TestPayWordChains:
         # passes its end and starts one long enough for itself.
         assert [(o.commitment.base, o.commitment.length) for o in offers] == [
             (0, payment.CHAIN_WORDS_MAX), (0, 1_500)]
-        assert len(keys[CONSUMER].chains[(cid, 0)][1]) == 32 * 1_501
+        assert len(ledger.keys.chains[(cid, 0)][1]) == 32 * 1_501
         state = book.commit_offer(keys[PRODUCER], CONSUMER, offers[1])
         assert state.balance_b == 1_500
 
@@ -816,14 +818,13 @@ def test_honest_offers_commit_and_one_defect_is_refused(deposits, steps):
         if fate == "lose":
             lost_commitment[direction] |= offer.commitment is not None
             total = book.state(cid).paid[direction].total + amount
-            chain = keys[payer].chains[(cid, direction)][0]
+            chain = ledger.keys.chains[(cid, direction)][0]
             lost.append((direction, offer.sequence, Counter(0, total, offer.word, chain)))
             assert book.cancel_tag(tag) == 1
             continue
         bad = _tampered(offer, mutation, at, book.state(cid).balance(direction))
         if fate == "tamper" and bad is not None:
-            pending = {c: list(q) for c, q in book.pending.items()}
-            before = (book.state(cid), pending, list(ledger.log))
+            before = (book.state(cid), dict(book.pending), list(ledger.log))
             with pytest.raises(PaymentError) as err:
                 book.commit_offer(keys[payee], payer, bad)
             assert err.value.reason == "bad-signature"
@@ -856,8 +857,9 @@ def _reservations_hold(book, cids):
     for cid in cids:
         state = book.state(cid)
         for direction, payer in enumerate((state.party_a, state.party_b)):
-            queue = book.pending.get(cid, [])
-            summed = sum(o.amount for o in queue if o.direction == direction)
+            summed = sum(
+                o.amount for (c, _), o in book.pending.items() if (c, o.direction) == (cid, direction)
+            )
             if book.reserved.get((cid, direction), 0) != summed:
                 return False
             if book.projected_balance(cid, payer) != state.balance(direction) - summed:
@@ -914,6 +916,79 @@ def test_running_reservation_equals_the_resummed_queue(steps):
     assert not any(book.reserved.values()) and book.pending == {}
 
 
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(("offer", "commit", "replay", "tamper", "cancel", "purge")),
+            st.integers(0, 1),  # direction
+            st.integers(1, 60),  # amount
+            st.integers(0, 2),  # flow tag
+            st.sampled_from(("word", "root", "sig", "amount")),
+            st.integers(0, 31),  # which offer; lifetime; byte to flip
+        ),
+        max_size=30,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_committed_word_hashes_to_its_chain_root(steps):
+    """Offers made both ways, committed in and out of order, replayed,
+    tampered with, cancelled and expired: after every step each counter
+    with a commitment holds a word that hashes to its chain's root in
+    (total - base) steps.  So a word that hashes to the root in its own
+    steps also hashes into the word the payee holds."""
+    ledger, book, keys = fresh_book()
+    cid = channel_id_for(CONSUMER, RELAY_A)
+    parties = (CONSUMER, RELAY_A)
+    tags = [(Name((b"flow",)), bytes([t]) * 8) for t in range(3)]
+    offers, committed = [], []
+    for now, (op, direction, amount, t, mutation, pick) in enumerate(steps):
+        payer, payee = parties[direction], parties[1 - direction]
+        try:
+            if op == "offer":
+                offer = book.make_offer(keys[payer], cid, amount, tags[t], now, 1 + pick)
+                offers.append((payee, payer, offer))
+            elif op == "cancel":
+                book.cancel_tag(tags[t])
+            elif op == "purge":
+                book.purge_expired(now)
+            elif op == "replay" and committed:
+                book.commit_offer(*committed[pick % len(committed)])
+            elif offers:
+                payee, payer, offer = offers[pick % len(offers)]
+                if op == "tamper":
+                    state = book.state(cid)
+                    balance = state.balance(state.direction(payer))
+                    offer = _tampered(offer, mutation, pick, balance) or offer
+                book.commit_offer(keys[payee], payer, offer)
+                committed.append((keys[payee], payer, offer))
+        except PaymentError:
+            pass
+        for counter in book.state(cid).paid:
+            c = counter.commitment
+            assert c is None or payment._hashes_to(counter.word, counter.total - c.base, c.root)
+
+
+def test_a_commit_after_the_payer_trims_past_the_held_word_hashes_nothing(monkeypatch):
+    """A lost offer trims the payer's copy of its chain past the word the
+    payee holds; the next offer's word is still found on the live chain
+    at its own place, so neither its commit nor settlement hashes."""
+    ledger, book, keys = fresh_book()
+    cid = channel_id_for(CONSUMER, RELAY_A)
+    other_tag = (Name((b"other",)), b"\x01" * 8)
+    first = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
+    book.commit_offer(keys[RELAY_A], CONSUMER, first)
+    book.make_offer(keys[CONSUMER], cid, 60, other_tag, 0, LIFETIME_US)
+    assert book.cancel_tag(other_tag) == 1
+    assert ledger.keys.chains[(cid, 0)][3] == 70
+    offer = book.make_offer(keys[CONSUMER], cid, 65, TAG, 0, LIFETIME_US)
+    assert offer.commitment is None
+    steps, hashes_to = [], payment._hashes_to
+    monkeypatch.setattr(payment, "_hashes_to", lambda *args: steps.append(args) or hashes_to(*args))
+    state = book.commit_offer(keys[RELAY_A], CONSUMER, offer)
+    ledger.settle(state)
+    assert state.paid[0].total == 75 and steps == []
+
+
 def test_a_payer_keeps_only_the_unrevealed_part_of_its_chain():
     """Over a long run of small paid offers, each checked by its payee,
     the payer's copy of its live chain is never larger than twice the
@@ -924,7 +999,7 @@ def test_a_payer_keeps_only_the_unrevealed_part_of_its_chain():
     for _ in range(700):
         offer = book.make_offer(keys[CONSUMER], cid, 3, TAG, 0, LIFETIME_US)
         book.commit_offer(keys[PRODUCER], CONSUMER, offer)
-        commitment, words, revealed, start = keys[CONSUMER].chains[(cid, 0)]
+        commitment, words, revealed, start = ledger.keys.chains[(cid, 0)]
         end = commitment.base + commitment.length
         assert commitment.base <= start <= revealed
         assert len(words) == 32 * (end - start + 1) <= 2 * 32 * (end - revealed + 1)
@@ -940,10 +1015,10 @@ def test_a_payer_keeps_only_the_unrevealed_part_of_its_chain():
 @settings(max_examples=120, deadline=None)
 def test_a_word_checked_by_its_place_answers_as_hashing(length, case, data):
     """On a payer's chain of `length` words, a word shown for any total
-    is judged by the memo-first checks as hashing judges it: by the
-    commit, against the word the payee holds, which the payer's copy may
-    have dropped, and by settlement's check, against the root.  A word
-    the payer's live copy holds, shown where it holds it, is not hashed."""
+    is judged by the memo-first checks as hashing it to the root judges
+    it, by the commit and by settlement's check alike, although the
+    payer's copy may have dropped the word the payee holds.  A word the
+    payer's live copy holds, shown where it holds it, is not hashed."""
     hashes_to = payment._hashes_to
     ledger, book, keys = fresh_book()
     cid = ledger.open_channel(CONSUMER, PRODUCER, length, 0, channel_id=b"memo").channel_id
@@ -972,15 +1047,15 @@ def test_a_word_checked_by_its_place_answers_as_hashing(length, case, data):
         word = _flip(word, data.draw(st.integers(0, 31), label="byte"))
     elif case == "other-chain":
         word = _word(_chain(CONSUMER, cid, 0, 0, length)[1], at)
-    _tail, tail_first = ledger.keys.tails[chain.root]
-    from_tail = case == "on-chain" and tail_first <= held and total <= length
+    tail_first = ledger.keys.chains[(cid, 0)][3] - chain.base
+    from_tail = case == "on-chain" and tail_first <= total <= length
 
     steps = []
     with pytest.MonkeyPatch.context() as m:
         m.setattr(payment, "_hashes_to", lambda *args: steps.append(args) or hashes_to(*args))
         expected = (
             "overdraw" if total > length
-            else None if hashes_to(word, amount, state.paid[0].word)
+            else None if hashes_to(word, total, chain.root)
             else "bad-signature"
         )
         try:
@@ -995,23 +1070,28 @@ def test_a_word_checked_by_its_place_answers_as_hashing(length, case, data):
         expected = total <= length and hashes_to(word, total, chain.root)
         steps.clear()
         assert payment.payer_committed(shown, 0, ledger.keys) == expected
-        assert not (case == "on-chain" and tail_first <= total <= length and steps)
+        assert not (from_tail and steps)
 
 
 def test_a_tail_answers_only_for_the_positions_it_holds():
     memo = KeyDirectory()
+    slot, root = (b"ch", 0), b"r" * 32
     tail = [bytes([i]) * 32 for i in range(4)]
-    memo.tails[b"root"] = (b"".join(tail), 3)
-    assert all(memo.on_chain(b"root", 3 + i, word) for i, word in enumerate(tail))
-    # Below the tail, past it, and under another root, it knows nothing.
+    # A chain of 6 words from the total 10, kept from the total 13 on:
+    # its words 3 to 6 past the root.
+    memo.chains[slot] = (ChainCommitment(1, 10, 6, root, bytes(64)), b"".join(tail), 13, 13)
+    assert all(memo.on_chain(slot, root, 3 + i, word) for i, word in enumerate(tail))
+    # Below the tail, past it, under another root and in another slot,
+    # it knows nothing.
     for word in tail + [b""]:
-        assert not any(memo.on_chain(b"root", at, word) for at in (0, 1, 2, 7, 8))
-        assert not memo.on_chain(b"other", 3, word)
+        assert not any(memo.on_chain(slot, root, at, word) for at in (0, 1, 2, 7, 8))
+        assert not memo.on_chain(slot, b"o" * 32, 3, word)
+        assert not memo.on_chain((b"ch", 1), root, 3, word)
 
 
 def test_a_ledger_that_never_saw_the_chain_hashes_honest_words():
-    """Keys outside the ledger's directory leave it no tail to look a
-    word up in: honest offers, with a commitment and without, still
+    """Keys outside the ledger's directory leave it no live chain to
+    look a word up in: honest offers, with a commitment and without, still
     commit, and the channel settles, by hashing alone."""
     keys = {addr: KeyPair.from_seed(addr, b"payment-tests") for addr in (CONSUMER, RELAY_A)}
     ledger = Ledger(KeyDirectory({addr: key.public for addr, key in keys.items()}))
@@ -1022,9 +1102,9 @@ def test_a_ledger_that_never_saw_the_chain_hashes_honest_words():
     for amount in (10, 5, 7):
         offer = book.make_offer(keys[CONSUMER], cid, amount, TAG, 0, LIFETIME_US)
         state = book.commit_offer(keys[RELAY_A], CONSUMER, offer)
-    assert not ledger.keys.tails and keys[CONSUMER].memo.tails
+    assert not ledger.keys.chains and keys[CONSUMER].memo.chains
     assert state.paid[0].total == 22 and not ledger.keys.on_chain(
-        state.paid[0].commitment.root, 22, state.paid[0].word)
+        (cid, 0), state.paid[0].commitment.root, 22, state.paid[0].word)
     ledger.settle(state)
     assert ledger.balance(CONSUMER) == 1_000 - 100 + 78 and ledger.conserved()
 

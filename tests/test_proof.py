@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tollroute import keys as keys_module
 from tollroute import proof as proof_module
 from tollroute.keys import KeyDirectory, KeyPair
-from tollroute.payment import commitment_message
+from tollroute.payment import chain_label
 from tollroute.proof import (
     ChainFault,
     ProofError,
@@ -316,7 +316,7 @@ class TestKeyDirectory:
             (hop.signer_pub, chain_message(proof.digest, proof.chain[:i]), hop.sig)
             for i, hop in enumerate(proof.chain)
         ]
-        message = commitment_message(b"ch:test", 1, 7, 40, 60, bytes(range(32)))
+        message = chain_label(b"ch:test", 1, 7, 40, 60) + bytes(range(32))
         triples.append((keys[RELAY1].public, message, keys[RELAY1].sign(message)))
         real = []
 

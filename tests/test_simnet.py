@@ -153,31 +153,35 @@ class TestKeyDirectory:
         scenario = load_scenario(str(BUNDLED / "diamond.scn"))
         first, second = Simulator(scenario), Simulator(scenario)
         one = first.run()
-        assert second.keys._seen == {} and second.keys.tails == {}
+        assert second.keys._seen == {} and second.keys.chains == {}
         assert not any(engine._payloads for engine in second.nodes.values())
         two = second.run()
         assert (one.report, one.trace, one.ledger_records) == (
             two.report, two.trace, two.ledger_records)
 
     def test_the_chain_table_holds_each_live_chain_once(self, monkeypatch):
-        """After a run the directory holds one tail per (payer, channel,
-        direction): the words its payer's key keeps, by root, and no root
-        of a chain the payer replaced."""
-        built = []
-        real = KeyPair.hash_chain
+        """After a run the directory holds one chain per (channel id,
+        direction) paid over: the one its payer's latest offer there was
+        made on, and no chain the payer replaced."""
+        built, latest = [], {}
+        real_hash_chain, real_chain_word = KeyPair.hash_chain, payment.chain_word
+
+        def chain_word(key, state, direction, *args):
+            word, chain = real_chain_word(key, state, direction, *args)
+            latest[state.channel_id, direction] = chain
+            return word, chain
+
         monkeypatch.setattr(
-            KeyPair, "hash_chain", lambda key, *args: built.append(real(key, *args)) or built[-1]
+            KeyPair,
+            "hash_chain",
+            lambda key, *args: built.append(real_hash_chain(key, *args)) or built[-1],
         )
+        monkeypatch.setattr(payment, "chain_word", chain_word)
         sim = Simulator(load_scenario(str(BUNDLED / "diamond.scn")))
         sim.run()
-        live = {
-            chain.root: (words, start - chain.base)
-            for engine in sim.nodes.values()
-            for chain, words, _revealed, start in engine.key.chains.values()
-        }
-        assert sim.keys.tails == live
-        assert all(sim.keys.tails[root][0] is words for root, (words, _) in live.items())
-        assert {words[:32] for words in built} - set(live)
+        assert latest and sim.keys.chains.keys() == latest.keys()
+        assert all(sim.keys.chains[slot][0] is chain for slot, chain in latest.items())
+        assert {words[:32] for words in built} - {chain.root for chain in latest.values()}
 
     def test_the_payload_memo_stays_within_its_bound(self, monkeypatch):
         """A producer generates each payload once while its memo holds it.

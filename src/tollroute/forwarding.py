@@ -419,18 +419,17 @@ class ForwardingEngine:
         )
 
     def _producer_proof(self, serve: ServeSpec, index: int) -> ChunkProof | None:
-        count = serve.packets_per_chunk
-        first = serve.chunk_first(index)
-        if index != first + count - 1:
+        span = serve.chunk(index)
+        if index != span[-1]:
             return None  # proof rides only the chunk's final packet
         key = (serve.prefix.components, index)
         proof = self._proofs.get(key)
         if proof is None:
-            payload = b"".join(self._payload(serve, i) for i in range(first, first + count))
-            proof = make_chunk(self.key, first, payload, serve.packet_size)
+            payload = b"".join(self._payload(serve, i) for i in span)
+            proof = make_chunk(self.key, span.start, payload, serve.packet_size)
             self._proofs[key] = proof
             self.counters["signatures_produced"] += 1
-            self.trace("chunk_signed", prefix=str(serve.prefix), first=first, count=count)
+            self.trace("chunk_signed", prefix=str(serve.prefix), first=span.start, count=len(span))
         return proof
 
     # -- Data handling -----------------------------------------------
@@ -518,10 +517,9 @@ class ForwardingEngine:
         chunk cannot be reassembled or fails validation the arriving
         proof is returned untouched (the consumer will notice the gap)."""
         proof = pkt.proof
-        last = proof.first + proof.count - 1
         parts: list[bytes] = []
         try:
-            for index in range(proof.first, last + 1):
+            for index in proof.span:
                 if index == pkt.name.chunk_index:
                     part = pkt.payload
                 else:
@@ -540,7 +538,7 @@ class ForwardingEngine:
         )
         # Remember the extended chain so a later cache hit on this chunk
         # can hand out the same proof.
-        self._proofs[(pkt.name.components, last)] = extended
+        self._proofs[(pkt.name.components, proof.span[-1])] = extended
         return extended
 
     def _store_and_forward(self, pkt: Data, now: int) -> list[Send]:
@@ -552,8 +550,7 @@ class ForwardingEngine:
         if pkt.proof is None:
             self.counters["sf_buffered"] += 1
             return []
-        proof = pkt.proof
-        wanted = range(proof.first, proof.first + proof.count)
+        wanted = pkt.proof.span
         if any(i not in buffer for i in wanted):
             # Chunk has holes; keep waiting (upstream retransmits will
             # carry the proof again on the final packet).

@@ -291,12 +291,9 @@ class Ledger:
 
     def note_update(self, state: ChannelState, direction: int, amount: int) -> None:
         """Record `state`, an off-chain update that raised the counter of
-        `direction` by `amount` and supersedes the channel's committed
-        state, as the new committed state."""
-        chan = self.channels.get(state.channel_id)
-        if chan is None or chan.settled:
-            raise PaymentError("unknown-channel", state.channel_id.decode("ascii", "replace"))
-        chan.state = state
+        `direction` by `amount` and supersedes the committed state of an
+        open channel, as the new committed state."""
+        self.channels[state.channel_id].state = state
         parties = (state.party_a, state.party_b)
         self.log.append(
             {
@@ -391,9 +388,10 @@ class ChannelBook:
         self._issued: dict[bytes, int] = {}
 
     def state(self, channel_id: bytes) -> ChannelState:
-        """The ledger's committed state of a channel."""
+        """The ledger's committed state of an open channel; a settled one
+        is unknown to offers and commits alike."""
         chan = self.ledger.channels.get(channel_id)
-        if chan is None:
+        if chan is None or chan.settled:
             raise PaymentError("unknown-channel", channel_id.decode("ascii", "replace"))
         return chan.state
 

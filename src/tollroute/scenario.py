@@ -97,9 +97,11 @@ class ServeSpec:
             and 0 <= name.chunk_index < self.total_packets
         )
 
-    def chunk_first(self, index: int) -> int:
-        """The first packet of the chunk that holds packet `index`."""
-        return index - index % self.packets_per_chunk
+    def chunk(self, index: int) -> range:
+        """The packets of the chunk that holds packet `index`; its proof
+        rides the last of them."""
+        first = index - index % self.packets_per_chunk
+        return range(first, first + self.packets_per_chunk)
 
     def payload(self, index: int) -> bytes:
         return content_bytes(self.prefix, index, self.packet_size)

@@ -44,7 +44,6 @@ from .payment import (
 from .proof import verify_chain
 from .scenario import FetchAction, LinkAction, Scenario, ServeSpec
 from .wire import (
-    ChunkProof,
     Data,
     DecodeError,
     HopInfo,
@@ -135,8 +134,8 @@ class Flow:
     def required_spans(self) -> range:
         """First packets of the whole chunks inside the requested range;
         only these ever see a proof packet, so only these can be verified.
-        A trailing partial chunk starts at chunk_first(requested)."""
-        return range(0, self.serve.chunk_first(self.requested), self.serve.packets_per_chunk)
+        A trailing partial chunk is the chunk of packet `requested`."""
+        return range(0, self.serve.chunk(self.requested).start, self.serve.packets_per_chunk)
 
     def missing(self) -> list[int]:
         return [i for i in range(self.requested) if i not in self.received]
@@ -536,48 +535,43 @@ class Simulator:
             return True
         flow.received[idx] = pkt.payload
         proof = pkt.proof
-        # A proof rides only its chunk's final packet; one that claims
-        # another span was altered on the way and is not held.
-        if proof is not None and idx == proof.first + proof.count - 1:
-            flow.proofs[proof.first] = (proof, route)
-        self._try_verify(flow, idx, proof)
+        span = flow.serve.chunk(idx)
+        # A proof rides only its chunk's final packet and covers exactly
+        # that chunk; one that claims another span is not held.
+        if proof is not None and idx == span[-1] and proof.span == span:
+            flow.proofs[span.start] = (proof, route)
+        self._try_verify(flow, span)
         self._check_complete(flow)
         return True
 
-    def _try_verify(self, flow: Flow, idx: int, arrived: ChunkProof | None) -> None:
-        # Every held proof was incomplete before this arrival, so only a
-        # proof whose span holds idx, or the proof that just arrived, can
-        # be complete now.  Verified proofs leave flow.proofs.
-        candidates = sorted(
-            first for first, (proof, _route) in flow.proofs.items()
-            if first <= idx < first + proof.count or proof is arrived
-        )
-        for first in candidates:
-            proof, route = flow.proofs[first]
-            span = range(first, first + proof.count)
-            if any(i not in flow.received for i in span):
-                continue
-            payload = b"".join(flow.received[i] for i in span)
-            expected = tuple(reversed(route))
-            result = verify_chain(proof, payload, expected, self.keys)
-            flow.signatures_verified += len(proof.chain)
-            how = "strict"
-            if not result.valid:
-                # A relay may have repaired the path mid-flow; accept the
-                # chain it actually took when it anchors at the same
-                # producer and every signature checks out.
-                observed = tuple(h.signer for h in proof.chain)
-                if observed and expected and observed[0] == expected[0]:
-                    result = verify_chain(proof, payload, observed, self.keys)
-                    flow.signatures_verified += len(proof.chain)
-                    how = "rerouted"
-            if result.valid:
-                del flow.proofs[first]
-                flow.verified[first] = how
-                self.emit("sim", "chunk_verified", node=str(flow.node),
-                          name=str(flow.name), first=first, how=how)
-            else:
-                self._chunk_failed(flow, first, result)
+    def _try_verify(self, flow: Flow, span: range) -> None:
+        # The chunk's held proof is checked once its last missing packet
+        # arrives; a verified proof leaves flow.proofs.
+        held = flow.proofs.get(span.start)
+        if held is None or any(i not in flow.received for i in span):
+            return
+        proof, route = held
+        payload = b"".join(flow.received[i] for i in span)
+        expected = tuple(reversed(route))
+        result = verify_chain(proof, payload, expected, self.keys)
+        flow.signatures_verified += len(proof.chain)
+        how = "strict"
+        if not result.valid:
+            # A relay may have repaired the path mid-flow; accept the
+            # chain it actually took when it anchors at the same
+            # producer and every signature checks out.
+            observed = tuple(h.signer for h in proof.chain)
+            if observed and expected and observed[0] == expected[0]:
+                result = verify_chain(proof, payload, observed, self.keys)
+                flow.signatures_verified += len(proof.chain)
+                how = "rerouted"
+        if result.valid:
+            del flow.proofs[span.start]
+            flow.verified[span.start] = how
+            self.emit("sim", "chunk_verified", node=str(flow.node),
+                      name=str(flow.name), first=span.start, how=how)
+        else:
+            self._chunk_failed(flow, span.start, result)
 
     def _chunk_failed(self, flow: Flow, first: int, result) -> None:
         self.emit(
@@ -592,7 +586,7 @@ class Simulator:
             return
         proof, _route = flow.proofs.pop(first)
         # A failed span was wholly received, so wholly sent, so below requested.
-        span = list(range(first, first + proof.count))
+        span = list(proof.span)
         for i in span:
             flow.received.pop(i, None)
             flow.attempts[i] = 0

@@ -21,29 +21,20 @@ class PitResult(Enum):
     DUPLICATE_NONCE = "duplicate-nonce"
 
 
-@dataclass
-class PitDownstream:
-    addr: NodeAddr
-    nonce: bytes
-    expires_us: int
-
-
-def _live(entry: list[PitDownstream] | None, now: int) -> list[tuple[NodeAddr, bytes]]:
-    if entry is None:
-        return []
-    return [(ds.addr, ds.nonce) for ds in entry if ds.expires_us > now]
+def _live(entry: dict[tuple[NodeAddr, bytes], int], now: int) -> list[tuple[NodeAddr, bytes]]:
+    return [key for key, expires_us in entry.items() if expires_us > now]
 
 
 class Pit:
     """Pending Interest table.
 
-    One entry per exact name; downstreams keep insertion order.  Expired
-    downstreams are filtered on consume, so a consumer of this table never
-    sees one.
+    One entry per exact name: an insertion-ordered dict from each
+    downstream's (neighbour, nonce) to its expiry.  Expired downstreams
+    are filtered on consume, so a consumer of this table never sees one.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[Name, list[PitDownstream]] = {}
+        self._entries: dict[Name, dict[tuple[NodeAddr, bytes], int]] = {}
 
     def __contains__(self, name: Name) -> bool:
         return name in self._entries
@@ -57,56 +48,54 @@ class Pit:
         lifetime_us: int,
     ) -> PitResult:
         entry = self._entries.get(name)
-        if entry is not None:
+        if entry is not None and any(expires_us <= now for expires_us in entry.values()):
             # Lazy expiry must stay invisible: an entry whose downstreams
             # have all timed out is no entry at all.
-            entry[:] = [ds for ds in entry if ds.expires_us > now]
-            if not entry:
-                entry = None
-                del self._entries[name]
-        if entry is None:
-            self._entries[name] = [PitDownstream(downstream, nonce, now + lifetime_us)]
+            entry = self._entries[name] = {k: t for k, t in entry.items() if t > now}
+        key = (downstream, nonce)
+        if not entry:
+            self._entries[name] = {key: now + lifetime_us}
             return PitResult.NEW
-        for ds in entry:
-            if ds.addr == downstream and ds.nonce == nonce:
-                # Same copy again; refresh the deadline but tell the caller
-                # to suppress.
-                ds.expires_us = max(ds.expires_us, now + lifetime_us)
-                return PitResult.DUPLICATE_NONCE
-        entry.append(PitDownstream(downstream, nonce, now + lifetime_us))
+        old = entry.get(key)
+        if old is not None:
+            # Same copy again; refresh the deadline but tell the caller
+            # to suppress.
+            entry[key] = max(old, now + lifetime_us)
+            return PitResult.DUPLICATE_NONCE
+        entry[key] = now + lifetime_us
         return PitResult.AGGREGATED
 
     def consume(self, name: Name, now: int) -> list[tuple[NodeAddr, bytes]]:
         """Remove the entry and return its unexpired downstreams in
         insertion order."""
-        return _live(self._entries.pop(name, None), now)
+        return _live(self._entries.pop(name, {}), now)
 
     def peek(self, name: Name, now: int) -> list[tuple[NodeAddr, bytes]]:
         """Like consume but leaves the entry in place, for answers that
         must not end the Interest's life (a cache's discovery reply)."""
-        return _live(self._entries.get(name), now)
+        return _live(self._entries.get(name, {}), now)
 
     def release(self, name: Name, downstream: NodeAddr, nonce: bytes) -> None:
         """Forget one refused downstream; the entry goes with its last."""
         entry = self._entries.get(name)
         if entry is not None:
-            entry[:] = [ds for ds in entry if ds.addr != downstream or ds.nonce != nonce]
+            entry.pop((downstream, nonce), None)
             if not entry:
                 del self._entries[name]
 
     def sweep(self, now: int) -> None:
         """Drop fully expired entries (housekeeping only)."""
-        for name in [n for n, e in self._entries.items() if all(d.expires_us <= now for d in e)]:
+        for name in [n for n, e in self._entries.items() if all(t <= now for t in e.values())]:
             del self._entries[name]
 
     def dump(self, now: int) -> list[str]:
         lines = []
         for name in sorted(self._entries, key=str):
-            for ds in self._entries[name]:
-                if ds.expires_us > now:
+            for (addr, nonce), expires_us in self._entries[name].items():
+                if expires_us > now:
                     lines.append(
-                        f"pit name={name} downstream={ds.addr} "
-                        f"nonce={ds.nonce.hex()} expires_us={ds.expires_us}"
+                        f"pit name={name} downstream={addr} "
+                        f"nonce={nonce.hex()} expires_us={expires_us}"
                     )
         return lines
 
@@ -142,26 +131,21 @@ class Fib:
     def lookup_min_cost(
         self, name: Name, exclude: tuple[NodeAddr, ...] = ()
     ) -> tuple[NodeAddr, int] | None:
-        """Cheapest enabled next hop of the longest prefix entry that
-        matches name minus its packet index.
+        """Cheapest enabled next hop of the entry for name minus its
+        packet index.
 
-        The longest entry that exists decides; it is not skipped in favor
-        of a shorter one when all its hops are disabled.  Ties break
-        toward the lowest address in byte order.
+        An entry routes exactly its prefix, as a serve owns exactly its
+        prefix: no lookup falls back to a shorter entry, which names
+        another object.  Ties break toward the lowest address in byte
+        order.
         """
-        comps = name.components
-        for end in range(len(comps), 0, -1):
-            hops = self._entries.get(comps[:end])
-            if hops is None:
-                continue
-            best: tuple[int, NodeAddr] | None = None
-            for addr, hop in hops.items():
-                if hop.enabled and addr not in exclude:
-                    low = (min(hop.prices), addr)
-                    if best is None or low < best:
-                        best = low
-            return None if best is None else (best[1], best[0])
-        return None
+        best: tuple[int, NodeAddr] | None = None
+        for addr, hop in self._entries.get(name.components, {}).items():
+            if hop.enabled and addr not in exclude:
+                low = (min(hop.prices), addr)
+                if best is None or low < best:
+                    best = low
+        return None if best is None else (best[1], best[0])
 
     def set_neighbor_enabled(self, neighbor: NodeAddr, enabled: bool) -> None:
         """Flip every next-hop record through neighbor."""

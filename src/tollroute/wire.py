@@ -344,9 +344,10 @@ class HopSignature:
 @dataclass(frozen=True)
 class ChunkProof:
     """Forwarding proof for one packet group, carried by the group's final
-    packet.  first/count delimit the packet indices the group covers,
-    digest is the producer's hash commitment over the group payload, and
-    chain holds the per-hop signatures in producer-first order."""
+    packet.  first/count delimit the packet indices the group covers (its
+    `span`), digest is the producer's hash commitment over the group
+    payload, and chain holds the per-hop signatures in producer-first
+    order."""
 
     first: int
     count: int
@@ -364,6 +365,11 @@ class ChunkProof:
             raise ValueError("proof chain cannot be empty")
         if len(self.chain) > MAX_CHAIN_LINKS:
             raise ValueError(f"proof chain of {len(self.chain)} links exceeds {MAX_CHAIN_LINKS}")
+
+    @property
+    def span(self) -> range:
+        """The packet indices the proof covers, as it claims them."""
+        return range(self.first, self.first + self.count)
 
 
 class NackReason(IntEnum):

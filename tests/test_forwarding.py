@@ -220,6 +220,21 @@ class TestStrategyLadder:
         assert decision["named_hop_alive"] is False
         assert decision["mode"] == "min-cost"
 
+    def test_a_shorter_prefix_never_routes(self):
+        """B's FIB knows /a only, via D.  /a/b is another object, so a
+        routed /a/b/seg=0 whose named hop has timed out is rediscovered,
+        never sent min-cost to D."""
+        relay, _ = make_node(B, 3, payment_mode="payall")
+        relay.tables.keepalive_heard(C, 0)
+        relay.tables.keepalive_heard(D, 0)
+        relay.tables.fib.update(Name((b"a",)), D, 5)
+        relay.keepalive_tick(400_000)
+        relay.tables.keepalive_heard(D, 400_000)
+        pkt = interest(Name((b"a", b"b"), chunk_index=0), NONCE, A, B, RouteStack((B, C)))
+        (out,) = relay.on_interest(pkt, now=400_001)
+        assert out.to == BROADCAST and out.packet.is_discovery
+        assert relay.counters["mode_rediscovery"] == 1 and relay.counters["mode_min_cost"] == 0
+
     def test_min_cost_never_returns_to_sender(self):
         relay, _ = make_node(B, 3, payment_mode="payall")
         # Only known hop for the prefix is the sender itself; named hop dead.

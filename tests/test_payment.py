@@ -583,15 +583,28 @@ class TestChannelBook:
         assert not book.pending and not _memo(ledger.keys)
 
     def test_commit_on_a_settled_channel_changes_nothing(self):
+        # A settled channel is unknown: an offer made after the settle is
+        # refused before it signs, builds a chain or reserves, and one
+        # made before it no longer commits.
         ledger, book, keys = fresh_book()
         cid = channel_id_for(CONSUMER, RELAY_A)
-        ledger.settle(book.state(cid))
-        offer = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
-        before = (book.state(cid), dict(book.pending), list(ledger.log))
-        with pytest.raises(PaymentError) as err:
-            book.commit_offer(keys[RELAY_A], CONSUMER, offer)
-        assert err.value.reason == "unknown-channel"
-        assert (book.state(cid), book.pending, ledger.log) == before
+        early = book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US)
+        ledger.settle(ledger.channels[cid].state)
+
+        def snapshot():
+            return (dict(book.pending), dict(book.reserved), dict(ledger.keys.chains),
+                    _memo(ledger.keys), list(ledger.log))
+
+        before = snapshot()
+        for attempt in (
+            lambda: book.make_offer(keys[CONSUMER], cid, 10, TAG, 0, LIFETIME_US),
+            lambda: book.projected_balance(cid, CONSUMER),
+            lambda: book.commit_offer(keys[RELAY_A], CONSUMER, early),
+        ):
+            with pytest.raises(PaymentError) as err:
+                attempt()
+            assert err.value.reason == "unknown-channel"
+            assert snapshot() == before
 
     def test_payments_both_ways_settle_to_deposit_minus_paid_out_plus_paid_in(self):
         ledger, book, keys = fresh_book()

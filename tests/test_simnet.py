@@ -557,7 +557,7 @@ def chunk_final_data(sim, index, payload=None):
     """R hands A the Data for P's packet `index` with the producer's proof
     of the chunk that ends there; `payload` replaces the packet's bytes."""
     serve = sim.nodes[NodeAddr.parse(P)].serves[0]
-    first = serve.chunk_first(index)
+    first = serve.chunk(index).start
     chunk = b"".join(serve.payload(i) for i in range(first, index + 1))
     return Data(
         name=serve.prefix.with_index(index),
@@ -628,23 +628,61 @@ class TestUnsolicited:
 
 
     def test_a_proof_that_claims_another_span_is_not_held(self, monkeypatch):
-        """A corrupting link may alter a proof's `first`.  The consumer
-        files a proof only from its chunk's final packet, the one packet a
-        proof rides, so the altered proof is not held for the run."""
-        altered = []
+        """A corrupting link may alter a proof's `first`, and a relay could
+        forge a span that still ends on the packet it rides.  The consumer
+        files a proof only from its chunk's final packet, and only when it
+        covers exactly that chunk, so neither is ever held."""
         real = Simulator._on_flow_data
+        for shift, shrink in ((1_000, 0), (1, 1)):
+            altered = []
 
-        def alter_first_proof(sim, flow, pkt):
-            if pkt.proof is not None and not altered:
-                pkt = replace(pkt, proof=replace(pkt.proof, first=pkt.proof.first + 1_000))
-                altered.append(pkt)
+            def alter_span(sim, flow, pkt):
+                if pkt.proof is not None and not altered:
+                    proof = pkt.proof
+                    pkt = replace(pkt, proof=replace(
+                        proof, first=proof.first + shift, count=proof.count - shrink
+                    ))
+                    altered.append(pkt.proof.first)
+                return real(sim, flow, pkt)
+
+            monkeypatch.setattr(Simulator, "_on_flow_data", alter_span)
+            sim = Simulator(parse_scenario(line_doc(), source="inline.scn"))
+            result = sim.run()
+            (flow,) = sim.flows.values()
+            assert altered and flow.proofs == {}
+            assert not [
+                ev for ev in result.trace
+                if ev["event"] == "chunk_verify_failed" and ev["first"] == altered[0]
+            ]
+
+    def test_a_proof_that_arrives_first_is_verified_by_the_chunk_last_missing_packet(
+        self, monkeypatch
+    ):
+        """Packet 0 is overtaken by the rest of its chunk, so the proof on
+        packet 3 is held until packet 0 arrives and completes the chunk."""
+        real = Simulator._on_flow_data
+        late = []
+
+        def hold_back_packet_0(sim, flow, pkt):
+            if pkt.name.chunk_index == 0 and not late:
+                late.append(sim.now + 50_000)
+                sim.at(late[0], real, sim, flow, pkt)
+                return True
             return real(sim, flow, pkt)
 
-        monkeypatch.setattr(Simulator, "_on_flow_data", alter_first_proof)
+        monkeypatch.setattr(Simulator, "_on_flow_data", hold_back_packet_0)
         sim = Simulator(parse_scenario(line_doc(), source="inline.scn"))
-        sim.run()
+        result = sim.run()
         (flow,) = sim.flows.values()
-        assert altered and flow.proofs == {}
+        rx_3 = next(
+            ev["t"] for ev in result.trace
+            if ev["event"] == "rx" and ev["node"] == A and ev["name"] == "/line/data/seg=3"
+        )
+        (verified,) = [
+            ev for ev in result.trace if ev["event"] == "chunk_verified" and ev["first"] == 0
+        ]
+        assert rx_3 < late[0] == verified["t"]
+        assert flow_of(result)["status"] == "done" and flow.proofs == {}
 
 
 class TestNestedPrefixes:

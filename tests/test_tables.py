@@ -116,6 +116,99 @@ class TestPit:
         pit.sweep(2_000)
         assert NAME not in pit and other in pit
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.tuples(
+                        st.just("insert"),
+                        st.integers(min_value=0, max_value=1),
+                        st.integers(min_value=0, max_value=2),
+                        st.integers(min_value=0, max_value=2),
+                        st.sampled_from([600, 1_000]),
+                    ),
+                    st.tuples(st.sampled_from(["consume", "peek", "in"]),
+                              st.integers(min_value=0, max_value=1)),
+                    st.tuples(
+                        st.just("release"),
+                        st.integers(min_value=0, max_value=1),
+                        st.integers(min_value=0, max_value=2),
+                        st.integers(min_value=0, max_value=2),
+                    ),
+                    st.tuples(st.just("sweep")),
+                ),
+                # Clock steps around the lifetimes.
+                st.sampled_from([0, 1, 400, 599, 600, 999, 1_000, 1_500]),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200)
+    def test_random_ops_match_list_model(self, steps):
+        # Two names, three neighbours, three nonces; the model keeps each
+        # name's downstreams as an insertion-ordered list of
+        # [addr, nonce, expires].
+        names = [NAME, Name((b"other",), chunk_index=0)]
+        addrs = [A1, A2, A3]
+        nonces = [bytes([n]) * 8 for n in range(3)]
+        pit = Pit()
+        model: dict[Name, list[list]] = {}
+
+        def live(entry, now):
+            return [(a, n) for a, n, expires in entry or () if expires > now]
+
+        now = 0
+        for op, dt in steps:
+            now += dt
+            if op[0] == "insert":
+                _, which, a, n, lifetime = op
+                name, addr, nonce = names[which], addrs[a], nonces[n]
+                entry = model.get(name)
+                if entry is not None:
+                    entry[:] = [ds for ds in entry if ds[2] > now]
+                    if not entry:
+                        entry = None
+                        del model[name]
+                if entry is None:
+                    model[name] = [[addr, nonce, now + lifetime]]
+                    expect = PitResult.NEW
+                else:
+                    same = [ds for ds in entry if ds[:2] == [addr, nonce]]
+                    if same:
+                        same[0][2] = max(same[0][2], now + lifetime)
+                        expect = PitResult.DUPLICATE_NONCE
+                    else:
+                        entry.append([addr, nonce, now + lifetime])
+                        expect = PitResult.AGGREGATED
+                assert pit.insert(name, addr, nonce, now, lifetime) is expect
+            elif op[0] == "consume":
+                name = names[op[1]]
+                assert pit.consume(name, now) == live(model.pop(name, None), now)
+            elif op[0] == "peek":
+                name = names[op[1]]
+                assert pit.peek(name, now) == live(model.get(name), now)
+            elif op[0] == "in":
+                assert (names[op[1]] in pit) == (names[op[1]] in model)
+            elif op[0] == "release":
+                _, which, a, n = op
+                name = names[which]
+                pit.release(name, addrs[a], nonces[n])
+                if name in model:
+                    model[name] = [ds for ds in model[name] if ds[:2] != [addrs[a], nonces[n]]]
+                    if not model[name]:
+                        del model[name]
+            else:
+                pit.sweep(now)
+                for name in [m for m, e in model.items() if all(ds[2] <= now for ds in e)]:
+                    del model[name]
+            assert pit.dump(now) == [
+                f"pit name={name} downstream={a} nonce={n.hex()} expires_us={expires}"
+                for name in sorted(model, key=str)
+                for a, n, expires in model[name]
+                if expires > now
+            ]
+            assert all((name in pit) == (name in model) for name in names)
+
 
 class TestFib:
     def test_update_creates_entry_and_enables(self):
@@ -176,21 +269,23 @@ class TestFib:
         assert fib.lookup_min_cost(PREFIX, exclude=(A1,)) == (A2, 9)
         assert fib.lookup_min_cost(PREFIX, exclude=(A1, A2)) is None
 
-    def test_longest_prefix_match(self):
+    def test_an_entry_routes_exactly_its_prefix(self):
         fib = Fib()
         fib.update(Name((b"video",)), A1, 30)
         fib.update(Name((b"video", b"clip")), A2, 10)
-        assert fib.lookup_min_cost(Name((b"video", b"clip", b"hd"), chunk_index=2)) == (A2, 10)
-        assert fib.lookup_min_cost(Name((b"video", b"other"))) == (A1, 30)
+        assert fib.lookup_min_cost(Name((b"video", b"clip"), chunk_index=2)) == (A2, 10)
+        # A shorter entry names another object and never routes.
+        assert fib.lookup_min_cost(Name((b"video", b"clip", b"hd"), chunk_index=2)) is None
+        assert fib.lookup_min_cost(Name((b"video", b"other"))) is None
         assert fib.lookup_min_cost(Name((b"audio",))) is None
 
-    def test_lpm_does_not_fall_through_disabled_entry(self):
+    def test_a_disabled_entry_does_not_fall_back_to_a_shorter_one(self):
         fib = Fib()
         fib.update(Name((b"video",)), A1, 30)
         fib.update(Name((b"video", b"clip")), A2, 10)
         fib.set_neighbor_enabled(A2, False)
-        # The longest entry exists but is unusable; a shorter match must
-        # not silently take over.
+        # The entry exists but is unusable; a shorter match must not
+        # silently take over.
         assert fib.lookup_min_cost(Name((b"video", b"clip"))) is None
 
     @given(
@@ -353,12 +448,11 @@ class TestNodeTables:
                     enabled[key] = value
 
         def model_lookup(depth, exclude):
-            for p in range(depth, -1, -1):
-                hops = [(min(v[-3:]), a) for (q, a), v in prices.items() if q == p]
-                if hops:
-                    usable = [h for h in hops if enabled[(p, h[1])] and h[1] not in exclude]
-                    return (min(usable)[1], min(usable)[0]) if usable else None
-            return None
+            usable = [
+                (min(v[-3:]), a) for (p, a), v in prices.items()
+                if p == depth and enabled[(p, a)] and a not in exclude
+            ]
+            return (min(usable)[1], min(usable)[0]) if usable else None
 
         now = 0
         for op, dt in steps:

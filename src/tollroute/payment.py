@@ -24,15 +24,15 @@ at the place the check needs is answered as hashing would answer,
 without hashing, as a signature the payer's key made is answered
 without verifying.  Any other word is hashed.
 
-The Ledger holds the one record of each channel: its committed state,
-which the next offer builds on and below which settlement refuses to
-go.  The ChannelBook holds only what is in flight: offers stay pending
-(reserving the payer's funds) until the payee commits them to the
-ledger or a Nack cancels them.  The ledger holds the run's key
-directory, as a chain knows its accounts' keys, and checks every
-commitment against it.  The simulator keeps one book; a node acts on it
-by passing its own KeyPair, whose owner is the payer or payee and whose
-directory keeps the payer's live chains.
+The Ledger holds each channel's committed state, which the next offer
+builds on and below which settlement refuses to go; it logs only mints,
+opens and settles.  The ChannelBook holds only what is in flight:
+offers stay pending (reserving the payer's funds) until the payee
+commits them to the ledger or a Nack cancels them.  The ledger holds
+the run's key directory, as a chain knows its accounts' keys, and
+checks every commitment against it.  The simulator keeps one book; a
+node acts on it by passing its own KeyPair, whose owner is the payer or
+payee and whose directory keeps the payer's live chains.
 """
 
 from __future__ import annotations
@@ -224,8 +224,8 @@ class LedgerChannel:
 
 
 class Ledger:
-    """Mock on-chain token ledger.  Every mutation appends one JSON-ready
-    record to `log`, and the conservation invariant
+    """Mock on-chain token ledger.  Each mint, open and settle appends one
+    JSON-ready record to `log`, and the conservation invariant
 
         sum(accounts) + sum(open channel pools) == sum(mints)
 
@@ -289,25 +289,6 @@ class Ledger:
         )
         return state
 
-    def note_update(self, state: ChannelState, direction: int, amount: int) -> None:
-        """Record `state`, an off-chain update that raised the counter of
-        `direction` by `amount` and supersedes the committed state of an
-        open channel, as the new committed state."""
-        self.channels[state.channel_id].state = state
-        parties = (state.party_a, state.party_b)
-        self.log.append(
-            {
-                "op": "update",
-                "channel": state.channel_id.decode("ascii", "replace"),
-                "sequence": state.sequence,
-                "balance_a": state.balance_a,
-                "balance_b": state.balance_b,
-                "payer": str(parties[direction]),
-                "payee": str(parties[1 - direction]),
-                "amount": amount,
-            }
-        )
-
     def settle(self, state: ChannelState) -> None:
         """Close a channel at the given state and credit the accounts.
 
@@ -342,15 +323,10 @@ class Ledger:
         chan.settled = True
         self.accounts[state.party_a] = self.balance(state.party_a) + final.balance_a
         self.accounts[state.party_b] = self.balance(state.party_b) + final.balance_b
-        self.log.append(
-            {
-                "op": "settle",
-                "channel": cid,
-                "sequence": final.sequence,
-                "balance_a": final.balance_a,
-                "balance_b": final.balance_b,
-            }
-        )
+        self.log.append({
+            "op": "settle", "channel": cid, "sequence": final.sequence,
+            "balance_a": final.balance_a, "balance_b": final.balance_b,
+        })
 
     def open_pool_total(self) -> int:
         open_states = (c.state for c in self.channels.values() if not c.settled)
@@ -378,11 +354,13 @@ class ChannelBook:
     `pending` holds each offer by (channel id, sequence), and `reserved`
     keeps each payer's reserved total per channel, keyed by (channel id,
     direction), as offers come and go, so checking a balance never
-    re-sums the offers.  Committed state lives only on the ledger.
+    re-sums the offers.  `commits` counts the offers committed to the
+    ledger, where alone committed state lives.
     """
 
     def __init__(self, ledger: Ledger) -> None:
         self.ledger = ledger
+        self.commits = 0
         self.pending: dict[tuple[bytes, int], PendingOffer] = {}
         self.reserved: dict[tuple[bytes, int], int] = {}
         self._issued: dict[bytes, int] = {}
@@ -473,7 +451,8 @@ class ChannelBook:
             valid = chain is not None and _pays(keys, (cid, direction), chain, total, payment.word)
         if not valid:
             raise PaymentError("bad-signature", f"offer seq {payment.sequence} by {payer}")
-        self.ledger.note_update(committed, direction, payment.amount)
+        self.ledger.channels[cid].state = committed
+        self.commits += 1
         if old.commitment not in (None, chain):
             # The ledger refuses a superseded counter before it checks
             # commitments, so this one can never be checked again.
@@ -618,13 +597,11 @@ class AuditResult:
     violations: list[str] = field(default_factory=list)
 
 
-_STATE_FIELDS = {"channel": str, "sequence": int, "balance_a": int, "balance_b": int}
 # The fields audit_ledger reads from each op's records, with their JSON types.
 _LEDGER_FIELDS = {
     "mint": {"account": str, "amount": int},
     "open": {"channel": str, "party_a": str, "party_b": str, "deposit_a": int, "deposit_b": int},
-    "update": _STATE_FIELDS,
-    "settle": _STATE_FIELDS,
+    "settle": {"channel": str, "balance_a": int, "balance_b": int},
 }
 
 
@@ -649,13 +626,12 @@ class _ReplayedChannel:
     party_b: str
     pool: int
     open: bool = True
-    last_seq: int = 0
 
 
 def audit_ledger(records: list[dict]) -> AuditResult:
     """Replay a ledger log and check token conservation after every
-    record, plus per-channel sequence and pool discipline, balances that
-    never go negative and channel ids that open only once.
+    record, plus opens that fund a pool between two parties, settles that
+    fill it, balances that never go negative and ids that open only once.
 
     The replay keeps `total`, the sum of all accounts and open pools, up
     to date record by record, so each check costs O(1)."""
@@ -677,10 +653,17 @@ def audit_ledger(records: list[dict]) -> AuditResult:
             total += amount
         elif op == "open":
             cid = rec["channel"]
+            da, db = rec["deposit_a"], rec["deposit_b"]
+            # Ledger.open_channel's bad-party and bad-amount rules.
+            if rec["party_a"] == rec["party_b"]:
+                violations.append(f"record {i}: channel {cid} opened with one party")
+                continue
+            if da < 0 or db < 0 or da + db == 0:
+                violations.append(f"record {i}: channel {cid} opened with deposits {da}/{db}")
+                continue
             if cid in channels:
                 violations.append(f"record {i}: channel {cid} opened twice")
                 continue
-            da, db = rec["deposit_a"], rec["deposit_b"]
             for party, dep in ((rec["party_a"], da), (rec["party_b"], db)):
                 if accounts.get(party, 0) < dep:
                     violations.append(f"record {i}: {party} overdrew opening {cid}")
@@ -688,31 +671,12 @@ def audit_ledger(records: list[dict]) -> AuditResult:
             accounts[rec["party_a"]] = accounts.get(rec["party_a"], 0) - da
             accounts[rec["party_b"]] = accounts.get(rec["party_b"], 0) - db
             channels[cid] = _ReplayedChannel(rec["party_a"], rec["party_b"], da + db)
-        elif op == "update":
-            cid = rec["channel"]
-            ch = channels.get(cid)
-            if ch is None or not ch.open:
-                violations.append(f"record {i}: update on non-open channel {cid}")
-                continue
-            if rec["sequence"] <= ch.last_seq:
-                violations.append(
-                    f"record {i}: sequence {rec['sequence']} not increasing on {cid}"
-                )
-            ch.last_seq = max(ch.last_seq, rec["sequence"])
-            if rec["balance_a"] + rec["balance_b"] != ch.pool:
-                violations.append(f"record {i}: update balances break pool on {cid}")
-            elif min(rec["balance_a"], rec["balance_b"]) < 0:
-                violations.append(f"record {i}: update balance goes negative on {cid}")
         elif op == "settle":
             cid = rec["channel"]
             ch = channels.get(cid)
             if ch is None or not ch.open:
                 violations.append(f"record {i}: settle on non-open channel {cid}")
                 continue
-            if rec["sequence"] < ch.last_seq:
-                violations.append(
-                    f"record {i}: settle at stale sequence {rec['sequence']} on {cid}"
-                )
             ch.open = False
             total -= ch.pool
             if rec["balance_a"] + rec["balance_b"] != ch.pool:

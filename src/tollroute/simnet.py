@@ -672,9 +672,7 @@ class Simulator:
         def total(key: str) -> int:
             return sum(n.counters.get(key, 0) for n in self.nodes.values())
 
-        ops = {"mint": 0, "open": 0, "update": 0, "settle": 0}
-        for rec in self.ledger.log:
-            ops[rec["op"]] = ops.get(rec["op"], 0) + 1
+        ops = [rec["op"] for rec in self.ledger.log]
         initial = self.defaults.account_balance
         incomes = {
             str(addr): self.ledger.balance(addr) - initial for addr in sorted(self.nodes)
@@ -701,9 +699,9 @@ class Simulator:
                 "verified": sum(f.signatures_verified for f in self.flows.values()),
             },
             "payments": {
-                "channels_opened": ops["open"],
-                "updates": ops["update"],
-                "settlements": ops["settle"],
+                "channels_opened": ops.count("open"),
+                "updates": self.book.commits,
+                "settlements": ops.count("settle"),
             },
             "ledger": {
                 "minted": self.ledger.minted,

@@ -236,7 +236,7 @@ class TestAuditLedger:
         ledger = self.write_ledger(tmp_path, capsys)
         records = [json.loads(l) for l in ledger.read_text().splitlines()]
         for rec in records:
-            if rec["op"] == "update":
+            if rec["op"] == "settle":
                 rec["balance_a"] += 7
                 break
         ledger.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -284,16 +284,12 @@ class TestAuditLedger:
             '{"op":"mint","account":"b","amount":5}\n'
             '{"op":"open","channel":"ch:a:b","party_a":"a","party_b":"b",'
             '"deposit_a":5,"deposit_b":5}\n'
-            '{"op":"update","channel":"ch:a:b","sequence":1,"balance_a":-90,"balance_b":100}\n'
             '{"op":"settle","channel":"ch:a:b","sequence":1,"balance_a":-90,"balance_b":100}\n'
         )
         assert main(["audit-ledger", str(ledger)]) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == (
-            "error[audit]: record 3: update balance goes negative on ch:a:b\n"
-            "error[audit]: record 4: settle balance goes negative on ch:a:b\n"
-        )
+        assert out.err == "error[audit]: record 3: settle balance goes negative on ch:a:b\n"
 
 
 class TestBenchPof:

@@ -1,13 +1,17 @@
-"""The scenario, run-artifact and state-dump docs must match the code:
-every key the loader accepts, every key a report carries and every key a
-table dump prints is documented, with the defaults the code uses."""
+"""The scenario, run-artifact, state-dump and ledger docs must match the
+code: every key the loader accepts, every key a report carries, every
+key a table dump prints and every ledger op the audit replays is
+documented, with the defaults the code uses."""
 
+import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from tollroute.cli import _resolve_scenario
+from tollroute.payment import _LEDGER_FIELDS, ledger_record_problem
 from tollroute.scenario import Defaults, LinkSpec, NodeSpec, ServeSpec
 from tollroute.simnet import run_scenario
 from tollroute.tables import NodeTables
@@ -85,3 +89,21 @@ class TestStateDumpDoc:
         printed = [field.split("=", 1)[0] for field in line.split()[1:]]
         doc = [row[0] for row in _doc_table("state-dump.md", f"## {table}")]
         assert doc == printed
+
+
+class TestLedgerLogDoc:
+    @classmethod
+    def setup_class(cls):
+        text = (DOCS / "ledger-log.md").read_text(encoding="utf-8")
+        records = text.split("\n## Records\n", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"```json\n(.*?)```", records, re.S)
+        cls.examples = [json.loads(block) for block in blocks]
+
+    def test_examples_name_every_op_the_audit_replays(self):
+        assert [rec["op"] for rec in self.examples] == list(_LEDGER_FIELDS)
+
+    @pytest.mark.parametrize("op", sorted(_LEDGER_FIELDS))
+    def test_example_carries_every_field_its_op_reads(self, op):
+        # ledger_record_problem checks each field _LEDGER_FIELDS names for `op`.
+        (rec,) = [rec for rec in self.examples if rec["op"] == op]
+        assert ledger_record_problem(rec) is None

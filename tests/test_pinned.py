@@ -31,52 +31,52 @@ PINNED = {
     ("fig1.scn", "hopbyhop"): (
         "6915f617f72a1877e5f6be60761824ff9bf6ec3f64d1135024686e4e16bdebc4",
         "67029041c636a37bf0e7fe79f711bd3164a2aa9fca869623ad0a58eb8c51db07",
-        "fd9e272487e897d7c33ce69090330ff4030e81aafb44b152dbde2b5c5eb8594c",
+        "86bb497dd738a709ecefb5e3a3e7e30b4a4118e747a0c845240150be4c8cd09c",
     ),
     ("fig1.scn", "payall"): (
         "35a67e9931cbf7847c79b2ba212096e4a481868b44d14b2d86eb0f3a3f5c1fbd",
         "3d27ef8ac949c22daabfe61e5f8f993cad9f656fe56bcc1e62c6c61e39b7601b",
-        "3674c4cdc7b38250b31f2336afecdc578236751f76159d34e31468d3ac85c572",
+        "ab67b2d210972676a4a16bf8e7abded415b646cf6e2afa43d2109436badd5553",
     ),
     ("fig6.scn", "hopbyhop"): (
         "c89a203a404d440b40afe7e56b2702d84039b5c88273d7d5a8281e3e93c3f71e",
         "46df360114f75e5284f4fddee0f5d1c04c2f86b5dd72af2ef8986092bf8e84da",
-        "80ca3f5e6cc5c84af3b0dd8b535e50db072187e343eed7748b4ad63f943fef7e",
+        "c4705b8c7a0e332922abb72f0e74ce1e0705b5d7c04b9a30f3f5c8dc39f56c0f",
     ),
     ("fig6.scn", "payall"): (
         "99fc8f60da2044b70dd30908b3c02866f747106487467644e682a6c189884daf",
         "c585b2c12240ab9422d634adbe3be9627a1ab2724675e8dcf46229d170227a9b",
-        "b6073aaaf32c3d5e690de0bfc2bf76ef09fcdf261642affeb7c3f7184df07fe3",
+        "c8d2c3578c533bc0616c6b70f2b2965ecfa783e67d13ce625399db567fc30728",
     ),
     ("diamond.scn", "hopbyhop"): (
         "1eaa0fe4e9d77267fefedc7981618f53377531eb3f8f9aaf7a4d138b7688be11",
         "03a7a39f4703fc21a39994c4b182ba721f79cd58ccef309c963b400778e1af1d",
-        "95f97a5a95cf905d62cb4316743d2570d9d33b6ac6ab9574afe4cc331c2ece93",
+        "dabbc88f8cd80f3e62ec30536da764fe241360b59b4b870321e905886c2fbb9b",
     ),
     ("diamond.scn", "payall"): (
         "b556a6de38a6e9044429e3260ca7f827b1bcd65bbc10e9a24ee733d03d050a0a",
         "30e807b7da1d47a1a9ed6de0e5ebd089e44f8a3603f8512b7f971b7fc10b9c11",
-        "147d59df48702210ac2d4a783707a3867c5373148dea83bec6c08f19d764ff67",
+        "8cbc9858ca2f45c47d31c7a513f30930735f30ce9f1f28545513a5f01e96c109",
     ),
     ("churn.scn", "hopbyhop"): (
         "3f1bfcf064403b14b50ae12f6bf5ca21ec82ef17656f651e0ce14661ffae4327",
         "4e5df8de58d16ca51c7e2f15db33a75fc31af59491a730299f6abd64552973a1",
-        "d792e4bb9cb92f4b87c4359407dfd49f9eafdaaf2577edb039c07ee6c9d40832",
+        "87135e8cd8ed5a615a60431c95891dd8f0947419ae998d5d6493ec96a0c7d9e9",
     ),
     ("churn.scn", "payall"): (
         "98a19d552f15a615e2ac8f3e97f70c7667a1a7ad59b49c627e32ac2c989bfaa3",
         "4a61a4aa3be1d753628696190535aa36f1afcddff9ce0d5ac497d9cd540b9806",
-        "440974d637a3773708ad898b5f1c06ff19daf802e99ffe2fe4c609998f70d4e1",
+        "f0f5efcba3d7ef1f697b845f093dc60978dd78084a59df3afbf2694522d4621e",
     ),
     ("mesh10.scn", "hopbyhop"): (
         "aafe307b060ca68c8e06276d2f4e7553310f58303386ff00dabb343737d21526",
         "7969bd72ea0ad7e32c7f8a6022cf14dab20f964e52eec2a5a9e7cb430e1488dc",
-        "01d377e0eda75617f37474eef07f85f775c4f326a3205cb4ede9432e014492a6",
+        "48ea03c5a5ee35efe6266c978fdedc62f2d1309164ef49d6697e01c7abb86ce2",
     ),
     ("mesh10.scn", "payall"): (
         "316c6115f8bdf75d11d7186fd34fbcfbc6feb4c5e2728a629f8f98ff91fb681e",
         "88f6db404460e3206c9b170f8762af3f5d87b10813266ddd1c0332d1bd41dce9",
-        "366b5258615b0a4f12a7a44f825f0870e3f44f3fec436988a47215fe383d0793",
+        "33228408d3f6ac4cae0e51f73b439d73d6b0c222ed30b2178132145ba61a5a92",
     ),
 }
 
@@ -176,42 +176,42 @@ PINNED_GENERATED = {
     ("line-512", "hopbyhop"): (
         "5f926166e37115538f622866a5532a9e8f373cb2c986a04676ea398acd4257be",
         "8fc9c65f6d9c634811007308326523742cc23579a688e0bd7036c2c89127fcf1",
-        "fb8084bc0f91dbce8642fafc781b23c91942c30fb55d7f8952c95343629d3ebc",
+        "1aa222fed3e2a3ea43ed1e945e9345ec58b56bd22463a75551bb7ec51a11b253",
     ),
     ("line-512", "payall"): (
         "66cd74dca7d26b40a66c7007bdfe39cdecaebdfb5490a54f188e63dca0a2c35c",
         "43e67a80eb305da865a5413da25d9189ceb7ee16eb49614cd905b49293a9e55a",
-        "bedbbfa3d13bc0eb063f0e823a003884bf8f85f353d08346f9c25a9e17319520",
+        "b2236e4b8cd2e173809f6c63f02da444930b488c66bafa759a7467fdb6cfd19a",
     ),
     ("line-256-lossy", "hopbyhop"): (
         "e2c325cf2e7fd3520a39a4cb6916a1b525b0493552da9904ec3a658b4fd610b2",
         "58fc3a117170de9b3d39584d6fba0edd24ab1699eff2d22d1d8e879c89d801da",
-        "eed78618068e872fa25846d9e03e5e8a0e7802afbef5baed0925673517b1d648",
+        "f72673195be88662f5d59479f52efd9ab3053656ed4e2ff95ea6fb5952265a22",
     ),
     ("line-256-lossy", "payall"): (
         "9beeaf52ab7b74fc2756594bbbf0c3b34c9b8092e21930453f0367fe7af2e885",
         "f5e46aa9fbae7f2e1a371ddb7f7f43879cb9053e55b1f834abcb7c2d5d09f209",
-        "6199b06918b5f9a15b28f36a6091809ed9977db07304f48120cb6bf79edd9aca",
+        "0e0624fb522ff61aa91d507887bde085dd0be3d9f125313bf2e44d8b77e3a92f",
     ),
     ("line-256-corrupt", "hopbyhop"): (
         "9c10cfbca69d97c7b96ffcd7a57df6eeec42a7f0670177c1957804583015142c",
         "85d753661b08eb1940af1151aef1898a0b1a0182e662fc397b1af430ae467642",
-        "9553456b2e8d6c6c269cf04a7e998178515f81ea1962aff3fd20e4315d7d7012",
+        "9403601ca28e058a0b654d0cd2c2e6a8c6fc3e84bf76c79238a0191ed39e105e",
     ),
     ("line-256-corrupt", "payall"): (
         "a64b59884843349e76d08225ebc2bc8cdbb71bbc87d79715b70b927ed08b6dde",
         "c6e9186d6623934baaae5abc3f0143faa26efc8fbf11368a4b8b20e44b4852ec",
-        "c4c51d45664a0e2ee6b0a25bda03e00a4c5aa6623fa653340c8ad1e3a7b6eac0",
+        "644ba13922e8e819b3565ac08e7df6d9badc75167fb9fd6d61d2fa6483a422b2",
     ),
     ("grid-4x4", "hopbyhop"): (
         "0e6d2509ee8edde7112542c6ee2d136059e76ef2069cec5f1562821c0c855208",
         "c7056250fbf02597c26fca6d5edf4b2a856d36a61b144fcffd9106eec46e6d7f",
-        "d9451b428c768d64622e3c7fe0a6782769695189f75978d29a316c73eb40a2d1",
+        "00fae2447988fad8079c5f51692e7a11b7c947546e8f42f7e899ef2e5b8dea1c",
     ),
     ("grid-4x4", "payall"): (
         "7a3fc328c4545f600ae61c6b40889e0c92f37bf947cfe280432c194cae794386",
         "33d251292e560050f7b5d83abe56ccab380f52f41947688b0957503963049ecc",
-        "985d9a527600ca06b4817109917c3743268ad8786019ff4984a01a3ef25d7632",
+        "060ad40e2df0f6baaf4490f93d4b798d0bac199c572e97623b6acf1ef99d19d7",
     ),
 }
 

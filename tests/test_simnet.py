@@ -67,6 +67,14 @@ def flow_of(result):
     return result.report["flows"][0]
 
 
+def paid_channels(records):
+    """The channels a ledger settles at other balances than their open funded."""
+    opened = {rec["channel"]: (rec["deposit_a"], rec["deposit_b"])
+              for rec in records if rec["op"] == "open"}
+    return {rec["channel"] for rec in records if rec["op"] == "settle"
+            and (rec["balance_a"], rec["balance_b"]) != opened[rec["channel"]]}
+
+
 class TestDeterminism:
     def test_identical_runs_yield_identical_artifacts(self):
         doc = line_doc()
@@ -247,7 +255,7 @@ class TestFlows:
         result = run_scenario(scenario)
         flow = flow_of(result)
         assert (flow["status"], flow["received"], flow["price"]) == ("done", 16, 0)
-        assert not [rec for rec in result.ledger_records if rec["op"] == "update"]
+        assert result.report["payments"]["updates"] == 0
         assert audit_run(scenario, result.trace, result.ledger_records) == []
 
     def test_unserved_fetch_fails_with_no_route(self):
@@ -744,6 +752,44 @@ class TestRelayModes:
         assert delays[16] == 15 * 10_000
 
 
+class TestLedgerBound:
+    """The ledger logs what a chain would: mints, and one open and one
+    settle per channel.  A committed offer moves tokens off the log, so
+    the log's size follows the channels, not the packets."""
+
+    @staticmethod
+    def check(result):
+        records = result.ledger_records
+        assert {rec["op"] for rec in records} <= {"mint", "open", "settle"}
+        settled = [rec["channel"] for rec in records if rec["op"] == "settle"]
+        assert sorted(settled) == sorted(rec["channel"] for rec in records if rec["op"] == "open")
+        if paid_channels(records):
+            assert result.report["payments"]["updates"] > 0
+
+    @pytest.mark.parametrize("mode", ["hopbyhop", "payall"])
+    @pytest.mark.parametrize("name", sorted(p.name for p in BUNDLED.glob("*.scn")))
+    def test_bundled_scenario(self, name, mode):
+        scenario = load_scenario(str(BUNDLED / name))
+        defaults = replace(scenario.defaults, payment_mode=mode)
+        result = run_scenario(replace(scenario, defaults=defaults))
+        self.check(result)
+        assert paid_channels(result.ledger_records)
+
+    @pytest.mark.parametrize("mode", ["hopbyhop", "payall"])
+    def test_record_count_does_not_grow_with_packets(self, mode):
+        counts = {}
+        for packets in (8, 16):
+            doc = line_doc()
+            doc["defaults"]["payment_mode"] = mode
+            doc["schedule"][0]["packets"] = packets
+            result = run_doc(doc)
+            assert flow_of(result)["status"] == "done"
+            self.check(result)
+            counts[packets] = (len(result.ledger_records), result.report["payments"]["updates"])
+        assert counts[8][0] == counts[16][0]
+        assert (counts[8][1], counts[16][1]) == (16, 32)
+
+
 class TestPaymentModes:
     @pytest.mark.parametrize("payment_mode", ["hopbyhop", "payall"])
     def test_one_signature_per_committed_offer_and_chain_link(self, payment_mode, monkeypatch):
@@ -761,9 +807,9 @@ class TestPaymentModes:
         doc["defaults"]["payment_mode"] = payment_mode
         result = run_doc(doc)
         assert flow_of(result)["status"] == "done"
-        commits = sum(rec["op"] == "update" for rec in result.ledger_records)
+        commits = result.report["payments"]["updates"]
         links = sum(ev["event"] == "chunk_signed" for ev in result.trace)
-        chains = len({rec["channel"] for rec in result.ledger_records if rec["op"] == "update"})
+        chains = len(paid_channels(result.ledger_records))
         assert commits == 16 and links == 4 and chains == 2
         assert len(signed) == chains + links
 

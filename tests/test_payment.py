@@ -1337,6 +1337,11 @@ def _open(cid, a, b, da, db):
             "deposit_a": da, "deposit_b": db}
 
 
+def _update(cid, seq, ba, bb):
+    return {"op": "update", "channel": cid, "sequence": seq, "balance_a": ba,
+            "balance_b": bb, "payer": "a", "payee": "b", "amount": 1}
+
+
 def _settle(cid, seq, ba, bb):
     return {"op": "settle", "channel": cid, "sequence": seq, "balance_a": ba, "balance_b": bb}
 
@@ -1385,10 +1390,22 @@ DOCTORED_LOGS = {
          "record 2: settle on non-open channel ch"],
     ),
     # The log holds only on-chain operations; an off-chain update record,
-    # as older ledgers carried, is no op the replay knows.
-    "update-record": (
-        _FUNDED + [{"op": "update", "channel": "ch", "sequence": 1,
-                    "balance_a": 40, "balance_b": 60}],
+    # as older ledgers carried, is no op the replay knows.  The doctored
+    # update logs the audit once refused by their sequences or channel
+    # state are still refused, each update record as an unknown op.
+    "update-on-closed": (
+        _FUNDED + [_settle("ch", 0, 50, 50), _update("ch", 1, 40, 60),
+                   _update("zz", 1, 1, 1)],
+        ["record 4: unknown op 'update'", "record 5: unknown op 'update'"],
+    ),
+    "non-increasing-sequence": (
+        _FUNDED + [_update("ch", 2, 40, 60), _update("ch", 2, 30, 70),
+                   _update("ch", 1, 20, 80), _update("ch", 3, 20, 81)],
+        ["record 3: unknown op 'update'", "record 4: unknown op 'update'",
+         "record 5: unknown op 'update'", "record 6: unknown op 'update'"],
+    ),
+    "stale-settle": (
+        _FUNDED + [_update("ch", 2, 40, 60), _settle("ch", 1, 45, 55)],
         ["record 3: unknown op 'update'"],
     ),
     "settle-breaks-pool": (

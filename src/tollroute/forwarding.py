@@ -19,10 +19,15 @@ Strategy ladder for routed content Interests, in order:
                   a no-route Nack.
 
 Discovery Interests flood with per-node duplicate suppression and a
-one-rebroadcast budget per nonce.  Discovery Data retraces the reverse
-path, growing its route stack and adding each relay's forwarding cost
-to the carried price.  Content Data follows PIT state only and is never
-broadcast.
+one-rebroadcast budget per nonce.  Only a node that serves the prefix
+answers; a relay whose store holds the object rebroadcasts like any
+other, so every advertised route and price ends at the producer.
+Discovery Data retraces the reverse path, growing its route stack and
+adding each relay's forwarding cost to the carried price.  Content Data
+follows PIT state only and is never broadcast.  Stores serve routed
+Interests instead: a relay on the route holding the packet answers with
+the chain it extended as the chunk's proof passed (producer first, so
+it verifies against the route), keeping the whole payment as margin.
 """
 
 from __future__ import annotations
@@ -239,12 +244,6 @@ class ForwardingEngine:
         if self._serves_prefix(pkt.name):
             # Authoritative: nothing upstream can outbid the origin.
             return self._answer_discovery(pkt.name, now)
-        actions: list[Send] = []
-        if self._can_serve(pkt.name):
-            # A cache answer is an offer, not the origin; the search
-            # keeps travelling so the consumer also learns a path that
-            # can serve packets this cache never held.
-            actions.extend(self._answer_discovery(pkt.name, now, consume=False))
         # AGGREGATED with a fresh nonce is a retransmitted discovery: the
         # first broadcast may have died on a partitioned link, so it is
         # forwarded again like any retransmitted Interest.
@@ -252,20 +251,15 @@ class ForwardingEngine:
             self._rebroadcast.add(pkt.nonce)
             self.counters["rebroadcasts"] += 1
             self.trace("rebroadcast", name=str(pkt.name), nonce=pkt.nonce.hex())
-            actions.append(self._discovery(pkt.name, pkt.nonce, pkt.lifetime_ms))
-            return actions
+            return [self._discovery(pkt.name, pkt.nonce, pkt.lifetime_ms)]
         self.counters["broadcast_suppressed"] += 1
-        return actions
+        return []
 
-    def _answer_discovery(self, name: Name, now: int, consume: bool = True) -> list[Send]:
-        """Producer (or caching relay) answers: one discovery Data per
-        pending downstream, route seeded [downstream, self].  A cache
-        answer passes consume=False so the PIT entry stays alive for the
-        reply that may still come back from the true origin."""
+    def _answer_discovery(self, name: Name, now: int) -> list[Send]:
+        """The producer answers: one discovery Data per pending
+        downstream, route seeded [downstream, self]."""
         actions: list[Send] = []
-        pit = self.tables.pit
-        pending = pit.consume(name, now) if consume else pit.peek(name, now)
-        for downstream, _nonce in pending:
+        for downstream, _nonce in self.tables.pit.consume(name, now):
             data = Data(
                 name=name,
                 hop_info=HopInfo(self.addr, downstream),
@@ -284,15 +278,7 @@ class ForwardingEngine:
         return actions
 
     def _can_serve(self, name: Name) -> bool:
-        if self._source_for(name) is not None:
-            return True
-        if self.tables.cs.lookup(name) is not None:
-            return True
-        # Discovery names may omit the packet index; holding the first
-        # packet is good enough to answer for the prefix.
-        if name.chunk_index is None:
-            return self.tables.cs.lookup(name.with_index(0)) is not None
-        return False
+        return self._source_for(name) is not None or self.tables.cs.lookup(name) is not None
 
     def _on_routed_interest(self, pkt: Interest, now: int) -> list[Send]:
         sender = pkt.hop_info.local
@@ -393,23 +379,17 @@ class ForwardingEngine:
             return [self._nack(sender, pkt.name, pkt.nonce, NackReason.INSUFFICIENT_PAYMENT)]
         actions: list[Send] = []
         for downstream, _nonce in self.tables.pit.consume(pkt.name, now):
-            data = self._build_content(pkt.name, downstream)
-            if data is None:
-                actions.append(self._nack(downstream, pkt.name, pkt.nonce, NackReason.NO_ROUTE))
-                continue
             self.counters["data_served"] += 1
-            actions.append(Send(downstream, data))
+            actions.append(Send(downstream, self._build_content(pkt.name, downstream)))
         return actions
 
-    def _build_content(self, name: Name, downstream: NodeAddr) -> Data | None:
+    def _build_content(self, name: Name, downstream: NodeAddr) -> Data:
         serve = self._source_for(name)
         if serve is not None:
             payload = self._payload(serve, name.chunk_index)
             proof = self._producer_proof(serve, name.chunk_index)
         else:
             payload = self.tables.cs.lookup(name)
-            if payload is None:
-                return None
             proof = self._proofs.get((name.components, name.chunk_index))
         return Data(
             name=name,

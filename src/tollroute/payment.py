@@ -377,8 +377,10 @@ class ChannelBook:
         """Committed balance minus what this party has promised in
         still-pending offers."""
         state = self.state(channel_id)
-        direction = state.direction(party)
-        return state.balance(direction) - self.reserved.get((channel_id, direction), 0)
+        return self._projected(state, state.direction(party))
+
+    def _projected(self, state: ChannelState, direction: int) -> int:
+        return state.balance(direction) - self.reserved.get((state.channel_id, direction), 0)
 
     def make_offer(
         self,
@@ -396,8 +398,7 @@ class ChannelBook:
             raise PaymentError("bad-amount", "offers must move at least one token")
         state = self.state(channel_id)
         direction = state.direction(payer)
-        reserved = self.reserved.get((channel_id, direction), 0)
-        projected = state.balance(direction) - reserved
+        projected = self._projected(state, direction)
         if projected < amount:
             raise PaymentError("insufficient-funds", f"{payer} projected {projected} < {amount}")
         # Cancelled offers leave holes: a sequence, once issued, is never
@@ -412,7 +413,8 @@ class ChannelBook:
         carried = None if held is commitment or held == commitment else commitment
         payment = Payment(channel_id, amount, seq, word, carried)
         self.pending[channel_id, seq] = PendingOffer(direction, amount, tag, now + lifetime_us)
-        self.reserved[channel_id, direction] = reserved + amount
+        slot = (channel_id, direction)
+        self.reserved[slot] = self.reserved.get(slot, 0) + amount
         return payment
 
     def commit_offer(self, key: KeyPair, payer: NodeAddr, payment: Payment) -> ChannelState:

@@ -71,8 +71,7 @@ class Pit:
         return _live(self._entries.pop(name, {}), now)
 
     def peek(self, name: Name, now: int) -> list[tuple[NodeAddr, bytes]]:
-        """Like consume but leaves the entry in place, for answers that
-        must not end the Interest's life (a cache's discovery reply)."""
+        """Like consume but leaves the entry in place."""
         return _live(self._entries.get(name, {}), now)
 
     def release(self, name: Name, downstream: NodeAddr, nonce: bytes) -> None:

@@ -162,6 +162,23 @@ class TestDiscovery:
         assert [a.to for a in out] == [B]
         assert all(a.packet.route == RouteStack((a.to, C)) for a in out)
 
+    def test_a_relay_holding_the_object_rebroadcasts_and_never_answers(self):
+        relay, cap = make_node(B, 3)
+        relay.tables.cs.insert(PREFIX.with_index(0), b"x" * 100)
+        (out,) = relay.on_interest(interest(PREFIX, NONCE, A), now=0)
+        assert out.to == BROADCAST and out.packet.is_discovery
+        assert (out.packet.nonce, out.packet.hop_info) == (NONCE, HopInfo(B))
+        assert relay.counters["discovery_answers"] == 0
+        assert not [e for e in cap.events if e["event"] == "discovery_answered"]
+        # The producer's answer comes back through the relay, priced to
+        # the producer.
+        answer = Data(
+            name=PREFIX, hop_info=HopInfo(C, B), route=RouteStack((B, C)), payload=b"", price=12
+        )
+        (reply,) = relay.on_data(answer, now=10)
+        assert reply.to == A
+        assert (reply.packet.route, reply.packet.price) == (RouteStack((A, B, C)), 15)
+
     def test_own_flood_echo_dropped(self):
         consumer, _ = make_node(A, 0)
         consumer.originate_discovery(PREFIX, NONCE, now=0)
@@ -732,18 +749,20 @@ class TestRefusalsAndDrops:
         assert relay.counters["aggregated"] == 0
         assert book.state(channel_id_for(D, B)).sequence == 0
 
-    def test_routed_interest_without_an_index_at_a_cache_gets_no_route_nack(self):
+    def test_bare_prefix_interest_at_a_cache_takes_its_route(self):
         relay, _ = make_node(B, 3, payment_mode="payall")
-        # Holding packet 0 lets the relay answer for the bare prefix, but
-        # a content Interest needs a packet the store can build.
+        relay.tables.keepalive_heard(C, 0)
+        # Packet 0 in the store does not stand for the bare prefix: the
+        # store serves only the packet it holds.
         relay.tables.cs.insert(PREFIX.with_index(0), b"x" * 100)
         pkt = interest(PREFIX, NONCE, A, remote=B, route=RouteStack((B, C)))
-        (nack,) = relay.on_interest(pkt, now=1)
-        assert nack.to == A
-        assert nack.packet == Nack(name=PREFIX, nonce=NONCE, reason=NackReason.NO_ROUTE)
-        assert relay.counters["nacks_sent"] == 1
+        (out,) = relay.on_interest(pkt, now=1)
+        assert out.to == C
+        assert out.packet.name == PREFIX and out.packet.route == RouteStack((C,))
         assert relay.counters["data_served"] == 0
-        assert PREFIX not in relay.tables.pit
+        assert relay.counters["nacks_sent"] == 0
+        assert relay.counters["mode_source_routed"] == 1
+        assert PREFIX in relay.tables.pit
 
     def test_misaddressed_data_dropped(self):
         relay, _ = make_node(B, 3, payment_mode="payall")

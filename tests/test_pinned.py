@@ -59,14 +59,14 @@ PINNED = {
         "8cbc9858ca2f45c47d31c7a513f30930735f30ce9f1f28545513a5f01e96c109",
     ),
     ("churn.scn", "hopbyhop"): (
-        "3f1bfcf064403b14b50ae12f6bf5ca21ec82ef17656f651e0ce14661ffae4327",
-        "4e5df8de58d16ca51c7e2f15db33a75fc31af59491a730299f6abd64552973a1",
-        "87135e8cd8ed5a615a60431c95891dd8f0947419ae998d5d6493ec96a0c7d9e9",
+        "2fd78d5ba341dd46db70bceb37d33feb6a7ea315a86ae37806da377254cc163a",
+        "bc6e659c0c48f279217a908edbe9c352c06de4660adf120c288999d3020fb343",
+        "a709d27ef3925b44c24b04e1d53251664f74cbf127bfa8eebb8e514c734f21e2",
     ),
     ("churn.scn", "payall"): (
-        "98a19d552f15a615e2ac8f3e97f70c7667a1a7ad59b49c627e32ac2c989bfaa3",
-        "4a61a4aa3be1d753628696190535aa36f1afcddff9ce0d5ac497d9cd540b9806",
-        "f0f5efcba3d7ef1f697b845f093dc60978dd78084a59df3afbf2694522d4621e",
+        "f74b8a07b4225eb80646d59a1cc5e886cfe107de439f463a5c56bbb09253cf47",
+        "6b463881ae3617f987417193cb2402f76d32ff53ab221391b8abe4bee9daf968",
+        "3c8ba63bdce4fbaa80e92e1aeed1a4777aeff29dec843c8298375c03c54b7ddc",
     ),
     ("mesh10.scn", "hopbyhop"): (
         "aafe307b060ca68c8e06276d2f4e7553310f58303386ff00dabb343737d21526",
@@ -149,7 +149,8 @@ def _grid(n: int = 4) -> dict:
     )
 
 
-# line-256-lossy ends with its flow still fetching, all 256 packets
+# line-256-lossy runs on the route through the relay to the producer,
+# priced 5, and ends with its flow still fetching, all 256 packets
 # received: for two chunks the relay, missing a packet, passed the proof
 # through, the proof-carrying Data was then lost, and the retransmit was
 # answered from the relay's content store without a proof, so those
@@ -158,12 +159,14 @@ def _grid(n: int = 4) -> dict:
 # the relay caches an altered payload before any proof check (the
 # poisoned-store FOUND: line in CHANGES.md), so a chunk that fails its
 # check is refetched from that store and fails again.  Under hop-by-hop
-# each refetch pays again until the consumer's channel deposit runs
-# out, and the flow ends failed with payment:insufficient-funds.  Under
-# pay-all the flow ends still fetching, all 256 packets received: a
-# refetch answered from the relay's store carries no proof when the
-# relay passed that chunk's proof through unsigned (the unsigned
-# pass-through FOUND: line), so those chunks never verify.
+# an altered offer draws an insufficient-payment Nack, and each Nack
+# sends the consumer back to discovery; the run ends with the flow
+# discovering, 163 packets received, after a link altered the
+# producer's answer to its last discovery.  Under pay-all the flow ends
+# still fetching, all 256 packets received: a refetch answered from the
+# relay's store carries no proof when the relay passed that chunk's
+# proof through unsigned (the unsigned pass-through FOUND: line), so
+# those chunks never verify.
 GENERATED = {
     "line-512": lambda: _line(512),
     "line-256-lossy": lambda: _line(256, 0.05),
@@ -184,19 +187,19 @@ PINNED_GENERATED = {
         "b2236e4b8cd2e173809f6c63f02da444930b488c66bafa759a7467fdb6cfd19a",
     ),
     ("line-256-lossy", "hopbyhop"): (
-        "e2c325cf2e7fd3520a39a4cb6916a1b525b0493552da9904ec3a658b4fd610b2",
-        "58fc3a117170de9b3d39584d6fba0edd24ab1699eff2d22d1d8e879c89d801da",
-        "f72673195be88662f5d59479f52efd9ab3053656ed4e2ff95ea6fb5952265a22",
+        "fb482f3ce9252257dcdbbb75ba990b1990c0bbbd14f13decbf13402dcfdb5958",
+        "66fb6a17c9d97f0b5b2b5e5f856fb080b06b9c6b9e6900dc0ba40d280e53b30e",
+        "c60bf44631b6421f103614c724119b5df66cbf054a40cb0473b14074e6f86129",
     ),
     ("line-256-lossy", "payall"): (
-        "9beeaf52ab7b74fc2756594bbbf0c3b34c9b8092e21930453f0367fe7af2e885",
-        "f5e46aa9fbae7f2e1a371ddb7f7f43879cb9053e55b1f834abcb7c2d5d09f209",
-        "0e0624fb522ff61aa91d507887bde085dd0be3d9f125313bf2e44d8b77e3a92f",
+        "b18b5181ae14965e70d4723e6e240ce7fc275049cda1fc0b37d1b8e1da58f24d",
+        "0c228837ba6a7d728b8e18d1344e2a27f5caa8c199018d7784a7cbe1af39d9ad",
+        "71e96ce271e7044852741c3f26f1e84e280ffb2aa911fde2a5956dd96e80ff87",
     ),
     ("line-256-corrupt", "hopbyhop"): (
-        "9c10cfbca69d97c7b96ffcd7a57df6eeec42a7f0670177c1957804583015142c",
-        "85d753661b08eb1940af1151aef1898a0b1a0182e662fc397b1af430ae467642",
-        "9403601ca28e058a0b654d0cd2c2e6a8c6fc3e84bf76c79238a0191ed39e105e",
+        "0bb91802f72d95a26835698e3077d624f55d14f48097525f609c520f3f84e361",
+        "74db458c73267790563560d81443b45b38e2a3468c1b920595467b8701726b8a",
+        "bae7871c8c24e41e57c9173b2b299461c650b7ae38d565d89425702514f1bc56",
     ),
     ("line-256-corrupt", "payall"): (
         "a64b59884843349e76d08225ebc2bc8cdbb71bbc87d79715b70b927ed08b6dde",

@@ -2,6 +2,7 @@
 buffering modes, payment modes, and the post-run invariant auditor."""
 
 import copy
+import functools
 import json
 from dataclasses import replace
 from importlib import resources
@@ -788,6 +789,100 @@ class TestLedgerBound:
             counts[packets] = (len(result.ledger_records), result.report["payments"]["updates"])
         assert counts[8][0] == counts[16][0]
         assert (counts[8][1], counts[16][1]) == (16, 32)
+
+
+class TestCaching:
+    """Only the producer answers discovery, so a consumer that fetches
+    what a relay already holds still selects the route to the producer:
+    the relay serves it from its store, and every chunk verifies against
+    that route."""
+
+    @pytest.mark.parametrize("mode", ["hopbyhop", "payall"])
+    def test_later_consumer_behind_a_cache_fetches_through_it(self, mode):
+        later = "02-00-00-00-00-ad"
+        doc = line_doc(
+            defaults={"send_interval_ms": 5, "account_balance": 3000, "payment_mode": mode},
+            nodes=[
+                {"addr": A, "cost": 0}, {"addr": later, "cost": 0}, {"addr": R, "cost": 1},
+                {"addr": P, "cost": 1, "serves": [
+                    {"prefix": "/line/data", "packet_size": 100, "packets_per_chunk": 4,
+                     "chunks": 4},
+                ]},
+            ],
+            links=[[A, R], [later, R], [R, P]],
+            schedule=[
+                {"at_ms": at, "action": "fetch", "node": node, "name": "/line/data",
+                 "packets": 16}
+                for at, node in ((100, A), (1000, later))
+            ],
+        )
+        result = run_doc(doc)
+        flow = next(f for f in result.report["flows"] if f["node"] == later)
+        assert (flow["status"], flow["received"], flow["price"]) == ("done", 16, 2)
+        assert flow["route"] == [later, R, P] and flow["verified_strict"] == 4
+        # The producer served the first consumer; the relay's store served
+        # the second.
+        assert result.report["nodes"][R]["data_served"] == 16
+        assert result.report["nodes"][P]["data_served"] == 16
+        assert not [e for e in result.trace if e["event"] == "chunk_verify_failed"]
+
+    @pytest.mark.parametrize("mode", ["hopbyhop", "payall"])
+    def test_a_spread_out_swarm_is_served_by_its_relays(self, mode):
+        producer, core = "02-00-00-00-02-00", "02-00-00-00-02-01"
+        access = ["02-00-00-00-03-00", "02-00-00-00-03-01"]
+        groups = [[f"02-00-00-00-04-{3 * a + i:02x}" for i in range(3)] for a in range(2)]
+        # The consumers take turns between the two access relays.
+        consumers = [groups[i % 2][i // 2] for i in range(6)]
+        serve = {"prefix": "/swarm/obj", "packet_size": 100, "packets_per_chunk": 8,
+                 "chunks": 2}
+        doc = {
+            "version": 1,
+            "seed": 5,
+            "duration_ms": 3500,
+            "defaults": {"send_interval_ms": 5, "account_balance": 3000, "payment_mode": mode},
+            "nodes": [{"addr": c, "cost": 0} for c in consumers]
+            + [{"addr": a, "cost": 1} for a in access]
+            + [{"addr": core, "cost": 1}, {"addr": producer, "cost": 1, "serves": [serve]}],
+            "links": [[c, a] for a, group in zip(access, groups) for c in group]
+            + [[a, core] for a in access] + [[core, producer]],
+            "schedule": [
+                {"at_ms": 100 + 400 * i, "action": "fetch", "node": c, "name": "/swarm/obj",
+                 "packets": 16}
+                for i, c in enumerate(consumers)
+            ],
+        }
+        scenario = parse_scenario(copy.deepcopy(doc), source="inline.scn")
+        result = run_scenario(scenario)
+        flows = result.report["flows"]
+        assert [(f["status"], f["verified_strict"]) for f in flows] == [("done", 2)] * 6
+        assert audit_run(scenario, result.trace, result.ledger_records) == []
+        served = {node: counters.get("data_served", 0)
+                  for node, counters in result.report["nodes"].items()}
+        assert served[producer] == 16
+        assert sum(served[node] for node in [core, *access]) == 5 * 16
+
+
+@functools.cache
+def bundled_run(name, mode):
+    scenario = load_scenario(str(BUNDLED / name))
+    scenario = replace(scenario, defaults=replace(scenario.defaults, payment_mode=mode))
+    return scenario, run_scenario(scenario)
+
+
+@pytest.mark.parametrize("mode", ["hopbyhop", "payall"])
+@pytest.mark.parametrize("name", sorted(p.name for p in BUNDLED.glob("*.scn")))
+class TestBundledRuns:
+    def test_every_flow_ends_done(self, name, mode):
+        _scenario, result = bundled_run(name, mode)
+        statuses = [(f["name"], f["node"], f["status"]) for f in result.report["flows"]]
+        assert statuses == [(fname, node, "done") for fname, node, _status in statuses]
+
+    def test_only_a_node_serving_the_name_answers_discovery(self, name, mode):
+        scenario, result = bundled_run(name, mode)
+        serving = {(str(node.addr), str(s.prefix)) for node in scenario.nodes for s in node.serves}
+        answers = {(e["node"], str(Name.parse(e["name"]).prefix))
+                   for e in result.trace if e["event"] == "discovery_answered"}
+        assert answers and answers <= serving
 
 
 class TestPaymentModes:
